@@ -9,12 +9,13 @@ oracle failure, 2 usage error, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 
 from . import engine, metrics, oracle, scenario_gen
-from .errors import ConfigurationError, SimulationError
+from .errors import ConfigurationError, SimulationError, read_section
 from .netgraph import (
     build_stop_distance_table,
     load_network,
@@ -85,36 +86,25 @@ def _parse_value(text: str):
         return text
 
 
-def _apply_overrides(doc: dict, overrides: list[str]) -> dict:
-    """Apply dotted-path KEY=VALUE overrides to a scenario document."""
-    for item in overrides:
+def _parse_sets(items: list[str]) -> dict[str, object]:
+    """The KEY=VALUE pairs of repeated ``--set`` flags."""
+    pairs = {}
+    for item in items:
         if "=" not in item:
             raise ConfigurationError(f"override {item!r} is not KEY=VALUE")
         key, _, raw = item.partition("=")
-        node = doc
-        parts = key.split(".")
-        for part in parts[:-1]:
-            if part not in node or not isinstance(node[part], dict):
-                raise ConfigurationError(f"override {key!r}: no such field")
-            node = node[part]
-        if parts[-1] not in node:
-            raise ConfigurationError(f"override {key!r}: no such field")
-        node[parts[-1]] = _parse_value(raw)
-    return doc
+        pairs[key] = _parse_value(raw)
+    return pairs
 
 
-def _load_scenario_with_overrides(path: str, args) -> engine.Scenario:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    _apply_overrides(doc, args.set)
+def _scenario_overrides(args) -> dict[str, object]:
+    """Dotted-path scenario overrides from ``--set``, ``--seed`` and ``--replications``."""
+    overrides = _parse_sets(args.set)
     if args.seed is not None:
-        doc["base_seed"] = args.seed
-    if getattr(args, "replications", None) is not None:
-        doc["replications"] = args.replications
-    network_rel = doc.get("network", "network.json")
-    network_path = os.path.join(os.path.dirname(os.path.abspath(path)), network_rel)
-    graph = load_network(network_path)
-    return engine.scenario_from_dict(doc, graph, network_path=network_rel)
+        overrides["base_seed"] = args.seed
+    if args.replications is not None:
+        overrides["replications"] = args.replications
+    return overrides
 
 
 def _cmd_validate(args) -> int:
@@ -127,12 +117,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    fields = {"seed": args.seed}
-    for item in args.set:
-        if "=" not in item:
-            raise ConfigurationError(f"override {item!r} is not KEY=VALUE")
-        key, _, raw = item.partition("=")
-        fields[key] = _parse_value(raw)
+    kinds = {f.name: type(f.default) for f in dataclasses.fields(scenario_gen.SyntheticSpec)}
+    fields = read_section("generator", {"seed": args.seed, **_parse_sets(args.set)}, kinds)
     spec = scenario_gen.SyntheticSpec(**fields)
     out = _out_dir(args.out)
     scenario = scenario_gen.default_scenario(spec)
@@ -144,7 +130,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    scenario = _load_scenario_with_overrides(args.scenario, args)
+    scenario = engine.load_scenario(args.scenario, _scenario_overrides(args))
     out = _out_dir(args.out)
     result = engine.run_scenario(scenario, jobs=args.jobs)
     metrics.emit_csv(result.records, os.path.join(out, "replications.csv"))
@@ -173,7 +159,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    scenario = _load_scenario_with_overrides(args.scenario, args)
+    scenario = engine.load_scenario(args.scenario, _scenario_overrides(args))
     try:
         fleet_sizes = [int(x) for x in args.fleet_sizes.split(",") if x]
     except ValueError:

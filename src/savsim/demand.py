@@ -14,7 +14,7 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .errors import InvalidInputError, NotFoundError
+from .errors import InvalidInputError, NotFoundError, check_finite
 from .netgraph import RoadGraph, Stop
 
 REQUEST_CSV_HEADER = ["id", "origin", "destination", "request_time_s", "party_size"]
@@ -41,13 +41,15 @@ class DemandProfile:
     horizon: float = 14400.0       # seconds
 
     def __post_init__(self) -> None:
+        check_finite("demand", outbound_rate=self.outbound_rate, inbound_rate=self.inbound_rate,
+                     horizon=self.horizon)
         if self.outbound_rate < 0 or self.inbound_rate < 0:
             raise InvalidInputError("demand rates must be >= 0")
         if self.horizon <= 0:
             raise InvalidInputError("demand horizon must be > 0")
         weights = self.party_size_weights
-        if any(w < 0 for w in weights.values()):
-            raise InvalidInputError("party size weights must be >= 0")
+        if any(not math.isfinite(w) or w < 0 for w in weights.values()):
+            raise InvalidInputError("party size weights must be finite and >= 0")
         if not math.isclose(sum(weights.values()), 1.0, rel_tol=1e-9):
             raise InvalidInputError("party size weights must sum to 1")
 

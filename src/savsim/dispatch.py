@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from .demand import TripRequest
-from .errors import ConsistencyError, InvalidInputError
+from .errors import ConsistencyError, InvalidInputError, check_finite
 
 PICKUP = "pickup"
 DROPOFF = "dropoff"
@@ -40,6 +40,9 @@ class DispatchPolicy:
     capacity: int = 5
 
     def __post_init__(self) -> None:
+        check_finite("policy", overdue_threshold=self.overdue_threshold,
+                     priority_radius=self.priority_radius,
+                     detour_budget_factor=self.detour_budget_factor, capacity=self.capacity)
         if self.overdue_threshold <= 0 or self.priority_radius <= 0:
             raise InvalidInputError("threshold and radius must be > 0")
         if self.detour_budget_factor < 1.0:
@@ -132,20 +135,11 @@ def select_next_request(
     return best.request.id
 
 
-def route_length(sav: Sav, legs: list[RouteLeg], table) -> float:
-    """Total driving distance from the vehicle's position through all legs."""
-    if not legs:
-        return 0.0
-    edge_id, offset = sav.position
-    total = table.distance_from_position(edge_id, offset, legs[0].stop)
-    for a, b in zip(legs, legs[1:]):
-        total += table.distance(a.stop, b.stop)
-    return total
-
-
-def shared_distance(sav: Sav, legs: list[RouteLeg], table) -> float:
-    """Meters of the route driven with at least two distinct requests onboard."""
+def route_cost(sav: Sav, legs: list[RouteLeg], table) -> tuple[float, float]:
+    """Driving distance from the vehicle's position through all legs, and the
+    part of it driven with at least two distinct requests onboard."""
     onboard = set(sav.onboard)
+    length = 0.0
     shared = 0.0
     edge_id, offset = sav.position
     prev: int | None = None
@@ -155,6 +149,7 @@ def shared_distance(sav: Sav, legs: list[RouteLeg], table) -> float:
             if prev is None
             else table.distance(prev, leg.stop)
         )
+        length += seg
         if len(onboard) >= 2:
             shared += seg
         if leg.action == PICKUP:
@@ -162,7 +157,7 @@ def shared_distance(sav: Sav, legs: list[RouteLeg], table) -> float:
         else:
             onboard.discard(leg.request)
         prev = leg.stop
-    return shared
+    return length, shared
 
 
 def _capacity_feasible(sav: Sav, legs: list[RouteLeg]) -> bool:
@@ -205,7 +200,7 @@ def try_insert_shared(
     base = list(sav.route)
     pickup = RouteLeg(candidate.origin, PICKUP, candidate.id, candidate.party_size)
     dropoff = RouteLeg(candidate.destination, DROPOFF, candidate.id, candidate.party_size)
-    budget = policy.detour_budget_factor * route_length(sav, base, table)
+    budget = policy.detour_budget_factor * route_cost(sav, base, table)[0]
     best: Insertion | None = None
     for i in range(len(base) + 1):
         for j in range(i + 1, len(base) + 2):
@@ -214,10 +209,9 @@ def try_insert_shared(
             legs.insert(j, dropoff)
             if not _capacity_feasible(sav, legs):
                 continue
-            length = route_length(sav, legs, table)
+            length, shared = route_cost(sav, legs, table)
             if length > budget:
                 continue
-            shared = shared_distance(sav, legs, table)
             if best is None or shared > best.shared_miles:
                 best = Insertion(tuple(legs), shared, length, i, j)
     return best

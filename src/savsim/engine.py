@@ -7,8 +7,11 @@ they may run in separate processes.
 
 Model notes:
   * Background vehicles drive edge occupancy; fleet vehicles are few enough
-    at this scale that their density contribution is ignored.  Fleet travel
-    times sample occupancy once, at leg start.
+    at this scale that their density contribution is ignored.  Background
+    vehicles drive at ``traffic.edge_speed``; a fleet vehicle drives each
+    edge of a leg at ``traffic.attainable_speed``, sampled once, at leg start.
+  * A leg's edges, including the direct same-edge hop, come from the
+    distance table's ``position_path``; the traversal rule lives in netgraph.
   * A fleet vehicle's boarding/alighting events each take one dwell period;
     a request's pickup/completion timestamps fall at the end of its own
     dwell slot.
@@ -19,8 +22,11 @@ Model notes:
 
 from __future__ import annotations
 
+import json
+import math
+import os
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from heapq import heappop, heappush
 
 from . import traffic as traffic_mod
@@ -42,7 +48,7 @@ from .dispatch import (
     select_next_request,
     try_insert_shared,
 )
-from .errors import ConfigurationError, ConsistencyError, SimulationError
+from .errors import ConfigurationError, ConsistencyError, SimulationError, read_section
 from .metrics import LogEntry, MetricsRecord, MetricsState, aggregate, finalize
 from .netgraph import (
     RoadGraph,
@@ -55,6 +61,7 @@ from .netgraph import (
 from .traffic import (
     BackgroundFlow,
     BehaviorProfile,
+    attainable_speed,
     count_stop_event,
     edge_speed,
     get_profile,
@@ -88,8 +95,8 @@ class Scenario:
     def __post_init__(self) -> None:
         if self.fleet_size < 0:
             raise ConfigurationError("fleet_size must be >= 0")
-        if self.horizon <= 0:
-            raise ConfigurationError("horizon must be > 0")
+        if not math.isfinite(self.horizon) or self.horizon <= 0:
+            raise ConfigurationError(f"horizon must be a finite number > 0, got {self.horizon!r}")
         if self.replications < 1:
             raise ConfigurationError("replications must be >= 1")
 
@@ -279,8 +286,7 @@ class _Replication:
     def _edge_state(self, edge_id: int) -> traffic_mod.EdgeState:
         state = self.edge_states.get(edge_id)
         if state is None:
-            edge = self.graph.edge(edge_id)
-            state = traffic_mod.EdgeState(edge_id, 0, edge.free_flow_speed)
+            state = traffic_mod.EdgeState(edge_id)
             self.edge_states[edge_id] = state
         return state
 
@@ -290,24 +296,16 @@ class _Replication:
 
     # fleet movement ------------------------------------------------------
 
-    def _attainable_speed(self, edge_id: int) -> float:
-        edge = self.graph.edge(edge_id)
-        return min(
-            edge.free_flow_speed,
-            edge_speed(edge, self._edge_state(edge_id).occupancy) * self.profile.speed_factor,
-        )
-
     def _build_plan(self, sav: Sav, target_stop: int, now: float) -> _LegPlan:
         stop = self.graph.stop(target_stop)
         pos_edge, offset = sav.position
+        edges, _ = self.table.position_path(pos_edge, offset, target_stop)
         pieces: list[tuple[int, float, float]] = []
-        if pos_edge == stop.edge and stop.slack >= offset:
+        if len(edges) == 1:   # a direct hop along the current edge
             pieces.append((pos_edge, offset, stop.slack))
         else:
-            edge = self.graph.edge(pos_edge)
-            pieces.append((pos_edge, offset, edge.length))
-            mid_edges, _ = self.table.position_path(pos_edge, offset, target_stop)
-            for eid in mid_edges[1:-1]:
+            pieces.append((pos_edge, offset, self.graph.edge(pos_edge).length))
+            for eid in edges[1:-1]:
                 pieces.append((eid, 0.0, self.graph.edge(eid).length))
             pieces.append((stop.edge, 0.0, stop.slack))
         segments: list[_Segment] = []
@@ -317,12 +315,13 @@ class _Replication:
         stop_events = 0
         distance = 0.0
         for eid, a, b in pieces:
-            v = self._attainable_speed(eid)
+            edge = self.graph.edge(eid)
+            v = attainable_speed(edge, self._edge_state(eid).occupancy, self.profile)
             length = b - a
             dt = length / v if length > 0 else 0.0
             segments.append(_Segment(eid, a, b, t, t + dt, v))
             if length > 0:
-                free = length / self.graph.edge(eid).free_flow_speed
+                free = length / edge.free_flow_speed
                 delay += dt - free
                 if count_stop_event(prev_speed, v):
                     stop_events += 1
@@ -480,7 +479,6 @@ class _Replication:
         vehicle.speed = speed
         vehicle.delay += edge.length / speed - edge.length / edge.free_flow_speed
         state.occupancy += 1
-        state.current_speed = edge_speed(edge, state.occupancy)
         self._sample_occupancy(eid)
         self._schedule(self.now + edge.length / speed, BACKGROUND_EDGE_EXIT, vehicle.id)
 
@@ -495,7 +493,6 @@ class _Replication:
         eid = vehicle.edges[vehicle.index]
         state = self._edge_state(eid)
         state.occupancy -= 1
-        state.current_speed = edge_speed(self.graph.edge(eid), state.occupancy)
         self._sample_occupancy(eid)
         self.metrics.background_distance += self.graph.edge(eid).length
         vehicle.index += 1
@@ -673,22 +670,10 @@ def scenario_to_dict(scenario: Scenario) -> dict:
             },
             "horizon": scenario.demand.horizon,
         },
-        "background_flows": [
-            {
-                "origin_vertex": f.origin_vertex,
-                "destination_vertex": f.destination_vertex,
-                "rate": f.rate,
-            }
-            for f in scenario.background_flows
-        ],
+        "background_flows": [asdict(f) for f in scenario.background_flows],
         "fleet_size": scenario.fleet_size,
         "profile": scenario.profile,
-        "policy": {
-            "overdue_threshold": scenario.policy.overdue_threshold,
-            "priority_radius": scenario.policy.priority_radius,
-            "detour_budget_factor": scenario.policy.detour_budget_factor,
-            "capacity": scenario.policy.capacity,
-        },
+        "policy": asdict(scenario.policy),
         "horizon": scenario.horizon,
         "replications": scenario.replications,
         "base_seed": scenario.base_seed,
@@ -701,61 +686,78 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     return doc
 
 
+def _party_weights(doc: dict) -> dict[int, float]:
+    return {int(k): float(v) for k, v in doc.items()}
+
+
+_SCENARIO_FIELDS = {
+    "name": str, "network": str, "demand": dict, "background_flows": list,
+    "fleet_size": int, "profile": str, "policy": dict, "horizon": float,
+    "replications": int, "base_seed": int, "behavior_profiles": dict,
+}
+_DEMAND_FIELDS = {
+    "outbound_rate": float, "inbound_rate": float,
+    "party_size_weights": _party_weights, "horizon": float,
+}
+_FLOW_FIELDS = {"origin_vertex": int, "destination_vertex": int, "rate": float}
+_POLICY_FIELDS = {
+    "overdue_threshold": float, "priority_radius": float,
+    "detour_budget_factor": float, "capacity": int,
+}
+
+
 def scenario_from_dict(doc: dict, graph: RoadGraph, network_path: str | None = None) -> Scenario:
+    """Build a scenario from its document; absent optional fields take the dataclass defaults.
+
+    The demand section and its two rates are required; the demand horizon
+    defaults to the scenario horizon.  Unknown keys are rejected.
+    """
+    fields = read_section("scenario", doc, _SCENARIO_FIELDS)
+    fields.pop("network", None)
     try:
-        demand = DemandProfile(
-            outbound_rate=float(doc["demand"]["outbound_rate"]),
-            inbound_rate=float(doc["demand"]["inbound_rate"]),
-            party_size_weights={
-                int(k): float(v)
-                for k, v in doc["demand"].get(
-                    "party_size_weights", {"1": 0.7, "2": 0.2, "3": 0.1}
-                ).items()
-            },
-            horizon=float(doc["demand"].get("horizon", doc.get("horizon", 14400.0))),
+        demand = read_section("demand", fields.pop("demand"), _DEMAND_FIELDS)
+        if "horizon" in fields:
+            demand.setdefault("horizon", fields["horizon"])
+        fields["demand"] = DemandProfile(
+            outbound_rate=demand.pop("outbound_rate"),
+            inbound_rate=demand.pop("inbound_rate"),
+            **demand,
         )
-        policy_doc = doc.get("policy", {})
-        policy = DispatchPolicy(
-            overdue_threshold=float(policy_doc.get("overdue_threshold", 1200.0)),
-            priority_radius=float(policy_doc.get("priority_radius", 3218.0)),
-            detour_budget_factor=float(policy_doc.get("detour_budget_factor", 1.4)),
-            capacity=int(policy_doc.get("capacity", 5)),
+        fields["policy"] = DispatchPolicy(
+            **read_section("policy", fields.get("policy", {}), _POLICY_FIELDS)
         )
-        flows = [
-            BackgroundFlow(
-                int(f["origin_vertex"]), int(f["destination_vertex"]), float(f["rate"])
-            )
-            for f in doc.get("background_flows", [])
+        fields["background_flows"] = [
+            BackgroundFlow(**read_section(f"background_flows[{i}]", flow, _FLOW_FIELDS))
+            for i, flow in enumerate(fields.get("background_flows", []))
         ]
-        profiles = None
-        if "behavior_profiles" in doc:
-            profiles = traffic_mod.profiles_from_dict(doc["behavior_profiles"])
-        return Scenario(
-            graph=graph,
-            name=str(doc.get("name", "scenario")),
-            demand=demand,
-            background_flows=flows,
-            fleet_size=int(doc.get("fleet_size", 8)),
-            profile=str(doc.get("profile", "normal")),
-            policy=policy,
-            horizon=float(doc.get("horizon", 14400.0)),
-            replications=int(doc.get("replications", 20)),
-            base_seed=int(doc.get("base_seed", 0)),
-            behavior_profiles=profiles,
-            network_path=network_path,
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        if "behavior_profiles" in fields:
+            fields["behavior_profiles"] = traffic_mod.profiles_from_dict(fields["behavior_profiles"])
+        return Scenario(graph=graph, network_path=network_path, **fields)
+    except KeyError as exc:
+        raise ConfigurationError(f"bad scenario document: missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"bad scenario document: {exc}") from exc
 
 
-def load_scenario(path: str) -> Scenario:
-    """Read a scenario file, loading its network relative to the file."""
-    import json
-    import os
+def load_scenario(path: str, overrides: dict[str, object] | None = None) -> Scenario:
+    """Read a scenario file, loading its network relative to the file.
 
+    ``overrides`` maps dotted field paths, such as ``policy.capacity``, to
+    values that replace the file's before it is parsed.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    network_rel = doc.get("network", "network.json")
+    if not isinstance(doc, dict):
+        raise ConfigurationError(f"{path}: expected a JSON object")
+    for key, value in (overrides or {}).items():
+        *parents, leaf = key.split(".")
+        node = doc
+        for part in parents:
+            node = node.setdefault(part, {}) if isinstance(node, dict) else None
+        if not isinstance(node, dict):
+            raise ConfigurationError(f"override {key!r}: no such field")
+        node[leaf] = value
+    network_rel = str(doc.get("network", "network.json"))
     network_path = os.path.join(os.path.dirname(os.path.abspath(path)), network_rel)
     graph = load_network(network_path)
     return scenario_from_dict(doc, graph, network_path=network_rel)

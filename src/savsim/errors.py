@@ -1,4 +1,9 @@
-"""Exception types shared across the simulator."""
+"""Exception types shared across the simulator, and the input checks that raise them."""
+
+from __future__ import annotations
+
+import math
+from typing import Callable
 
 
 class SimulationError(Exception):
@@ -19,3 +24,35 @@ class ConfigurationError(SimulationError):
 
 class ConsistencyError(SimulationError):
     """Internal state violated an invariant; indicates a simulator bug."""
+
+
+def check_finite(owner: str, **values: float) -> None:
+    """Raise InvalidInputError naming the first value that is not a finite number.
+
+    Range checks such as ``rate < 0`` let NaN through, and a NaN or infinite
+    rate or horizon makes event generation loop forever, so every numeric
+    dataclass field is checked here before its range is.
+    """
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise InvalidInputError(f"{owner} {name} must be a finite number, got {value!r}")
+
+
+def read_section(where: str, doc: object, kinds: dict[str, Callable]) -> dict:
+    """Convert the fields of one object in an input document.
+
+    ``kinds`` maps every allowed key to its converter.  An unknown key is
+    rejected rather than ignored, so a misspelt field cannot silently fall
+    back to its default; a value that fails conversion is reported by path.
+    """
+    if not isinstance(doc, dict):
+        raise ConfigurationError(f"{where}: expected an object, got {type(doc).__name__}")
+    fields = {}
+    for key, raw in doc.items():
+        if key not in kinds:
+            raise ConfigurationError(f"{where}.{key}: no such field")
+        try:
+            fields[key] = kinds[key](raw)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigurationError(f"{where}.{key}: {exc}") from None
+    return fields

@@ -17,11 +17,6 @@ from .dispatch import DROPOFF, PICKUP
 from .netgraph import write_atomic
 
 
-def vehicle_delay(actual_travel_time: float, free_flow_time: float) -> float:
-    """Seconds of delay versus free flow, clamped at zero."""
-    return max(0.0, actual_travel_time - free_flow_time)
-
-
 @dataclass(frozen=True)
 class MetricsRecord:
     scenario: str

@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import random
 import tempfile
 from collections import defaultdict
 from dataclasses import dataclass
@@ -333,7 +332,10 @@ def validate_graph(graph: RoadGraph) -> ValidationReport:
 
 # shortest paths ----------------------------------------------------------
 
-def _shortest_tree(graph: RoadGraph, source: int) -> dict[int, tuple[float, tuple[int, ...]]]:
+_Tree = dict[int, tuple[float, tuple[int, ...]]]   # vertex -> (distance, vertex sequence)
+
+
+def _shortest_tree(graph: RoadGraph, source: int) -> _Tree:
     """Single-source shortest paths, lexicographic vertex-sequence tie-break.
 
     Heap entries carry the full vertex sequence so that equal-distance paths
@@ -341,7 +343,7 @@ def _shortest_tree(graph: RoadGraph, source: int) -> dict[int, tuple[float, tupl
     equal-distance sequences to the same vertex are never prefixes of each
     other, which keeps the ordering stable under extension.
     """
-    best: dict[int, tuple[float, tuple[int, ...]]] = {}
+    best: _Tree = {}
     heap: list[tuple[float, tuple[int, ...]]] = [(0.0, (source,))]
     while heap:
         dist, seq = heappop(heap)
@@ -355,39 +357,6 @@ def _shortest_tree(graph: RoadGraph, source: int) -> dict[int, tuple[float, tupl
     return best
 
 
-def _shortest_tree_random(
-    graph: RoadGraph, source: int, rng: random.Random
-) -> dict[int, tuple[float, tuple[int, ...]]]:
-    """Like :func:`_shortest_tree` but equal-distance choices flip a seeded coin."""
-    dist: dict[int, float] = {source: 0.0}
-    pred: dict[int, int] = {}
-    heap: list[tuple[float, int, int]] = [(0.0, 0, source)]
-    order = 0
-    done: set[int] = set()
-    while heap:
-        d, _, v = heappop(heap)
-        if v in done:
-            continue
-        done.add(v)
-        for e in graph.out_edges(v):
-            nd = d + e.length
-            old = dist.get(e.sink)
-            if old is None or nd < old:
-                dist[e.sink] = nd
-                pred[e.sink] = v
-                order += 1
-                heappush(heap, (nd, order, e.sink))
-            elif nd == old and rng.random() < 0.5:
-                pred[e.sink] = v
-    out: dict[int, tuple[float, tuple[int, ...]]] = {}
-    for v, d in dist.items():
-        seq = [v]
-        while seq[-1] != source:
-            seq.append(pred[seq[-1]])
-        out[v] = (d, tuple(reversed(seq)))
-    return out
-
-
 def _edges_along(graph: RoadGraph, seq: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(graph.edge_between(a, b).id for a, b in zip(seq, seq[1:]))
 
@@ -396,24 +365,18 @@ def shortest_path(
     graph: RoadGraph,
     from_vertex: int,
     to_vertex: int,
-    rng: random.Random | None = None,
 ) -> tuple[tuple[int, ...], float]:
     """Minimum-weight edge sequence between two vertices.
 
     Ties between equal-length paths go to the lexicographically smallest
-    vertex-id sequence; pass ``rng`` to instead pick among ties at random.
-    Returns ``((), 0.0)`` when the endpoints coincide.
+    vertex-id sequence.  Returns ``((), 0.0)`` when the endpoints coincide.
     """
     for vid in (from_vertex, to_vertex):
         if not graph.has_vertex(vid):
             raise NotFoundError(f"vertex {vid} not in graph")
     if from_vertex == to_vertex:
         return ((), 0.0)
-    tree = (
-        _shortest_tree_random(graph, from_vertex, rng)
-        if rng is not None
-        else _shortest_tree(graph, from_vertex)
-    )
+    tree = _shortest_tree(graph, from_vertex)
     if to_vertex not in tree:
         raise NotFoundError(f"vertex {to_vertex} unreachable from {from_vertex}")
     dist, seq = tree[to_vertex]
@@ -433,24 +396,41 @@ def path_distance(graph: RoadGraph, edges: tuple[int, ...], origin_slack: float,
     return (first.length - origin_slack) + middle + dest_slack
 
 
-def _stop_path(
-    graph: RoadGraph,
-    origin: Stop,
-    dest: Stop,
-    tree: dict[int, tuple[float, tuple[int, ...]]],
-) -> StopPath:
-    e_o = graph.edge(origin.edge)
-    e_d = graph.edge(dest.edge)
-    if origin.edge == dest.edge and dest.slack >= origin.slack:
-        return StopPath(origin.id, dest.id, (origin.edge,), dest.slack - origin.slack)
-    if e_d.source not in tree:
+def _traverse(
+    graph: RoadGraph, edge: DirectedEdge, offset: float, dest: Stop, trees: dict[int, _Tree]
+) -> tuple[float, tuple[int, ...] | None]:
+    """Apply the traversal rule from ``offset`` meters along ``edge`` to ``dest``.
+
+    A stop downstream on the same edge is reached directly.  Otherwise the
+    vehicle finishes the edge, follows the shortest-path tree rooted at the
+    edge's sink (built into ``trees`` on first use) to the destination edge's
+    source vertex, then drives the destination slack.  Returns the distance
+    and the tree's vertex sequence, which is None for a direct hop.
+    """
+    if not 0.0 <= offset <= edge.length:
+        raise InvalidInputError(f"offset {offset} outside edge {edge.id}")
+    if edge.id == dest.edge and dest.slack >= offset:
+        return dest.slack - offset, None
+    tree = trees.get(edge.sink)
+    if tree is None:
+        tree = trees[edge.sink] = _shortest_tree(graph, edge.sink)
+    target = graph.edge(dest.edge).source
+    if target not in tree:
         raise NotFoundError(
-            f"vertex {e_d.source} unreachable from {e_o.sink}; graph not strongly connected"
+            f"vertex {target} unreachable from {edge.sink}; graph not strongly connected"
         )
-    mid_dist, seq = tree[e_d.source]
-    mid_edges = _edges_along(graph, seq)
-    distance = (e_o.length - origin.slack) + mid_dist + dest.slack
-    return StopPath(origin.id, dest.id, (origin.edge,) + mid_edges + (dest.edge,), distance)
+    mid_dist, seq = tree[target]
+    return (edge.length - offset) + mid_dist + dest.slack, seq
+
+
+def _traverse_path(
+    graph: RoadGraph, edge: DirectedEdge, offset: float, dest: Stop, trees: dict[int, _Tree]
+) -> tuple[tuple[int, ...], float]:
+    """Edge list and distance of :func:`_traverse`, partial end edges included."""
+    distance, seq = _traverse(graph, edge, offset, dest, trees)
+    if seq is None:
+        return (edge.id,), distance
+    return (edge.id,) + _edges_along(graph, seq) + (dest.edge,), distance
 
 
 def stop_distance(graph: RoadGraph, from_stop: Stop, to_stop: Stop) -> StopPath:
@@ -466,8 +446,8 @@ def stop_distance(graph: RoadGraph, from_stop: Stop, to_stop: Stop) -> StopPath:
             raise NotFoundError(f"stop {s.id} not registered with graph")
     if from_stop.id == to_stop.id:
         return StopPath(from_stop.id, to_stop.id, (), 0.0)
-    tree = _shortest_tree(graph, graph.edge(from_stop.edge).sink)
-    return _stop_path(graph, from_stop, to_stop, tree)
+    edges, distance = _traverse_path(graph, graph.edge(from_stop.edge), from_stop.slack, to_stop, {})
+    return StopPath(from_stop.id, to_stop.id, edges, distance)
 
 
 class StopDistanceTable:
@@ -483,21 +463,15 @@ class StopDistanceTable:
     def __init__(self, graph: RoadGraph, stops: list[Stop]) -> None:
         self._graph = graph
         self._stops = {s.id: s for s in stops}
-        self._trees: dict[int, dict[int, tuple[float, tuple[int, ...]]]] = {}
+        self._trees: dict[int, _Tree] = {}
         self.entries: dict[tuple[int, int], StopPath] = {}
         for origin in sorted(stops, key=lambda s: s.id):
-            tree = self._tree(graph.edge(origin.edge).sink)
+            host = graph.edge(origin.edge)
             for dest in sorted(stops, key=lambda s: s.id):
                 if dest.id == origin.id:
                     continue
-                self.entries[(origin.id, dest.id)] = _stop_path(graph, origin, dest, tree)
-
-    def _tree(self, source_vertex: int) -> dict[int, tuple[float, tuple[int, ...]]]:
-        tree = self._trees.get(source_vertex)
-        if tree is None:
-            tree = _shortest_tree(self._graph, source_vertex)
-            self._trees[source_vertex] = tree
-        return tree
+                edges, distance = _traverse_path(graph, host, origin.slack, dest, self._trees)
+                self.entries[(origin.id, dest.id)] = StopPath(origin.id, dest.id, edges, distance)
 
     def _check(self, stop_id: int) -> Stop:
         stop = self._stops.get(stop_id)
@@ -518,28 +492,12 @@ class StopDistanceTable:
     def distance_from_position(self, edge_id: int, offset: float, to_stop: int) -> float:
         """Distance from a mid-edge position to a stop, same traversal rule."""
         dest = self._check(to_stop)
-        edge = self._graph.edge(edge_id)
-        if not 0.0 <= offset <= edge.length:
-            raise InvalidInputError(f"offset {offset} outside edge {edge_id}")
-        if edge_id == dest.edge and dest.slack >= offset:
-            return dest.slack - offset
-        tree = self._tree(edge.sink)
-        dest_edge = self._graph.edge(dest.edge)
-        if dest_edge.source not in tree:
-            raise NotFoundError(f"vertex {dest_edge.source} unreachable from {edge.sink}")
-        return (edge.length - offset) + tree[dest_edge.source][0] + dest.slack
+        return _traverse(self._graph, self._graph.edge(edge_id), offset, dest, self._trees)[0]
 
     def position_path(self, edge_id: int, offset: float, to_stop: int) -> tuple[tuple[int, ...], float]:
         """Edge list and distance from a mid-edge position to a stop."""
         dest = self._check(to_stop)
-        edge = self._graph.edge(edge_id)
-        if edge_id == dest.edge and dest.slack >= offset:
-            return ((edge_id,), dest.slack - offset)
-        tree = self._tree(edge.sink)
-        dest_edge = self._graph.edge(dest.edge)
-        mid_dist, seq = tree[dest_edge.source]
-        mid = _edges_along(self._graph, seq)
-        return ((edge_id,) + mid + (dest.edge,), (edge.length - offset) + mid_dist + dest.slack)
+        return _traverse_path(self._graph, self._graph.edge(edge_id), offset, dest, self._trees)
 
     def stop_ids(self) -> list[int]:
         return sorted(self._stops)

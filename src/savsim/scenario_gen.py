@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .demand import DemandProfile
 from .dispatch import DispatchPolicy
 from .engine import Scenario
-from .errors import InvalidInputError
+from .errors import InvalidInputError, check_finite
 from .netgraph import RoadGraph, edge_weight
 from .traffic import BackgroundFlow
 
@@ -35,6 +35,8 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        check_finite("generator", width=self.width, height=self.height,
+                     grid_spacing=self.grid_spacing)
         if self.width <= 0 or self.height <= 0 or self.grid_spacing <= 0:
             raise InvalidInputError("width, height, grid_spacing must be > 0")
         if self.peripheral_stop_count < 1 or self.central_stop_count < 1:

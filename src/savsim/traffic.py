@@ -7,9 +7,9 @@ attainable speed (capped at free flow) and set per-boarding dwell times.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, check_finite, read_section
 from .netgraph import DirectedEdge
 
 CRAWL_FRACTION = 0.05
@@ -21,6 +21,14 @@ class BehaviorProfile:
     name: str
     speed_factor: float
     dwell_time: float
+
+    def __post_init__(self) -> None:
+        check_finite(f"behavior profile {self.name!r}", speed_factor=self.speed_factor,
+                     dwell_time=self.dwell_time)
+        if self.speed_factor <= 0:
+            raise InvalidInputError(f"behavior profile {self.name!r}: speed_factor must be > 0")
+        if self.dwell_time < 0:
+            raise InvalidInputError(f"behavior profile {self.name!r}: dwell_time must be >= 0")
 
 
 DEFAULT_PROFILES: dict[str, BehaviorProfile] = {
@@ -38,26 +46,24 @@ def get_profile(name: str, overrides: dict[str, BehaviorProfile] | None = None) 
     return profile
 
 
+_PROFILE_FIELDS = {"speed_factor": float, "dwell_time": float}
+
+
 def profiles_from_dict(doc: dict) -> dict[str, BehaviorProfile]:
-    """Parse scenario-file profile overrides, keeping defaults for absent names."""
+    """Parse scenario-file profile overrides, keeping defaults for absent names and fields."""
     table = dict(DEFAULT_PROFILES)
     for name, rec in doc.items():
-        base = table.get(name)
-        table[name] = BehaviorProfile(
-            name,
-            float(rec.get("speed_factor", base.speed_factor if base else 1.0)),
-            float(rec.get("dwell_time", base.dwell_time if base else 12.0)),
-        )
+        fields = read_section(f"behavior_profiles.{name}", rec, _PROFILE_FIELDS)
+        table[name] = replace(table.get(name, BehaviorProfile(name, 1.0, 12.0)), **fields)
     return table
 
 
 @dataclass
 class EdgeState:
-    """Mutable per-edge occupancy and speed, owned by the simulation engine."""
+    """Mutable per-edge occupancy, owned by the simulation engine."""
 
     edge: int
     occupancy: int = 0
-    current_speed: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -69,6 +75,7 @@ class BackgroundFlow:
     rate: float  # vehicles/hour
 
     def __post_init__(self) -> None:
+        check_finite("background flow", rate=self.rate)
         if self.rate < 0:
             raise InvalidInputError("background flow rate must be >= 0")
         if self.origin_vertex == self.destination_vertex:
@@ -80,10 +87,9 @@ def edge_speed(edge: DirectedEdge, occupancy: int) -> float:
     return edge.free_flow_speed * max(CRAWL_FRACTION, 1.0 - occupancy / edge.capacity_vehicles)
 
 
-def edge_travel_time(edge: DirectedEdge, occupancy: int, profile: BehaviorProfile) -> float:
-    """Seconds to traverse the edge; attainable speed never exceeds free flow."""
-    v = min(edge.free_flow_speed, edge_speed(edge, occupancy) * profile.speed_factor)
-    return edge.length / v
+def attainable_speed(edge: DirectedEdge, occupancy: int, profile: BehaviorProfile) -> float:
+    """Fleet speed on the edge: congested speed scaled by the profile, capped at free flow."""
+    return min(edge.free_flow_speed, edge_speed(edge, occupancy) * profile.speed_factor)
 
 
 def count_stop_event(previous_speed: float, new_speed: float) -> bool:

@@ -40,6 +40,11 @@ class TestGenerateAndValidate:
         graph = load_network(str(out / "network.json"))
         assert len(list(graph.stops())) == 6
 
+    def test_generate_rejects_bad_fields(self, tmp_path, capsys):
+        for item, field in (("grid_spacng=800", "grid_spacng"), ("grid_spacing=NaN", "grid_spacing")):
+            assert main(["generate", "--out", str(tmp_path / "g"), "--set", item]) == 1
+            assert field in capsys.readouterr().err
+
     def test_validate_ok(self, tmp_path, capsys):
         out = generate_small(tmp_path)
         assert main(["validate", "--network", str(out / "network.json")]) == 0
@@ -93,6 +98,22 @@ class TestRun:
         ])
         assert code == 1
         assert "no such field" in capsys.readouterr().err
+
+    def test_bad_scenario_file_names_the_field(self, tmp_path, capsys):
+        out = generate_small(tmp_path)
+        doc = json.loads((out / "scenario.json").read_text())
+        for section, field, value in (
+            (None, "fleet_szie", 3),
+            ("demand", "outbound_rate", float("nan")),
+            (None, "horizon", float("inf")),
+        ):
+            bad = json.loads(json.dumps(doc))
+            (bad[section] if section else bad)[field] = value
+            path = out / "bad.json"
+            path.write_text(json.dumps(bad))
+            code = main(["run", "--scenario", str(path), "--out", str(tmp_path / "x")])
+            assert code == 1
+            assert field in capsys.readouterr().err
 
     def test_missing_scenario_is_io_error(self, tmp_path, capsys):
         code = main(["run", "--scenario", str(tmp_path / "absent.json"), "--out", str(tmp_path)])

@@ -1,3 +1,4 @@
+import math
 import statistics
 
 import pytest
@@ -106,6 +107,12 @@ def test_profile_validation():
         DemandProfile(party_size_weights={1: 0.5, 2: 0.3})
     with pytest.raises(InvalidInputError):
         DemandProfile(horizon=0.0)
+    for bad in (math.nan, math.inf):
+        for field in ("outbound_rate", "inbound_rate", "horizon"):
+            with pytest.raises(InvalidInputError, match=field):
+                DemandProfile(**{field: bad})
+        with pytest.raises(InvalidInputError):
+            DemandProfile(party_size_weights={1: bad})
 
 
 class TestRequestFiles:

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -13,9 +14,8 @@ from savsim.dispatch import (
     Sav,
     on_arrival,
     request_legs,
-    route_length,
+    route_cost,
     select_next_request,
-    shared_distance,
     try_insert_shared,
 )
 from savsim.errors import ConsistencyError, InvalidInputError
@@ -28,6 +28,7 @@ from brute import (
     random_policy,
     random_sav_state,
     walk_length,
+    walk_shared,
 )
 from randnets import random_connected_graph, scatter_stops
 
@@ -136,7 +137,7 @@ class TestInsertion:
             DispatchPolicy(detour_budget_factor=1.0), sav, cand, table
         )
         assert res is not None
-        assert res.length == pytest.approx(route_length(sav, sav.route, table))
+        assert res.length == pytest.approx(route_cost(sav, sav.route, table)[0])
 
     def test_route_never_mutated(self):
         g, table, (s1, s2, s3) = line_network()
@@ -164,7 +165,7 @@ class TestInsertion:
             rid += 1
             res = try_insert_shared(policy, sav, cand, table)
             if res is not None:
-                budget = policy.detour_budget_factor * route_length(sav, sav.route, table)
+                budget = policy.detour_budget_factor * route_cost(sav, sav.route, table)[0]
                 assert res.length <= budget
 
     def test_matches_exhaustive_maximum(self):
@@ -239,6 +240,10 @@ class TestPolicyValidation:
             DispatchPolicy(detour_budget_factor=0.9)
         with pytest.raises(InvalidInputError):
             DispatchPolicy(capacity=0)
+        for field in ("overdue_threshold", "priority_radius", "detour_budget_factor", "capacity"):
+            for bad in (math.nan, math.inf):
+                with pytest.raises(InvalidInputError, match=field):
+                    DispatchPolicy(**{field: bad})
 
     def test_defaults(self):
         p = DispatchPolicy()
@@ -258,5 +263,7 @@ def test_shared_distance_walk_agrees_with_reference():
     rid = 0
     for _ in range(50):
         sav, rid = random_sav_state(rng, stop_ids, positions, 5, rid)
-        assert route_length(sav, sav.route, table) == walk_length(sav.position, sav.route, table)
-        assert shared_distance(sav, sav.route, table) >= 0.0
+        length, shared = route_cost(sav, sav.route, table)
+        assert length == walk_length(sav.position, sav.route, table)
+        assert shared == walk_shared(sav.onboard, sav.position, sav.route, table)
+        assert shared >= 0.0

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import pytest
 
@@ -20,7 +21,7 @@ from savsim.engine import (
 )
 from savsim.errors import ConfigurationError, SimulationError
 from savsim.netgraph import RoadGraph, save_network
-from savsim.traffic import BackgroundFlow
+from savsim.traffic import DEFAULT_PROFILES, BackgroundFlow, attainable_speed, edge_speed
 
 from randnets import ring_network
 
@@ -147,10 +148,12 @@ class TestConservation:
         runtime = _Runtime(scenario)
         rep = _Replication(runtime, scenario, 0)
         rep.run()
+        profile = DEFAULT_PROFILES[scenario.profile]
         for state in rep.edge_states.values():
             edge = scenario.graph.edge(state.edge)
             assert state.occupancy >= 0
-            assert 0.05 * edge.free_flow_speed <= state.current_speed <= edge.free_flow_speed
+            assert 0.05 * edge.free_flow_speed <= edge_speed(edge, state.occupancy) <= edge.free_flow_speed
+            assert 0.0 < attainable_speed(edge, state.occupancy, profile) <= edge.free_flow_speed
 
     def test_no_starvation_with_generous_horizon(self):
         scenario = busy_scenario(
@@ -262,6 +265,9 @@ class TestValidationErrors:
             Scenario(graph=ring_network(), fleet_size=-1)
         with pytest.raises(ConfigurationError):
             Scenario(graph=ring_network(), horizon=0.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ConfigurationError, match="horizon"):
+                Scenario(graph=ring_network(), horizon=bad)
         with pytest.raises(ConfigurationError):
             Scenario(graph=ring_network(), replications=0)
 
@@ -291,3 +297,46 @@ class TestScenarioFiles:
     def test_bad_document(self):
         with pytest.raises(ConfigurationError):
             scenario_from_dict({"demand": {"outbound_rate": "lots"}}, ring_network())
+
+    @staticmethod
+    def document_with(path: tuple, value) -> dict:
+        """A valid scenario document with the field at ``path`` set to ``value``."""
+        doc = scenario_to_dict(Scenario(
+            graph=ring_network(),
+            background_flows=[BackgroundFlow(0, 2, 30.0)],
+            behavior_profiles=dict(DEFAULT_PROFILES),
+        ))
+        node = doc
+        for part in path[:-1]:
+            node = node[part]
+        node[path[-1]] = value
+        return doc
+
+    def test_unknown_keys_rejected(self):
+        for path in (
+            ("fleet_szie",),
+            ("demand", "outbound_rat"),
+            ("policy", "capacty"),
+            ("background_flows", 0, "rte"),
+            ("behavior_profiles", "normal", "dwell"),
+        ):
+            with pytest.raises(ConfigurationError, match=f"{path[-1]}: no such field"):
+                scenario_from_dict(self.document_with(path, 1), ring_network())
+
+    def test_non_finite_fields_rejected(self):
+        for path in (
+            ("horizon",),
+            ("fleet_size",),
+            ("replications",),
+            ("base_seed",),
+            ("demand", "outbound_rate"),
+            ("demand", "horizon"),
+            ("policy", "priority_radius"),
+            ("policy", "capacity"),
+            ("background_flows", 0, "rate"),
+            ("background_flows", 0, "origin_vertex"),
+            ("behavior_profiles", "normal", "speed_factor"),
+        ):
+            for value in (math.nan, math.inf):
+                with pytest.raises(ConfigurationError, match=path[-1]):
+                    scenario_from_dict(self.document_with(path, value), ring_network())

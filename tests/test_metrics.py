@@ -10,7 +10,6 @@ from savsim.metrics import (
     finalize,
     records_to_csv,
     replay_shared_miles,
-    vehicle_delay,
 )
 
 from randnets import ring_network
@@ -21,17 +20,6 @@ def make_state(**overrides) -> MetricsState:
     for key, value in overrides.items():
         setattr(state, key, value)
     return state
-
-
-class TestVehicleDelay:
-    def test_equal_times(self):
-        assert vehicle_delay(100.0, 100.0) == 0.0
-
-    def test_positive(self):
-        assert vehicle_delay(150.0, 100.0) == 50.0
-
-    def test_clamped(self):
-        assert vehicle_delay(90.0, 100.0) == 0.0
 
 
 class TestFinalize:

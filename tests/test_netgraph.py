@@ -178,13 +178,6 @@ class TestShortestPath:
         with pytest.raises(NotFoundError):
             shortest_path(triangle(), 1, 99)
 
-    def test_random_tie_break_mode(self):
-        g = triangle()
-        a = shortest_path(g, 1, 3, rng=random.Random(7))
-        b = shortest_path(g, 1, 3, rng=random.Random(7))
-        assert a == b
-        assert a[1] == pytest.approx(200.0)
-
 
 class TestStopDistance:
     def test_same_edge_forward(self):
@@ -273,6 +266,16 @@ class TestStopDistanceTable:
         edges, dist = table.position_path(10, 40.0, b2.id)
         assert edges == (10, 11)
         assert dist == pytest.approx(90.0)
+
+    def test_position_path_rejects_offset_beyond_edge(self):
+        g = triangle()
+        b2 = g.place_stop(11, 30.0, "other")
+        g.place_stop(10, 20.0, "other")
+        table = build_stop_distance_table(g)
+        with pytest.raises(InvalidInputError):
+            table.position_path(10, 100.5, b2.id)
+        with pytest.raises(InvalidInputError):
+            table.position_path(10, -1.0, b2.id)
 
 
 class TestTableProperties:

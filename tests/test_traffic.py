@@ -1,12 +1,15 @@
+import math
+
 import pytest
 
 from savsim.netgraph import DirectedEdge
 from savsim.traffic import (
     DEFAULT_PROFILES,
     BackgroundFlow,
+    BehaviorProfile,
+    attainable_speed,
     count_stop_event,
     edge_speed,
-    edge_travel_time,
     get_profile,
     profiles_from_dict,
 )
@@ -28,31 +31,33 @@ def test_over_capacity_crawl_floor():
     assert edge_speed(EDGE, 200) == pytest.approx(0.05 * EDGE.free_flow_speed)
 
 
+def travel_time(occupancy: int, profile: str) -> float:
+    return EDGE.length / attainable_speed(EDGE, occupancy, DEFAULT_PROFILES[profile])
+
+
 def test_travel_time_normal():
-    assert edge_travel_time(EDGE, 0, DEFAULT_PROFILES["normal"]) == pytest.approx(100.0)
+    assert travel_time(0, "normal") == pytest.approx(100.0)
 
 
 def test_travel_time_cautious():
-    assert edge_travel_time(EDGE, 0, DEFAULT_PROFILES["cautious"]) == pytest.approx(100.0 / 0.85)
+    assert travel_time(0, "cautious") == pytest.approx(100.0 / 0.85)
 
 
 def test_travel_time_aggressive_capped():
-    assert edge_travel_time(EDGE, 0, DEFAULT_PROFILES["aggressive"]) == pytest.approx(100.0)
+    assert travel_time(0, "aggressive") == pytest.approx(100.0)
+    assert attainable_speed(EDGE, 0, DEFAULT_PROFILES["aggressive"]) == EDGE.free_flow_speed
 
 
 def test_travel_time_monotone_in_occupancy():
     prev = 0.0
     for occ in range(0, 150, 10):
-        t = edge_travel_time(EDGE, occ, DEFAULT_PROFILES["normal"])
+        t = travel_time(occ, "normal")
         assert t >= prev
         prev = t
 
 
 def test_travel_time_monotone_in_speed_factor():
-    times = [
-        edge_travel_time(EDGE, 30, DEFAULT_PROFILES[name])
-        for name in ("cautious", "normal", "aggressive")
-    ]
+    times = [travel_time(30, name) for name in ("cautious", "normal", "aggressive")]
     assert times[0] >= times[1] >= times[2]
 
 
@@ -60,7 +65,7 @@ def test_delay_nonnegative_for_slow_profiles():
     free = EDGE.length / EDGE.free_flow_speed
     for occ in (0, 20, 80, 300):
         for name in ("cautious", "normal"):
-            assert edge_travel_time(EDGE, occ, DEFAULT_PROFILES[name]) >= free - 1e-12
+            assert travel_time(occ, name) >= free - 1e-12
 
 
 def test_profile_ordering():
@@ -91,3 +96,17 @@ def test_background_flow_validation():
         BackgroundFlow(1, 1, 10.0)
     with pytest.raises(InvalidInputError):
         BackgroundFlow(1, 2, -1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(InvalidInputError, match="rate"):
+            BackgroundFlow(0, 1, bad)
+
+
+def test_behavior_profile_validation():
+    for speed_factor in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(InvalidInputError, match="speed_factor"):
+            BehaviorProfile("p", speed_factor, 12.0)
+    for dwell_time in (-1.0, math.nan, math.inf):
+        with pytest.raises(InvalidInputError, match="dwell_time"):
+            BehaviorProfile("p", 1.0, dwell_time)
+    with pytest.raises(InvalidInputError, match="speed_factor"):
+        profiles_from_dict({"normal": {"speed_factor": 0}})

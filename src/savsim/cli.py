@@ -132,28 +132,19 @@ def _cmd_generate(args) -> int:
 def _cmd_run(args) -> int:
     scenario = engine.load_scenario(args.scenario, _scenario_overrides(args))
     out = _out_dir(args.out)
-    result = engine.run_scenario(scenario, jobs=args.jobs)
+    result = engine.run_scenario(scenario, jobs=args.jobs, collect_log=args.verbose,
+                                 collect_occupancy=args.occupancy)
     metrics.emit_csv(result.records, os.path.join(out, "replications.csv"))
     metrics.emit_aggregate_csv(
         [(scenario.name, scenario.fleet_size, scenario.profile, result.aggregates)],
         os.path.join(out, "aggregate.csv"),
     )
-    if args.verbose or args.occupancy:
-        runtime = engine._Runtime(scenario)
-        lines: list[str] = []
-        occupancy: list[tuple[float, int, int]] = []
-        for i in range(scenario.replications):
-            rep = engine.simulate(scenario, i, runtime,
-                                  collect_log=args.verbose,
-                                  collect_occupancy=args.occupancy)
-            if args.verbose:
-                lines.extend(f"{i}," + line for line in metrics.log_to_lines(rep.log))
-            occupancy.extend(rep.occupancy)
-        if args.verbose:
-            header = "replication,time_s,sav,event,request,stop"
-            write_atomic(os.path.join(out, "events.csv"), "\n".join([header] + lines) + "\n")
-        if args.occupancy:
-            metrics.emit_occupancy_csv(occupancy, os.path.join(out, "occupancy.csv"))
+    if args.verbose:
+        logs = [(rep.record.replication, rep.log) for rep in result.replications]
+        write_atomic(os.path.join(out, "events.csv"), metrics.events_to_csv(logs))
+    if args.occupancy:
+        samples = [s for rep in result.replications for s in rep.occupancy]
+        metrics.emit_occupancy_csv(samples, os.path.join(out, "occupancy.csv"))
     print(f"wrote {out}/replications.csv and {out}/aggregate.csv")
     return EXIT_OK
 
@@ -197,6 +188,8 @@ def _cmd_oracle_check(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "jobs", 1) < 1:
+        parser.error(f"--jobs must be >= 1, got {args.jobs}")
     handlers = {
         "validate": _cmd_validate,
         "generate": _cmd_generate,

@@ -13,6 +13,7 @@ import io
 import math
 import random
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .errors import InvalidInputError, NotFoundError, check_finite
 from .netgraph import RoadGraph, Stop
@@ -54,34 +55,23 @@ class DemandProfile:
             raise InvalidInputError("party size weights must sum to 1")
 
 
-def _poisson_stream(
-    rng: random.Random,
-    rate_per_hour: float,
-    horizon: float,
-    origins: list[Stop],
-    destinations: list[Stop],
-    weights: dict[int, float],
-) -> list[tuple[float, int, int, int]]:
-    sizes = sorted(weights)
-    probs = [weights[s] for s in sizes]
-    out = []
+def poisson_arrivals(rng: random.Random, rate_per_hour: float, horizon: float) -> Iterator[float]:
+    """Poisson arrival times on [0, horizon); each gap is drawn only when the next is asked for."""
     rate = rate_per_hour / 3600.0
     t = 0.0
     while True:
         t += rng.expovariate(rate)
         if t >= horizon:
-            break
-        origin = rng.choice(origins)
-        dest = rng.choice(destinations)
-        party = rng.choices(sizes, weights=probs)[0]
-        out.append((t, origin.id, dest.id, party))
-    return out
+            return
+        yield t
 
 
 def generate_requests(profile: DemandProfile, stops: list[Stop], seed: int) -> list[TripRequest]:
     """Draw a time-ordered request list for one replication."""
     peripheral = sorted((s for s in stops if s.zone == "peripheral_housing"), key=lambda s: s.id)
     central = sorted((s for s in stops if s.zone == "central_opportunity"), key=lambda s: s.id)
+    sizes = sorted(profile.party_size_weights)
+    probs = [profile.party_size_weights[s] for s in sizes]
     raw: list[tuple[float, int, int, int]] = []
     for label, rate, origins, destinations in (
         ("outbound", profile.outbound_rate, peripheral, central),
@@ -92,8 +82,11 @@ def generate_requests(profile: DemandProfile, stops: list[Stop], seed: int) -> l
         if not origins or not destinations:
             raise InvalidInputError(f"{label} demand needs stops in both zones")
         rng = random.Random(f"{seed}:{label}")
-        raw.extend(_poisson_stream(rng, rate, profile.horizon, origins, destinations,
-                                   profile.party_size_weights))
+        for t in poisson_arrivals(rng, rate, profile.horizon):
+            origin = rng.choice(origins)
+            dest = rng.choice(destinations)
+            party = rng.choices(sizes, weights=probs)[0]
+            raw.append((t, origin.id, dest.id, party))
     raw.sort(key=lambda rec: rec[0])
     return [
         TripRequest(i, origin, dest, t, party)

@@ -3,7 +3,7 @@
 Events are processed in (time, scheduling sequence) order, which gives a total
 order with no simultaneity ambiguity.  One replication is strictly sequential;
 replications share nothing mutable and depend only on (scenario, index), so
-they may run in separate processes.
+``_run_cells``, behind ``run_scenario`` and ``run_sweep``, fans them out.
 
 Model notes:
   * Background vehicles drive edge occupancy; fleet vehicles are few enough
@@ -28,9 +28,10 @@ import os
 import random
 from dataclasses import asdict, dataclass, field, replace
 from heapq import heappop, heappush
+from itertools import repeat
 
 from . import traffic as traffic_mod
-from .demand import DemandProfile, TripRequest, generate_requests
+from .demand import DemandProfile, TripRequest, generate_requests, poisson_arrivals
 from .dispatch import (
     ASSIGNED,
     COMPLETED,
@@ -265,12 +266,7 @@ class _Replication:
         for flow_idx, flow in enumerate(scenario.background_flows):
             if flow.rate <= 0 or not runtime.flow_routes[flow_idx]:
                 continue
-            t = 0.0
-            per_second = flow.rate / 3600.0
-            while True:
-                t += rng.expovariate(per_second)
-                if t >= scenario.horizon:
-                    break
+            for t in poisson_arrivals(rng, flow.rate, scenario.horizon):
                 self._schedule(t, BACKGROUND_INJECT, flow_idx)
 
     # event plumbing -----------------------------------------------------
@@ -566,61 +562,75 @@ def simulate(
     collect_log: bool = False,
     collect_occupancy: bool = False,
 ) -> ReplicationResult:
-    """Run one replication and return its record plus optional log/occupancy."""
+    """Run one seeded replication; equal inputs give identical results."""
     if runtime is None:
         runtime = _Runtime(scenario)
     rep = _Replication(runtime, scenario, index, collect_log, collect_occupancy)
     return rep.run()
 
 
-def run_replication(scenario: Scenario, replication_index: int) -> MetricsRecord:
-    """Run one seeded replication; equal inputs give identical records."""
-    return simulate(scenario, replication_index).record
-
-
 @dataclass
 class ScenarioResult:
     scenario: Scenario
-    records: list[MetricsRecord]
+    replications: list[ReplicationResult]
     aggregates: dict[str, tuple[float, float, float, float]]
 
+    @property
+    def records(self) -> list[MetricsRecord]:
+        return [rep.record for rep in self.replications]
 
-def _run_indices(scenario: Scenario, indices: list[int]) -> list[MetricsRecord]:
-    runtime = _Runtime(scenario)
-    records = []
+
+def _run_chunk(
+    cell: Scenario, indices: range, collect_log: bool, collect_occupancy: bool
+) -> list[ReplicationResult]:
+    runtime = _Runtime(cell)
+    results = []
     for i in indices:
         try:
-            records.append(simulate(scenario, i, runtime).record)
+            results.append(simulate(cell, i, runtime, collect_log, collect_occupancy))
         except Exception as exc:
             raise SimulationError(f"replication {i} failed: {exc}") from exc
-    return records
+    return results
+
+
+def _run_cells(
+    cells: list[Scenario], jobs: int, collect_log: bool = False, collect_occupancy: bool = False
+) -> list[ScenarioResult]:
+    """Run every replication of every cell: the one place replications fan out.
+
+    Each cell's replications are dealt round-robin into one chunk per worker,
+    each with its own runtime, and all chunks share one pool; forked workers
+    inherit any wrapper around ``simulate``.  Results equal a serial run.
+    """
+    if jobs < 1:
+        raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
+    workers = min(jobs, os.cpu_count() or 1, sum(c.replications for c in cells))
+    tasks = [(n, range(cell.replications)[k::workers])
+             for n, cell in enumerate(cells) for k in range(min(workers, cell.replications))]
+    args = ([cells[n] for n, _ in tasks], [chunk for _, chunk in tasks],
+            repeat(collect_log), repeat(collect_occupancy))
+    if workers > 1:
+        from concurrent import futures  # loaded here so serial runs skip the pool machinery
+        with futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(_run_chunk, *args))
+    else:
+        parts = map(_run_chunk, *args)
+    per_cell: list[list[ReplicationResult]] = [[] for _ in cells]
+    for (n, _), part in zip(tasks, parts):
+        per_cell[n].extend(part)
+    return [ScenarioResult(cell, sorted(reps, key=lambda rep: rep.record.replication),
+                           aggregate([rep.record for rep in reps]))
+            for cell, reps in zip(cells, per_cell)]
 
 
 def run_scenario(
     scenario: Scenario,
     jobs: int = 1,
-    indices: list[int] | None = None,
+    collect_log: bool = False,
+    collect_occupancy: bool = False,
 ) -> ScenarioResult:
-    """Run all replications and aggregate order-independently.
-
-    ``indices`` overrides the default range(replications), e.g. to force
-    repeated seeds.  With ``jobs`` > 1 replications run in worker processes;
-    results are identical to a sequential run.
-    """
-    if indices is None:
-        indices = list(range(scenario.replications))
-    if jobs > 1 and len(indices) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        chunks = [indices[k::jobs] for k in range(jobs) if indices[k::jobs]]
-        records = []
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            for part in pool.map(_run_indices, [scenario] * len(chunks), chunks):
-                records.extend(part)
-    else:
-        records = _run_indices(scenario, indices)
-    records.sort(key=lambda r: r.replication)
-    return ScenarioResult(scenario, records, aggregate(records))
+    """Run all replications, keeping logs and occupancy samples if asked, and aggregate."""
+    return _run_cells([scenario], jobs, collect_log, collect_occupancy)[0]
 
 
 @dataclass
@@ -648,12 +658,9 @@ def run_sweep(
     """
     if not fleet_sizes or not profiles:
         raise ConfigurationError("sweep needs at least one fleet size and one profile")
-    cells: dict[tuple[int, str], ScenarioResult] = {}
-    for fleet in fleet_sizes:
-        for profile in profiles:
-            cell = replace(base, fleet_size=fleet, profile=profile)
-            cells[(fleet, profile)] = run_scenario(cell, jobs=jobs)
-    return SweepResult(base, cells)
+    keys = [(fleet, profile) for fleet in fleet_sizes for profile in profiles]
+    cells = [replace(base, fleet_size=fleet, profile=profile) for fleet, profile in keys]
+    return SweepResult(base, dict(zip(keys, _run_cells(cells, jobs))))
 
 
 # scenario files -------------------------------------------------------------
@@ -712,17 +719,14 @@ def scenario_from_dict(doc: dict, graph: RoadGraph, network_path: str | None = N
     The demand section and its two rates are required; the demand horizon
     defaults to the scenario horizon.  Unknown keys are rejected.
     """
-    fields = read_section("scenario", doc, _SCENARIO_FIELDS)
+    fields = read_section("scenario", doc, _SCENARIO_FIELDS, required=("demand",))
     fields.pop("network", None)
     try:
-        demand = read_section("demand", fields.pop("demand"), _DEMAND_FIELDS)
+        demand = read_section("demand", fields.pop("demand"), _DEMAND_FIELDS,
+                              required=("outbound_rate", "inbound_rate"))
         if "horizon" in fields:
             demand.setdefault("horizon", fields["horizon"])
-        fields["demand"] = DemandProfile(
-            outbound_rate=demand.pop("outbound_rate"),
-            inbound_rate=demand.pop("inbound_rate"),
-            **demand,
-        )
+        fields["demand"] = DemandProfile(**demand)
         fields["policy"] = DispatchPolicy(
             **read_section("policy", fields.get("policy", {}), _POLICY_FIELDS)
         )
@@ -733,8 +737,6 @@ def scenario_from_dict(doc: dict, graph: RoadGraph, network_path: str | None = N
         if "behavior_profiles" in fields:
             fields["behavior_profiles"] = traffic_mod.profiles_from_dict(fields["behavior_profiles"])
         return Scenario(graph=graph, network_path=network_path, **fields)
-    except KeyError as exc:
-        raise ConfigurationError(f"bad scenario document: missing field {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"bad scenario document: {exc}") from exc
 

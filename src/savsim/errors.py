@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import Callable, Iterable
 
 
 class SimulationError(Exception):
@@ -38,15 +38,18 @@ def check_finite(owner: str, **values: float) -> None:
             raise InvalidInputError(f"{owner} {name} must be a finite number, got {value!r}")
 
 
-def read_section(where: str, doc: object, kinds: dict[str, Callable]) -> dict:
+def read_section(where: str, doc: object, kinds: dict[str, Callable], required: Iterable[str] = ()) -> dict:
     """Convert the fields of one object in an input document.
 
     ``kinds`` maps every allowed key to its converter.  An unknown key is
     rejected rather than ignored, so a misspelt field cannot silently fall
-    back to its default; a value that fails conversion is reported by path.
+    back to its default; a missing ``required`` key or a bad value is named by path.
     """
     if not isinstance(doc, dict):
         raise ConfigurationError(f"{where}: expected an object, got {type(doc).__name__}")
+    for key in required:
+        if key not in doc:
+            raise ConfigurationError(f"{where}.{key}: missing required field")
     fields = {}
     for key, raw in doc.items():
         if key not in kinds:

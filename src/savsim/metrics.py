@@ -197,13 +197,17 @@ class LogEntry:
     distance: float = 0.0
 
 
-def log_to_lines(entries: list[LogEntry]) -> list[str]:
+def events_to_csv(logs: list[tuple[int, list[LogEntry]]]) -> str:
+    """The event log of each (replication, entries) pair, distances in round-trip ``repr`` form."""
     def cell(v):
         return "" if v is None else str(v)
-    return [
-        f"{e.time:.6f},{e.sav},{e.kind},{cell(e.request)},{cell(e.stop)}"
-        for e in entries
-    ]
+    lines = ["replication,time_s,sav,event,request,stop,distance"]
+    for replication, entries in logs:
+        lines.extend(
+            f"{replication},{e.time:.6f},{e.sav},{e.kind},{cell(e.request)},{cell(e.stop)},{e.distance!r}"
+            for e in entries
+        )
+    return "\n".join(lines) + "\n"
 
 
 def replay_shared_miles(entries: list[LogEntry]) -> float:

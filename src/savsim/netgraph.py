@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Iterator
 
-from .errors import InvalidInputError, NotFoundError
+from .errors import InvalidInputError, NotFoundError, read_section
 
 ZONES = ("peripheral_housing", "central_opportunity", "other")
 
@@ -130,8 +130,8 @@ class RoadGraph:
         """Add an edge; ``length`` defaults to the Euclidean endpoint distance."""
         if edge_id in self._edges:
             raise InvalidInputError(f"duplicate edge id {edge_id}")
-        if free_flow_speed <= 0:
-            raise InvalidInputError(f"edge {edge_id}: free_flow_speed must be > 0")
+        if not 0 < free_flow_speed < math.inf:
+            raise InvalidInputError(f"edge {edge_id}: free_flow_speed must be a finite number > 0")
         if capacity_vehicles < 1:
             raise InvalidInputError(f"edge {edge_id}: capacity_vehicles must be >= 1")
         if length is None:
@@ -544,23 +544,28 @@ def graph_to_dict(graph: RoadGraph) -> dict:
     }
 
 
+_NETWORK_FIELDS = {"vertices": list, "edges": list, "stops": list}
+_VERTEX_FIELDS = {"id": int, "x": float, "y": float}
+_EDGE_FIELDS = {"id": int, "source": int, "sink": int, "free_flow_speed": float,
+                "capacity_vehicles": int, "length": float}
+_EDGE_REQUIRED = ("id", "source", "sink", "free_flow_speed", "capacity_vehicles")
+_STOP_FIELDS = {"id": int, "edge": int, "slack": float, "zone": str}
+
+
 def graph_from_dict(doc: dict, validate: bool = True) -> RoadGraph:
+    """Build a graph from its document; a bad record is reported by path, e.g. ``edges[0].sink``."""
+    doc = read_section("network", doc, _NETWORK_FIELDS)
     graph = RoadGraph()
-    for rec in doc.get("vertices", []):
-        graph.add_vertex(int(rec["id"]), float(rec["x"]), float(rec["y"]))
-    for rec in doc.get("edges", []):
-        graph.add_edge(
-            int(rec["id"]),
-            int(rec["source"]),
-            int(rec["sink"]),
-            float(rec["free_flow_speed"]),
-            int(rec["capacity_vehicles"]),
-            length=float(rec["length"]) if "length" in rec else None,
-        )
-    for rec in doc.get("stops", []):
-        graph.place_stop(
-            int(rec["edge"]), float(rec["slack"]), str(rec["zone"]), stop_id=int(rec["id"])
-        )
+    for i, rec in enumerate(doc.get("vertices", [])):
+        v = read_section(f"vertices[{i}]", rec, _VERTEX_FIELDS, required=_VERTEX_FIELDS)
+        graph.add_vertex(v["id"], v["x"], v["y"])
+    for i, rec in enumerate(doc.get("edges", [])):
+        e = read_section(f"edges[{i}]", rec, _EDGE_FIELDS, required=_EDGE_REQUIRED)
+        graph.add_edge(e["id"], e["source"], e["sink"], e["free_flow_speed"],
+                       e["capacity_vehicles"], length=e.get("length"))
+    for i, rec in enumerate(doc.get("stops", [])):
+        s = read_section(f"stops[{i}]", rec, _STOP_FIELDS, required=_STOP_FIELDS)
+        graph.place_stop(s["edge"], s["slack"], s["zone"], stop_id=s["id"])
     if validate:
         report = validate_graph(graph)
         if not report.ok:

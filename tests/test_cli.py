@@ -1,8 +1,11 @@
+import csv
 import json
 
 import pytest
 
+from savsim import engine
 from savsim.cli import main
+from savsim.metrics import LogEntry, replay_shared_miles
 from savsim.netgraph import load_network
 
 
@@ -61,6 +64,24 @@ class TestGenerateAndValidate:
         assert main(["validate", "--network", str(path)]) == 1
         assert "not_strongly_connected" in capsys.readouterr().out
 
+    def test_validate_names_bad_record_field(self, tmp_path, capsys):
+        good = json.loads((generate_small(tmp_path) / "network.json").read_text())
+        capsys.readouterr()
+        infinite_id = json.loads(json.dumps(good))
+        infinite_id["vertices"][0]["id"] = float("inf")
+        no_sink = json.loads(json.dumps(good))
+        del no_sink["edges"][0]["sink"]
+        nan_speed = json.loads(json.dumps(good))
+        nan_speed["edges"][0]["free_flow_speed"] = float("nan")
+        for doc, field in ((infinite_id, "vertices[0].id"), (no_sink, "edges[0].sink"),
+                           (nan_speed, "free_flow_speed")):
+            path = tmp_path / "bad.json"
+            path.write_text(json.dumps(doc))
+            assert main(["validate", "--network", str(path)]) == 1
+            err = capsys.readouterr().err
+            assert field in err
+            assert "Traceback" not in err
+
 
 class TestRun:
     def test_run_writes_csvs(self, tmp_path):
@@ -86,9 +107,57 @@ class TestRun:
         code = main(run_args(run_out, out / "scenario.json", extra=["--verbose", "--occupancy"]))
         assert code == 0
         events = (run_out / "events.csv").read_text().splitlines()
-        assert events[0] == "replication,time_s,sav,event,request,stop"
+        assert events[0] == "replication,time_s,sav,event,request,stop,distance"
         assert len(events) > 1
         assert (run_out / "occupancy.csv").read_text().startswith("time_s,edge_id,occupancy")
+
+    def test_verbose_run_is_one_pass(self, tmp_path, monkeypatch):
+        out = generate_small(tmp_path)
+        calls = []
+        simulate = engine.simulate
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return simulate(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "simulate", counted)
+        extra = ["--verbose", "--occupancy", "--replications", "3"]
+        assert main(run_args(tmp_path / "one", out / "scenario.json", extra=extra)) == 0
+        assert sorted(calls) == [0, 1, 2]
+        monkeypatch.setattr(engine, "simulate", simulate)
+        assert main(run_args(tmp_path / "two", out / "scenario.json", extra=[*extra, "--jobs", "2"])) == 0
+        for name in ("replications.csv", "aggregate.csv", "events.csv", "occupancy.csv"):
+            assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
+
+    def test_events_file_replays_shared_miles(self, tmp_path):
+        out = generate_small(tmp_path)
+        run_out = tmp_path / "run"
+        extra = ["--verbose", "--replications", "3", "--set", "demand.outbound_rate=30"]
+        assert main(run_args(run_out, out / "scenario.json", extra=extra)) == 0
+        logs: dict[int, list[LogEntry]] = {}
+        with open(run_out / "events.csv", newline="") as fh:
+            for row in csv.DictReader(fh):
+                logs.setdefault(int(row["replication"]), []).append(LogEntry(
+                    float(row["time_s"]), int(row["sav"]), row["event"],
+                    int(row["request"]) if row["request"] else None,
+                    int(row["stop"]) if row["stop"] else None,
+                    float(row["distance"]),
+                ))
+        assert sorted(logs) == [0, 1, 2]
+        result = engine.run_scenario(engine.load_scenario(str(out / "scenario.json"), {
+            "replications": 3, "fleet_size": 2, "horizon": 3600, "demand.horizon": 3600,
+            "demand.outbound_rate": 30,
+        }))
+        assert any(r.shared_miles_m > 0 for r in result.records)
+        for record in result.records:
+            assert replay_shared_miles(logs[record.replication]) == record.shared_miles_m
+
+    def test_jobs_below_one_is_usage_error(self, tmp_path):
+        out = generate_small(tmp_path)
+        for verb in ("run", "sweep"):
+            with pytest.raises(SystemExit) as exc:
+                main([verb, "--scenario", str(out / "scenario.json"), "--jobs", "0"])
+            assert exc.value.code == 2
 
     def test_bad_override_key(self, tmp_path, capsys):
         out = generate_small(tmp_path)

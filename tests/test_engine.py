@@ -1,6 +1,8 @@
+import concurrent.futures
 import dataclasses
 import json
 import math
+import os
 
 import pytest
 
@@ -12,7 +14,6 @@ from savsim.engine import (
     _Runtime,
     load_scenario,
     replication_requests,
-    run_replication,
     run_scenario,
     run_sweep,
     scenario_from_dict,
@@ -20,6 +21,7 @@ from savsim.engine import (
     simulate,
 )
 from savsim.errors import ConfigurationError, SimulationError
+from savsim.metrics import aggregate
 from savsim.netgraph import RoadGraph, save_network
 from savsim.traffic import DEFAULT_PROFILES, BackgroundFlow, attainable_speed, edge_speed
 
@@ -60,7 +62,7 @@ class TestEmptySimulation:
         scenario = Scenario(
             graph=ring_network(), demand=quiet_demand(), fleet_size=0, replications=1
         )
-        record = run_replication(scenario, 0)
+        record = simulate(scenario, 0).record
         assert record.trips_completed == 0
         assert record.total_distance_m == 0.0
         assert record.avg_wait_min == 0.0
@@ -95,8 +97,8 @@ class TestSingleRequestClosedForm:
 class TestDeterminism:
     def test_identical_records(self):
         scenario = busy_scenario()
-        a = run_replication(scenario, 1)
-        b = run_replication(scenario, 1)
+        a = simulate(scenario, 1).record
+        b = simulate(scenario, 1).record
         assert a == b
 
     def test_identical_event_logs(self):
@@ -108,7 +110,7 @@ class TestDeterminism:
 
     def test_different_seeds_differ(self):
         scenario = busy_scenario()
-        assert run_replication(scenario, 0) != run_replication(scenario, 1)
+        assert simulate(scenario, 0).record != simulate(scenario, 1).record
 
 
 class TestConservation:
@@ -170,6 +172,31 @@ class TestConservation:
         assert all(p.state == "completed" for p in rep.pending.values())
 
 
+class _InlinePool:
+    """Stands in for the process pool: records its size and runs tasks in this process."""
+
+    def __init__(self, made: list, max_workers: int) -> None:
+        made.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        pass
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+def record_pools(monkeypatch, cpus: int) -> list:
+    """Replace the engine's executor and CPU count; returns the sizes of the pools made."""
+    made: list = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        lambda max_workers: _InlinePool(made, max_workers))
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    return made
+
+
 class TestRunScenario:
     def test_single_replication_mean_equals_record(self):
         scenario = busy_scenario(replications=1)
@@ -181,8 +208,8 @@ class TestRunScenario:
 
     def test_forced_identical_seeds_zero_deviation(self):
         scenario = busy_scenario()
-        res = run_scenario(scenario, indices=[2, 2, 2, 2])
-        for name, (mean, std, lo, hi) in res.aggregates.items():
+        stats = aggregate([simulate(scenario, 2).record for _ in range(4)])
+        for name, (mean, std, lo, hi) in stats.items():
             assert std == 0.0
             assert lo == hi
 
@@ -196,6 +223,17 @@ class TestRunScenario:
         seq = run_scenario(scenario, jobs=1)
         par = run_scenario(scenario, jobs=2)
         assert seq.records == par.records
+
+    def test_pool_size_is_capped(self, monkeypatch):
+        made = record_pools(monkeypatch, cpus=3)
+        scenario = busy_scenario(replications=5)
+        assert run_scenario(scenario, jobs=8).records == run_scenario(scenario).records
+        run_scenario(busy_scenario(replications=2), jobs=8)
+        assert made == [3, 2]
+
+    def test_jobs_below_one_rejected(self):
+        with pytest.raises(ConfigurationError, match="jobs"):
+            run_scenario(busy_scenario(), jobs=0)
 
     def test_replication_error_names_index(self):
         scenario = busy_scenario()
@@ -219,6 +257,14 @@ class TestRunSweep:
         direct = run_scenario(dataclasses.replace(scenario, fleet_size=2, profile="normal"))
         assert sweep.cells[(2, "normal")].records == direct.records
 
+    def test_one_pool_per_sweep(self, monkeypatch):
+        made = record_pools(monkeypatch, cpus=2)
+        scenario = busy_scenario(replications=2)
+        pooled = run_sweep(scenario, [1, 2], ["cautious", "aggressive"], jobs=2)
+        assert made == [2]
+        serial = run_sweep(scenario, [1, 2], ["cautious", "aggressive"])
+        assert pooled.all_records() == serial.all_records()
+
     def test_empty_sweep_rejected(self):
         with pytest.raises(ConfigurationError):
             run_sweep(busy_scenario(), [], ["normal"])
@@ -231,7 +277,7 @@ class TestValidationErrors:
         g.add_vertex(1, 100.0, 0.0)
         g.add_edge(0, 0, 1, 10.0, 50)  # no return edge
         with pytest.raises(ConfigurationError):
-            run_replication(Scenario(graph=g, demand=quiet_demand(), fleet_size=0), 0)
+            simulate(Scenario(graph=g, demand=quiet_demand(), fleet_size=0), 0)
 
     def test_fleet_without_stops(self):
         g = RoadGraph()
@@ -240,7 +286,7 @@ class TestValidationErrors:
         g.add_edge(0, 0, 1, 10.0, 50)
         g.add_edge(1, 1, 0, 10.0, 50)
         with pytest.raises(ConfigurationError):
-            run_replication(Scenario(graph=g, demand=quiet_demand(), fleet_size=2), 0)
+            simulate(Scenario(graph=g, demand=quiet_demand(), fleet_size=2), 0)
 
     def test_demand_without_zones(self):
         g = line_graph()
@@ -258,7 +304,7 @@ class TestValidationErrors:
         g2.place_stop(0, 200.0, "peripheral_housing")
         g2.place_stop(0, 800.0, "peripheral_housing")
         with pytest.raises(ConfigurationError):
-            run_replication(dataclasses.replace(doomed, graph=g2), 0)
+            simulate(dataclasses.replace(doomed, graph=g2), 0)
 
     def test_scenario_field_validation(self):
         with pytest.raises(ConfigurationError):
@@ -292,7 +338,7 @@ class TestScenarioFiles:
         (tmp_path / "scenario.json").write_text(json.dumps(scenario_to_dict(scenario)))
         loaded = load_scenario(str(tmp_path / "scenario.json"))
         assert scenario_to_dict(loaded) == scenario_to_dict(scenario)
-        assert run_replication(loaded, 0) == run_replication(scenario, 0)
+        assert simulate(loaded, 0).record == simulate(scenario, 0).record
 
     def test_bad_document(self):
         with pytest.raises(ConfigurationError):

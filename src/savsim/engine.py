@@ -228,7 +228,7 @@ class _Replication:
         self._seq = 0
         self.pending: dict[int, PendingRequest] = {}
         self.requests_seen = 0
-        self.edge_states: dict[int, traffic_mod.EdgeState] = {}
+        self.occupancy: dict[int, int] = {}   # edge id -> background vehicles on it
         self.collect_log = collect_log
         self.collect_occupancy = collect_occupancy
         self.log: list[LogEntry] = []
@@ -279,16 +279,9 @@ class _Replication:
         if self.collect_log:
             self.log.append(LogEntry(self.now, sav, kind, request, stop, distance))
 
-    def _edge_state(self, edge_id: int) -> traffic_mod.EdgeState:
-        state = self.edge_states.get(edge_id)
-        if state is None:
-            state = traffic_mod.EdgeState(edge_id)
-            self.edge_states[edge_id] = state
-        return state
-
     def _sample_occupancy(self, edge_id: int) -> None:
         if self.collect_occupancy:
-            self.occupancy_samples.append((self.now, edge_id, self._edge_state(edge_id).occupancy))
+            self.occupancy_samples.append((self.now, edge_id, self.occupancy[edge_id]))
 
     # fleet movement ------------------------------------------------------
 
@@ -312,7 +305,7 @@ class _Replication:
         distance = 0.0
         for eid, a, b in pieces:
             edge = self.graph.edge(eid)
-            v = attainable_speed(edge, self._edge_state(eid).occupancy, self.profile)
+            v = attainable_speed(edge, self.occupancy.get(eid, 0), self.profile)
             length = b - a
             dt = length / v if length > 0 else 0.0
             segments.append(_Segment(eid, a, b, t, t + dt, v))
@@ -468,13 +461,13 @@ class _Replication:
     def _enter_edge(self, vehicle: _BackgroundVehicle) -> None:
         eid = vehicle.edges[vehicle.index]
         edge = self.graph.edge(eid)
-        state = self._edge_state(eid)
-        speed = edge_speed(edge, state.occupancy)
+        occupancy = self.occupancy.get(eid, 0)
+        speed = edge_speed(edge, occupancy)
         if count_stop_event(vehicle.speed, speed):
             vehicle.stops += 1
         vehicle.speed = speed
         vehicle.delay += edge.length / speed - edge.length / edge.free_flow_speed
-        state.occupancy += 1
+        self.occupancy[eid] = occupancy + 1
         self._sample_occupancy(eid)
         self._schedule(self.now + edge.length / speed, BACKGROUND_EDGE_EXIT, vehicle.id)
 
@@ -487,8 +480,7 @@ class _Replication:
     def _on_background_exit(self, vehicle_id: int) -> None:
         vehicle = self.background[vehicle_id]
         eid = vehicle.edges[vehicle.index]
-        state = self._edge_state(eid)
-        state.occupancy -= 1
+        self.occupancy[eid] -= 1
         self._sample_occupancy(eid)
         self.metrics.background_distance += self.graph.edge(eid).length
         vehicle.index += 1

@@ -38,12 +38,23 @@ def check_finite(owner: str, **values: float) -> None:
             raise InvalidInputError(f"{owner} {name} must be a finite number, got {value!r}")
 
 
+def integer(raw: object) -> int:
+    """Convert an integer field, rejecting booleans and non-integral numbers.
+
+    Bare ``int`` would load ``2.9`` as 2 and ``true`` as 1.
+    """
+    if isinstance(raw, bool) or (isinstance(raw, float) and not raw.is_integer()):
+        raise ValueError(f"expected an integer, got {raw!r}")
+    return int(raw)
+
+
 def read_section(where: str, doc: object, kinds: dict[str, Callable], required: Iterable[str] = ()) -> dict:
     """Convert the fields of one object in an input document.
 
     ``kinds`` maps every allowed key to its converter.  An unknown key is
     rejected rather than ignored, so a misspelt field cannot silently fall
-    back to its default; a missing ``required`` key or a bad value is named by path.
+    back to its default; a missing ``required`` key or a bad value is named by
+    path.  An ``int`` field is converted by :func:`integer`.
     """
     if not isinstance(doc, dict):
         raise ConfigurationError(f"{where}: expected an object, got {type(doc).__name__}")
@@ -55,7 +66,8 @@ def read_section(where: str, doc: object, kinds: dict[str, Callable], required: 
         if key not in kinds:
             raise ConfigurationError(f"{where}.{key}: no such field")
         try:
-            fields[key] = kinds[key](raw)
+            convert = integer if kinds[key] is int else kinds[key]
+            fields[key] = convert(raw)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigurationError(f"{where}.{key}: {exc}") from None
     return fields

@@ -8,6 +8,10 @@ shortest path to the destination edge's source vertex, then drives the slack
 into the destination edge.  Two stops on the same edge are a special case: the
 downstream stop is reached directly, the upstream one requires looping around.
 
+The stop table stores only distances.  Each shortest-path tree keeps, per
+vertex, its distance and the edge it is entered by; the edge list of a leg is
+rebuilt by walking those in-edges back from the target.
+
 All distances are meters, speeds meters/second.  Everything here is immutable
 after construction and safe to share across threads or processes.
 """
@@ -64,22 +68,6 @@ class Stop:
     zone: str
 
 
-@dataclass(frozen=True)
-class StopPath:
-    """Edge sequence a vehicle traverses between two stops.
-
-    The first element is the origin stop's host edge and the last is the
-    destination stop's host edge (they coincide only for a direct same-edge
-    hop, which is a single-element path).  ``distance`` counts the partial
-    first and last edges.
-    """
-
-    origin_stop: int
-    dest_stop: int
-    edges: tuple[int, ...]
-    distance: float
-
-
 def edge_weight(source: Vertex, sink: Vertex) -> float:
     """Euclidean distance between two vertices.
 
@@ -105,7 +93,6 @@ class RoadGraph:
         self._edges: dict[int, DirectedEdge] = {}
         self._stops: dict[int, Stop] = {}
         self._out: dict[int, list[int]] = defaultdict(list)
-        self._by_endpoints: dict[tuple[int, int], int] = {}
 
     # construction -----------------------------------------------------
 
@@ -144,7 +131,6 @@ class RoadGraph:
         self._edges[edge_id] = e
         self._out[source].append(edge_id)
         self._out[source].sort(key=lambda eid: (self._edges[eid].sink, eid))
-        self._by_endpoints.setdefault((source, sink), edge_id)
         return e
 
     def place_stop(self, edge_id: int, slack: float, zone: str, stop_id: int | None = None) -> Stop:
@@ -206,12 +192,6 @@ class RoadGraph:
 
     def out_edges(self, vertex_id: int) -> list[DirectedEdge]:
         return [self._edges[eid] for eid in self._out.get(vertex_id, ())]
-
-    def edge_between(self, source: int, sink: int) -> DirectedEdge:
-        eid = self._by_endpoints.get((source, sink))
-        if eid is None:
-            raise NotFoundError(f"no edge {source}->{sink}")
-        return self._edges[eid]
 
     def stop_point(self, stop_id: int) -> tuple[float, float]:
         """Planar coordinates of a stop, interpolated along its host edge."""
@@ -332,7 +312,7 @@ def validate_graph(graph: RoadGraph) -> ValidationReport:
 
 # shortest paths ----------------------------------------------------------
 
-_Tree = dict[int, tuple[float, tuple[int, ...]]]   # vertex -> (distance, vertex sequence)
+_Tree = dict[int, tuple[float, int | None]]   # vertex -> (distance, in-edge id; None at the root)
 
 
 def _shortest_tree(graph: RoadGraph, source: int) -> _Tree:
@@ -341,24 +321,32 @@ def _shortest_tree(graph: RoadGraph, source: int) -> _Tree:
     Heap entries carry the full vertex sequence so that equal-distance paths
     settle in lexicographic order; with strictly positive edge weights two
     equal-distance sequences to the same vertex are never prefixes of each
-    other, which keeps the ordering stable under extension.
+    other, which keeps the ordering stable under extension.  The in-edge
+    rides along as a third field, compared only between parallel edges,
+    and is all the tree keeps of the sequence.
     """
     best: _Tree = {}
-    heap: list[tuple[float, tuple[int, ...]]] = [(0.0, (source,))]
+    heap: list[tuple[float, tuple[int, ...], int | None]] = [(0.0, (source,), None)]
     while heap:
-        dist, seq = heappop(heap)
+        dist, seq, in_edge = heappop(heap)
         v = seq[-1]
         if v in best:
             continue
-        best[v] = (dist, seq)
+        best[v] = (dist, in_edge)
         for e in graph.out_edges(v):
             if e.sink not in best:
-                heappush(heap, (dist + e.length, seq + (e.sink,)))
+                heappush(heap, (dist + e.length, seq + (e.sink,), e.id))
     return best
 
 
-def _edges_along(graph: RoadGraph, seq: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(graph.edge_between(a, b).id for a, b in zip(seq, seq[1:]))
+def _edges_to(graph: RoadGraph, tree: _Tree, target: int) -> tuple[int, ...]:
+    """Edge ids from the tree's root to ``target``, walked back along in-edges."""
+    edges = []
+    eid = tree[target][1]
+    while eid is not None:
+        edges.append(eid)
+        eid = tree[graph.edge(eid).source][1]
+    return tuple(reversed(edges))
 
 
 def shortest_path(
@@ -379,33 +367,21 @@ def shortest_path(
     tree = _shortest_tree(graph, from_vertex)
     if to_vertex not in tree:
         raise NotFoundError(f"vertex {to_vertex} unreachable from {from_vertex}")
-    dist, seq = tree[to_vertex]
-    return (_edges_along(graph, seq), dist)
+    return (_edges_to(graph, tree, to_vertex), tree[to_vertex][0])
 
 
 # stop distances -----------------------------------------------------------
 
-def path_distance(graph: RoadGraph, edges: tuple[int, ...], origin_slack: float, dest_slack: float) -> float:
-    """Recompute a stop-to-stop distance from its edge list and the two slacks."""
-    if not edges:
-        return 0.0
-    if len(edges) == 1:
-        return dest_slack - origin_slack
-    first = graph.edge(edges[0])
-    middle = sum(graph.edge(eid).length for eid in edges[1:-1])
-    return (first.length - origin_slack) + middle + dest_slack
-
-
 def _traverse(
     graph: RoadGraph, edge: DirectedEdge, offset: float, dest: Stop, trees: dict[int, _Tree]
-) -> tuple[float, tuple[int, ...] | None]:
+) -> tuple[float, _Tree | None]:
     """Apply the traversal rule from ``offset`` meters along ``edge`` to ``dest``.
 
     A stop downstream on the same edge is reached directly.  Otherwise the
     vehicle finishes the edge, follows the shortest-path tree rooted at the
     edge's sink (built into ``trees`` on first use) to the destination edge's
     source vertex, then drives the destination slack.  Returns the distance
-    and the tree's vertex sequence, which is None for a direct hop.
+    and the tree followed, which is None for a direct hop.
     """
     if not 0.0 <= offset <= edge.length:
         raise InvalidInputError(f"offset {offset} outside edge {edge.id}")
@@ -419,59 +395,43 @@ def _traverse(
         raise NotFoundError(
             f"vertex {target} unreachable from {edge.sink}; graph not strongly connected"
         )
-    mid_dist, seq = tree[target]
-    return (edge.length - offset) + mid_dist + dest.slack, seq
+    return (edge.length - offset) + tree[target][0] + dest.slack, tree
 
 
 def _traverse_path(
     graph: RoadGraph, edge: DirectedEdge, offset: float, dest: Stop, trees: dict[int, _Tree]
 ) -> tuple[tuple[int, ...], float]:
     """Edge list and distance of :func:`_traverse`, partial end edges included."""
-    distance, seq = _traverse(graph, edge, offset, dest, trees)
-    if seq is None:
+    distance, tree = _traverse(graph, edge, offset, dest, trees)
+    if tree is None:
         return (edge.id,), distance
-    return (edge.id,) + _edges_along(graph, seq) + (dest.edge,), distance
-
-
-def stop_distance(graph: RoadGraph, from_stop: Stop, to_stop: Stop) -> StopPath:
-    """Traversal distance from one registered stop to another.
-
-    The vehicle finishes the origin host edge, takes the shortest path to the
-    destination edge's source vertex, then drives the destination slack.  A
-    downstream stop on the same edge is reached directly; an upstream one
-    falls under the general rule (finish the edge, loop back, re-enter).
-    """
-    for s in (from_stop, to_stop):
-        if not graph.has_stop(s.id) or graph.stop(s.id) != s:
-            raise NotFoundError(f"stop {s.id} not registered with graph")
-    if from_stop.id == to_stop.id:
-        return StopPath(from_stop.id, to_stop.id, (), 0.0)
-    edges, distance = _traverse_path(graph, graph.edge(from_stop.edge), from_stop.slack, to_stop, {})
-    return StopPath(from_stop.id, to_stop.id, edges, distance)
+    middle = _edges_to(graph, tree, graph.edge(dest.edge).source)
+    return (edge.id,) + middle + (dest.edge,), distance
 
 
 class StopDistanceTable:
     """Precomputed traversal distances between every ordered pair of stops.
 
-    Holds exactly m(m-1) entries for m stops; the diagonal is answered as a
-    zero-distance empty path without being stored.  The shortest-path trees
-    built during precomputation are kept (and extended on demand) so that
-    distances from an arbitrary mid-edge position, such as a vehicle between
-    stops, reuse the same machinery.
+    Holds one distance per ordered pair of the m stops, the zero diagonal
+    included; ``len()`` counts the m(m-1) off-diagonal pairs.  The
+    shortest-path trees built during precomputation are kept (and extended on
+    demand) so that distances and edge lists from an arbitrary mid-edge
+    position, such as a vehicle between stops, reuse the same machinery.
     """
 
     def __init__(self, graph: RoadGraph, stops: list[Stop]) -> None:
         self._graph = graph
         self._stops = {s.id: s for s in stops}
         self._trees: dict[int, _Tree] = {}
-        self.entries: dict[tuple[int, int], StopPath] = {}
-        for origin in sorted(stops, key=lambda s: s.id):
+        self._distances: dict[tuple[int, int], float] = {}
+        ordered = sorted(stops, key=lambda s: s.id)
+        for origin in ordered:
             host = graph.edge(origin.edge)
-            for dest in sorted(stops, key=lambda s: s.id):
-                if dest.id == origin.id:
-                    continue
-                edges, distance = _traverse_path(graph, host, origin.slack, dest, self._trees)
-                self.entries[(origin.id, dest.id)] = StopPath(origin.id, dest.id, edges, distance)
+            for dest in ordered:
+                self._distances[(origin.id, dest.id)] = (
+                    0.0 if dest.id == origin.id
+                    else _traverse(graph, host, origin.slack, dest, self._trees)[0]
+                )
 
     def _check(self, stop_id: int) -> Stop:
         stop = self._stops.get(stop_id)
@@ -479,15 +439,13 @@ class StopDistanceTable:
             raise NotFoundError(f"stop {stop_id} not in distance table")
         return stop
 
-    def path(self, from_stop: int, to_stop: int) -> StopPath:
-        self._check(from_stop)
-        self._check(to_stop)
-        if from_stop == to_stop:
-            return StopPath(from_stop, to_stop, (), 0.0)
-        return self.entries[(from_stop, to_stop)]
-
     def distance(self, from_stop: int, to_stop: int) -> float:
-        return self.path(from_stop, to_stop).distance
+        try:
+            return self._distances[(from_stop, to_stop)]
+        except KeyError:
+            self._check(from_stop)
+            self._check(to_stop)
+            raise
 
     def distance_from_position(self, edge_id: int, offset: float, to_stop: int) -> float:
         """Distance from a mid-edge position to a stop, same traversal rule."""
@@ -503,7 +461,7 @@ class StopDistanceTable:
         return sorted(self._stops)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self._distances) - len(self._stops)
 
 
 def build_stop_distance_table(

@@ -58,14 +58,6 @@ def profiles_from_dict(doc: dict) -> dict[str, BehaviorProfile]:
     return table
 
 
-@dataclass
-class EdgeState:
-    """Mutable per-edge occupancy, owned by the simulation engine."""
-
-    edge: int
-    occupancy: int = 0
-
-
 @dataclass(frozen=True)
 class BackgroundFlow:
     """Poisson stream of non-fleet vehicles between two vertices."""

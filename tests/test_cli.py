@@ -44,7 +44,8 @@ class TestGenerateAndValidate:
         assert len(list(graph.stops())) == 6
 
     def test_generate_rejects_bad_fields(self, tmp_path, capsys):
-        for item, field in (("grid_spacng=800", "grid_spacng"), ("grid_spacing=NaN", "grid_spacing")):
+        for item, field in (("grid_spacng=800", "grid_spacng"), ("grid_spacing=NaN", "grid_spacing"),
+                            ("central_stop_count=2.5", "central_stop_count"), ("seed=true", "seed")):
             assert main(["generate", "--out", str(tmp_path / "g"), "--set", item]) == 1
             assert field in capsys.readouterr().err
 
@@ -73,8 +74,10 @@ class TestGenerateAndValidate:
         del no_sink["edges"][0]["sink"]
         nan_speed = json.loads(json.dumps(good))
         nan_speed["edges"][0]["free_flow_speed"] = float("nan")
+        fractional_id = json.loads(json.dumps(good))
+        fractional_id["vertices"][0]["id"] = 1.5
         for doc, field in ((infinite_id, "vertices[0].id"), (no_sink, "edges[0].sink"),
-                           (nan_speed, "free_flow_speed")):
+                           (nan_speed, "free_flow_speed"), (fractional_id, "vertices[0].id")):
             path = tmp_path / "bad.json"
             path.write_text(json.dumps(doc))
             assert main(["validate", "--network", str(path)]) == 1

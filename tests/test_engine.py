@@ -151,11 +151,12 @@ class TestConservation:
         rep = _Replication(runtime, scenario, 0)
         rep.run()
         profile = DEFAULT_PROFILES[scenario.profile]
-        for state in rep.edge_states.values():
-            edge = scenario.graph.edge(state.edge)
-            assert state.occupancy >= 0
-            assert 0.05 * edge.free_flow_speed <= edge_speed(edge, state.occupancy) <= edge.free_flow_speed
-            assert 0.0 < attainable_speed(edge, state.occupancy, profile) <= edge.free_flow_speed
+        assert rep.occupancy
+        for eid, occupancy in rep.occupancy.items():
+            edge = scenario.graph.edge(eid)
+            assert occupancy >= 0
+            assert 0.05 * edge.free_flow_speed <= edge_speed(edge, occupancy) <= edge.free_flow_speed
+            assert 0.0 < attainable_speed(edge, occupancy, profile) <= edge.free_flow_speed
 
     def test_no_starvation_with_generous_horizon(self):
         scenario = busy_scenario(
@@ -343,6 +344,16 @@ class TestScenarioFiles:
     def test_bad_document(self):
         with pytest.raises(ConfigurationError):
             scenario_from_dict({"demand": {"outbound_rate": "lots"}}, ring_network())
+        for path, value in (
+            (("fleet_size",), 2.9),
+            (("replications",), True),
+            (("base_seed",), 0.5),
+            (("policy", "capacity"), 2.5),
+            (("background_flows", 0, "origin_vertex"), False),
+        ):
+            with pytest.raises(ConfigurationError, match=f"{path[-1]}: expected an integer"):
+                scenario_from_dict(self.document_with(path, value), ring_network())
+        assert scenario_from_dict(self.document_with(("fleet_size",), 4.0), ring_network()).fleet_size == 4
 
     @staticmethod
     def document_with(path: tuple, value) -> dict:

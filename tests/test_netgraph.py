@@ -8,15 +8,12 @@ from savsim.errors import InvalidInputError, NotFoundError
 from savsim.netgraph import (
     RoadGraph,
     Stop,
-    StopPath,
     build_stop_distance_table,
     edge_weight,
     graph_to_dict,
     load_network,
-    path_distance,
     save_network,
     shortest_path,
-    stop_distance,
     validate_graph,
 )
 from savsim.oracle import check_table, split_stop_distances
@@ -171,12 +168,21 @@ class TestShortestPath:
             eid += 2
         edges, dist = shortest_path(g, 0, 3)
         assert dist == pytest.approx(200.0)
-        # candidates (0,1,3) and (0,2,3); (0,1,3) is lexicographically smaller
-        assert edges == (g.edge_between(0, 1).id, g.edge_between(1, 3).id)
+        # candidates (0,1,3) and (0,2,3); (0,1,3), along edges 0 and 4, is
+        # lexicographically smaller
+        assert edges == (0, 4)
 
     def test_unknown_vertex(self):
         with pytest.raises(NotFoundError):
             shortest_path(triangle(), 1, 99)
+
+
+def stop_path(g: RoadGraph, origin: Stop, dest: Stop) -> tuple[tuple[int, ...], float]:
+    """Edge list and distance between two registered stops, checked against the table."""
+    table = build_stop_distance_table(g)
+    edges, dist = table.position_path(origin.edge, origin.slack, dest.id)
+    assert table.distance(origin.id, dest.id) == dist
+    return edges, dist
 
 
 class TestStopDistance:
@@ -184,46 +190,51 @@ class TestStopDistance:
         g = two_cycle()
         s1 = g.place_stop(10, 20.0, "other")
         s2 = g.place_stop(10, 70.0, "other")
-        path = stop_distance(g, s1, s2)
-        assert path.distance == pytest.approx(50.0, abs=1e-9)
-        assert path.edges == (10,)
+        edges, dist = stop_path(g, s1, s2)
+        assert dist == pytest.approx(50.0, abs=1e-9)
+        assert edges == (10,)
 
     def test_same_edge_loop(self):
         g = two_cycle()
         s1 = g.place_stop(10, 70.0, "other")
         s2 = g.place_stop(10, 20.0, "other")
-        path = stop_distance(g, s1, s2)
+        edges, dist = stop_path(g, s1, s2)
         # finish edge (30), return edge (100), re-enter (20)
-        assert path.distance == pytest.approx(150.0, abs=1e-9)
-        assert path.edges == (10, 11, 10)
+        assert dist == pytest.approx(150.0, abs=1e-9)
+        assert edges == (10, 11, 10)
 
     def test_triangle_forward(self):
         g = triangle()
         b1 = g.place_stop(10, 20.0, "other")
         b2 = g.place_stop(11, 30.0, "other")
-        path = stop_distance(g, b1, b2)
-        assert path.distance == pytest.approx(110.0, abs=1e-9)
-        assert path.edges == (10, 11)
+        edges, dist = stop_path(g, b1, b2)
+        assert dist == pytest.approx(110.0, abs=1e-9)
+        assert edges == (10, 11)
 
     def test_triangle_reverse(self):
         g = triangle()
         b1 = g.place_stop(10, 20.0, "other")
         b2 = g.place_stop(11, 30.0, "other")
-        path = stop_distance(g, b2, b1)
-        assert path.distance == pytest.approx(70.0 + 100.0 * math.sqrt(2.0) + 20.0, abs=1e-9)
-        assert path.edges == (11, 12, 10)
+        edges, dist = stop_path(g, b2, b1)
+        assert dist == pytest.approx(70.0 + 100.0 * math.sqrt(2.0) + 20.0, abs=1e-9)
+        assert edges == (11, 12, 10)
 
     def test_self_distance_zero(self):
         g = triangle()
         b1 = g.place_stop(10, 20.0, "other")
-        assert stop_distance(g, b1, b1) == StopPath(b1.id, b1.id, (), 0.0)
+        g.place_stop(11, 30.0, "other")
+        assert stop_path(g, b1, b1) == ((b1.edge,), 0.0)
 
     def test_unregistered_stop(self):
         g = triangle()
         b1 = g.place_stop(10, 20.0, "other")
+        g.place_stop(11, 30.0, "other")
         ghost = Stop(99, 10, 5.0, "other")
+        table = build_stop_distance_table(g)
         with pytest.raises(NotFoundError):
-            stop_distance(g, b1, ghost)
+            table.position_path(b1.edge, b1.slack, ghost.id)
+        with pytest.raises(NotFoundError):
+            table.distance_from_position(b1.edge, b1.slack, ghost.id)
 
 
 class TestStopDistanceTable:
@@ -246,9 +257,19 @@ class TestStopDistanceTable:
         s1 = g.place_stop(10, 20.0, "other")
         g.place_stop(10, 70.0, "other")
         table = build_stop_distance_table(g)
-        assert (s1.id, s1.id) not in table.entries
+        assert len(table) == 2
         assert table.distance(s1.id, s1.id) == 0.0
-        assert table.path(s1.id, s1.id).edges == ()
+        assert table.position_path(s1.edge, s1.slack, s1.id) == ((10,), 0.0)
+
+    def test_unknown_stop_id(self):
+        g = two_cycle()
+        s1 = g.place_stop(10, 20.0, "other")
+        g.place_stop(10, 70.0, "other")
+        table = build_stop_distance_table(g)
+        with pytest.raises(NotFoundError):
+            table.distance(s1.id, 99)
+        with pytest.raises(NotFoundError):
+            table.distance(99, s1.id)
 
     def test_too_few_stops(self):
         g = two_cycle()
@@ -278,6 +299,19 @@ class TestStopDistanceTable:
             table.position_path(10, -1.0, b2.id)
 
 
+def stop_pairs(g: RoadGraph) -> list[tuple[Stop, Stop]]:
+    """Every ordered pair of distinct stops."""
+    return [(o, d) for o in g.stops() for d in g.stops() if o.id != d.id]
+
+
+def edge_list_distance(g: RoadGraph, edges: tuple[int, ...], origin_slack: float, dest_slack: float) -> float:
+    """Reference distance of a stop-to-stop edge list: partial first and last edges, whole middle ones."""
+    if len(edges) == 1:
+        return dest_slack - origin_slack
+    middle = sum(g.edge(eid).length for eid in edges[1:-1])
+    return (g.edge(edges[0]).length - origin_slack) + middle + dest_slack
+
+
 class TestTableProperties:
     def test_oracle_equivalence_sample(self):
         for seed in range(20):
@@ -304,18 +338,20 @@ class TestTableProperties:
         g = random_connected_graph(rng)
         scatter_stops(rng, g, 8)
         table = build_stop_distance_table(g)
-        for (a, b), path in table.entries.items():
-            origin, dest = g.stop(a), g.stop(b)
-            again = path_distance(g, path.edges, origin.slack, dest.slack)
-            assert again == pytest.approx(path.distance, abs=1e-9)
+        for origin, dest in stop_pairs(g):
+            edges, dist = table.position_path(origin.edge, origin.slack, dest.id)
+            assert dist == table.distance(origin.id, dest.id)
+            assert edge_list_distance(g, edges, origin.slack, dest.slack) == pytest.approx(dist, abs=1e-9)
 
     def test_consecutive_edges_share_vertex(self):
         rng = random.Random(78)
         g = random_connected_graph(rng)
         scatter_stops(rng, g, 6)
         table = build_stop_distance_table(g)
-        for path in table.entries.values():
-            for a, b in zip(path.edges, path.edges[1:]):
+        for origin, dest in stop_pairs(g):
+            edges, _ = table.position_path(origin.edge, origin.slack, dest.id)
+            assert edges[0] == origin.edge and edges[-1] == dest.edge
+            for a, b in zip(edges, edges[1:]):
                 assert g.edge(a).sink == g.edge(b).source
 
     def test_byte_identical_rebuild(self):
@@ -325,9 +361,14 @@ class TestTableProperties:
         rng2 = random.Random(555)
         g2 = random_connected_graph(rng2)
         scatter_stops(rng2, g2, 7)
-        t1 = build_stop_distance_table(g1)
-        t2 = build_stop_distance_table(g2)
-        assert repr(sorted(t1.entries.items())) == repr(sorted(t2.entries.items()))
+        def dump(g):
+            table = build_stop_distance_table(g)
+            return repr([
+                (o.id, d.id, table.distance(o.id, d.id), table.position_path(o.edge, o.slack, d.id))
+                for o, d in stop_pairs(g)
+            ])
+
+        assert dump(g1) == dump(g2)
 
 
 class TestOracleInternals:

@@ -71,10 +71,6 @@ class PendingRequest:
     pickup_time: float | None = None
     completion_time: float | None = None
 
-    @property
-    def wait_start(self) -> float:
-        return self.request.request_time
-
     def advance(self, new_state: str) -> None:
         if _STATE_ORDER.index(new_state) != _STATE_ORDER.index(self.state) + 1:
             raise ConsistencyError(
@@ -125,13 +121,10 @@ def select_next_request(
         return None
     overdue = [
         p for p in unassigned
-        if (now - p.wait_start) > policy.overdue_threshold
+        if (now - p.request.request_time) > policy.overdue_threshold
         and pickup_distance(p) <= policy.priority_radius
     ]
-    if overdue:
-        best = min(overdue, key=lambda p: (p.wait_start, p.request.id))
-    else:
-        best = min(unassigned, key=lambda p: (p.request.request_time, p.request.id))
+    best = min(overdue or unassigned, key=lambda p: (p.request.request_time, p.request.id))
     return best.request.id
 
 
@@ -180,7 +173,6 @@ class Insertion:
     shared_miles: float
     length: float
     pickup_index: int
-    dropoff_index: int
 
 
 def try_insert_shared(
@@ -208,23 +200,13 @@ def try_insert_shared(
             legs.insert(i, pickup)
             legs.insert(j, dropoff)
             if not _capacity_feasible(sav, legs):
-                continue
+                break   # a later dropoff keeps the party aboard over more legs
             length, shared = route_cost(sav, legs, table)
             if length > budget:
                 continue
             if best is None or shared > best.shared_miles:
-                best = Insertion(tuple(legs), shared, length, i, j)
+                best = Insertion(tuple(legs), shared, length, i)
     return best
-
-
-@dataclass(frozen=True)
-class ArrivalEvent:
-    """What happened when a vehicle processed one leg at a stop."""
-
-    kind: str          # "pickup" or "dropoff"
-    request: int
-    stop: int
-    time: float
 
 
 def on_arrival(
@@ -232,7 +214,7 @@ def on_arrival(
     leg: RouteLeg,
     pending: dict[int, PendingRequest],
     now: float,
-) -> ArrivalEvent:
+) -> None:
     """Board or alight one leg's party at the stop the vehicle reached."""
     pr = pending.get(leg.request)
     if pr is None:
@@ -246,7 +228,7 @@ def on_arrival(
         sav.assert_capacity()
         pr.advance(ONBOARD)
         pr.pickup_time = now
-        return ArrivalEvent(PICKUP, leg.request, leg.stop, now)
+        return
     if pr.state != ONBOARD or leg.request not in sav.onboard:
         raise ConsistencyError(
             f"sav {sav.id}: dropoff for request {leg.request} in state {pr.state}"
@@ -254,7 +236,6 @@ def on_arrival(
     del sav.onboard[leg.request]
     pr.advance(COMPLETED)
     pr.completion_time = now
-    return ArrivalEvent(DROPOFF, leg.request, leg.stop, now)
 
 
 def request_legs(request: TripRequest) -> list[RouteLeg]:

@@ -15,6 +15,9 @@ Model notes:
   * A fleet vehicle's boarding/alighting events each take one dwell period;
     a request's pickup/completion timestamps fall at the end of its own
     dwell slot.
+  * Each arrival event carries the leg plan it was scheduled for; a plan
+    that a reroute replaced is no longer the vehicle's plan, so its arrival
+    is stale and is ignored.
   * Passenger conservation and vehicle capacity are asserted after every
     event that can touch passenger or fleet state (background vehicle
     events cannot); violations raise ConsistencyError.
@@ -42,6 +45,7 @@ from .dispatch import (
     ONBOARD,
     PICKUP,
     PendingRequest,
+    RouteLeg,
     Sav,
     UNASSIGNED,
     on_arrival,
@@ -49,7 +53,7 @@ from .dispatch import (
     select_next_request,
     try_insert_shared,
 )
-from .errors import ConfigurationError, ConsistencyError, SimulationError, read_section
+from .errors import ConfigurationError, ConsistencyError, SimulationError, number, read_section
 from .metrics import LogEntry, MetricsRecord, MetricsState, aggregate, finalize
 from .netgraph import (
     RoadGraph,
@@ -100,6 +104,11 @@ class Scenario:
             raise ConfigurationError(f"horizon must be a finite number > 0, got {self.horizon!r}")
         if self.replications < 1:
             raise ConfigurationError("replications must be >= 1")
+        largest = max(size for size, w in self.demand.party_size_weights.items() if w > 0)
+        if self.policy.capacity < largest:
+            raise ConfigurationError(
+                f"policy.capacity {self.policy.capacity} is below the largest party size {largest}"
+            )
 
 
 def replication_seed(scenario: Scenario, index: int) -> int:
@@ -151,7 +160,6 @@ class _Segment:
     end_offset: float
     enter: float
     exit: float
-    speed: float
 
     @property
     def distance(self) -> float:
@@ -160,8 +168,9 @@ class _Segment:
 
 @dataclass
 class _LegPlan:
-    version: int
-    depart: float
+    """A vehicle's active leg; also its own arrival event's payload."""
+
+    sav: int
     arrive: float
     distance: float
     delay: float
@@ -192,7 +201,6 @@ class _LegPlan:
 
 @dataclass
 class _BackgroundVehicle:
-    id: int
     edges: tuple[int, ...]
     index: int = 0
     speed: float = 0.0
@@ -218,7 +226,6 @@ class _Replication:
     ) -> None:
         self.runtime = runtime
         self.scenario = scenario
-        self.index = index
         self.graph = runtime.graph
         self.table = runtime.table
         self.policy = scenario.policy
@@ -255,11 +262,9 @@ class _Replication:
                 )
             )
         self.plans: dict[int, _LegPlan | None] = {s.id: None for s in self.savs}
-        self.versions: dict[int, int] = {s.id: 0 for s in self.savs}
         self.sav_delay: dict[int, float] = {s.id: 0.0 for s in self.savs}
         self.sav_stops: dict[int, int] = {s.id: 0 for s in self.savs}
 
-        self.background: dict[int, _BackgroundVehicle] = {}
         self.bg_injected = 0
         self.bg_exited = 0
         rng = random.Random(f"{seed}:background")
@@ -308,7 +313,7 @@ class _Replication:
             v = attainable_speed(edge, self.occupancy.get(eid, 0), self.profile)
             length = b - a
             dt = length / v if length > 0 else 0.0
-            segments.append(_Segment(eid, a, b, t, t + dt, v))
+            segments.append(_Segment(eid, a, b, t, t + dt))
             if length > 0:
                 free = length / edge.free_flow_speed
                 delay += dt - free
@@ -319,8 +324,7 @@ class _Replication:
             t += dt
         if count_stop_event(prev_speed, 0.0):
             stop_events += 1
-        version = self.versions[sav.id]
-        return _LegPlan(version, now, t, distance, delay, stop_events, segments)
+        return _LegPlan(sav.id, t, distance, delay, stop_events, segments)
 
     def _start_leg(self, sav: Sav, now: float) -> None:
         leg = sav.route[0]
@@ -328,7 +332,7 @@ class _Replication:
         self.plans[sav.id] = plan
         sav.status = EN_ROUTE
         self._log("depart", sav.id, leg.request, leg.stop, plan.distance)
-        self._schedule(plan.arrive, SAV_ARRIVAL, (sav.id, plan.version))
+        self._schedule(plan.arrive, SAV_ARRIVAL, plan)
 
     def _account_movement(self, sav: Sav, distance: float) -> None:
         self.metrics.sav_distance += distance
@@ -336,20 +340,15 @@ class _Replication:
             self.metrics.shared_miles += distance
 
     def _abort_leg(self, sav: Sav, now: float) -> None:
-        """Cut the active leg short at the vehicle's current position."""
+        """Cut the active leg short at the vehicle's current position.
+
+        The caller starts the next leg, whose plan replaces this one.
+        """
         plan = self.plans[sav.id]
         traveled = plan.distance_until(now)
         sav.position = plan.position_at(now)
         self._account_movement(sav, traveled)
         self._log("reroute", sav.id, None, None, traveled)
-        self.versions[sav.id] += 1
-        self.plans[sav.id] = None
-
-    def _position_now(self, sav: Sav) -> tuple[int, float]:
-        plan = self.plans.get(sav.id)
-        if sav.status == EN_ROUTE and plan is not None:
-            return plan.position_at(self.now)
-        return sav.position
 
     # dispatch ------------------------------------------------------------
 
@@ -359,12 +358,11 @@ class _Replication:
             return self.table.distance_from_position(edge_id, offset, pr.request.origin)
         return fn
 
-    def _assign(self, sav: Sav, pr: PendingRequest, now: float) -> None:
+    def _assign(self, sav: Sav, pr: PendingRequest, route: list[RouteLeg]) -> None:
         pr.advance(ASSIGNED)
         pr.assigned_sav = sav.id
-        sav.route = request_legs(pr.request)
+        sav.route = route
         self._log("assign", sav.id, pr.request.id, pr.request.origin)
-        self._start_leg(sav, now)
 
     def _assign_idle(self, now: float) -> None:
         """Let idle vehicles pick unassigned work until none can."""
@@ -378,7 +376,9 @@ class _Replication:
                 )
                 if rid is None:
                     return
-                self._assign(sav, self.pending[rid], now)
+                pr = self.pending[rid]
+                self._assign(sav, pr, request_legs(pr.request))
+                self._start_leg(sav, now)
                 progress = True
             if not progress:
                 return
@@ -391,7 +391,7 @@ class _Replication:
         """
         for sav in self.savs:
             if sav.status == EN_ROUTE:
-                sav.position = self._position_now(sav)
+                sav.position = self.plans[sav.id].position_at(now)
         best = None
         best_sav = None
         for sav in self.savs:
@@ -402,10 +402,7 @@ class _Replication:
                 best, best_sav = res, sav
         if best is None:
             return
-        pr.advance(ASSIGNED)
-        pr.assigned_sav = best_sav.id
-        best_sav.route = list(best.route)
-        self._log("assign", best_sav.id, pr.request.id, pr.request.origin)
+        self._assign(best_sav, pr, list(best.route))
         if best_sav.status == EN_ROUTE and best.pickup_index == 0:
             self._abort_leg(best_sav, now)
             self._start_leg(best_sav, now)
@@ -421,11 +418,11 @@ class _Replication:
         if pr.state == UNASSIGNED:
             self._try_share(pr, self.now)
 
-    def _on_sav_arrival(self, sav_id: int, version: int) -> None:
-        sav = self.savs[sav_id]
-        plan = self.plans.get(sav_id)
-        if plan is None or plan.version != version:
+    def _on_sav_arrival(self, plan: _LegPlan) -> None:
+        sav_id = plan.sav
+        if self.plans[sav_id] is not plan:
             return
+        sav = self.savs[sav_id]
         self._account_movement(sav, plan.distance)
         self.sav_delay[sav_id] += plan.delay
         self.sav_stops[sav_id] += plan.stop_events
@@ -440,13 +437,13 @@ class _Replication:
             leg = sav.route.pop(0)
             dwell_slots += 1
             event_time = self.now + dwell_slots * self.profile.dwell_time
-            ev = on_arrival(sav, leg, self.pending, event_time)
+            on_arrival(sav, leg, self.pending, event_time)
             pr = self.pending[leg.request]
-            if ev.kind == PICKUP:
+            if leg.action == PICKUP:
                 self.metrics.record_wait(event_time - pr.request.request_time)
             else:
                 self.metrics.record_completion(pr.request.party_size)
-            self._log(ev.kind, sav_id, leg.request, here)
+            self._log(leg.action, sav_id, leg.request, here)
             sav.assert_capacity()
         self._schedule(self.now + dwell_slots * self.profile.dwell_time, DWELL_END, sav_id)
 
@@ -469,16 +466,13 @@ class _Replication:
         vehicle.delay += edge.length / speed - edge.length / edge.free_flow_speed
         self.occupancy[eid] = occupancy + 1
         self._sample_occupancy(eid)
-        self._schedule(self.now + edge.length / speed, BACKGROUND_EDGE_EXIT, vehicle.id)
+        self._schedule(self.now + edge.length / speed, BACKGROUND_EDGE_EXIT, vehicle)
 
     def _on_background_inject(self, flow_idx: int) -> None:
-        vehicle = _BackgroundVehicle(self.bg_injected, self.runtime.flow_routes[flow_idx])
         self.bg_injected += 1
-        self.background[vehicle.id] = vehicle
-        self._enter_edge(vehicle)
+        self._enter_edge(_BackgroundVehicle(self.runtime.flow_routes[flow_idx]))
 
-    def _on_background_exit(self, vehicle_id: int) -> None:
-        vehicle = self.background[vehicle_id]
+    def _on_background_exit(self, vehicle: _BackgroundVehicle) -> None:
         eid = vehicle.edges[vehicle.index]
         self.occupancy[eid] -= 1
         self._sample_occupancy(eid)
@@ -487,7 +481,6 @@ class _Replication:
         if vehicle.index < len(vehicle.edges):
             self._enter_edge(vehicle)
         else:
-            del self.background[vehicle_id]
             self.bg_exited += 1
             self.metrics.record_vehicle(vehicle.delay, vehicle.stops)
 
@@ -510,6 +503,7 @@ class _Replication:
             self._schedule(req.request_time, REQUEST_ARRIVAL, req)
         handlers = {
             REQUEST_ARRIVAL: self._on_request_arrival,
+            SAV_ARRIVAL: self._on_sav_arrival,
             DWELL_END: self._on_dwell_end,
             BACKGROUND_INJECT: self._on_background_inject,
             BACKGROUND_EDGE_EXIT: self._on_background_exit,
@@ -524,24 +518,21 @@ class _Replication:
             self.now = time
             if kind == HORIZON_END:
                 break
-            if kind == SAV_ARRIVAL:
-                self._on_sav_arrival(*payload)
-            else:
-                handlers[kind](payload)
+            handlers[kind](payload)
             if kind in passenger_events:
                 self._check_conservation()
                 for sav in self.savs:
                     sav.assert_capacity()
         self.now = self.scenario.horizon
         for sav in self.savs:
-            plan = self.plans.get(sav.id)
-            if sav.status == EN_ROUTE and plan is not None:
-                traveled = plan.distance_until(self.now)
+            if sav.status == EN_ROUTE:
+                traveled = self.plans[sav.id].distance_until(self.now)
                 self._account_movement(sav, traveled)
                 self._log("reroute", sav.id, None, None, traveled)
         for sav in self.savs:
             self.metrics.record_vehicle(self.sav_delay[sav.id], self.sav_stops[sav.id])
-        if self.bg_injected != self.bg_exited + len(self.background):
+        # every background vehicle still driving occupies exactly one edge
+        if self.bg_injected - self.bg_exited != sum(self.occupancy.values()):
             raise ConsistencyError("background vehicle conservation broken")
         record = finalize(self.metrics, self.scenario.horizon)
         return ReplicationResult(record, self.log, self.occupancy_samples)
@@ -686,7 +677,7 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 
 
 def _party_weights(doc: dict) -> dict[int, float]:
-    return {int(k): float(v) for k, v in doc.items()}
+    return {int(k): number(v) for k, v in doc.items()}
 
 
 _SCENARIO_FIELDS = {

@@ -48,13 +48,21 @@ def integer(raw: object) -> int:
     return int(raw)
 
 
+def number(raw: object) -> float:
+    """Convert a real-number field, rejecting booleans; bare ``float`` would load ``true`` as 1.0."""
+    if isinstance(raw, bool):
+        raise ValueError(f"expected a number, got {raw!r}")
+    return float(raw)
+
+
 def read_section(where: str, doc: object, kinds: dict[str, Callable], required: Iterable[str] = ()) -> dict:
     """Convert the fields of one object in an input document.
 
     ``kinds`` maps every allowed key to its converter.  An unknown key is
     rejected rather than ignored, so a misspelt field cannot silently fall
     back to its default; a missing ``required`` key or a bad value is named by
-    path.  An ``int`` field is converted by :func:`integer`.
+    path.  An ``int`` field is converted by :func:`integer` and a ``float``
+    field by :func:`number`.
     """
     if not isinstance(doc, dict):
         raise ConfigurationError(f"{where}: expected an object, got {type(doc).__name__}")
@@ -66,7 +74,7 @@ def read_section(where: str, doc: object, kinds: dict[str, Callable], required: 
         if key not in kinds:
             raise ConfigurationError(f"{where}.{key}: no such field")
         try:
-            convert = integer if kinds[key] is int else kinds[key]
+            convert = {int: integer, float: number}.get(kinds[key], kinds[key])
             fields[key] = convert(raw)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigurationError(f"{where}.{key}: {exc}") from None

@@ -25,7 +25,7 @@ import tempfile
 from collections import defaultdict
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .errors import InvalidInputError, NotFoundError, read_section
 
@@ -92,7 +92,7 @@ class RoadGraph:
         self._vertices: dict[int, Vertex] = {}
         self._edges: dict[int, DirectedEdge] = {}
         self._stops: dict[int, Stop] = {}
-        self._out: dict[int, list[int]] = defaultdict(list)
+        self._out: dict[int, list[DirectedEdge]] = defaultdict(list)   # sorted by (sink, id)
 
     # construction -----------------------------------------------------
 
@@ -129,8 +129,8 @@ class RoadGraph:
             length = edge_weight(self._vertices[source], self._vertices[sink])
         e = DirectedEdge(edge_id, source, sink, float(length), float(free_flow_speed), int(capacity_vehicles))
         self._edges[edge_id] = e
-        self._out[source].append(edge_id)
-        self._out[source].sort(key=lambda eid: (self._edges[eid].sink, eid))
+        self._out[source].append(e)
+        self._out[source].sort(key=lambda out: (out.sink, out.id))
         return e
 
     def place_stop(self, edge_id: int, slack: float, zone: str, stop_id: int | None = None) -> Stop:
@@ -190,8 +190,8 @@ class RoadGraph:
         for sid in sorted(self._stops):
             yield self._stops[sid]
 
-    def out_edges(self, vertex_id: int) -> list[DirectedEdge]:
-        return [self._edges[eid] for eid in self._out.get(vertex_id, ())]
+    def out_edges(self, vertex_id: int) -> Sequence[DirectedEdge]:
+        return self._out.get(vertex_id, ())
 
     def stop_point(self, stop_id: int) -> tuple[float, float]:
         """Planar coordinates of a stop, interpolated along its host edge."""

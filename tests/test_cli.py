@@ -76,8 +76,11 @@ class TestGenerateAndValidate:
         nan_speed["edges"][0]["free_flow_speed"] = float("nan")
         fractional_id = json.loads(json.dumps(good))
         fractional_id["vertices"][0]["id"] = 1.5
+        boolean_x = json.loads(json.dumps(good))
+        boolean_x["vertices"][0]["x"] = True
         for doc, field in ((infinite_id, "vertices[0].id"), (no_sink, "edges[0].sink"),
-                           (nan_speed, "free_flow_speed"), (fractional_id, "vertices[0].id")):
+                           (nan_speed, "free_flow_speed"), (fractional_id, "vertices[0].id"),
+                           (boolean_x, "vertices[0].x: expected a number")):
             path = tmp_path / "bad.json"
             path.write_text(json.dumps(doc))
             assert main(["validate", "--network", str(path)]) == 1
@@ -170,6 +173,14 @@ class TestRun:
         ])
         assert code == 1
         assert "no such field" in capsys.readouterr().err
+
+    def test_capacity_below_party_size_names_the_field(self, tmp_path, capsys):
+        out = generate_small(tmp_path)
+        code = main(run_args(tmp_path / "x", out / "scenario.json", extra=["--set", "policy.capacity=2"]))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "policy.capacity 2 is below the largest party size 3" in err
+        assert "replication" not in err
 
     def test_bad_scenario_file_names_the_field(self, tmp_path, capsys):
         out = generate_small(tmp_path)

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from savsim import dispatch
 from savsim.demand import TripRequest
 from savsim.dispatch import (
     ASSIGNED,
@@ -139,6 +140,29 @@ class TestInsertion:
         assert res is not None
         assert res.length == pytest.approx(route_cost(sav, sav.route, table)[0])
 
+    def test_capacity_scan_stops_at_first_overfull_dropoff(self, monkeypatch):
+        g, table, (s1, s2, s3) = line_network()
+        sav = Sav(0, 2, "normal", (s1.edge, s1.slack))
+        sav.onboard = {100: 2}
+        sav.route = [
+            RouteLeg(s2.id, DROPOFF, 100, 2),
+            RouteLeg(s2.id, PICKUP, 101, 2),
+            RouteLeg(s3.id, DROPOFF, 101, 2),
+        ]
+        calls = []
+        original = dispatch._capacity_feasible
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(dispatch, "_capacity_feasible", counted)
+        try_insert_shared(DispatchPolicy(), sav, TripRequest(200, s1.id, s3.id, 0.0, 1), table)
+        # per pickup index: 0 -> one failing pair; 1 -> one fitting pair, then
+        # the pair that keeps the party aboard past pickup 101; 2 -> one
+        # failing pair; 3 -> its only pair.  Scanning on would check 10.
+        assert len(calls) == 5
+
     def test_route_never_mutated(self):
         g, table, (s1, s2, s3) = line_network()
         sav = Sav(0, 5, "normal", (s1.edge, s1.slack))
@@ -204,8 +228,7 @@ class TestOnArrival:
 
     def test_pickup_boards_party(self):
         sav, pr, req = self.make_state()
-        ev = on_arrival(sav, sav.route[0], {7: pr}, 100.0)
-        assert ev.kind == PICKUP
+        on_arrival(sav, sav.route[0], {7: pr}, 100.0)
         assert sav.onboard_total == 3
         assert pr.state == "onboard"
         assert pr.pickup_time == 100.0
@@ -213,8 +236,7 @@ class TestOnArrival:
     def test_dropoff_completes(self):
         sav, pr, req = self.make_state()
         on_arrival(sav, sav.route[0], {7: pr}, 100.0)
-        ev = on_arrival(sav, sav.route[1], {7: pr}, 400.0)
-        assert ev.kind == DROPOFF
+        on_arrival(sav, sav.route[1], {7: pr}, 400.0)
         assert sav.onboard_total == 1
         assert pr.state == "completed"
         assert pr.completion_time == 400.0

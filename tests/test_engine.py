@@ -318,6 +318,13 @@ class TestValidationErrors:
         with pytest.raises(ConfigurationError):
             Scenario(graph=ring_network(), replications=0)
 
+    def test_capacity_below_largest_party_rejected(self):
+        with pytest.raises(ConfigurationError, match="policy.capacity 2 is below the largest party size 3"):
+            Scenario(graph=ring_network(), policy=DispatchPolicy(capacity=2))
+        # a party size with zero weight is never drawn, so it does not count
+        pairs = DemandProfile(party_size_weights={1: 0.5, 2: 0.5, 3: 0.0})
+        Scenario(graph=ring_network(), demand=pairs, policy=DispatchPolicy(capacity=2))
+
 
 class TestScenarioFiles:
     def test_round_trip(self, tmp_path):
@@ -354,6 +361,15 @@ class TestScenarioFiles:
             with pytest.raises(ConfigurationError, match=f"{path[-1]}: expected an integer"):
                 scenario_from_dict(self.document_with(path, value), ring_network())
         assert scenario_from_dict(self.document_with(("fleet_size",), 4.0), ring_network()).fleet_size == 4
+        for path in (
+            ("horizon",),
+            ("policy", "priority_radius"),
+            ("demand", "outbound_rate"),
+            ("background_flows", 0, "rate"),
+            ("behavior_profiles", "normal", "dwell_time"),
+        ):
+            with pytest.raises(ConfigurationError, match=f"{path[-1]}: expected a number, got True"):
+                scenario_from_dict(self.document_with(path, True), ring_network())
 
     @staticmethod
     def document_with(path: tuple, value) -> dict:

@@ -234,7 +234,6 @@ class _Replication:
         self._heap: list[tuple[float, int, str, object]] = []
         self._seq = 0
         self.pending: dict[int, PendingRequest] = {}
-        self.requests_seen = 0
         self.occupancy: dict[int, int] = {}   # edge id -> background vehicles on it
         self.collect_log = collect_log
         self.collect_occupancy = collect_occupancy
@@ -412,7 +411,6 @@ class _Replication:
     def _on_request_arrival(self, request: TripRequest) -> None:
         pr = PendingRequest(request)
         self.pending[request.id] = pr
-        self.requests_seen += 1
         self.metrics.requests_seen += 1
         self._assign_idle(self.now)
         if pr.state == UNASSIGNED:
@@ -490,9 +488,10 @@ class _Replication:
         counts = {UNASSIGNED: 0, ASSIGNED: 0, ONBOARD: 0, COMPLETED: 0}
         for p in self.pending.values():
             counts[p.state] += 1
-        if sum(counts.values()) != self.requests_seen:
+        if sum(counts.values()) != self.metrics.requests_seen:
             raise ConsistencyError(
-                f"passenger conservation broken at t={self.now}: {counts} vs {self.requests_seen}"
+                f"passenger conservation broken at t={self.now}: "
+                f"{counts} vs {self.metrics.requests_seen}"
             )
 
     # main loop --------------------------------------------------------------

@@ -116,14 +116,14 @@ def test_criterion_5_capacity_and_conservation():
         states = {"unassigned": 0, "assigned": 0, "onboard": 0, "completed": 0}
         for p in rep.pending.values():
             states[p.state] += 1
-        if sum(states.values()) != rep.requests_seen:
+        if sum(states.values()) != rep.metrics.requests_seen:
             balanced = False
         if any(s.onboard_total > s.capacity for s in rep.savs):
             balanced = False
     # the guards must actually fire on corrupted state
     guards_live = False
     probe = _Replication(runtime, scenario, 0)
-    probe.requests_seen = 5
+    probe.metrics.requests_seen = 5
     try:
         probe._check_conservation()
     except ConsistencyError:

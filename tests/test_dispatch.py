@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 import random
 
@@ -23,11 +25,12 @@ from savsim.errors import ConsistencyError, InvalidInputError
 from savsim.netgraph import RoadGraph, build_stop_distance_table
 
 from brute import (
-    brute_best_shared,
+    brute_best_insertion,
     brute_select,
     random_pending,
     random_policy,
     random_sav_state,
+    walk_capacity_ok,
     walk_length,
     walk_shared,
 )
@@ -48,6 +51,11 @@ def line_network():
     s2 = g.place_stop(2, 500.0, "other")
     s3 = g.place_stop(4, 500.0, "central_opportunity")
     return g, build_stop_distance_table(g), (s1, s2, s3)
+
+
+def as_tuple(res):
+    """An insertion in the shape ``brute_best_insertion`` returns."""
+    return None if res is None else (res.route, res.shared_miles, res.length, res.pickup_index)
 
 
 def pending_of(*reqs: TripRequest) -> list[PendingRequest]:
@@ -149,19 +157,29 @@ class TestInsertion:
             RouteLeg(s2.id, PICKUP, 101, 2),
             RouteLeg(s3.id, DROPOFF, 101, 2),
         ]
-        calls = []
-        original = dispatch._capacity_feasible
+        cand = TripRequest(200, s1.id, s3.id, 0.0, 1)
+        policy = DispatchPolicy(detour_budget_factor=10.0)   # only capacity binds
+        walked = []
 
-        def counted(*args):
-            calls.append(args)
-            return original(*args)
+        def checked(vehicle, legs, tbl):
+            walked.append(walk_capacity_ok(vehicle.onboard_total, vehicle.capacity, legs))
+            return route_cost(vehicle, legs, tbl)
 
-        monkeypatch.setattr(dispatch, "_capacity_feasible", counted)
-        try_insert_shared(DispatchPolicy(), sav, TripRequest(200, s1.id, s3.id, 0.0, 1), table)
-        # per pickup index: 0 -> one failing pair; 1 -> one fitting pair, then
-        # the pair that keeps the party aboard past pickup 101; 2 -> one
-        # failing pair; 3 -> its only pair.  Scanning on would check 10.
-        assert len(calls) == 5
+        monkeypatch.setattr(dispatch, "route_cost", checked)
+        res = try_insert_shared(policy, sav, cand, table)
+        assert as_tuple(res) == brute_best_insertion(policy, sav, cand, table)
+        assert res is not None and walked and all(walked)
+
+    def test_candidate_already_on_the_vehicle_is_consistency_error(self):
+        g, table, (s1, s2, s3) = line_network()
+        sav = Sav(0, 5, "normal", (s1.edge, s1.slack))
+        sav.onboard = {100: 1}
+        sav.route = [RouteLeg(s2.id, PICKUP, 101, 1), RouteLeg(s3.id, DROPOFF, 101, 1),
+                     RouteLeg(s3.id, DROPOFF, 100, 1)]
+        for rid in (100, 101):
+            cand = TripRequest(rid, s1.id, s3.id, 0.0, 1)
+            with pytest.raises(ConsistencyError, match=str(rid)):
+                try_insert_shared(DispatchPolicy(), sav, cand, table)
 
     def test_route_never_mutated(self):
         g, table, (s1, s2, s3) = line_network()
@@ -207,12 +225,125 @@ class TestInsertion:
             cand = TripRequest(rid, origin, dest, 0.0, rng.randint(1, 3))
             rid += 1
             res = try_insert_shared(policy, sav, cand, table)
-            want = brute_best_shared(policy, sav, cand, table)
-            if want is None:
-                assert res is None
-            else:
-                assert res is not None
-                assert res.shared_miles == want
+            assert as_tuple(res) == brute_best_insertion(policy, sav, cand, table)
+
+    def test_matches_brute_force_on_long_chained_routes(self):
+        # routes of 13 to 89 legs, grown by applying accepted insertions; the
+        # sweep's longest offered routes reach 89 legs.  The first offer at
+        # every other length (they grow by two) is checked, and offered again
+        # under a capacity that the candidate's party can just break.
+        rng = random.Random(94)
+        g = random_connected_graph(rng, max_vertices=12, max_edges=30)
+        stops = scatter_stops(rng, g, 8)
+        table = build_stop_distance_table(g)
+        stop_ids = [s.id for s in stops]
+        grow = DispatchPolicy(capacity=40, detour_budget_factor=2.0)
+        home = stops[0]
+        sav = Sav(0, grow.capacity, "normal", (home.edge, home.slack), onboard={0: 1},
+                  route=[RouteLeg(stop_ids[1], DROPOFF, 0, 1)], status="en_route")
+        rid = 1
+        lengths = []
+        while len(sav.route) < 90:
+            origin, dest = rng.sample(stop_ids, 2)
+            cand = TripRequest(rid, origin, dest, 0.0, rng.randint(1, 3))
+            rid += 1
+            res = try_insert_shared(grow, sav, cand, table)
+            if len(sav.route) >= 10 and len(sav.route) % 4 == 1 and len(sav.route) not in lengths:
+                assert as_tuple(res) == brute_best_insertion(grow, sav, cand, table)
+                peak = max(itertools.accumulate(
+                    (l.party_size if l.action == PICKUP else -l.party_size for l in sav.route),
+                    initial=sav.onboard_total,
+                ))
+                tight = DispatchPolicy(capacity=peak + rng.randint(0, 2),
+                                       detour_budget_factor=rng.uniform(1.0, 1.6))
+                tight_sav = dataclasses.replace(sav, capacity=tight.capacity)
+                assert as_tuple(try_insert_shared(tight, tight_sav, cand, table)) == (
+                    brute_best_insertion(tight, tight_sav, cand, table)
+                )
+                lengths.append(len(sav.route))
+            if res is not None:
+                sav.route = list(res.route)
+        assert lengths[0] == 13 and lengths[-1] == 89
+
+    def test_exact_shared_ties_keep_the_first_pair(self):
+        # both onboard riders alight at s3, so the candidate's dropoff at s3
+        # may precede either of them, or both, with the same shared distance
+        g, table, (s1, s2, s3) = line_network()
+        sav = Sav(0, 5, "normal", (s1.edge, s1.slack))
+        sav.onboard = {100: 1, 101: 1}
+        sav.route = [RouteLeg(s3.id, DROPOFF, 100, 1), RouteLeg(s3.id, DROPOFF, 101, 1)]
+        cand = TripRequest(200, s2.id, s3.id, 0.0, 1)
+        res = try_insert_shared(DispatchPolicy(), sav, cand, table)
+        assert as_tuple(res) == brute_best_insertion(DispatchPolicy(), sav, cand, table)
+        assert [(l.stop, l.request) for l in res.route] == [
+            (s2.id, 200), (s3.id, 200), (s3.id, 100), (s3.id, 101)
+        ]
+
+    def test_exact_shared_ties_on_repeated_stops(self):
+        rng = random.Random(96)
+        g = random_connected_graph(rng, max_vertices=10, max_edges=25)
+        stops = scatter_stops(rng, g, 3)
+        table = build_stop_distance_table(g)
+        a, b, c = (s.id for s in stops)
+        for trial in range(40):
+            sav = Sav(0, 6, "normal", (stops[0].edge, stops[0].slack))
+            sav.onboard = {1: 1, 2: 1}
+            sav.route = [RouteLeg(rng.choice((a, b, c)), DROPOFF, 1, 1)]
+            for rid in range(3, 3 + rng.randint(2, 6)):
+                stop = rng.choice((a, b))
+                sav.route += [RouteLeg(stop, PICKUP, rid, 1), RouteLeg(stop, DROPOFF, rid, 1)]
+            sav.route.append(RouteLeg(rng.choice((a, b, c)), DROPOFF, 2, 1))
+            origin, dest = rng.sample((a, b, c), 2)
+            cand = TripRequest(99, origin, dest, 0.0, 1)
+            policy = DispatchPolicy(detour_budget_factor=rng.choice((1.0, 1.2, 2.0)))
+            assert as_tuple(try_insert_shared(policy, sav, cand, table)) == (
+                brute_best_insertion(policy, sav, cand, table)
+            )
+
+    def test_length_exactly_at_budget_is_accepted(self):
+        # the candidate rides from where the vehicle stands to its last stop:
+        # with the pickup first and the dropoff last it adds no distance
+        rng = random.Random(97)
+        g = random_connected_graph(rng, max_vertices=12, max_edges=30)
+        stops = scatter_stops(rng, g, 6)
+        table = build_stop_distance_table(g)
+        sav = Sav(0, 5, "normal", (stops[0].edge, stops[0].slack))
+        sav.onboard = {rid: 1 for rid in range(1, 5)}
+        sav.route = [RouteLeg(s.id, DROPOFF, rid, 1) for rid, s in enumerate(stops[1:5], 1)]
+        cand = TripRequest(9, stops[0].id, stops[4].id, 0.0, 1)
+        policy = DispatchPolicy(detour_budget_factor=1.0, capacity=5)
+        res = try_insert_shared(policy, sav, cand, table)
+        assert res is not None
+        assert res.length == route_cost(sav, sav.route, table)[0]
+        assert as_tuple(res) == brute_best_insertion(policy, sav, cand, table)
+
+    def test_walks_only_pairs_that_can_change_the_decision(self, monkeypatch):
+        # 20 back-to-back single-passenger rides: every one of the 861 pairs
+        # fits capacity 5, and an exhaustive search walks each of them
+        rng = random.Random(95)
+        g = random_connected_graph(rng, max_vertices=12, max_edges=30)
+        stops = scatter_stops(rng, g, 8)
+        table = build_stop_distance_table(g)
+        stop_ids = [s.id for s in stops]
+        route = []
+        for rid in range(20):
+            a, b = rng.sample(stop_ids, 2)
+            route += [RouteLeg(a, PICKUP, rid, 1), RouteLeg(b, DROPOFF, rid, 1)]
+        home = g.stop(route[0].stop)
+        sav = Sav(0, 5, "normal", (home.edge, home.slack), route=route, status="en_route")
+        cand = TripRequest(100, *rng.sample(stop_ids, 2), 0.0, 1)
+        walks = []
+
+        def counted(*args):
+            walks.append(args)
+            return route_cost(*args)
+
+        monkeypatch.setattr(dispatch, "route_cost", counted)
+        res = try_insert_shared(DispatchPolicy(), sav, cand, table)
+        assert as_tuple(res) == brute_best_insertion(DispatchPolicy(), sav, cand, table)
+        # only pairs that beat or nearly tie the best so far are walked: 34 here,
+        # where an exhaustive scan walks all 861
+        assert len(walks) <= len(route) + 1
 
 
 class TestOnArrival:

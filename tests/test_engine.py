@@ -122,9 +122,9 @@ class TestConservation:
         states = {"unassigned": 0, "assigned": 0, "onboard": 0, "completed": 0}
         for p in rep.pending.values():
             states[p.state] += 1
-        assert sum(states.values()) == rep.requests_seen
+        assert sum(states.values()) == rep.metrics.requests_seen
         assert states["completed"] == result.record.trips_completed
-        assert result.record.unserved == rep.requests_seen - states["completed"]
+        assert result.record.unserved == rep.metrics.requests_seen - states["completed"]
 
     def test_background_conservation_and_distance(self):
         scenario = Scenario(
@@ -168,7 +168,7 @@ class TestConservation:
         runtime = _Runtime(scenario)
         rep = _Replication(runtime, scenario, 0)
         result = rep.run()
-        assert rep.requests_seen > 0
+        assert rep.metrics.requests_seen > 0
         assert result.record.unserved == 0
         assert all(p.state == "completed" for p in rep.pending.values())
 

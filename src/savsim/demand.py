@@ -1,4 +1,4 @@
-"""Trip request generation and loading.
+"""Trip request generation.
 
 Requests arrive as two independent homogeneous Poisson streams: outbound
 (peripheral housing to central opportunity stops) and inbound (the reverse).
@@ -8,17 +8,13 @@ randomness is driven by an explicit seed; equal seeds give identical output.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import random
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .errors import InvalidInputError, NotFoundError, check_finite
-from .netgraph import RoadGraph, Stop
-
-REQUEST_CSV_HEADER = ["id", "origin", "destination", "request_time_s", "party_size"]
+from .errors import InvalidInputError, check_finite
+from .netgraph import Stop
 
 
 @dataclass(frozen=True)
@@ -92,55 +88,3 @@ def generate_requests(profile: DemandProfile, stops: list[Stop], seed: int) -> l
         TripRequest(i, origin, dest, t, party)
         for i, (t, origin, dest, party) in enumerate(raw)
     ]
-
-
-def _validated(req: TripRequest, graph: RoadGraph | None) -> TripRequest:
-    if req.origin == req.destination:
-        raise InvalidInputError(f"request {req.id}: origin equals destination")
-    if req.party_size < 1:
-        raise InvalidInputError(f"request {req.id}: party_size must be >= 1")
-    if req.request_time < 0:
-        raise InvalidInputError(f"request {req.id}: request_time must be >= 0")
-    if graph is not None:
-        for sid in (req.origin, req.destination):
-            if not graph.has_stop(sid):
-                raise NotFoundError(f"request {req.id} references unknown stop {sid}")
-    return req
-
-
-def parse_requests(text: str, graph: RoadGraph | None = None) -> list[TripRequest]:
-    reader = csv.DictReader(io.StringIO(text))
-    if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != REQUEST_CSV_HEADER:
-        raise InvalidInputError(
-            f"request file header must be {','.join(REQUEST_CSV_HEADER)}"
-        )
-    requests = [
-        _validated(
-            TripRequest(
-                int(row["id"]),
-                int(row["origin"]),
-                int(row["destination"]),
-                float(row["request_time_s"]),
-                int(row["party_size"]),
-            ),
-            graph,
-        )
-        for row in reader
-    ]
-    requests.sort(key=lambda r: (r.request_time, r.id))
-    return requests
-
-
-def load_requests(path: str, graph: RoadGraph | None = None) -> list[TripRequest]:
-    """Read requests from CSV, validate against the stop registry, sort by time."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_requests(fh.read(), graph)
-
-
-def requests_to_csv(requests: list[TripRequest]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(REQUEST_CSV_HEADER)
-    for r in requests:
-        writer.writerow([r.id, r.origin, r.destination, repr(r.request_time), r.party_size])
-    return buf.getvalue()

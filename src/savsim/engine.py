@@ -6,10 +6,11 @@ replications share nothing mutable and depend only on (scenario, index), so
 ``_run_cells``, behind ``run_scenario`` and ``run_sweep``, fans them out.
 
 Model notes:
-  * Background vehicles drive edge occupancy; fleet vehicles are few enough
-    at this scale that their density contribution is ignored.  Background
-    vehicles drive at ``traffic.edge_speed``; a fleet vehicle drives each
-    edge of a leg at ``traffic.attainable_speed``, sampled once, at leg start.
+  * ``traffic.BackgroundTraffic`` owns the background vehicles and the edge
+    occupancy they make; the engine keeps only their clock.  Fleet vehicles
+    are few enough at this scale that their density contribution is ignored.
+    A fleet vehicle drives each edge of a leg at ``traffic.attainable_speed``,
+    sampled once, at leg start.
   * A leg's edges, including the direct same-edge hop, come from the
     distance table's ``position_path``; the traversal rule lives in netgraph.
   * A fleet vehicle's boarding/alighting events each take one dwell period;
@@ -28,13 +29,12 @@ from __future__ import annotations
 import json
 import math
 import os
-import random
 from dataclasses import asdict, dataclass, field, replace
 from heapq import heappop, heappush
 from itertools import repeat
 
 from . import traffic as traffic_mod
-from .demand import DemandProfile, TripRequest, generate_requests, poisson_arrivals
+from .demand import DemandProfile, TripRequest, generate_requests
 from .dispatch import (
     ASSIGNED,
     COMPLETED,
@@ -56,6 +56,7 @@ from .dispatch import (
 from .errors import ConfigurationError, ConsistencyError, SimulationError, number, read_section
 from .metrics import LogEntry, MetricsRecord, MetricsState, aggregate, finalize
 from .netgraph import (
+    DirectedEdge,
     RoadGraph,
     StopDistanceTable,
     build_stop_distance_table,
@@ -68,16 +69,20 @@ from .traffic import (
     BehaviorProfile,
     attainable_speed,
     count_stop_event,
-    edge_speed,
+    drive,
     get_profile,
 )
 
 REQUEST_ARRIVAL = "request_arrival"
 SAV_ARRIVAL = "sav_arrival_at_stop"
 DWELL_END = "dwell_end"
-BACKGROUND_INJECT = "background_inject"
-BACKGROUND_EDGE_EXIT = "background_edge_exit"
+BACKGROUND_EDGE_EXIT = "background_edge_exit"   # also a background vehicle's injection
 HORIZON_END = "horizon_end"
+
+# Largest estimated event count a scenario may need; the default scenario's
+# 20 replications need about 112k.  Above it a run would take hours or
+# exhaust memory, so the scenario is rejected instead.
+MAX_EVENTS = 10_000_000
 
 
 @dataclass
@@ -123,7 +128,7 @@ def replication_requests(scenario: Scenario, index: int) -> list[TripRequest]:
 
 
 class _Runtime:
-    """Per-scenario immutable precomputation shared by all replications."""
+    """Per-scenario precomputation shared by the replications of a chunk."""
 
     def __init__(self, scenario: Scenario) -> None:
         graph = scenario.graph
@@ -141,16 +146,31 @@ class _Runtime:
             missing = {"peripheral_housing", "central_opportunity"} - zones
             if missing:
                 raise ConfigurationError(f"demand requires stops in zones: {sorted(missing)}")
-        self.table: StopDistanceTable | None = (
-            build_stop_distance_table(graph, self.stops) if len(self.stops) >= 2 else None
-        )
-        self.flow_routes: list[tuple[int, ...]] = []
+        self.flow_routes: list[tuple[DirectedEdge, ...]] = []
         for flow in scenario.background_flows:
             try:
                 edges, _ = shortest_path(graph, flow.origin_vertex, flow.destination_vertex)
             except SimulationError as exc:
                 raise ConfigurationError(f"background flow {flow}: {exc}") from exc
-            self.flow_routes.append(edges)
+            self.flow_routes.append(tuple(graph.edge(eid) for eid in edges))
+        # Each replication takes one horizon event, one vehicle per fleet slot,
+        # one arrival per expected request, and per expected background vehicle
+        # one injection plus one exit per route edge.  The integer fields are
+        # counted exactly, so no value is too large to compare.
+        demand = scenario.demand
+        requests = (demand.outbound_rate + demand.inbound_rate) / 3600.0 * demand.horizon
+        background = sum(flow.rate / 3600.0 * scenario.horizon * (len(route) + 1)
+                         for flow, route in zip(scenario.background_flows, self.flow_routes))
+        counted = scenario.replications * (1 + scenario.fleet_size)
+        if counted > MAX_EVENTS or scenario.replications * (requests + background) > MAX_EVENTS - counted:
+            raise ConfigurationError(
+                f"scenario is estimated to need more than {MAX_EVENTS} events: replications "
+                f"{scenario.replications} x (1 + fleet_size {scenario.fleet_size} + {requests:.3g} requests"
+                f" over demand.horizon + {background:.3g} background_flows events over horizon)"
+            )
+        self.table: StopDistanceTable | None = (
+            build_stop_distance_table(graph, self.stops) if len(self.stops) >= 2 else None
+        )
 
 
 @dataclass
@@ -200,15 +220,6 @@ class _LegPlan:
 
 
 @dataclass
-class _BackgroundVehicle:
-    edges: tuple[int, ...]
-    index: int = 0
-    speed: float = 0.0
-    delay: float = 0.0
-    stops: int = 0
-
-
-@dataclass
 class ReplicationResult:
     record: MetricsRecord
     log: list[LogEntry]
@@ -224,7 +235,6 @@ class _Replication:
         collect_log: bool = False,
         collect_occupancy: bool = False,
     ) -> None:
-        self.runtime = runtime
         self.scenario = scenario
         self.graph = runtime.graph
         self.table = runtime.table
@@ -234,19 +244,15 @@ class _Replication:
         self._heap: list[tuple[float, int, str, object]] = []
         self._seq = 0
         self.pending: dict[int, PendingRequest] = {}
-        self.occupancy: dict[int, int] = {}   # edge id -> background vehicles on it
         self.collect_log = collect_log
-        self.collect_occupancy = collect_occupancy
         self.log: list[LogEntry] = []
-        self.occupancy_samples: list[tuple[float, int, int]] = []
         self.metrics = MetricsState(
             scenario=scenario.name,
             fleet_size=scenario.fleet_size,
             profile=scenario.profile,
             replication=index,
         )
-        seed = replication_seed(scenario, index)
-        self.requests = generate_requests(scenario.demand, runtime.stops, seed)
+        self.requests = replication_requests(scenario, index)
 
         # fleet parked round-robin over stops, in stop-id order
         self.savs: list[Sav] = []
@@ -264,14 +270,12 @@ class _Replication:
         self.sav_delay: dict[int, float] = {s.id: 0.0 for s in self.savs}
         self.sav_stops: dict[int, int] = {s.id: 0 for s in self.savs}
 
-        self.bg_injected = 0
-        self.bg_exited = 0
-        rng = random.Random(f"{seed}:background")
-        for flow_idx, flow in enumerate(scenario.background_flows):
-            if flow.rate <= 0 or not runtime.flow_routes[flow_idx]:
-                continue
-            for t in poisson_arrivals(rng, flow.rate, scenario.horizon):
-                self._schedule(t, BACKGROUND_INJECT, flow_idx)
+        self.traffic = traffic_mod.BackgroundTraffic(
+            scenario.background_flows, runtime.flow_routes, scenario.horizon,
+            replication_seed(scenario, index), collect_occupancy,
+        )
+        for t, vehicle in self.traffic.injections:
+            self._schedule(t, BACKGROUND_EDGE_EXIT, vehicle)
 
     # event plumbing -----------------------------------------------------
 
@@ -282,10 +286,6 @@ class _Replication:
     def _log(self, kind: str, sav: int, request: int | None, stop: int | None, distance: float = 0.0) -> None:
         if self.collect_log:
             self.log.append(LogEntry(self.now, sav, kind, request, stop, distance))
-
-    def _sample_occupancy(self, edge_id: int) -> None:
-        if self.collect_occupancy:
-            self.occupancy_samples.append((self.now, edge_id, self.occupancy[edge_id]))
 
     # fleet movement ------------------------------------------------------
 
@@ -308,21 +308,19 @@ class _Replication:
         stop_events = 0
         distance = 0.0
         for eid, a, b in pieces:
-            edge = self.graph.edge(eid)
-            v = attainable_speed(edge, self.occupancy.get(eid, 0), self.profile)
             length = b - a
-            dt = length / v if length > 0 else 0.0
-            segments.append(_Segment(eid, a, b, t, t + dt))
+            dt = 0.0
             if length > 0:
-                free = length / edge.free_flow_speed
-                delay += dt - free
-                if count_stop_event(prev_speed, v):
-                    stop_events += 1
+                edge = self.graph.edge(eid)
+                v = attainable_speed(edge, self.traffic.occupancy.get(eid, 0), self.profile)
+                dt, edge_delay, stopped = drive(edge, length, v, prev_speed)
+                delay += edge_delay
+                stop_events += stopped
                 prev_speed = v
+            segments.append(_Segment(eid, a, b, t, t + dt))
             distance += length
             t += dt
-        if count_stop_event(prev_speed, 0.0):
-            stop_events += 1
+        stop_events += count_stop_event(prev_speed, 0.0)
         return _LegPlan(sav.id, t, distance, delay, stop_events, segments)
 
     def _start_leg(self, sav: Sav, now: float) -> None:
@@ -341,7 +339,8 @@ class _Replication:
     def _abort_leg(self, sav: Sav, now: float) -> None:
         """Cut the active leg short at the vehicle's current position.
 
-        The caller starts the next leg, whose plan replaces this one.
+        A reroute then starts the next leg, whose plan replaces this one; at
+        the horizon the run ends instead.
         """
         plan = self.plans[sav.id]
         traveled = plan.distance_until(now)
@@ -453,34 +452,10 @@ class _Replication:
             sav.status = IDLE
             self._assign_idle(self.now)
 
-    def _enter_edge(self, vehicle: _BackgroundVehicle) -> None:
-        eid = vehicle.edges[vehicle.index]
-        edge = self.graph.edge(eid)
-        occupancy = self.occupancy.get(eid, 0)
-        speed = edge_speed(edge, occupancy)
-        if count_stop_event(vehicle.speed, speed):
-            vehicle.stops += 1
-        vehicle.speed = speed
-        vehicle.delay += edge.length / speed - edge.length / edge.free_flow_speed
-        self.occupancy[eid] = occupancy + 1
-        self._sample_occupancy(eid)
-        self._schedule(self.now + edge.length / speed, BACKGROUND_EDGE_EXIT, vehicle)
-
-    def _on_background_inject(self, flow_idx: int) -> None:
-        self.bg_injected += 1
-        self._enter_edge(_BackgroundVehicle(self.runtime.flow_routes[flow_idx]))
-
-    def _on_background_exit(self, vehicle: _BackgroundVehicle) -> None:
-        eid = vehicle.edges[vehicle.index]
-        self.occupancy[eid] -= 1
-        self._sample_occupancy(eid)
-        self.metrics.background_distance += self.graph.edge(eid).length
-        vehicle.index += 1
-        if vehicle.index < len(vehicle.edges):
-            self._enter_edge(vehicle)
-        else:
-            self.bg_exited += 1
-            self.metrics.record_vehicle(vehicle.delay, vehicle.stops)
+    def _on_background_edge_exit(self, vehicle: traffic_mod.BackgroundVehicle) -> None:
+        exit_time = self.traffic.advance(vehicle, self.now)
+        if exit_time is not None:
+            self._schedule(exit_time, BACKGROUND_EDGE_EXIT, vehicle)
 
     # invariants -----------------------------------------------------------
 
@@ -504,8 +479,7 @@ class _Replication:
             REQUEST_ARRIVAL: self._on_request_arrival,
             SAV_ARRIVAL: self._on_sav_arrival,
             DWELL_END: self._on_dwell_end,
-            BACKGROUND_INJECT: self._on_background_inject,
-            BACKGROUND_EDGE_EXIT: self._on_background_exit,
+            BACKGROUND_EDGE_EXIT: self._on_background_edge_exit,
         }
         # background events cannot touch passenger or fleet state, so the
         # conservation and capacity asserts run on the events that can
@@ -525,16 +499,17 @@ class _Replication:
         self.now = self.scenario.horizon
         for sav in self.savs:
             if sav.status == EN_ROUTE:
-                traveled = self.plans[sav.id].distance_until(self.now)
-                self._account_movement(sav, traveled)
-                self._log("reroute", sav.id, None, None, traveled)
+                self._abort_leg(sav, self.now)
+        self.traffic.check()
+        # background tallies go in before the fleet's, in exit order, so that
+        # finalize's floating-point sums keep one order
+        self.metrics.background_distance = self.traffic.distance
+        for delay, stops in self.traffic.finished:
+            self.metrics.record_vehicle(delay, stops)
         for sav in self.savs:
             self.metrics.record_vehicle(self.sav_delay[sav.id], self.sav_stops[sav.id])
-        # every background vehicle still driving occupies exactly one edge
-        if self.bg_injected - self.bg_exited != sum(self.occupancy.values()):
-            raise ConsistencyError("background vehicle conservation broken")
         record = finalize(self.metrics, self.scenario.horizon)
-        return ReplicationResult(record, self.log, self.occupancy_samples)
+        return ReplicationResult(record, self.log, self.traffic.samples)
 
 
 def simulate(

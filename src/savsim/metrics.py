@@ -51,10 +51,11 @@ AGGREGATE_FIELDS = (
     "sav_distance_m",
 )
 
-CSV_HEADER = (
-    "scenario,fleet_size,profile,replication,avg_delay_min,avg_stops,"
-    "total_distance_m,trips_completed,trips_per_sav,avg_wait_min,"
-    "passengers_served,shared_miles_m,unserved"
+# the columns of replications.csv, in output order
+CSV_FIELDS = (
+    "scenario", "fleet_size", "profile", "replication", "avg_delay_min", "avg_stops",
+    "total_distance_m", "trips_completed", "trips_per_sav", "avg_wait_min",
+    "passengers_served", "shared_miles_m", "unserved",
 )
 
 
@@ -125,14 +126,9 @@ def _fmt(value) -> str:
 
 def records_to_csv(records: list[MetricsRecord]) -> str:
     rows = sorted(records, key=lambda r: (r.scenario, r.fleet_size, r.profile, r.replication))
-    lines = [CSV_HEADER]
+    lines = [",".join(CSV_FIELDS)]
     for r in rows:
-        lines.append(",".join(_fmt(v) for v in (
-            r.scenario, r.fleet_size, r.profile, r.replication,
-            r.avg_delay_min, r.avg_stops, r.total_distance_m,
-            r.trips_completed, r.trips_per_sav, r.avg_wait_min,
-            r.passengers_served, r.shared_miles_m, r.unserved,
-        )))
+        lines.append(",".join(_fmt(getattr(r, name)) for name in CSV_FIELDS))
     return "\n".join(lines) + "\n"
 
 

@@ -12,8 +12,9 @@ The stop table stores only distances.  Each shortest-path tree keeps, per
 vertex, its distance and the edge it is entered by; the edge list of a leg is
 rebuilt by walking those in-edges back from the target.
 
-All distances are meters, speeds meters/second.  Everything here is immutable
-after construction and safe to share across threads or processes.
+All distances are meters, speeds meters/second.  A graph does not change after
+construction.  A ``StopDistanceTable`` does: it keeps each shortest-path tree
+it builds on first use, but its answers depend only on the graph.
 """
 
 from __future__ import annotations
@@ -174,9 +175,6 @@ class RoadGraph:
 
     def has_vertex(self, vertex_id: int) -> bool:
         return vertex_id in self._vertices
-
-    def has_stop(self, stop_id: int) -> bool:
-        return stop_id in self._stops
 
     def vertices(self) -> Iterator[Vertex]:
         for vid in sorted(self._vertices):

@@ -1,15 +1,21 @@
-"""Congestion model and driving behavior profiles.
+"""Congestion model, driving behavior profiles and background traffic.
 
 Edge speed follows a linear speed-density relation with a crawl floor so
 saturated edges never produce infinite travel times.  Behavior profiles scale
 attainable speed (capped at free flow) and set per-boarding dwell times.
+``drive`` is the one rule for driving an edge, used by fleet legs and
+background vehicles alike.  ``BackgroundTraffic`` owns the background
+vehicles of one replication: their injection draws, the per-edge occupancy
+the fleet reads, and their delay, stop and distance tallies.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, replace
 
-from .errors import InvalidInputError, check_finite, read_section
+from .demand import poisson_arrivals
+from .errors import ConsistencyError, InvalidInputError, check_finite, read_section
 from .netgraph import DirectedEdge
 
 CRAWL_FRACTION = 0.05
@@ -87,3 +93,81 @@ def attainable_speed(edge: DirectedEdge, occupancy: int, profile: BehaviorProfil
 def count_stop_event(previous_speed: float, new_speed: float) -> bool:
     """True exactly when speed crosses below the stop threshold."""
     return previous_speed >= STOP_SPEED_THRESHOLD and new_speed < STOP_SPEED_THRESHOLD
+
+
+def drive(edge: DirectedEdge, length: float, speed: float,
+          previous_speed: float) -> tuple[float, float, bool]:
+    """(seconds, delay against free flow, stop event) for ``length`` > 0 meters of ``edge`` at ``speed``."""
+    seconds = length / speed
+    return seconds, seconds - length / edge.free_flow_speed, count_stop_event(previous_speed, speed)
+
+
+@dataclass
+class BackgroundVehicle:
+    """One vehicle of a background flow and its running delay and stop tallies."""
+
+    route: tuple[DirectedEdge, ...]
+    index: int = -1   # the edge of ``route`` it is on; -1 until injected
+    speed: float = 0.0
+    delay: float = 0.0
+    stops: int = 0
+
+
+class BackgroundTraffic:
+    """The background vehicles of one replication and the occupancy they make.
+
+    Injections are Poisson draws from the replication seed alone, and fleet
+    vehicles read ``occupancy`` but never load an edge, so background
+    traffic does not depend on the fleet.  The caller keeps the clock: it
+    calls ``advance`` at each time in ``injections`` and at each exit time
+    ``advance`` returns.
+    """
+
+    def __init__(
+        self, flows: list[BackgroundFlow], routes: list[tuple[DirectedEdge, ...]],
+        horizon: float, seed: int, sample: bool,
+    ) -> None:
+        self.occupancy: dict[int, int] = {}   # edge id -> background vehicles on it
+        self.samples: list[tuple[float, int, int]] = []   # (time, edge id, occupancy) if ``sample``
+        self.distance = 0.0
+        self.finished: list[tuple[float, int]] = []   # (delay, stops) per vehicle, in exit order
+        self._sample = sample
+        self._entered = 0
+        rng = random.Random(f"{seed}:background")
+        self.injections: list[tuple[float, BackgroundVehicle]] = [
+            (t, BackgroundVehicle(route))
+            for flow, route in zip(flows, routes)
+            if flow.rate > 0 and route
+            for t in poisson_arrivals(rng, flow.rate, horizon)
+        ]
+
+    def advance(self, vehicle: BackgroundVehicle, now: float) -> float | None:
+        """Move ``vehicle`` onto its next edge at ``now``; when it will leave it, or None at the end."""
+        if vehicle.index >= 0:
+            edge = vehicle.route[vehicle.index]
+            self.occupancy[edge.id] -= 1
+            if self._sample:
+                self.samples.append((now, edge.id, self.occupancy[edge.id]))
+            self.distance += edge.length
+        else:
+            self._entered += 1
+        vehicle.index += 1
+        if vehicle.index == len(vehicle.route):
+            self.finished.append((vehicle.delay, vehicle.stops))
+            return None
+        edge = vehicle.route[vehicle.index]
+        occupancy = self.occupancy.get(edge.id, 0)
+        speed = edge_speed(edge, occupancy)
+        seconds, delay, stopped = drive(edge, edge.length, speed, vehicle.speed)
+        vehicle.speed = speed
+        vehicle.delay += delay
+        vehicle.stops += stopped
+        self.occupancy[edge.id] = occupancy + 1
+        if self._sample:
+            self.samples.append((now, edge.id, occupancy + 1))
+        return now + seconds
+
+    def check(self) -> None:
+        """Every vehicle injected and not finished occupies exactly one edge."""
+        if self._entered - len(self.finished) != sum(self.occupancy.values()):
+            raise ConsistencyError("background vehicle conservation broken")

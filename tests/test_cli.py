@@ -198,6 +198,21 @@ class TestRun:
             assert code == 1
             assert field in capsys.readouterr().err
 
+    def test_huge_scenario_rejected_before_it_runs(self, tmp_path, capsys, monkeypatch):
+        out = generate_small(tmp_path)
+        monkeypatch.setattr(engine, "_Replication", None)   # a replication that starts fails the test
+        for item, field in (("fleet_size=1000000000000000000", "fleet_size"), ("horizon=1e300", "horizon"),
+                            ("demand.horizon=1e300", "demand.horizon")):
+            code = main(["run", "--scenario", str(out / "scenario.json"), "--out", str(tmp_path / "x"),
+                         "--set", item])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert "events" in err and field in err
+        code = main(["sweep", "--scenario", str(out / "scenario.json"), "--out", str(tmp_path / "x"),
+                     "--fleet-sizes", "1000000000000000000,2"])
+        assert code == 1
+        assert "fleet_size 1000000000000000000" in capsys.readouterr().err
+
     def test_missing_scenario_is_io_error(self, tmp_path, capsys):
         code = main(["run", "--scenario", str(tmp_path / "absent.json"), "--out", str(tmp_path)])
         assert code == 3

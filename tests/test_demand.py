@@ -3,14 +3,8 @@ import statistics
 
 import pytest
 
-from savsim.demand import (
-    DemandProfile,
-    generate_requests,
-    load_requests,
-    parse_requests,
-    requests_to_csv,
-)
-from savsim.errors import InvalidInputError, NotFoundError
+from savsim.demand import DemandProfile, generate_requests
+from savsim.errors import InvalidInputError
 from savsim.netgraph import RoadGraph
 
 
@@ -113,35 +107,3 @@ def test_profile_validation():
                 DemandProfile(**{field: bad})
         with pytest.raises(InvalidInputError):
             DemandProfile(party_size_weights={1: bad})
-
-
-class TestRequestFiles:
-    def test_header_only(self):
-        assert parse_requests("id,origin,destination,request_time_s,party_size\n") == []
-
-    def test_unknown_stop(self):
-        g = stop_grid()
-        text = "id,origin,destination,request_time_s,party_size\n7,999,1,0.0,1\n"
-        with pytest.raises(NotFoundError, match="request 7"):
-            parse_requests(text, g)
-
-    def test_unsorted_input_sorted(self):
-        text = (
-            "id,origin,destination,request_time_s,party_size\n"
-            "0,1,2,500.0,1\n"
-            "1,2,1,100.0,2\n"
-        )
-        reqs = parse_requests(text)
-        assert [r.id for r in reqs] == [1, 0]
-
-    def test_bad_header(self):
-        with pytest.raises(InvalidInputError):
-            parse_requests("id,origin\n")
-
-    def test_round_trip(self, tmp_path):
-        g = stop_grid()
-        profile = DemandProfile(outbound_rate=12.0, inbound_rate=6.0, horizon=3600.0)
-        reqs = generate_requests(profile, list(g.stops()), seed=3)
-        path = tmp_path / "requests.csv"
-        path.write_text(requests_to_csv(reqs))
-        assert load_requests(str(path), g) == reqs

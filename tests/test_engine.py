@@ -20,7 +20,7 @@ from savsim.engine import (
     scenario_to_dict,
     simulate,
 )
-from savsim.errors import ConfigurationError, SimulationError
+from savsim.errors import ConfigurationError, ConsistencyError, SimulationError
 from savsim.metrics import aggregate
 from savsim.netgraph import RoadGraph, save_network
 from savsim.traffic import DEFAULT_PROFILES, BackgroundFlow, attainable_speed, edge_speed
@@ -151,12 +151,37 @@ class TestConservation:
         rep = _Replication(runtime, scenario, 0)
         rep.run()
         profile = DEFAULT_PROFILES[scenario.profile]
-        assert rep.occupancy
-        for eid, occupancy in rep.occupancy.items():
+        assert rep.traffic.occupancy
+        for eid, occupancy in rep.traffic.occupancy.items():
             edge = scenario.graph.edge(eid)
             assert occupancy >= 0
             assert 0.05 * edge.free_flow_speed <= edge_speed(edge, occupancy) <= edge.free_flow_speed
             assert 0.0 < attainable_speed(edge, occupancy, profile) <= edge.free_flow_speed
+
+    def test_background_traffic_is_independent_of_the_fleet(self):
+        flows = [BackgroundFlow(0, 2, 120.0), BackgroundFlow(2, 0, 90.0)]
+        traffic = []
+        for fleet_size in (0, 10):
+            scenario = busy_scenario(background_flows=flows, fleet_size=fleet_size)
+            rep = _Replication(_Runtime(scenario), scenario, 1, collect_occupancy=True)
+            result = rep.run()
+            traffic.append(rep.traffic)
+        assert result.record.sav_distance_m > 0   # the fleet of 10 did drive
+        idle, busy = traffic
+        assert idle.samples and idle.finished
+        assert busy.samples == idle.samples
+        assert busy.distance == idle.distance
+        assert busy.finished == idle.finished
+
+    def test_background_occupancy_leak_is_caught(self):
+        scenario = busy_scenario(background_flows=[BackgroundFlow(0, 2, 120.0)])
+        rep = _Replication(_Runtime(scenario), scenario, 0)
+        rep.run()
+        rep.traffic.check()
+        edge = next(iter(rep.traffic.occupancy))
+        rep.traffic.occupancy[edge] += 1
+        with pytest.raises(ConsistencyError, match="background vehicle conservation"):
+            rep.traffic.check()
 
     def test_no_starvation_with_generous_horizon(self):
         scenario = busy_scenario(
@@ -317,6 +342,20 @@ class TestValidationErrors:
                 Scenario(graph=ring_network(), horizon=bad)
         with pytest.raises(ConfigurationError):
             Scenario(graph=ring_network(), replications=0)
+
+    def test_huge_scenarios_rejected_before_running(self):
+        for overrides in (
+            dict(fleet_size=10**18),
+            dict(replications=10**400),
+            dict(horizon=1e300, background_flows=[BackgroundFlow(0, 2, 60.0)]),
+            dict(demand=DemandProfile(outbound_rate=9.0, inbound_rate=6.0, horizon=1e300)),
+        ):
+            with pytest.raises(ConfigurationError, match="estimated to need more than 10000000 events") as exc:
+                _Runtime(busy_scenario(**overrides))
+            for field in ("replications", "fleet_size", "demand.horizon", "background_flows", "horizon"):
+                assert field in str(exc.value)
+        _Runtime(busy_scenario(fleet_size=10**5, horizon=1e5,
+                               background_flows=[BackgroundFlow(0, 2, 60.0)]))
 
     def test_capacity_below_largest_party_rejected(self):
         with pytest.raises(ConfigurationError, match="policy.capacity 2 is below the largest party size 3"):

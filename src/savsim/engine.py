@@ -11,8 +11,10 @@ Model notes:
     are few enough at this scale that their density contribution is ignored.
     A fleet vehicle drives each edge of a leg at ``traffic.attainable_speed``,
     sampled once, at leg start.
-  * A leg's edges, including the direct same-edge hop, come from the
-    distance table's ``position_path``; the traversal rule lives in netgraph.
+  * A leg's driven pieces, including the direct same-edge hop, come from
+    the distance table's ``position_path``; the traversal rule lives in
+    netgraph.  ``_LegPlan.progress`` is the one walk over them, and
+    ``_end_leg`` the one path that accounts a leg, arrived or cut short.
   * A fleet vehicle's boarding/alighting events each take one dwell period;
     a request's pickup/completion timestamps fall at the end of its own
     dwell slot.
@@ -175,20 +177,24 @@ class _Runtime:
 
 @dataclass
 class _Segment:
+    """One driven piece of a leg, entered at ``enter`` and left at ``exit``."""
+
     edge: int
     start_offset: float
     end_offset: float
     enter: float
     exit: float
-
-    @property
-    def distance(self) -> float:
-        return self.end_offset - self.start_offset
+    delay: float
+    stopped: bool
 
 
 @dataclass
 class _LegPlan:
-    """A vehicle's active leg; also its own arrival event's payload."""
+    """A vehicle's active leg; also its own arrival event's payload.
+
+    ``distance``, ``delay`` and ``stop_events`` are the totals on arrival,
+    coming to rest at the stop included.
+    """
 
     sav: int
     arrive: float
@@ -197,26 +203,29 @@ class _LegPlan:
     stop_events: int
     segments: list[_Segment]
 
-    def position_at(self, now: float) -> tuple[int, float]:
-        last = self.segments[-1]
-        if now >= self.arrive:
-            return (last.edge, last.end_offset)
-        for seg in self.segments:
-            if now < seg.exit:
-                if seg.exit <= seg.enter:
-                    return (seg.edge, seg.start_offset)
-                frac = max(0.0, (now - seg.enter) / (seg.exit - seg.enter))
-                return (seg.edge, seg.start_offset + frac * (seg.end_offset - seg.start_offset))
-        return (last.edge, last.end_offset)
+    def progress(self, now: float) -> tuple[tuple[int, float], float, float, int]:
+        """Position, and distance, delay and stop events driven, at ``now`` >= the leg's start.
 
-    def distance_until(self, now: float) -> float:
-        total = 0.0
-        for seg in self.segments:
-            if now >= seg.exit:
-                total += seg.distance
-            elif now > seg.enter and seg.exit > seg.enter:
-                total += seg.distance * (now - seg.enter) / (seg.exit - seg.enter)
-        return total
+        Segments already left count in full.  The segment being driven counts
+        its distance and delay pro rata and its entry stop event.  Coming to
+        rest at the stop counts only on arrival.
+        """
+        if now >= self.arrive:
+            last = self.segments[-1]
+            return (last.edge, last.end_offset), self.distance, self.delay, self.stop_events
+        distance = delay = 0.0
+        stops = 0
+        for seg in self.segments:   # breaks: now < arrive, the last segment's exit
+            if now < seg.exit:
+                break
+            distance += seg.end_offset - seg.start_offset
+            delay += seg.delay
+            stops += seg.stopped
+        length = seg.end_offset - seg.start_offset
+        frac = (now - seg.enter) / (seg.exit - seg.enter)
+        distance += length * (now - seg.enter) / (seg.exit - seg.enter)
+        delay += seg.delay * (now - seg.enter) / (seg.exit - seg.enter)
+        return (seg.edge, seg.start_offset + frac * length), distance, delay, stops + seg.stopped
 
 
 @dataclass
@@ -290,17 +299,8 @@ class _Replication:
     # fleet movement ------------------------------------------------------
 
     def _build_plan(self, sav: Sav, target_stop: int, now: float) -> _LegPlan:
-        stop = self.graph.stop(target_stop)
-        pos_edge, offset = sav.position
-        edges, _ = self.table.position_path(pos_edge, offset, target_stop)
-        pieces: list[tuple[int, float, float]] = []
-        if len(edges) == 1:   # a direct hop along the current edge
-            pieces.append((pos_edge, offset, stop.slack))
-        else:
-            pieces.append((pos_edge, offset, self.graph.edge(pos_edge).length))
-            for eid in edges[1:-1]:
-                pieces.append((eid, 0.0, self.graph.edge(eid).length))
-            pieces.append((stop.edge, 0.0, stop.slack))
+        edge_id, offset = sav.position
+        pieces, _ = self.table.position_path(edge_id, offset, target_stop)
         segments: list[_Segment] = []
         t = now
         delay = 0.0
@@ -309,15 +309,16 @@ class _Replication:
         distance = 0.0
         for eid, a, b in pieces:
             length = b - a
-            dt = 0.0
+            dt = edge_delay = 0.0
+            stopped = False
             if length > 0:
                 edge = self.graph.edge(eid)
                 v = attainable_speed(edge, self.traffic.occupancy.get(eid, 0), self.profile)
                 dt, edge_delay, stopped = drive(edge, length, v, prev_speed)
-                delay += edge_delay
-                stop_events += stopped
                 prev_speed = v
-            segments.append(_Segment(eid, a, b, t, t + dt))
+            segments.append(_Segment(eid, a, b, t, t + dt, edge_delay, stopped))
+            delay += edge_delay
+            stop_events += stopped
             distance += length
             t += dt
         stop_events += count_stop_event(prev_speed, 0.0)
@@ -331,30 +332,25 @@ class _Replication:
         self._log("depart", sav.id, leg.request, leg.stop, plan.distance)
         self._schedule(plan.arrive, SAV_ARRIVAL, plan)
 
-    def _account_movement(self, sav: Sav, distance: float) -> None:
+    def _end_leg(self, sav: Sav, now: float, kind: str,
+                 request: int | None = None, stop: int | None = None) -> None:
+        """Account the active leg as driven by ``now`` and clear it.
+
+        The one accounting path for an ``arrive`` and for a leg cut short, a
+        ``reroute`` (a reroute then starts the next leg; at the horizon the
+        run ends instead).  ``_LegPlan.progress`` decides what counts.
+        """
+        sav.position, distance, delay, stops = self.plans[sav.id].progress(now)
+        self.plans[sav.id] = None
         self.metrics.sav_distance += distance
         if len(sav.onboard) >= 2:
             self.metrics.shared_miles += distance
-
-    def _abort_leg(self, sav: Sav, now: float) -> None:
-        """Cut the active leg short at the vehicle's current position.
-
-        A reroute then starts the next leg, whose plan replaces this one; at
-        the horizon the run ends instead.
-        """
-        plan = self.plans[sav.id]
-        traveled = plan.distance_until(now)
-        sav.position = plan.position_at(now)
-        self._account_movement(sav, traveled)
-        self._log("reroute", sav.id, None, None, traveled)
+        if kind == "arrive":
+            self.sav_delay[sav.id] += delay
+            self.sav_stops[sav.id] += stops
+        self._log(kind, sav.id, request, stop, distance)
 
     # dispatch ------------------------------------------------------------
-
-    def _pickup_distance(self, sav: Sav):
-        def fn(pr: PendingRequest) -> float:
-            edge_id, offset = sav.position
-            return self.table.distance_from_position(edge_id, offset, pr.request.origin)
-        return fn
 
     def _assign(self, sav: Sav, pr: PendingRequest, route: list[RouteLeg]) -> None:
         pr.advance(ASSIGNED)
@@ -363,23 +359,25 @@ class _Replication:
         self._log("assign", sav.id, pr.request.id, pr.request.origin)
 
     def _assign_idle(self, now: float) -> None:
-        """Let idle vehicles pick unassigned work until none can."""
-        while True:
-            progress = False
-            for sav in self.savs:
-                if sav.status != IDLE:
-                    continue
-                rid = select_next_request(
-                    self.policy, self.pending.values(), sav, now, self._pickup_distance(sav)
-                )
-                if rid is None:
-                    return
-                pr = self.pending[rid]
-                self._assign(sav, pr, request_legs(pr.request))
-                self._start_leg(sav, now)
-                progress = True
-            if not progress:
+        """Let each idle vehicle, in id order, pick unassigned work.
+
+        One pass is enough: an idle vehicle either takes a request and leaves
+        idleness, or finds no unassigned request, so none is left for the
+        vehicles after it either and the function returns.
+        """
+        for sav in self.savs:
+            if sav.status != IDLE:
+                continue
+            edge_id, offset = sav.position
+            rid = select_next_request(
+                self.policy, self.pending.values(), sav, now,
+                lambda pr: self.table.distance_from_position(edge_id, offset, pr.request.origin),
+            )
+            if rid is None:
                 return
+            pr = self.pending[rid]
+            self._assign(sav, pr, request_legs(pr.request))
+            self._start_leg(sav, now)
 
     def _try_share(self, pr: PendingRequest, now: float) -> None:
         """Offer one request to every active route; apply the best insertion.
@@ -387,14 +385,13 @@ class _Replication:
         Called once, when the request arrives; requests that fail here wait
         for an idle vehicle.
         """
-        for sav in self.savs:
-            if sav.status == EN_ROUTE:
-                sav.position = self.plans[sav.id].position_at(now)
         best = None
         best_sav = None
         for sav in self.savs:
             if sav.status == IDLE or not sav.route:
                 continue
+            if sav.status == EN_ROUTE:
+                sav.position = self.plans[sav.id].progress(now)[0]
             res = try_insert_shared(self.policy, sav, pr.request, self.table)
             if res is not None and (best is None or res.shared_miles > best.shared_miles):
                 best, best_sav = res, sav
@@ -402,7 +399,7 @@ class _Replication:
             return
         self._assign(best_sav, pr, list(best.route))
         if best_sav.status == EN_ROUTE and best.pickup_index == 0:
-            self._abort_leg(best_sav, now)
+            self._end_leg(best_sav, now, "reroute")
             self._start_leg(best_sav, now)
 
     # event handlers -------------------------------------------------------
@@ -420,14 +417,8 @@ class _Replication:
         if self.plans[sav_id] is not plan:
             return
         sav = self.savs[sav_id]
-        self._account_movement(sav, plan.distance)
-        self.sav_delay[sav_id] += plan.delay
-        self.sav_stops[sav_id] += plan.stop_events
         here = sav.route[0].stop
-        stop = self.graph.stop(here)
-        sav.position = (stop.edge, stop.slack)
-        self.plans[sav_id] = None
-        self._log("arrive", sav_id, sav.route[0].request, here, plan.distance)
+        self._end_leg(sav, self.now, "arrive", sav.route[0].request, here)
         sav.status = DWELLING
         dwell_slots = 0
         while sav.route and sav.route[0].stop == here:
@@ -499,7 +490,7 @@ class _Replication:
         self.now = self.scenario.horizon
         for sav in self.savs:
             if sav.status == EN_ROUTE:
-                self._abort_leg(sav, self.now)
+                self._end_leg(sav, self.now, "reroute")
         self.traffic.check()
         # background tallies go in before the fleet's, in exit order, so that
         # finalize's floating-point sums keep one order

@@ -9,8 +9,8 @@ into the destination edge.  Two stops on the same edge are a special case: the
 downstream stop is reached directly, the upstream one requires looping around.
 
 The stop table stores only distances.  Each shortest-path tree keeps, per
-vertex, its distance and the edge it is entered by; the edge list of a leg is
-rebuilt by walking those in-edges back from the target.
+vertex, its distance and the edge it is entered by; the driven pieces of a
+leg are rebuilt by walking those in-edges back from the target.
 
 All distances are meters, speeds meters/second.  A graph does not change after
 construction.  A ``StopDistanceTable`` does: it keeps each shortest-path tree
@@ -396,15 +396,26 @@ def _traverse(
     return (edge.length - offset) + tree[target][0] + dest.slack, tree
 
 
+Piece = tuple[int, float, float]   # (edge id, start offset, end offset) of one driven stretch
+
+
 def _traverse_path(
     graph: RoadGraph, edge: DirectedEdge, offset: float, dest: Stop, trees: dict[int, _Tree]
-) -> tuple[tuple[int, ...], float]:
-    """Edge list and distance of :func:`_traverse`, partial end edges included."""
+) -> tuple[tuple[Piece, ...], float]:
+    """Driven pieces and distance of :func:`_traverse`.
+
+    A direct hop is one piece along ``edge``.  Otherwise the pieces are the
+    rest of ``edge``, each middle edge whole, and the destination slack.
+    """
     distance, tree = _traverse(graph, edge, offset, dest, trees)
     if tree is None:
-        return (edge.id,), distance
+        return ((edge.id, offset, dest.slack),), distance
     middle = _edges_to(graph, tree, graph.edge(dest.edge).source)
-    return (edge.id,) + middle + (dest.edge,), distance
+    return (
+        ((edge.id, offset, edge.length),)
+        + tuple((eid, 0.0, graph.edge(eid).length) for eid in middle)
+        + ((dest.edge, 0.0, dest.slack),)
+    ), distance
 
 
 class StopDistanceTable:
@@ -413,7 +424,7 @@ class StopDistanceTable:
     Holds one distance per ordered pair of the m stops, the zero diagonal
     included; ``len()`` counts the m(m-1) off-diagonal pairs.  The
     shortest-path trees built during precomputation are kept (and extended on
-    demand) so that distances and edge lists from an arbitrary mid-edge
+    demand) so that distances and driven pieces from an arbitrary mid-edge
     position, such as a vehicle between stops, reuse the same machinery.
     """
 
@@ -450,8 +461,8 @@ class StopDistanceTable:
         dest = self._check(to_stop)
         return _traverse(self._graph, self._graph.edge(edge_id), offset, dest, self._trees)[0]
 
-    def position_path(self, edge_id: int, offset: float, to_stop: int) -> tuple[tuple[int, ...], float]:
-        """Edge list and distance from a mid-edge position to a stop."""
+    def position_path(self, edge_id: int, offset: float, to_stop: int) -> tuple[tuple[Piece, ...], float]:
+        """Driven pieces ``(edge id, start offset, end offset)`` and distance from a mid-edge position to a stop."""
         dest = self._check(to_stop)
         return _traverse_path(self._graph, self._graph.edge(edge_id), offset, dest, self._trees)
 

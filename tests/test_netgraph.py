@@ -177,12 +177,12 @@ class TestShortestPath:
             shortest_path(triangle(), 1, 99)
 
 
-def stop_path(g: RoadGraph, origin: Stop, dest: Stop) -> tuple[tuple[int, ...], float]:
-    """Edge list and distance between two registered stops, checked against the table."""
+def stop_path(g: RoadGraph, origin: Stop, dest: Stop) -> tuple[tuple[tuple[int, float, float], ...], float]:
+    """Driven pieces and distance between two registered stops, checked against the table."""
     table = build_stop_distance_table(g)
-    edges, dist = table.position_path(origin.edge, origin.slack, dest.id)
+    pieces, dist = table.position_path(origin.edge, origin.slack, dest.id)
     assert table.distance(origin.id, dest.id) == dist
-    return edges, dist
+    return pieces, dist
 
 
 class TestStopDistance:
@@ -190,40 +190,40 @@ class TestStopDistance:
         g = two_cycle()
         s1 = g.place_stop(10, 20.0, "other")
         s2 = g.place_stop(10, 70.0, "other")
-        edges, dist = stop_path(g, s1, s2)
+        pieces, dist = stop_path(g, s1, s2)
         assert dist == pytest.approx(50.0, abs=1e-9)
-        assert edges == (10,)
+        assert pieces == ((10, 20.0, 70.0),)
 
     def test_same_edge_loop(self):
         g = two_cycle()
         s1 = g.place_stop(10, 70.0, "other")
         s2 = g.place_stop(10, 20.0, "other")
-        edges, dist = stop_path(g, s1, s2)
+        pieces, dist = stop_path(g, s1, s2)
         # finish edge (30), return edge (100), re-enter (20)
         assert dist == pytest.approx(150.0, abs=1e-9)
-        assert edges == (10, 11, 10)
+        assert pieces == ((10, 70.0, 100.0), (11, 0.0, 100.0), (10, 0.0, 20.0))
 
     def test_triangle_forward(self):
         g = triangle()
         b1 = g.place_stop(10, 20.0, "other")
         b2 = g.place_stop(11, 30.0, "other")
-        edges, dist = stop_path(g, b1, b2)
+        pieces, dist = stop_path(g, b1, b2)
         assert dist == pytest.approx(110.0, abs=1e-9)
-        assert edges == (10, 11)
+        assert pieces == ((10, 20.0, 100.0), (11, 0.0, 30.0))
 
     def test_triangle_reverse(self):
         g = triangle()
         b1 = g.place_stop(10, 20.0, "other")
         b2 = g.place_stop(11, 30.0, "other")
-        edges, dist = stop_path(g, b2, b1)
+        pieces, dist = stop_path(g, b2, b1)
         assert dist == pytest.approx(70.0 + 100.0 * math.sqrt(2.0) + 20.0, abs=1e-9)
-        assert edges == (11, 12, 10)
+        assert pieces == ((11, 30.0, 100.0), (12, 0.0, g.edge(12).length), (10, 0.0, 20.0))
 
     def test_self_distance_zero(self):
         g = triangle()
         b1 = g.place_stop(10, 20.0, "other")
         g.place_stop(11, 30.0, "other")
-        assert stop_path(g, b1, b1) == ((b1.edge,), 0.0)
+        assert stop_path(g, b1, b1) == (((b1.edge, 20.0, 20.0),), 0.0)
 
     def test_unregistered_stop(self):
         g = triangle()
@@ -259,7 +259,7 @@ class TestStopDistanceTable:
         table = build_stop_distance_table(g)
         assert len(table) == 2
         assert table.distance(s1.id, s1.id) == 0.0
-        assert table.position_path(s1.edge, s1.slack, s1.id) == ((10,), 0.0)
+        assert table.position_path(s1.edge, s1.slack, s1.id) == (((10, 20.0, 20.0),), 0.0)
 
     def test_unknown_stop_id(self):
         g = two_cycle()
@@ -284,8 +284,8 @@ class TestStopDistanceTable:
         table = build_stop_distance_table(g)
         # From mid-edge position on edge 10 at offset 40: (100-40) + 0 + 30
         assert table.distance_from_position(10, 40.0, b2.id) == pytest.approx(90.0)
-        edges, dist = table.position_path(10, 40.0, b2.id)
-        assert edges == (10, 11)
+        pieces, dist = table.position_path(10, 40.0, b2.id)
+        assert pieces == ((10, 40.0, 100.0), (11, 0.0, 30.0))
         assert dist == pytest.approx(90.0)
 
     def test_position_path_rejects_offset_beyond_edge(self):
@@ -304,12 +304,9 @@ def stop_pairs(g: RoadGraph) -> list[tuple[Stop, Stop]]:
     return [(o, d) for o in g.stops() for d in g.stops() if o.id != d.id]
 
 
-def edge_list_distance(g: RoadGraph, edges: tuple[int, ...], origin_slack: float, dest_slack: float) -> float:
-    """Reference distance of a stop-to-stop edge list: partial first and last edges, whole middle ones."""
-    if len(edges) == 1:
-        return dest_slack - origin_slack
-    middle = sum(g.edge(eid).length for eid in edges[1:-1])
-    return (g.edge(edges[0]).length - origin_slack) + middle + dest_slack
+def pieces_distance(pieces: tuple[tuple[int, float, float], ...]) -> float:
+    """Reference distance of a leg: the summed lengths of its driven pieces."""
+    return sum(end - start for _, start, end in pieces)
 
 
 class TestTableProperties:
@@ -339,9 +336,9 @@ class TestTableProperties:
         scatter_stops(rng, g, 8)
         table = build_stop_distance_table(g)
         for origin, dest in stop_pairs(g):
-            edges, dist = table.position_path(origin.edge, origin.slack, dest.id)
+            pieces, dist = table.position_path(origin.edge, origin.slack, dest.id)
             assert dist == table.distance(origin.id, dest.id)
-            assert edge_list_distance(g, edges, origin.slack, dest.slack) == pytest.approx(dist, abs=1e-9)
+            assert pieces_distance(pieces) == pytest.approx(dist, abs=1e-9)
 
     def test_consecutive_edges_share_vertex(self):
         rng = random.Random(78)
@@ -349,9 +346,12 @@ class TestTableProperties:
         scatter_stops(rng, g, 6)
         table = build_stop_distance_table(g)
         for origin, dest in stop_pairs(g):
-            edges, _ = table.position_path(origin.edge, origin.slack, dest.id)
-            assert edges[0] == origin.edge and edges[-1] == dest.edge
-            for a, b in zip(edges, edges[1:]):
+            pieces, _ = table.position_path(origin.edge, origin.slack, dest.id)
+            assert pieces[0][:2] == (origin.edge, origin.slack)
+            assert (pieces[-1][0], pieces[-1][2]) == (dest.edge, dest.slack)
+            for (a, _, a_end), (b, b_start, _) in zip(pieces, pieces[1:]):
+                # a piece before another runs to its edge's sink, which the next leaves from
+                assert a_end == g.edge(a).length and b_start == 0.0
                 assert g.edge(a).sink == g.edge(b).source
 
     def test_byte_identical_rebuild(self):

@@ -15,6 +15,10 @@ Model notes:
     the distance table's ``position_path``; the traversal rule lives in
     netgraph.  ``_LegPlan.progress`` is the one walk over them, and
     ``_end_leg`` the one path that accounts a leg, arrived or cut short.
+  * A leg cut short, by a reroute or by the horizon, is accounted pro rata:
+    the pieces already left count in full, the piece being driven counts
+    its share of distance and delay and its entry stop event, and coming to
+    rest at a stop counts only on arrival.
   * A fleet vehicle's boarding/alighting events each take one dwell period;
     a request's pickup/completion timestamps fall at the end of its own
     dwell slot.
@@ -345,9 +349,8 @@ class _Replication:
         self.metrics.sav_distance += distance
         if len(sav.onboard) >= 2:
             self.metrics.shared_miles += distance
-        if kind == "arrive":
-            self.sav_delay[sav.id] += delay
-            self.sav_stops[sav.id] += stops
+        self.sav_delay[sav.id] += delay
+        self.sav_stops[sav.id] += stops
         self._log(kind, sav.id, request, stop, distance)
 
     # dispatch ------------------------------------------------------------

@@ -198,6 +198,48 @@ class TestConservation:
         assert all(p.state == "completed" for p in rep.pending.values())
 
 
+class TestCutShortLegs:
+    """A leg cut short by a reroute or by the horizon counts its delay pro rata.
+
+    On ``line_graph`` in the cautious profile, with no background traffic,
+    every edge is driven at 0.85 of its 10 m/s free flow, so each metre
+    driven adds ``1/8.5 - 1/10`` seconds of delay: a cut that dropped its
+    delay × fraction would leave the fleet's delay short of that.
+    """
+
+    DELAY_PER_METRE = 1.0 / 8.5 - 1.0 / 10.0
+
+    def run(self, requests: list[TripRequest], horizon: float, extra_stop: bool = False) -> _Replication:
+        graph = line_graph()
+        if extra_stop:
+            graph.place_stop(0, 500.0, "peripheral_housing")   # stop 2
+        scenario = Scenario(graph=graph, demand=quiet_demand(), fleet_size=1, profile="cautious",
+                            horizon=horizon, replications=1)
+        rep = _Replication(_Runtime(scenario), scenario, 0, collect_log=True)
+        rep.requests = requests
+        rep.run()
+        return rep
+
+    def test_reroute_mid_edge_counts_delay_times_fraction(self):
+        # the vehicle leaves stop 0 (slack 200) for stop 1 (slack 800) at t=100;
+        # at t=120, 170 m along, a pickup at stop 2 (slack 500) is inserted first
+        rep = self.run([TripRequest(0, 1, 0, 100.0, 1), TripRequest(1, 2, 0, 120.0, 1)], 7200.0, True)
+        reroutes = [e for e in rep.log if e.kind == "reroute"]
+        assert [(e.time, e.distance) for e in reroutes] == [(120.0, pytest.approx(170.0))]
+        assert all(p.state == "completed" for p in rep.pending.values())
+        assert rep.sav_delay[0] == pytest.approx(rep.metrics.sav_distance * self.DELAY_PER_METRE)
+        # no edge is driven at a crawl, so the only stops are coming to rest on arrival
+        assert rep.sav_stops[0] == sum(e.kind == "arrive" for e in rep.log) == 3
+
+    def test_horizon_mid_edge_counts_delay_times_fraction(self):
+        # the pickup leg of 600 m takes 600 / 8.5 s from t=100; the horizon cuts it at 30 s
+        rep = self.run([TripRequest(0, 1, 0, 100.0, 1)], 130.0)
+        assert [(e.kind, e.time) for e in rep.log] == [("assign", 100.0), ("depart", 100.0), ("reroute", 130.0)]
+        leg_delay = 600.0 / 8.5 - 600.0 / 10.0
+        assert rep.sav_delay[0] == pytest.approx(leg_delay * 30.0 / (600.0 / 8.5))
+        assert rep.sav_delay[0] == pytest.approx(rep.metrics.sav_distance * self.DELAY_PER_METRE)
+
+
 class _InlinePool:
     """Stands in for the process pool: records its size and runs tasks in this process."""
 

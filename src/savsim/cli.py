@@ -134,17 +134,16 @@ def _cmd_run(args) -> int:
     out = _out_dir(args.out)
     result = engine.run_scenario(scenario, jobs=args.jobs, collect_log=args.verbose,
                                  collect_occupancy=args.occupancy)
-    metrics.emit_csv(result.records, os.path.join(out, "replications.csv"))
-    metrics.emit_aggregate_csv(
-        [(scenario.name, scenario.fleet_size, scenario.profile, result.aggregates)],
-        os.path.join(out, "aggregate.csv"),
-    )
+    write_atomic(os.path.join(out, "replications.csv"), metrics.records_to_csv(result.records))
+    write_atomic(os.path.join(out, "aggregate.csv"), metrics.aggregates_to_csv(
+        [(scenario.name, scenario.fleet_size, scenario.profile, result.aggregates)]
+    ))
     if args.verbose:
         logs = [(rep.record.replication, rep.log) for rep in result.replications]
         write_atomic(os.path.join(out, "events.csv"), metrics.events_to_csv(logs))
     if args.occupancy:
         samples = [s for rep in result.replications for s in rep.occupancy]
-        metrics.emit_occupancy_csv(samples, os.path.join(out, "occupancy.csv"))
+        write_atomic(os.path.join(out, "occupancy.csv"), metrics.occupancy_to_csv(samples))
     print(f"wrote {out}/replications.csv and {out}/aggregate.csv")
     return EXIT_OK
 
@@ -158,12 +157,12 @@ def _cmd_sweep(args) -> int:
     profiles = [p for p in args.profiles.split(",") if p]
     out = _out_dir(args.out)
     sweep = engine.run_sweep(scenario, fleet_sizes, profiles, jobs=args.jobs)
-    metrics.emit_csv(sweep.all_records(), os.path.join(out, "sweep.csv"))
+    write_atomic(os.path.join(out, "sweep.csv"), metrics.records_to_csv(sweep.all_records()))
     cells = [
         (res.scenario.name, fleet, profile, res.aggregates)
         for (fleet, profile), res in sweep.cells.items()
     ]
-    metrics.emit_aggregate_csv(cells, os.path.join(out, "sweep_aggregate.csv"))
+    write_atomic(os.path.join(out, "sweep_aggregate.csv"), metrics.aggregates_to_csv(cells))
     print(f"wrote {out}/sweep.csv and {out}/sweep_aggregate.csv")
     return EXIT_OK
 

@@ -13,12 +13,9 @@ Model notes:
     sampled once, at leg start.
   * A leg's driven pieces, including the direct same-edge hop, come from
     the distance table's ``position_path``; the traversal rule lives in
-    netgraph.  ``_LegPlan.progress`` is the one walk over them, and
-    ``_end_leg`` the one path that accounts a leg, arrived or cut short.
-  * A leg cut short, by a reroute or by the horizon, is accounted pro rata:
-    the pieces already left count in full, the piece being driven counts
-    its share of distance and delay and its entry stop event, and coming to
-    rest at a stop counts only on arrival.
+    netgraph.  ``_end_leg`` accounts every leg, arrived or cut short by a
+    reroute or the horizon, by ``_LegPlan.progress``: a cut-short leg counts
+    pro rata.
   * A fleet vehicle's boarding/alighting events each take one dwell period;
     a request's pickup/completion timestamps fall at the end of its own
     dwell slot.
@@ -181,7 +178,8 @@ class _Runtime:
 
 @dataclass
 class _Segment:
-    """One driven piece of a leg, entered at ``enter`` and left at ``exit``."""
+    """One driven piece of a leg, entered at ``enter`` and left at ``exit``, with
+    its delay against free flow and whether entering it was a stop event."""
 
     edge: int
     start_offset: float
@@ -338,11 +336,10 @@ class _Replication:
 
     def _end_leg(self, sav: Sav, now: float, kind: str,
                  request: int | None = None, stop: int | None = None) -> None:
-        """Account the active leg as driven by ``now`` and clear it.
+        """Account the active leg as ``progress`` has it at ``now``, and clear it.
 
-        The one accounting path for an ``arrive`` and for a leg cut short, a
-        ``reroute`` (a reroute then starts the next leg; at the horizon the
-        run ends instead).  ``_LegPlan.progress`` decides what counts.
+        ``kind`` is ``arrive``, or ``reroute`` for a leg cut short; a reroute
+        then starts the next leg, and at the horizon the run ends instead.
         """
         sav.position, distance, delay, stops = self.plans[sav.id].progress(now)
         self.plans[sav.id] = None
@@ -364,9 +361,9 @@ class _Replication:
     def _assign_idle(self, now: float) -> None:
         """Let each idle vehicle, in id order, pick unassigned work.
 
-        One pass is enough: an idle vehicle either takes a request and leaves
-        idleness, or finds no unassigned request, so none is left for the
-        vehicles after it either and the function returns.
+        One pass is enough: no vehicle turns idle during it, and each idle
+        vehicle either takes a request or finds none unassigned, which leaves
+        none for the vehicles after it, so the function returns.
         """
         for sav in self.savs:
             if sav.status != IDLE:
@@ -454,13 +451,20 @@ class _Replication:
     # invariants -----------------------------------------------------------
 
     def _check_conservation(self) -> None:
+        """Every request seen has one state; ONBOARD ones ride a vehicle, COMPLETED
+        ones are the trips completed, and both were picked up, with one wait each."""
         counts = {UNASSIGNED: 0, ASSIGNED: 0, ONBOARD: 0, COMPLETED: 0}
         for p in self.pending.values():
             counts[p.state] += 1
-        if sum(counts.values()) != self.metrics.requests_seen:
+        aboard = sum(len(sav.onboard) for sav in self.savs)
+        m = self.metrics
+        if (sum(counts.values()) != m.requests_seen or counts[ONBOARD] != aboard
+                or counts[COMPLETED] != m.trips_completed
+                or counts[ONBOARD] + counts[COMPLETED] != len(m.wait_seconds)):
             raise ConsistencyError(
-                f"passenger conservation broken at t={self.now}: "
-                f"{counts} vs {self.metrics.requests_seen}"
+                f"passenger conservation broken at t={self.now}: {counts} vs "
+                f"{m.requests_seen} seen, {aboard} aboard, {m.trips_completed} completed, "
+                f"{len(m.wait_seconds)} waits"
             )
 
     # main loop --------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Per-replication measures and CSV emission.
+"""Per-replication measures and their CSV text.
 
 One record per replication: network-wide delay and stop averages, distances,
 trip counts, wait times, passengers served, and shared-ride distance.  Waits
@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 from .dispatch import DROPOFF, PICKUP
-from .netgraph import write_atomic
 
 
 @dataclass(frozen=True)
@@ -125,16 +124,12 @@ def _fmt(value) -> str:
 
 
 def records_to_csv(records: list[MetricsRecord]) -> str:
+    """The per-replication CSV; rows are sorted, so identical records give identical bytes."""
     rows = sorted(records, key=lambda r: (r.scenario, r.fleet_size, r.profile, r.replication))
     lines = [",".join(CSV_FIELDS)]
     for r in rows:
         lines.append(",".join(_fmt(getattr(r, name)) for name in CSV_FIELDS))
     return "\n".join(lines) + "\n"
-
-
-def emit_csv(records: list[MetricsRecord], destination: str) -> None:
-    """Write the per-replication CSV; byte-stable for identical inputs."""
-    write_atomic(destination, records_to_csv(records))
 
 
 def aggregate(records: list[MetricsRecord]) -> dict[str, tuple[float, float, float, float]]:
@@ -164,19 +159,11 @@ def aggregates_to_csv(cells: list[tuple[str, int, str, dict]]) -> str:
     return buf.getvalue()
 
 
-def emit_aggregate_csv(cells: list[tuple[str, int, str, dict]], destination: str) -> None:
-    write_atomic(destination, aggregates_to_csv(cells))
-
-
 def occupancy_to_csv(samples: list[tuple[float, int, int]]) -> str:
     lines = ["time_s,edge_id,occupancy"]
     for t, edge_id, occ in samples:
         lines.append(f"{t:.6f},{edge_id},{occ}")
     return "\n".join(lines) + "\n"
-
-
-def emit_occupancy_csv(samples: list[tuple[float, int, int]], destination: str) -> None:
-    write_atomic(destination, occupancy_to_csv(samples))
 
 
 # event-log replay ----------------------------------------------------------

@@ -402,11 +402,7 @@ Piece = tuple[int, float, float]   # (edge id, start offset, end offset) of one 
 def _traverse_path(
     graph: RoadGraph, edge: DirectedEdge, offset: float, dest: Stop, trees: dict[int, _Tree]
 ) -> tuple[tuple[Piece, ...], float]:
-    """Driven pieces and distance of :func:`_traverse`.
-
-    A direct hop is one piece along ``edge``.  Otherwise the pieces are the
-    rest of ``edge``, each middle edge whole, and the destination slack.
-    """
+    """Driven pieces and distance of :func:`_traverse`; a direct hop is one piece."""
     distance, tree = _traverse(graph, edge, offset, dest, trees)
     if tree is None:
         return ((edge.id, offset, dest.slack),), distance

@@ -5,13 +5,17 @@ import math
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from savsim.demand import DemandProfile, TripRequest
 from savsim.dispatch import DispatchPolicy
 from savsim.engine import (
     Scenario,
+    _LegPlan,
     _Replication,
     _Runtime,
+    _Segment,
     load_scenario,
     replication_requests,
     run_scenario,
@@ -126,6 +130,21 @@ class TestConservation:
         assert states["completed"] == result.record.trips_completed
         assert result.record.unserved == rep.metrics.requests_seen - states["completed"]
 
+    def test_fleet_or_metrics_disagreeing_with_request_states_is_caught(self):
+        scenario = busy_scenario(fleet_size=1)
+        corruptions = (
+            lambda rep: rep.savs[0].onboard.update({10**6: 1}),
+            lambda rep: setattr(rep.metrics, "trips_completed", rep.metrics.trips_completed + 1),
+            lambda rep: rep.metrics.wait_seconds.append(0.0),
+        )
+        for corrupt in corruptions:
+            rep = _Replication(_Runtime(scenario), scenario, 0)
+            rep.run()
+            rep._check_conservation()
+            corrupt(rep)
+            with pytest.raises(ConsistencyError, match="passenger conservation broken"):
+                rep._check_conservation()
+
     def test_background_conservation_and_distance(self):
         scenario = Scenario(
             graph=ring_network(),
@@ -238,6 +257,108 @@ class TestCutShortLegs:
         leg_delay = 600.0 / 8.5 - 600.0 / 10.0
         assert rep.sav_delay[0] == pytest.approx(leg_delay * 30.0 / (600.0 / 8.5))
         assert rep.sav_delay[0] == pytest.approx(rep.metrics.sav_distance * self.DELAY_PER_METRE)
+
+
+@st.composite
+def leg_plans(draw) -> _LegPlan:
+    """A plan built the way ``_Replication._build_plan`` builds one, from random pieces."""
+    t = draw(st.floats(0.0, 1e5))
+    segments = []
+    distance = delay = 0.0
+    stops = 0
+    for edge in range(draw(st.integers(1, 6))):
+        a = draw(st.floats(0.0, 1000.0))
+        b = draw(st.one_of(st.just(a), st.floats(a, a + 2000.0)))   # zero-length pieces too
+        dt = seg_delay = 0.0
+        stopped = False
+        if b - a > 0:
+            dt = draw(st.floats(0.0, 3600.0))
+            seg_delay = draw(st.floats(0.0, dt))
+            stopped = draw(st.booleans())
+        segments.append(_Segment(edge, a, b, t, t + dt, seg_delay, stopped))
+        distance += b - a
+        delay += seg_delay
+        stops += stopped
+        t += dt
+    stops += draw(st.booleans())   # coming to rest at the stop
+    return _LegPlan(0, t, distance, delay, stops, segments)
+
+
+def position_at(plan: _LegPlan, now: float) -> tuple[int, float]:
+    """Reference: the position walk that ``progress`` replaced."""
+    last = plan.segments[-1]
+    if now >= plan.arrive:
+        return (last.edge, last.end_offset)
+    for seg in plan.segments:
+        if now < seg.exit:
+            if seg.exit <= seg.enter:
+                return (seg.edge, seg.start_offset)
+            frac = max(0.0, (now - seg.enter) / (seg.exit - seg.enter))
+            return (seg.edge, seg.start_offset + frac * (seg.end_offset - seg.start_offset))
+    return (last.edge, last.end_offset)
+
+
+def distance_until(plan: _LegPlan, now: float) -> float:
+    """Reference: the distance walk that ``progress`` replaced."""
+    total = 0.0
+    for seg in plan.segments:
+        distance = seg.end_offset - seg.start_offset
+        if now >= seg.exit:
+            total += distance
+        elif now > seg.enter and seg.exit > seg.enter:
+            total += distance * (now - seg.enter) / (seg.exit - seg.enter)
+    return total
+
+
+def delay_and_stops_until(plan: _LegPlan, now: float) -> tuple[float, int]:
+    """Reference for a leg cut short: pieces left count in full, the piece
+    being driven its delay pro rata and its entry stop; coming to rest at
+    the stop counts only on arrival."""
+    if now >= plan.arrive:
+        return plan.delay, plan.stop_events
+    delay, stops = 0.0, 0
+    for seg in plan.segments:
+        if now >= seg.exit:
+            delay += seg.delay
+            stops += seg.stopped
+        elif now >= seg.enter:
+            delay += seg.delay * (now - seg.enter) / (seg.exit - seg.enter)
+            stops += seg.stopped
+    return delay, stops
+
+
+def times_in(plan: _LegPlan):
+    """Times from the leg's start to past its arrival, segment boundaries included."""
+    boundaries = [seg.exit for seg in plan.segments]
+    return st.one_of(st.floats(plan.segments[0].enter, plan.arrive + 60.0), st.sampled_from(boundaries))
+
+
+class TestLegProgress:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_progress_matches_the_reference_walks_and_never_goes_back(self, data):
+        plan = data.draw(leg_plans())
+        early, late = sorted((data.draw(times_in(plan)), data.draw(times_in(plan))))
+        before = plan.progress(early)
+        after = plan.progress(late)
+        for now, (position, distance, delay, stops) in ((early, before), (late, after)):
+            assert position == position_at(plan, now)
+            assert distance == distance_until(plan, now)
+            assert (delay, stops) == delay_and_stops_until(plan, now)
+        # length * (now - enter) / (exit - enter) rounds twice, so just before
+        # a piece's exit it can exceed the whole piece by an ulp (enter
+        # 936.7090513495132, exit 118055.62653510747, length 1015.1979641436611
+        # does): distance and delay may step back by that rounding, no more
+        for earlier, later in zip(before[1:3], after[1:3]):
+            assert earlier <= later + 4 * math.ulp(later)
+        assert before[3] <= after[3]
+
+    @given(leg_plans())
+    def test_at_arrival_progress_is_the_plan_totals(self, plan):
+        last = plan.segments[-1]
+        totals = ((last.edge, last.end_offset), plan.distance, plan.delay, plan.stop_events)
+        assert plan.progress(plan.arrive) == totals
+        assert plan.distance == distance_until(plan, plan.arrive)
 
 
 class _InlinePool:

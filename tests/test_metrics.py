@@ -6,11 +6,12 @@ from savsim.metrics import (
     LogEntry,
     MetricsState,
     aggregate,
-    emit_csv,
     finalize,
     records_to_csv,
     replay_shared_miles,
 )
+
+from savsim.netgraph import write_atomic
 
 from randnets import ring_network
 
@@ -45,27 +46,27 @@ class TestFinalize:
 class TestCsv:
     def test_empty_records_header_only(self, tmp_path):
         path = tmp_path / "out.csv"
-        emit_csv([], str(path))
+        write_atomic(str(path), records_to_csv([]))
         assert path.read_text().strip().count("\n") == 0
         assert path.read_text().startswith("scenario,fleet_size,profile,replication,")
 
     def test_one_record_two_lines(self, tmp_path):
         record = finalize(make_state(), horizon=3600.0)
         path = tmp_path / "out.csv"
-        emit_csv([record], str(path))
+        write_atomic(str(path), records_to_csv([record]))
         assert len(path.read_text().splitlines()) == 2
 
     def test_byte_identical(self, tmp_path):
         records = [finalize(make_state(replication=i), 3600.0) for i in range(3)]
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        emit_csv(records, str(a))
-        emit_csv(list(reversed(records)), str(b))
+        write_atomic(str(a), records_to_csv(records))
+        write_atomic(str(b), records_to_csv(list(reversed(records))))
         assert a.read_bytes() == b.read_bytes()
 
     def test_unwritable_destination(self, tmp_path):
         record = finalize(make_state(), horizon=3600.0)
         with pytest.raises(OSError):
-            emit_csv([record], str(tmp_path / "missing" / "out.csv"))
+            write_atomic(str(tmp_path / "missing" / "out.csv"), records_to_csv([record]))
 
     def test_fixed_decimals(self):
         record = finalize(make_state(wait_seconds=[90.0]), horizon=3600.0)

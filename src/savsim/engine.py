@@ -225,6 +225,7 @@ class _LegPlan:
             stops += seg.stopped
         length = seg.end_offset - seg.start_offset
         frac = (now - seg.enter) / (seg.exit - seg.enter)
+        # not length * frac: that rounds differently and would move recorded distances
         distance += length * (now - seg.enter) / (seg.exit - seg.enter)
         delay += seg.delay * (now - seg.enter) / (seg.exit - seg.enter)
         return (seg.edge, seg.start_offset + frac * length), distance, delay, stops + seg.stopped

@@ -1,16 +1,23 @@
 """Discrete-event simulation loop tying demand, traffic, and dispatch together.
 
 Events are processed in (time, scheduling sequence) order, which gives a total
-order with no simultaneity ambiguity.  One replication is strictly sequential;
-replications share nothing mutable and depend only on (scenario, index), so
-``_run_cells``, behind ``run_scenario`` and ``run_sweep``, fans them out.
+order with no simultaneity ambiguity.  One replication is strictly sequential
+and depends only on (scenario, index), so ``_run_cells``, behind
+``run_scenario`` and ``run_sweep``, fans them out.  The cells of one task
+share one stop table per graph, whose trees only grow, and each replication
+index's background field, which they only read.
 
 Model notes:
   * ``traffic.BackgroundTraffic`` owns the background vehicles and the edge
-    occupancy they make; the engine keeps only their clock.  Fleet vehicles
-    are few enough at this scale that their density contribution is ignored.
+    occupancy they make; the engine keeps only their clock.  Background
+    traffic does not depend on the fleet, so ``background_field`` runs that
+    clock once per replication index, to the horizon, before any fleet event,
+    and every cell sharing the index reads the result.  Fleet vehicles are
+    few enough at this scale that their density contribution is ignored.
     A fleet vehicle drives each edge of a leg at ``traffic.attainable_speed``,
-    sampled once, at leg start.
+    sampled once, at leg start, from the occupancy at that instant
+    (``BackgroundTraffic.occupancy_at``: a background change at the same
+    instant counts).
   * A leg's driven pieces, including the direct same-edge hop, come from
     the distance table's ``position_path``; the traversal rule lives in
     netgraph.  ``_end_leg`` accounts every leg, arrived or cut short by a
@@ -23,8 +30,7 @@ Model notes:
     that a reroute replaced is no longer the vehicle's plan, so its arrival
     is stale and is ignored.
   * Passenger conservation and vehicle capacity are asserted after every
-    event that can touch passenger or fleet state (background vehicle
-    events cannot); violations raise ConsistencyError.
+    fleet event; violations raise ConsistencyError.
 """
 
 from __future__ import annotations
@@ -131,9 +137,14 @@ def replication_requests(scenario: Scenario, index: int) -> list[TripRequest]:
 
 
 class _Runtime:
-    """Per-scenario precomputation shared by the replications of a chunk."""
+    """Per-scenario precomputation shared by the replications of a chunk.
 
-    def __init__(self, scenario: Scenario) -> None:
+    ``tables`` maps a graph to its stop table; runtimes built with one dict
+    share one table per graph.
+    """
+
+    def __init__(self, scenario: Scenario,
+                 tables: dict[RoadGraph, StopDistanceTable | None] | None = None) -> None:
         graph = scenario.graph
         report = validate_graph(graph)
         if not report.ok:
@@ -171,9 +182,42 @@ class _Runtime:
                 f"{scenario.replications} x (1 + fleet_size {scenario.fleet_size} + {requests:.3g} requests"
                 f" over demand.horizon + {background:.3g} background_flows events over horizon)"
             )
-        self.table: StopDistanceTable | None = (
-            build_stop_distance_table(graph, self.stops) if len(self.stops) >= 2 else None
-        )
+        tables = {} if tables is None else tables
+        if graph not in tables:
+            tables[graph] = build_stop_distance_table(graph, self.stops) if len(self.stops) >= 2 else None
+        self.table = tables[graph]
+
+
+def background_field(scenario: Scenario, runtime: _Runtime, index: int,
+                     sample: bool = False) -> traffic_mod.BackgroundTraffic:
+    """Run the background clock of replication ``index`` to the horizon.
+
+    The injections, then each edge exit, are processed in (time, scheduling
+    sequence) order up to the first event at or after the horizon, the
+    cut-off a replication's ``HORIZON_END`` makes for fleet events.  The
+    field then holds every occupancy change before the horizon and the
+    finished vehicles' tallies; occupancy samples are kept if ``sample``.
+    """
+    traffic = traffic_mod.BackgroundTraffic(
+        scenario.background_flows, runtime.flow_routes, scenario.horizon,
+        replication_seed(scenario, index), sample,
+    )
+    # events carry their kind, like a replication's, so that wrappers of
+    # ``heappush`` (the benchmark's tracer) count them by kind
+    heap: list[tuple[float, int, str, traffic_mod.BackgroundVehicle]] = []
+    for seq, (t, vehicle) in enumerate(traffic.injections):
+        heappush(heap, (t, seq, BACKGROUND_EDGE_EXIT, vehicle))
+    seq = len(heap)
+    while heap:
+        time, _, _, vehicle = heappop(heap)
+        if time >= scenario.horizon:
+            break
+        exit_time = traffic.advance(vehicle, time)
+        if exit_time is not None:
+            heappush(heap, (exit_time, seq, BACKGROUND_EDGE_EXIT, vehicle))
+            seq += 1
+    traffic.check()
+    return traffic
 
 
 @dataclass
@@ -239,13 +283,15 @@ class ReplicationResult:
 
 
 class _Replication:
+    """One replication's fleet, run against its index's background field."""
+
     def __init__(
         self,
         runtime: _Runtime,
         scenario: Scenario,
         index: int,
+        traffic: traffic_mod.BackgroundTraffic,
         collect_log: bool = False,
-        collect_occupancy: bool = False,
     ) -> None:
         self.scenario = scenario
         self.graph = runtime.graph
@@ -281,13 +327,7 @@ class _Replication:
         self.plans: dict[int, _LegPlan | None] = {s.id: None for s in self.savs}
         self.sav_delay: dict[int, float] = {s.id: 0.0 for s in self.savs}
         self.sav_stops: dict[int, int] = {s.id: 0 for s in self.savs}
-
-        self.traffic = traffic_mod.BackgroundTraffic(
-            scenario.background_flows, runtime.flow_routes, scenario.horizon,
-            replication_seed(scenario, index), collect_occupancy,
-        )
-        for t, vehicle in self.traffic.injections:
-            self._schedule(t, BACKGROUND_EDGE_EXIT, vehicle)
+        self.traffic = traffic
 
     # event plumbing -----------------------------------------------------
 
@@ -316,7 +356,7 @@ class _Replication:
             stopped = False
             if length > 0:
                 edge = self.graph.edge(eid)
-                v = attainable_speed(edge, self.traffic.occupancy.get(eid, 0), self.profile)
+                v = attainable_speed(edge, self.traffic.occupancy_at(eid, now), self.profile)
                 dt, edge_delay, stopped = drive(edge, length, v, prev_speed)
                 prev_speed = v
             segments.append(_Segment(eid, a, b, t, t + dt, edge_delay, stopped))
@@ -444,11 +484,6 @@ class _Replication:
             sav.status = IDLE
             self._assign_idle(self.now)
 
-    def _on_background_edge_exit(self, vehicle: traffic_mod.BackgroundVehicle) -> None:
-        exit_time = self.traffic.advance(vehicle, self.now)
-        if exit_time is not None:
-            self._schedule(exit_time, BACKGROUND_EDGE_EXIT, vehicle)
-
     # invariants -----------------------------------------------------------
 
     def _check_conservation(self) -> None:
@@ -478,11 +513,7 @@ class _Replication:
             REQUEST_ARRIVAL: self._on_request_arrival,
             SAV_ARRIVAL: self._on_sav_arrival,
             DWELL_END: self._on_dwell_end,
-            BACKGROUND_EDGE_EXIT: self._on_background_edge_exit,
         }
-        # background events cannot touch passenger or fleet state, so the
-        # conservation and capacity asserts run on the events that can
-        passenger_events = (REQUEST_ARRIVAL, SAV_ARRIVAL, DWELL_END)
         while self._heap:
             time, _, kind, payload = heappop(self._heap)
             if time < self.now - 1e-9:
@@ -491,15 +522,13 @@ class _Replication:
             if kind == HORIZON_END:
                 break
             handlers[kind](payload)
-            if kind in passenger_events:
-                self._check_conservation()
-                for sav in self.savs:
-                    sav.assert_capacity()
+            self._check_conservation()
+            for sav in self.savs:
+                sav.assert_capacity()
         self.now = self.scenario.horizon
         for sav in self.savs:
             if sav.status == EN_ROUTE:
                 self._end_leg(sav, self.now, "reroute")
-        self.traffic.check()
         # background tallies go in before the fleet's, in exit order, so that
         # finalize's floating-point sums keep one order
         self.metrics.background_distance = self.traffic.distance
@@ -517,12 +546,18 @@ def simulate(
     runtime: _Runtime | None = None,
     collect_log: bool = False,
     collect_occupancy: bool = False,
+    traffic: traffic_mod.BackgroundTraffic | None = None,
 ) -> ReplicationResult:
-    """Run one seeded replication; equal inputs give identical results."""
+    """Run one seeded replication; equal inputs give identical results.
+
+    ``traffic`` is the index's background field; when none is given it is
+    computed here, with occupancy samples if ``collect_occupancy``.
+    """
     if runtime is None:
         runtime = _Runtime(scenario)
-    rep = _Replication(runtime, scenario, index, collect_log, collect_occupancy)
-    return rep.run()
+    if traffic is None:
+        traffic = background_field(scenario, runtime, index, collect_occupancy)
+    return _Replication(runtime, scenario, index, traffic, collect_log).run()
 
 
 @dataclass
@@ -537,15 +572,31 @@ class ScenarioResult:
 
 
 def _run_chunk(
-    cell: Scenario, indices: range, collect_log: bool, collect_occupancy: bool
-) -> list[ReplicationResult]:
-    runtime = _Runtime(cell)
-    results = []
+    cells: list[Scenario], indices: range, collect_log: bool, collect_occupancy: bool
+) -> list[list[ReplicationResult]]:
+    """Run replications ``indices`` of every cell, index by index; one result list per cell.
+
+    Every cell's runtime is built first, so a cell that fails its checks
+    stops the task before any replication runs, and the runtimes share one
+    stop table per graph.  Each index's background field is computed once
+    per distinct (graph, flows, horizon, seed), read by every cell with that
+    key, and dropped before the next index.
+    """
+    tables: dict[RoadGraph, StopDistanceTable | None] = {}
+    runtimes = [_Runtime(cell, tables) for cell in cells]
+    results: list[list[ReplicationResult]] = [[] for _ in cells]
     for i in indices:
-        try:
-            results.append(simulate(cell, i, runtime, collect_log, collect_occupancy))
-        except Exception as exc:
-            raise SimulationError(f"replication {i} failed: {exc}") from exc
+        fields: dict[tuple, traffic_mod.BackgroundTraffic] = {}
+        for cell, runtime, out in zip(cells, runtimes, results):
+            if i >= cell.replications:
+                continue
+            key = (cell.graph, tuple(cell.background_flows), cell.horizon, replication_seed(cell, i))
+            try:
+                if key not in fields:
+                    fields[key] = background_field(cell, runtime, i, collect_occupancy)
+                out.append(simulate(cell, i, runtime, collect_log, traffic=fields[key]))
+            except Exception as exc:
+                raise SimulationError(f"replication {i} failed: {exc}") from exc
     return results
 
 
@@ -554,16 +605,18 @@ def _run_cells(
 ) -> list[ScenarioResult]:
     """Run every replication of every cell: the one place replications fan out.
 
-    Each cell's replications are dealt round-robin into one chunk per worker,
-    each with its own runtime, and all chunks share one pool; forked workers
-    inherit any wrapper around ``simulate``.  Results equal a serial run.
+    The run is index-major: replication indices are dealt round-robin into
+    one chunk per worker, and each chunk's task runs every cell at each of
+    its indices (see ``_run_chunk``), so the cells of a task share one stop
+    table per graph and the background clock runs once per index.  All
+    chunks share one pool; forked workers inherit any wrapper around
+    ``simulate``.  Results equal a serial run.
     """
     if jobs < 1:
         raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
-    workers = min(jobs, os.cpu_count() or 1, sum(c.replications for c in cells))
-    tasks = [(n, range(cell.replications)[k::workers])
-             for n, cell in enumerate(cells) for k in range(min(workers, cell.replications))]
-    args = ([cells[n] for n, _ in tasks], [chunk for _, chunk in tasks],
+    indices = range(max(c.replications for c in cells))
+    workers = min(jobs, os.cpu_count() or 1, len(indices))
+    args = (repeat(cells), [indices[k::workers] for k in range(workers)],
             repeat(collect_log), repeat(collect_occupancy))
     if workers > 1:
         from concurrent import futures  # loaded here so serial runs skip the pool machinery
@@ -572,8 +625,9 @@ def _run_cells(
     else:
         parts = map(_run_chunk, *args)
     per_cell: list[list[ReplicationResult]] = [[] for _ in cells]
-    for (n, _), part in zip(tasks, parts):
-        per_cell[n].extend(part)
+    for part in parts:
+        for reps, more in zip(per_cell, part):
+            reps.extend(more)
     return [ScenarioResult(cell, sorted(reps, key=lambda rep: rep.record.replication),
                            aggregate([rep.record for rep in reps]))
             for cell, reps in zip(cells, per_cell)]

@@ -5,13 +5,15 @@ saturated edges never produce infinite travel times.  Behavior profiles scale
 attainable speed (capped at free flow) and set per-boarding dwell times.
 ``drive`` is the one rule for driving an edge, used by fleet legs and
 background vehicles alike.  ``BackgroundTraffic`` owns the background
-vehicles of one replication: their injection draws, the per-edge occupancy
-the fleet reads, and their delay, stop and distance tallies.
+vehicles of one replication index: their injection draws, the per-edge
+occupancy timelines the fleet reads, and their delay, stop and distance
+tallies.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 
 from .demand import poisson_arrivals
@@ -114,25 +116,30 @@ class BackgroundVehicle:
 
 
 class BackgroundTraffic:
-    """The background vehicles of one replication and the occupancy they make.
+    """The background vehicles of one replication index and the occupancy they make.
 
     Injections are Poisson draws from the replication seed alone, and fleet
-    vehicles read ``occupancy`` but never load an edge, so background
-    traffic does not depend on the fleet.  The caller keeps the clock: it
-    calls ``advance`` at each time in ``injections`` and at each exit time
-    ``advance`` returns.
+    vehicles read occupancy but never load an edge, so background traffic
+    does not depend on the fleet: one field serves every cell that shares
+    (graph, flows, horizon, seed).  The caller keeps the clock: it calls
+    ``advance`` at each time in ``injections`` and at each exit time
+    ``advance`` returns, in time order.  Once the clock has run to the
+    horizon the field is read-only, and ``occupancy_at`` answers for any
+    time.
     """
 
     def __init__(
         self, flows: list[BackgroundFlow], routes: list[tuple[DirectedEdge, ...]],
         horizon: float, seed: int, sample: bool,
     ) -> None:
-        self.occupancy: dict[int, int] = {}   # edge id -> background vehicles on it
+        self.occupancy: dict[int, int] = {}   # edge id -> background vehicles on it now
         self.samples: list[tuple[float, int, int]] = []   # (time, edge id, occupancy) if ``sample``
         self.distance = 0.0
         self.finished: list[tuple[float, int]] = []   # (delay, stops) per vehicle, in exit order
         self._sample = sample
         self._entered = 0
+        # edge id -> (times, occupancies): each change to the edge's occupancy, in time order
+        self._timelines: dict[int, tuple[list[float], list[int]]] = {}
         rng = random.Random(f"{seed}:background")
         self.injections: list[tuple[float, BackgroundVehicle]] = [
             (t, BackgroundVehicle(route))
@@ -141,13 +148,19 @@ class BackgroundTraffic:
             for t in poisson_arrivals(rng, flow.rate, horizon)
         ]
 
+    def _set(self, edge_id: int, now: float, occupancy: int) -> None:
+        self.occupancy[edge_id] = occupancy
+        times, values = self._timelines.setdefault(edge_id, ([], []))
+        times.append(now)
+        values.append(occupancy)
+        if self._sample:
+            self.samples.append((now, edge_id, occupancy))
+
     def advance(self, vehicle: BackgroundVehicle, now: float) -> float | None:
         """Move ``vehicle`` onto its next edge at ``now``; when it will leave it, or None at the end."""
         if vehicle.index >= 0:
             edge = vehicle.route[vehicle.index]
-            self.occupancy[edge.id] -= 1
-            if self._sample:
-                self.samples.append((now, edge.id, self.occupancy[edge.id]))
+            self._set(edge.id, now, self.occupancy[edge.id] - 1)
             self.distance += edge.length
         else:
             self._entered += 1
@@ -162,10 +175,22 @@ class BackgroundTraffic:
         vehicle.speed = speed
         vehicle.delay += delay
         vehicle.stops += stopped
-        self.occupancy[edge.id] = occupancy + 1
-        if self._sample:
-            self.samples.append((now, edge.id, occupancy + 1))
+        self._set(edge.id, now, occupancy + 1)
         return now + seconds
+
+    def occupancy_at(self, edge_id: int, t: float) -> int:
+        """Background vehicles on ``edge_id`` at time ``t``.
+
+        Tie rule: a change at exactly ``t`` is visible at ``t``, so a fleet
+        vehicle starting a leg at the instant a background vehicle enters or
+        leaves an edge sees the edge after that change.
+        """
+        timeline = self._timelines.get(edge_id)
+        if timeline is None:
+            return 0
+        times, values = timeline
+        i = bisect_right(times, t)
+        return values[i - 1] if i else 0
 
     def check(self) -> None:
         """Every vehicle injected and not finished occupies exactly one edge."""

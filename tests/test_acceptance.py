@@ -14,7 +14,7 @@ import pytest
 
 from savsim.demand import TripRequest
 from savsim.dispatch import DispatchPolicy, Sav, select_next_request, try_insert_shared
-from savsim.engine import Scenario, _Replication, _Runtime, run_scenario, run_sweep
+from savsim.engine import Scenario, _Replication, _Runtime, background_field, run_scenario, run_sweep
 from savsim.errors import ConsistencyError
 from savsim.metrics import records_to_csv
 from savsim.netgraph import build_stop_distance_table
@@ -111,7 +111,7 @@ def test_criterion_5_capacity_and_conservation():
     runtime = _Runtime(scenario)
     balanced = True
     for index in range(3):
-        rep = _Replication(runtime, scenario, index)
+        rep = _Replication(runtime, scenario, index, background_field(scenario, runtime, index))
         rep.run()
         states = {"unassigned": 0, "assigned": 0, "onboard": 0, "completed": 0}
         for p in rep.pending.values():
@@ -122,7 +122,7 @@ def test_criterion_5_capacity_and_conservation():
             balanced = False
     # the guards must actually fire on corrupted state
     guards_live = False
-    probe = _Replication(runtime, scenario, 0)
+    probe = _Replication(runtime, scenario, 0, background_field(scenario, runtime, 0))
     probe.metrics.requests_seen = 5
     try:
         probe._check_conservation()

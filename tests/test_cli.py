@@ -208,10 +208,13 @@ class TestRun:
             assert code == 1
             err = capsys.readouterr().err
             assert "events" in err and field in err
-        code = main(["sweep", "--scenario", str(out / "scenario.json"), "--out", str(tmp_path / "x"),
-                     "--fleet-sizes", "1000000000000000000,2"])
-        assert code == 1
-        assert "fleet_size 1000000000000000000" in capsys.readouterr().err
+        # every cell's runtime is built before any replication runs, so the
+        # huge cell is rejected wherever it is listed
+        for sizes in ("1000000000000000000,2", "2,1000000000000000000"):
+            code = main(["sweep", "--scenario", str(out / "scenario.json"), "--out", str(tmp_path / "x"),
+                         "--fleet-sizes", sizes])
+            assert code == 1
+            assert "fleet_size 1000000000000000000" in capsys.readouterr().err
 
     def test_missing_scenario_is_io_error(self, tmp_path, capsys):
         code = main(["run", "--scenario", str(tmp_path / "absent.json"), "--out", str(tmp_path)])

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from savsim import engine
 from savsim.demand import DemandProfile, TripRequest
 from savsim.dispatch import DispatchPolicy
 from savsim.engine import (
@@ -16,6 +17,7 @@ from savsim.engine import (
     _Replication,
     _Runtime,
     _Segment,
+    background_field,
     load_scenario,
     replication_requests,
     run_scenario,
@@ -48,6 +50,14 @@ def busy_scenario(**overrides) -> Scenario:
     )
     base.update(overrides)
     return Scenario(**base)
+
+
+def new_replication(scenario: Scenario, index: int = 0, collect_log: bool = False,
+                    sample: bool = False) -> _Replication:
+    """A replication set up the way ``simulate`` sets one up, for the test to run."""
+    runtime = _Runtime(scenario)
+    traffic = background_field(scenario, runtime, index, sample)
+    return _Replication(runtime, scenario, index, traffic, collect_log)
 
 
 def line_graph() -> RoadGraph:
@@ -83,8 +93,7 @@ class TestSingleRequestClosedForm:
         scenario = Scenario(
             graph=graph, demand=quiet_demand(), fleet_size=1, horizon=7200.0, replications=1
         )
-        runtime = _Runtime(scenario)
-        rep = _Replication(runtime, scenario, 0)
+        rep = new_replication(scenario)
         # sav parks at stop 0 (edge 0, slack 200); pickup at stop 1 is 600 m ahead
         rep.requests = [TripRequest(0, 1, 0, 100.0, 2)]
         result = rep.run()
@@ -120,8 +129,7 @@ class TestDeterminism:
 class TestConservation:
     def test_final_counts_balance(self):
         scenario = busy_scenario(fleet_size=1)
-        runtime = _Runtime(scenario)
-        rep = _Replication(runtime, scenario, 0)
+        rep = new_replication(scenario)
         result = rep.run()
         states = {"unassigned": 0, "assigned": 0, "onboard": 0, "completed": 0}
         for p in rep.pending.values():
@@ -138,7 +146,7 @@ class TestConservation:
             lambda rep: rep.metrics.wait_seconds.append(0.0),
         )
         for corrupt in corruptions:
-            rep = _Replication(_Runtime(scenario), scenario, 0)
+            rep = new_replication(scenario)
             rep.run()
             rep._check_conservation()
             corrupt(rep)
@@ -166,8 +174,7 @@ class TestConservation:
         scenario = busy_scenario(
             background_flows=[BackgroundFlow(0, 2, 120.0)], fleet_size=1
         )
-        runtime = _Runtime(scenario)
-        rep = _Replication(runtime, scenario, 0)
+        rep = new_replication(scenario)
         rep.run()
         profile = DEFAULT_PROFILES[scenario.profile]
         assert rep.traffic.occupancy
@@ -182,7 +189,7 @@ class TestConservation:
         traffic = []
         for fleet_size in (0, 10):
             scenario = busy_scenario(background_flows=flows, fleet_size=fleet_size)
-            rep = _Replication(_Runtime(scenario), scenario, 1, collect_occupancy=True)
+            rep = new_replication(scenario, 1, sample=True)
             result = rep.run()
             traffic.append(rep.traffic)
         assert result.record.sav_distance_m > 0   # the fleet of 10 did drive
@@ -194,7 +201,7 @@ class TestConservation:
 
     def test_background_occupancy_leak_is_caught(self):
         scenario = busy_scenario(background_flows=[BackgroundFlow(0, 2, 120.0)])
-        rep = _Replication(_Runtime(scenario), scenario, 0)
+        rep = new_replication(scenario)
         rep.run()
         rep.traffic.check()
         edge = next(iter(rep.traffic.occupancy))
@@ -209,8 +216,7 @@ class TestConservation:
             horizon=999999.0,
             replications=1,
         )
-        runtime = _Runtime(scenario)
-        rep = _Replication(runtime, scenario, 0)
+        rep = new_replication(scenario)
         result = rep.run()
         assert rep.metrics.requests_seen > 0
         assert result.record.unserved == 0
@@ -234,7 +240,7 @@ class TestCutShortLegs:
             graph.place_stop(0, 500.0, "peripheral_housing")   # stop 2
         scenario = Scenario(graph=graph, demand=quiet_demand(), fleet_size=1, profile="cautious",
                             horizon=horizon, replications=1)
-        rep = _Replication(_Runtime(scenario), scenario, 0, collect_log=True)
+        rep = new_replication(scenario, collect_log=True)
         rep.requests = requests
         rep.run()
         return rep
@@ -452,6 +458,25 @@ class TestRunSweep:
         pooled = run_sweep(scenario, [1, 2], ["cautious", "aggressive"], jobs=2)
         assert made == [2]
         serial = run_sweep(scenario, [1, 2], ["cautious", "aggressive"])
+        assert pooled.all_records() == serial.all_records()
+
+    def test_cells_sharing_a_field_and_table_match_lone_replications(self, monkeypatch):
+        # a task runs every cell on one background field per index and one
+        # stop table; each cell must still get what it gets alone
+        scenario = busy_scenario(replications=2,
+                                 background_flows=[BackgroundFlow(0, 2, 120.0), BackgroundFlow(3, 1, 90.0)])
+        fields = []
+        monkeypatch.setattr(engine, "background_field",
+                            lambda *args: fields.append(args[2]) or background_field(*args))
+        serial = run_sweep(scenario, [1, 2], ["cautious", "aggressive"])
+        assert fields == [0, 1]   # one field per index, read by all four cells
+        monkeypatch.undo()
+        assert all(r.total_distance_m > r.sav_distance_m for r in serial.all_records())
+        for (fleet, profile), result in serial.cells.items():
+            cell = dataclasses.replace(scenario, fleet_size=fleet, profile=profile)
+            assert result.records == [simulate(cell, i).record for i in range(2)]
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        pooled = run_sweep(scenario, [1, 2], ["cautious", "aggressive"], jobs=2)
         assert pooled.all_records() == serial.all_records()
 
     def test_empty_sweep_rejected(self):

@@ -1,11 +1,17 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from savsim.demand import DemandProfile
+from savsim.engine import Scenario, _Runtime, background_field
 from savsim.netgraph import DirectedEdge
 from savsim.traffic import (
     DEFAULT_PROFILES,
     BackgroundFlow,
+    BackgroundTraffic,
+    BackgroundVehicle,
     BehaviorProfile,
     attainable_speed,
     count_stop_event,
@@ -14,6 +20,8 @@ from savsim.traffic import (
     profiles_from_dict,
 )
 from savsim.errors import InvalidInputError
+
+from randnets import ring_network
 
 
 EDGE = DirectedEdge(0, 1, 2, 1341.0, 13.41, 100)
@@ -110,3 +118,48 @@ def test_behavior_profile_validation():
             BehaviorProfile("p", 1.0, dwell_time)
     with pytest.raises(InvalidInputError, match="speed_factor"):
         profiles_from_dict({"normal": {"speed_factor": 0}})
+
+
+def test_occupancy_change_at_t_is_seen_at_t():
+    traffic = BackgroundTraffic([], [], 3600.0, 0, sample=True)
+    t = 100.0
+    first, second = BackgroundVehicle((EDGE,)), BackgroundVehicle((EDGE,))
+    exit_time = traffic.advance(first, t)
+    traffic.advance(second, t)   # a second change at the same instant
+    assert traffic.occupancy_at(EDGE.id, t) == 2
+    assert traffic.occupancy_at(EDGE.id, math.nextafter(t, 0)) == 0
+    assert traffic.advance(first, exit_time) is None
+    assert traffic.occupancy_at(EDGE.id, exit_time) == 1
+    assert traffic.occupancy_at(EDGE.id, math.nextafter(exit_time, 0)) == 2
+    assert traffic.occupancy_at(EDGE.id + 1, t) == 0   # an edge nobody entered
+
+
+RING_VERTICES = st.integers(0, 3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    flows=st.lists(
+        st.tuples(RING_VERTICES, RING_VERTICES, st.floats(1.0, 400.0)).filter(lambda f: f[0] != f[1]),
+        min_size=1, max_size=4,
+    ),
+    seed=st.integers(0, 10**6),
+    horizon=st.floats(60.0, 3600.0),
+    data=st.data(),
+)
+def test_occupancy_at_is_the_last_sample_at_or_before_t(flows, seed, horizon, data):
+    scenario = Scenario(
+        graph=ring_network(), demand=DemandProfile(outbound_rate=0.0, inbound_rate=0.0),
+        background_flows=[BackgroundFlow(*f) for f in flows], fleet_size=0, horizon=horizon,
+        replications=1, base_seed=seed,
+    )
+    traffic = background_field(scenario, _Runtime(scenario), 0, sample=True)
+    sample_times = [t for t, _, _ in traffic.samples]
+    times = st.floats(0.0, horizon)
+    if sample_times:
+        times = st.one_of(times, st.sampled_from(sample_times),
+                          st.sampled_from(sample_times).map(lambda t: math.nextafter(t, 0)))
+    for t in data.draw(st.lists(times, min_size=1, max_size=20)):
+        for edge in scenario.graph.edges():
+            seen = [occ for when, eid, occ in traffic.samples if eid == edge.id and when <= t]
+            assert traffic.occupancy_at(edge.id, t) == (seen[-1] if seen else 0)

@@ -1,18 +1,21 @@
 """Discrete-event simulation loop tying demand, traffic, and dispatch together.
 
 Events are processed in (time, scheduling sequence) order, which gives a total
-order with no simultaneity ambiguity.  One replication is strictly sequential
-and depends only on (scenario, index), so ``_run_cells``, behind
-``run_scenario`` and ``run_sweep``, fans them out.  The cells of one task
-share one stop table per graph, whose trees only grow, and each replication
-index's background field, which they only read.
+order with no simultaneity ambiguity.  Both clocks, the background one and a
+replication's fleet one, follow one cut-off rule: they stop at the first
+event at or after the horizon, which is never processed.  One replication is
+strictly sequential and depends only on (scenario, index), so ``_run_cells``,
+behind ``run_scenario`` and ``run_sweep``, fans them out.  Its cells are
+variants of one base scenario that differ only in fleet size and profile;
+the cells of one task share one stop table per graph, whose trees only grow,
+and each replication index's background field, which they only read.
 
 Model notes:
   * ``traffic.BackgroundTraffic`` owns the background vehicles and the edge
     occupancy they make; the engine keeps only their clock.  Background
     traffic does not depend on the fleet, so ``background_field`` runs that
-    clock once per replication index, to the horizon, before any fleet event,
-    and every cell sharing the index reads the result.  Fleet vehicles are
+    clock once per replication index, from the base scenario, before any
+    fleet event, and every cell reads the result.  Fleet vehicles are
     few enough at this scale that their density contribution is ignored.
     A fleet vehicle drives each edge of a leg at ``traffic.attainable_speed``,
     sampled once, at leg start, from the occupancy at that instant
@@ -20,9 +23,9 @@ Model notes:
     instant counts).
   * A leg's driven pieces, including the direct same-edge hop, come from
     the distance table's ``position_path``; the traversal rule lives in
-    netgraph.  ``_end_leg`` accounts every leg, arrived or cut short by a
-    reroute or the horizon, by ``_LegPlan.progress``: a cut-short leg counts
-    pro rata.
+    netgraph.  ``_LegPlan.progress`` is the only sum over a leg's pieces, and
+    ``_end_leg`` accounts every leg by it, arrived or cut short by a reroute
+    or the horizon: a cut-short leg counts pro rata.
   * A fleet vehicle's boarding/alighting events each take one dwell period;
     a request's pickup/completion timestamps fall at the end of its own
     dwell slot.
@@ -86,7 +89,6 @@ REQUEST_ARRIVAL = "request_arrival"
 SAV_ARRIVAL = "sav_arrival_at_stop"
 DWELL_END = "dwell_end"
 BACKGROUND_EDGE_EXIT = "background_edge_exit"   # also a background vehicle's injection
-HORIZON_END = "horizon_end"
 
 # Largest estimated event count a scenario may need; the default scenario's
 # 20 replications need about 112k.  Above it a run would take hours or
@@ -151,8 +153,8 @@ class _Runtime:
             raise ConfigurationError(f"network failed validation:\n{report}")
         self.graph = graph
         self.stops = list(graph.stops())
-        self.profiles = scenario.behavior_profiles or traffic_mod.DEFAULT_PROFILES
-        get_profile(scenario.profile, self.profiles)  # fail fast on unknown names
+        self.profile = get_profile(scenario.profile,
+                                   scenario.behavior_profiles or traffic_mod.DEFAULT_PROFILES)
         if scenario.fleet_size > 0 and not self.stops:
             raise ConfigurationError("a nonzero fleet needs stops to park at")
         zones = {s.zone for s in self.stops}
@@ -167,7 +169,7 @@ class _Runtime:
             except SimulationError as exc:
                 raise ConfigurationError(f"background flow {flow}: {exc}") from exc
             self.flow_routes.append(tuple(graph.edge(eid) for eid in edges))
-        # Each replication takes one horizon event, one vehicle per fleet slot,
+        # Each replication takes one horizon cut, one vehicle per fleet slot,
         # one arrival per expected request, and per expected background vehicle
         # one injection plus one exit per route edge.  The integer fields are
         # counted exactly, so no value is too large to compare.
@@ -193,10 +195,10 @@ def background_field(scenario: Scenario, runtime: _Runtime, index: int,
     """Run the background clock of replication ``index`` to the horizon.
 
     The injections, then each edge exit, are processed in (time, scheduling
-    sequence) order up to the first event at or after the horizon, the
-    cut-off a replication's ``HORIZON_END`` makes for fleet events.  The
-    field then holds every occupancy change before the horizon and the
-    finished vehicles' tallies; occupancy samples are kept if ``sample``.
+    sequence) order up to the first event at or after the horizon, the same
+    test that stops a replication's fleet events.  The field then holds
+    every occupancy change before the horizon and the finished vehicles'
+    tallies; occupancy samples are kept if ``sample``.
     """
     traffic = traffic_mod.BackgroundTraffic(
         scenario.background_flows, runtime.flow_routes, scenario.horizon,
@@ -238,35 +240,33 @@ class _Segment:
 class _LegPlan:
     """A vehicle's active leg; also its own arrival event's payload.
 
-    ``distance``, ``delay`` and ``stop_events`` are the totals on arrival,
-    coming to rest at the stop included.
+    ``arrive`` is the last segment's exit; ``rest_stop`` is whether coming to
+    rest at the stop is a stop event.
     """
 
     sav: int
     arrive: float
-    distance: float
-    delay: float
-    stop_events: int
+    rest_stop: bool
     segments: list[_Segment]
 
     def progress(self, now: float) -> tuple[tuple[int, float], float, float, int]:
         """Position, and distance, delay and stop events driven, at ``now`` >= the leg's start.
 
-        Segments already left count in full.  The segment being driven counts
-        its distance and delay pro rata and its entry stop event.  Coming to
-        rest at the stop counts only on arrival.
+        Segments already left count in full, in order.  The segment being
+        driven counts its distance and delay pro rata and its entry stop
+        event.  At or after ``arrive`` every segment has been left, and
+        coming to rest at the stop counts too.
         """
-        if now >= self.arrive:
-            last = self.segments[-1]
-            return (last.edge, last.end_offset), self.distance, self.delay, self.stop_events
         distance = delay = 0.0
         stops = 0
-        for seg in self.segments:   # breaks: now < arrive, the last segment's exit
+        for seg in self.segments:
             if now < seg.exit:
                 break
             distance += seg.end_offset - seg.start_offset
             delay += seg.delay
             stops += seg.stopped
+        else:
+            return (seg.edge, seg.end_offset), distance, delay, stops + self.rest_stop
         length = seg.end_offset - seg.start_offset
         frac = (now - seg.enter) / (seg.exit - seg.enter)
         # not length * frac: that rounds differently and would move recorded distances
@@ -297,7 +297,7 @@ class _Replication:
         self.graph = runtime.graph
         self.table = runtime.table
         self.policy = scenario.policy
-        self.profile = get_profile(scenario.profile, runtime.profiles)
+        self.profile = runtime.profile
         self.now = 0.0
         self._heap: list[tuple[float, int, str, object]] = []
         self._seq = 0
@@ -346,10 +346,7 @@ class _Replication:
         pieces, _ = self.table.position_path(edge_id, offset, target_stop)
         segments: list[_Segment] = []
         t = now
-        delay = 0.0
         prev_speed = 0.0
-        stop_events = 0
-        distance = 0.0
         for eid, a, b in pieces:
             length = b - a
             dt = edge_delay = 0.0
@@ -360,19 +357,16 @@ class _Replication:
                 dt, edge_delay, stopped = drive(edge, length, v, prev_speed)
                 prev_speed = v
             segments.append(_Segment(eid, a, b, t, t + dt, edge_delay, stopped))
-            delay += edge_delay
-            stop_events += stopped
-            distance += length
             t += dt
-        stop_events += count_stop_event(prev_speed, 0.0)
-        return _LegPlan(sav.id, t, distance, delay, stop_events, segments)
+        return _LegPlan(sav.id, t, count_stop_event(prev_speed, 0.0), segments)
 
     def _start_leg(self, sav: Sav, now: float) -> None:
         leg = sav.route[0]
         plan = self._build_plan(sav, leg.stop, now)
         self.plans[sav.id] = plan
         sav.status = EN_ROUTE
-        self._log("depart", sav.id, leg.request, leg.stop, plan.distance)
+        if self.collect_log:
+            self._log("depart", sav.id, leg.request, leg.stop, plan.progress(plan.arrive)[1])
         self._schedule(plan.arrive, SAV_ARRIVAL, plan)
 
     def _end_leg(self, sav: Sav, now: float, kind: str,
@@ -506,7 +500,6 @@ class _Replication:
     # main loop --------------------------------------------------------------
 
     def run(self) -> ReplicationResult:
-        self._schedule(self.scenario.horizon, HORIZON_END, None)
         for req in self.requests:
             self._schedule(req.request_time, REQUEST_ARRIVAL, req)
         handlers = {
@@ -516,11 +509,11 @@ class _Replication:
         }
         while self._heap:
             time, _, kind, payload = heappop(self._heap)
+            if time >= self.scenario.horizon:
+                break
             if time < self.now - 1e-9:
                 raise ConsistencyError(f"event time moved backwards: {time} < {self.now}")
             self.now = time
-            if kind == HORIZON_END:
-                break
             handlers[kind](payload)
             self._check_conservation()
             for sav in self.savs:
@@ -572,51 +565,51 @@ class ScenarioResult:
 
 
 def _run_chunk(
-    cells: list[Scenario], indices: range, collect_log: bool, collect_occupancy: bool
+    base: Scenario, variants: list[tuple[int, str]], indices: range,
+    collect_log: bool, collect_occupancy: bool,
 ) -> list[list[ReplicationResult]]:
     """Run replications ``indices`` of every cell, index by index; one result list per cell.
 
-    Every cell's runtime is built first, so a cell that fails its checks
-    stops the task before any replication runs, and the runtimes share one
-    stop table per graph.  Each index's background field is computed once
-    per distinct (graph, flows, horizon, seed), read by every cell with that
-    key, and dropped before the next index.
+    Each ``(fleet_size, profile)`` variant of ``base`` is one cell.  Every
+    cell's runtime is built first, so a cell that fails its checks stops the
+    task before any replication runs, and the runtimes share one stop table
+    per graph.  The cells differ only in what the background field does not
+    depend on, so each index's field is built once, from ``base``, read by
+    every cell, and dropped before the next index.
     """
+    cells = [replace(base, fleet_size=fleet, profile=profile) for fleet, profile in variants]
     tables: dict[RoadGraph, StopDistanceTable | None] = {}
     runtimes = [_Runtime(cell, tables) for cell in cells]
     results: list[list[ReplicationResult]] = [[] for _ in cells]
     for i in indices:
-        fields: dict[tuple, traffic_mod.BackgroundTraffic] = {}
-        for cell, runtime, out in zip(cells, runtimes, results):
-            if i >= cell.replications:
-                continue
-            key = (cell.graph, tuple(cell.background_flows), cell.horizon, replication_seed(cell, i))
-            try:
-                if key not in fields:
-                    fields[key] = background_field(cell, runtime, i, collect_occupancy)
-                out.append(simulate(cell, i, runtime, collect_log, traffic=fields[key]))
-            except Exception as exc:
-                raise SimulationError(f"replication {i} failed: {exc}") from exc
+        try:
+            traffic = background_field(base, runtimes[0], i, collect_occupancy)
+            for cell, runtime, out in zip(cells, runtimes, results):
+                out.append(simulate(cell, i, runtime, collect_log, traffic=traffic))
+        except Exception as exc:
+            raise SimulationError(f"replication {i} failed: {exc}") from exc
     return results
 
 
 def _run_cells(
-    cells: list[Scenario], jobs: int, collect_log: bool = False, collect_occupancy: bool = False
+    base: Scenario, variants: list[tuple[int, str]], jobs: int,
+    collect_log: bool = False, collect_occupancy: bool = False,
 ) -> list[ScenarioResult]:
-    """Run every replication of every cell: the one place replications fan out.
+    """Run every replication of every ``(fleet_size, profile)`` variant of ``base``.
 
-    The run is index-major: replication indices are dealt round-robin into
-    one chunk per worker, and each chunk's task runs every cell at each of
-    its indices (see ``_run_chunk``), so the cells of a task share one stop
-    table per graph and the background clock runs once per index.  All
-    chunks share one pool; forked workers inherit any wrapper around
-    ``simulate``.  Results equal a serial run.
+    This is the one place replications fan out.  The run is index-major:
+    replication indices are dealt round-robin into one chunk per worker, and
+    each chunk's task runs every cell at each of its indices (see
+    ``_run_chunk``), so the cells of a task share one stop table per graph
+    and the background clock runs once per index.  All chunks share one
+    pool; forked workers inherit any wrapper around ``simulate``.  Results
+    equal a serial run.
     """
     if jobs < 1:
         raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
-    indices = range(max(c.replications for c in cells))
+    indices = range(base.replications)
     workers = min(jobs, os.cpu_count() or 1, len(indices))
-    args = (repeat(cells), [indices[k::workers] for k in range(workers)],
+    args = (repeat(base), repeat(variants), [indices[k::workers] for k in range(workers)],
             repeat(collect_log), repeat(collect_occupancy))
     if workers > 1:
         from concurrent import futures  # loaded here so serial runs skip the pool machinery
@@ -624,13 +617,14 @@ def _run_cells(
             parts = list(pool.map(_run_chunk, *args))
     else:
         parts = map(_run_chunk, *args)
-    per_cell: list[list[ReplicationResult]] = [[] for _ in cells]
+    per_cell: list[list[ReplicationResult]] = [[] for _ in variants]
     for part in parts:
         for reps, more in zip(per_cell, part):
             reps.extend(more)
-    return [ScenarioResult(cell, sorted(reps, key=lambda rep: rep.record.replication),
+    return [ScenarioResult(replace(base, fleet_size=fleet, profile=profile),
+                           sorted(reps, key=lambda rep: rep.record.replication),
                            aggregate([rep.record for rep in reps]))
-            for cell, reps in zip(cells, per_cell)]
+            for (fleet, profile), reps in zip(variants, per_cell)]
 
 
 def run_scenario(
@@ -640,7 +634,9 @@ def run_scenario(
     collect_occupancy: bool = False,
 ) -> ScenarioResult:
     """Run all replications, keeping logs and occupancy samples if asked, and aggregate."""
-    return _run_cells([scenario], jobs, collect_log, collect_occupancy)[0]
+    result = _run_cells(scenario, [(scenario.fleet_size, scenario.profile)], jobs,
+                        collect_log, collect_occupancy)[0]
+    return replace(result, scenario=scenario)
 
 
 @dataclass
@@ -669,8 +665,7 @@ def run_sweep(
     if not fleet_sizes or not profiles:
         raise ConfigurationError("sweep needs at least one fleet size and one profile")
     keys = [(fleet, profile) for fleet in fleet_sizes for profile in profiles]
-    cells = [replace(base, fleet_size=fleet, profile=profile) for fleet, profile in keys]
-    return SweepResult(base, dict(zip(keys, _run_cells(cells, jobs))))
+    return SweepResult(base, dict(zip(keys, _run_cells(base, keys, jobs))))
 
 
 # scenario files -------------------------------------------------------------

@@ -224,7 +224,8 @@ class TestConservation:
 
 
 class TestCutShortLegs:
-    """A leg cut short by a reroute or by the horizon counts its delay pro rata.
+    """A leg cut short by a reroute or by the horizon counts its delay pro rata;
+    the horizon itself is the first instant not simulated.
 
     On ``line_graph`` in the cautious profile, with no background traffic,
     every edge is driven at 0.85 of its 10 m/s free flow, so each metre
@@ -264,14 +265,20 @@ class TestCutShortLegs:
         assert rep.sav_delay[0] == pytest.approx(leg_delay * 30.0 / (600.0 / 8.5))
         assert rep.sav_delay[0] == pytest.approx(rep.metrics.sav_distance * self.DELAY_PER_METRE)
 
+    def test_request_at_the_horizon_is_never_seen(self):
+        at = self.run([TripRequest(0, 1, 0, 130.0, 1)], 130.0)
+        assert at.metrics.requests_seen == 0
+        assert at.log == []
+        before = self.run([TripRequest(0, 1, 0, math.nextafter(130.0, 0), 1)], 130.0)
+        assert before.metrics.requests_seen == 1
+        assert [e.kind for e in before.log[:2]] == ["assign", "depart"]
+
 
 @st.composite
 def leg_plans(draw) -> _LegPlan:
     """A plan built the way ``_Replication._build_plan`` builds one, from random pieces."""
     t = draw(st.floats(0.0, 1e5))
     segments = []
-    distance = delay = 0.0
-    stops = 0
     for edge in range(draw(st.integers(1, 6))):
         a = draw(st.floats(0.0, 1000.0))
         b = draw(st.one_of(st.just(a), st.floats(a, a + 2000.0)))   # zero-length pieces too
@@ -282,12 +289,8 @@ def leg_plans(draw) -> _LegPlan:
             seg_delay = draw(st.floats(0.0, dt))
             stopped = draw(st.booleans())
         segments.append(_Segment(edge, a, b, t, t + dt, seg_delay, stopped))
-        distance += b - a
-        delay += seg_delay
-        stops += stopped
         t += dt
-    stops += draw(st.booleans())   # coming to rest at the stop
-    return _LegPlan(0, t, distance, delay, stops, segments)
+    return _LegPlan(0, t, draw(st.booleans()), segments)   # whether coming to rest is a stop
 
 
 def position_at(plan: _LegPlan, now: float) -> tuple[int, float]:
@@ -317,11 +320,9 @@ def distance_until(plan: _LegPlan, now: float) -> float:
 
 
 def delay_and_stops_until(plan: _LegPlan, now: float) -> tuple[float, int]:
-    """Reference for a leg cut short: pieces left count in full, the piece
-    being driven its delay pro rata and its entry stop; coming to rest at
-    the stop counts only on arrival."""
-    if now >= plan.arrive:
-        return plan.delay, plan.stop_events
+    """Reference: pieces left count in full, the piece being driven its delay
+    pro rata and its entry stop; on arrival every piece has been left, and
+    coming to rest at the stop counts too."""
     delay, stops = 0.0, 0
     for seg in plan.segments:
         if now >= seg.exit:
@@ -330,6 +331,8 @@ def delay_and_stops_until(plan: _LegPlan, now: float) -> tuple[float, int]:
         elif now >= seg.enter:
             delay += seg.delay * (now - seg.enter) / (seg.exit - seg.enter)
             stops += seg.stopped
+    if now >= plan.arrive:
+        stops += plan.rest_stop
     return delay, stops
 
 
@@ -362,9 +365,12 @@ class TestLegProgress:
     @given(leg_plans())
     def test_at_arrival_progress_is_the_plan_totals(self, plan):
         last = plan.segments[-1]
-        totals = ((last.edge, last.end_offset), plan.distance, plan.delay, plan.stop_events)
+        delay = 0.0
+        for seg in plan.segments:   # in order: ``sum`` compensates rounding from Python 3.12 on
+            delay += seg.delay
+        stops = sum(seg.stopped for seg in plan.segments) + plan.rest_stop
+        totals = ((last.edge, last.end_offset), distance_until(plan, plan.arrive), delay, stops)
         assert plan.progress(plan.arrive) == totals
-        assert plan.distance == distance_until(plan, plan.arrive)
 
 
 class _InlinePool:

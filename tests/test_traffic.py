@@ -155,6 +155,7 @@ def test_occupancy_at_is_the_last_sample_at_or_before_t(flows, seed, horizon, da
     )
     traffic = background_field(scenario, _Runtime(scenario), 0, sample=True)
     sample_times = [t for t, _, _ in traffic.samples]
+    assert all(t < horizon for t in sample_times)
     times = st.floats(0.0, horizon)
     if sample_times:
         times = st.one_of(times, st.sampled_from(sample_times),

@@ -373,8 +373,8 @@ class _Replication:
                  request: int | None = None, stop: int | None = None) -> None:
         """Account the active leg as ``progress`` has it at ``now``, and clear it.
 
-        ``kind`` is ``arrive``, or ``reroute`` for a leg cut short; a reroute
-        then starts the next leg, and at the horizon the run ends instead.
+        ``kind`` is ``arrive``; or, for a leg cut short, ``reroute``, after
+        which the next leg starts, or ``horizon``, after which the run ends.
         """
         sav.position, distance, delay, stops = self.plans[sav.id].progress(now)
         self.plans[sav.id] = None
@@ -521,7 +521,7 @@ class _Replication:
         self.now = self.scenario.horizon
         for sav in self.savs:
             if sav.status == EN_ROUTE:
-                self._end_leg(sav, self.now, "reroute")
+                self._end_leg(sav, self.now, "horizon")
         # background tallies go in before the fleet's, in exit order, so that
         # finalize's floating-point sums keep one order
         self.metrics.background_distance = self.traffic.distance

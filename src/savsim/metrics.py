@@ -174,7 +174,7 @@ class LogEntry:
 
     time: float
     sav: int
-    kind: str       # depart | arrive | reroute | pickup | dropoff | assign
+    kind: str       # depart | arrive | reroute | horizon | pickup | dropoff | assign
     request: int | None
     stop: int | None
     distance: float = 0.0
@@ -204,7 +204,7 @@ def replay_shared_miles(entries: list[LogEntry]) -> float:
     shared = 0.0
     for e in entries:
         requests = aboard.setdefault(e.sav, set())
-        if e.kind in ("arrive", "reroute"):
+        if e.kind in ("arrive", "reroute", "horizon"):
             if len(requests) >= 2:
                 shared += e.distance
         elif e.kind == PICKUP:

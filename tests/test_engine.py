@@ -260,7 +260,7 @@ class TestCutShortLegs:
     def test_horizon_mid_edge_counts_delay_times_fraction(self):
         # the pickup leg of 600 m takes 600 / 8.5 s from t=100; the horizon cuts it at 30 s
         rep = self.run([TripRequest(0, 1, 0, 100.0, 1)], 130.0)
-        assert [(e.kind, e.time) for e in rep.log] == [("assign", 100.0), ("depart", 100.0), ("reroute", 130.0)]
+        assert [(e.kind, e.time) for e in rep.log] == [("assign", 100.0), ("depart", 100.0), ("horizon", 130.0)]
         leg_delay = 600.0 / 8.5 - 600.0 / 10.0
         assert rep.sav_delay[0] == pytest.approx(leg_delay * 30.0 / (600.0 / 8.5))
         assert rep.sav_delay[0] == pytest.approx(rep.metrics.sav_distance * self.DELAY_PER_METRE)

@@ -8,14 +8,16 @@ pair that maximizes shared distance (meters driven with two or more distinct
 requests onboard), subject to capacity at every leg and a detour budget on
 total route length.  Each pair is scored in O(1) from prefix sums over the
 route, and only pairs whose score could beat the best so far, within a
-rounding tolerance, are walked exactly by ``route_cost``, whose totals alone
-decide; the result is the pair an exhaustive walk would pick.
+rounding tolerance, are walked exactly, resuming from the prefix sums before
+the pickup; the walk equals ``route_cost`` on the amended route bit for bit,
+and its totals alone decide, so the result is the pair an exhaustive walk
+would pick.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .demand import TripRequest
 from .errors import ConsistencyError, InvalidInputError, check_finite
@@ -64,21 +66,39 @@ class RouteLeg:
     party_size: int
 
 
+def state_counts() -> dict[str, int]:
+    """A zero count per request state, for ``PendingRequest.counts``."""
+    return dict.fromkeys(_STATE_ORDER, 0)
+
+
 @dataclass
 class PendingRequest:
-    """Lifecycle wrapper around a trip request."""
+    """Lifecycle wrapper around a trip request.
+
+    ``counts``, if given, is the requests per state of one replication:
+    creating the request counts it, and ``advance``, the one transition
+    point, moves it from its old state to its new one.
+    """
 
     request: TripRequest
     state: str = UNASSIGNED
     assigned_sav: int | None = None
     pickup_time: float | None = None
     completion_time: float | None = None
+    counts: dict[str, int] | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.counts is not None:
+            self.counts[self.state] += 1
 
     def advance(self, new_state: str) -> None:
         if _STATE_ORDER.index(new_state) != _STATE_ORDER.index(self.state) + 1:
             raise ConsistencyError(
                 f"request {self.request.id}: illegal transition {self.state} -> {new_state}"
             )
+        if self.counts is not None:
+            self.counts[self.state] -= 1
+            self.counts[new_state] += 1
         self.state = new_state
 
 
@@ -156,6 +176,104 @@ def route_cost(sav: Sav, legs: list[RouteLeg], table) -> tuple[float, float]:
     return length, shared
 
 
+class RoutePrefix(NamedTuple):
+    """One left-to-right pass over a vehicle's route of ``n`` legs.
+
+    ``seg[k]`` is the segment driven into base leg ``k``, from the vehicle's
+    position for ``k = 0``.  Entry ``k`` of the other lists describes the
+    state before base leg ``k``, entry ``n`` the state after the last: the
+    distinct requests aboard, the passengers aboard, and prefix sums of the
+    segments, of those driven with two or more distinct requests aboard
+    (shared) and of those driven with one or more (shared once a new
+    request rides too).  Each sum is formed like ``route_cost``'s.
+    """
+
+    seg: list[float]
+    length: list[float]
+    shared: list[float]
+    ridden: list[float]
+    aboard: list[int]
+    load: list[int]
+
+
+def route_prefix(sav: Sav, table) -> RoutePrefix:
+    """The prefix pass over the vehicle's route (see ``RoutePrefix``)."""
+    edge_id, offset = sav.position
+    seg: list[float] = []
+    length = [0.0]
+    shared = [0.0]
+    ridden = [0.0]
+    aboard: list[int] = []
+    load = [sav.onboard_total]
+    onboard = set(sav.onboard)
+    prev: int | None = None
+    for leg in sav.route:
+        s = (
+            table.distance_from_position(edge_id, offset, leg.stop)
+            if prev is None
+            else table.distance(prev, leg.stop)
+        )
+        count = len(onboard)
+        seg.append(s)
+        aboard.append(count)
+        length.append(length[-1] + s)
+        shared.append(shared[-1] + s if count >= 2 else shared[-1])
+        ridden.append(ridden[-1] + s if count >= 1 else ridden[-1])
+        if leg.action == PICKUP:
+            onboard.add(leg.request)
+            load.append(load[-1] + leg.party_size)
+        else:
+            onboard.discard(leg.request)
+            load.append(load[-1] - leg.party_size)
+        prev = leg.stop
+    aboard.append(len(onboard))
+    return RoutePrefix(seg, length, shared, ridden, aboard, load)
+
+
+def resume_walk(
+    prefix: RoutePrefix, i: int, m: int,
+    into_pickup: float, from_pickup: float, into_dropoff: float, from_dropoff: float,
+) -> tuple[float, float]:
+    """``route_cost`` of the route with a new request's pickup before base leg
+    ``i`` and its dropoff before base leg ``m >= i``, resumed from the prefix.
+
+    The four distances are the segments the pair adds: into the pickup, from
+    it to base leg ``i`` (read only when ``m > i``), into the dropoff (from
+    the pickup when ``m == i``), and from it to base leg ``m`` (read only
+    when ``m < n``).  The result equals ``route_cost`` on the materialised
+    route bit for bit: over base legs ``0 .. i - 1`` that route is the base
+    route, so ``route_cost``'s running totals after them are ``length[i]``
+    and ``shared[i]``, the same additions of the same table values in the
+    same order.  From there this walk adds, in route order, the same
+    segments ``route_cost`` looks up, each under the same test on the
+    requests aboard (the new request, not yet aboard, adds one to
+    ``aboard[k]`` between its pickup and dropoff), so every addition is the
+    same floating-point operation on the same operands.
+    """
+    seg, length, shared, _, aboard, _ = prefix
+    n = len(seg)
+    total = length[i] + into_pickup
+    ride = shared[i] + into_pickup if aboard[i] >= 2 else shared[i]
+    for k in range(i, m):
+        s = from_pickup if k == i else seg[k]
+        total += s
+        if aboard[k] >= 1:
+            ride += s
+    total += into_dropoff
+    if aboard[m] >= 1:
+        ride += into_dropoff
+    if m < n:
+        total += from_dropoff
+        if aboard[m] >= 2:
+            ride += from_dropoff
+        for k in range(m + 1, n):
+            s = seg[k]
+            total += s
+            if aboard[k] >= 2:
+                ride += s
+    return total, ride
+
+
 @dataclass(frozen=True)
 class Insertion:
     """An accepted shared-ride amendment."""
@@ -180,19 +298,16 @@ def try_insert_shared(
     the pair with the most shared distance (first such pair on ties).  The
     vehicle's route is never mutated; the caller applies the amendment.
 
-    One left-to-right pass over the route of ``L`` legs records each
-    segment's distance, the distinct requests aboard on it and the load
-    after each leg, with prefix sums of length, of shared distance (two or
-    more aboard) and of would-be-shared distance (one or more aboard: shared
-    once the candidate rides too).  A pair with the pickup before base leg
-    ``i`` and the dropoff before base leg ``m >= i`` then scores in O(1): a
-    term for ``i`` plus a term for ``m``, each a few prefix differences and
-    the distances to and from the candidate's stops, looked up once per
-    index.  Capacity is a running check on the loads, and the dropoff scan
-    for ``i`` stops at the first base pickup the candidate would overfill.
-    A route that is over capacity without the candidate has no feasible pair.
+    ``route_prefix`` makes one left-to-right pass over the route of ``L``
+    legs.  A pair with the pickup before base leg ``i`` and the dropoff
+    before base leg ``m >= i`` then scores in O(1): a term for ``i`` plus a
+    term for ``m``, each a few prefix differences and the distances to and
+    from the candidate's stops, looked up once per index.  Capacity is a
+    running check on the loads, and the dropoff scan for ``i`` stops at the
+    first base pickup the candidate would overfill.  A route that is over
+    capacity without the candidate has no feasible pair.
 
-    The scores only filter; ``route_cost`` decides.  A score adds the same
+    The scores only filter; the exact totals decide.  A score adds the same
     segment distances as the exact left-to-right walk in another order, so
     the two differ by rounding alone.  For a pair within budget every term
     is at most the budget (the factor is at least 1, so the base length is
@@ -202,77 +317,55 @@ def try_insert_shared(
     than ``9 (L + 4) 2**-53 budget``, and ``tol = 1e-9 (budget + 1) (L + 4)``
     is over 10**5 times that.  A pair is skipped when its length score is
     over ``budget + tol`` or, once a best pair exists, its shared score is
-    at most ``best.shared_miles - tol``: neither could pass the exact tests.
-    Every other pair is materialised and walked by ``route_cost``, and the
-    exact ``length > budget`` and ``shared > best.shared_miles`` tests
-    decide it, so the result is the pair an exhaustive walk returns.
+    at most ``best shared - tol``: neither could pass the exact tests.
+    Every other pair is walked by ``resume_walk`` from its prefix, which
+    equals ``route_cost`` on the materialised route bit for bit, and the
+    exact ``length > budget`` and ``shared > best shared`` tests decide it,
+    so the result is the pair an exhaustive walk returns.  Only the winning
+    pair's route is built.
 
     The prefix scores count the candidate as one more distinct request
     aboard, so its id must be new to the vehicle; a ConsistencyError says
     otherwise.
     """
-    base = list(sav.route)
+    base = sav.route
     n = len(base)
-    origin, dest, party = candidate.origin, candidate.destination, candidate.party_size
-    pickup = RouteLeg(origin, PICKUP, candidate.id, party)
-    dropoff = RouteLeg(dest, DROPOFF, candidate.id, party)
+    cid, origin, dest, party = candidate.id, candidate.origin, candidate.destination, candidate.party_size
+    if cid in sav.onboard:
+        raise ConsistencyError(f"sav {sav.id}: request {cid} is already aboard")
+    if any(leg.request == cid for leg in base):
+        raise ConsistencyError(f"sav {sav.id}: request {cid} is already routed")
+    prefix = route_prefix(sav, table)
+    _, length, shared, ridden, aboard, load = prefix
+    capacity = sav.capacity
+    if max(load) > capacity:
+        return None
     edge_id, offset = sav.position
-
-    # entry k describes the state before base leg k; entry n, after the last
-    length = [0.0]
-    shared = [0.0]
-    ridden = [0.0]
-    aboard: list[int] = []
-    load = [sav.onboard_total]
-    onboard = set(sav.onboard)
-    if candidate.id in onboard:
-        raise ConsistencyError(f"sav {sav.id}: request {candidate.id} is already aboard")
-    prev: int | None = None
-    for leg in base:
-        if leg.request == candidate.id:
-            raise ConsistencyError(f"sav {sav.id}: request {candidate.id} is already routed")
-        seg = (
-            table.distance_from_position(edge_id, offset, leg.stop)
-            if prev is None
-            else table.distance(prev, leg.stop)
-        )
-        count = len(onboard)
-        aboard.append(count)
-        length.append(length[-1] + seg)
-        shared.append(shared[-1] + seg if count >= 2 else shared[-1])
-        ridden.append(ridden[-1] + seg if count >= 1 else ridden[-1])
-        if leg.action == PICKUP:
-            onboard.add(leg.request)
-            load.append(load[-1] + leg.party_size)
-            if load[-1] > sav.capacity:
-                return None
-        else:
-            onboard.discard(leg.request)
-            load.append(load[-1] - leg.party_size)
-        prev = leg.stop
-    aboard.append(len(onboard))
     budget = policy.detour_budget_factor * length[n]
     tol = 1e-9 * (budget + 1.0) * (n + 4)
 
     # dropoff before base leg m: from the dropoff on, and (m > i) the
     # candidate's ride from base leg m - 1 to its destination
+    drop_out = [table.distance(dest, leg.stop) for leg in base]
+    drop_in = [0.0] + [table.distance(leg.stop, dest) for leg in base]
     tail_len = [0.0] * (n + 1)
     tail_shared = [0.0] * (n + 1)
     for m in range(n):
-        out = table.distance(dest, base[m].stop)
+        out = drop_out[m]
         tail_len[m] = out + (length[n] - length[m + 1])
         tail_shared[m] = (out if aboard[m] >= 2 else 0.0) + (shared[n] - shared[m + 1])
     col_len = [0.0] * (n + 1)
     col_shared = [0.0] * (n + 1)
     for m in range(1, n + 1):
-        into = table.distance(base[m - 1].stop, dest)
+        into = drop_in[m]
         col_len[m] = length[m] + into + tail_len[m]
         col_shared[m] = ridden[m] + (into if aboard[m] >= 1 else 0.0) + tail_shared[m]
     direct = table.distance(origin, dest)
 
-    best: Insertion | None = None
+    best: tuple[int, int] | None = None
+    best_len = best_shared = 0.0
     for i in range(n + 1):
-        if load[i] + party > sav.capacity:
+        if load[i] + party > capacity:
             continue
         into = (
             table.distance_from_position(edge_id, offset, origin)
@@ -281,6 +374,7 @@ def try_insert_shared(
         )
         head_len = length[i] + into
         head_shared = shared[i] + (into if aboard[i] >= 2 else 0.0)
+        out = 0.0
         if i < n:
             out = table.distance(origin, base[i].stop)
             row_len = head_len + out - length[i + 1]
@@ -289,22 +383,30 @@ def try_insert_shared(
             if m == i:
                 approx_len = head_len + direct + tail_len[i]
                 approx_shared = head_shared + (direct if aboard[i] >= 1 else 0.0) + tail_shared[i]
-            elif base[m - 1].action == PICKUP and load[m] + party > sav.capacity:
+            elif base[m - 1].action == PICKUP and load[m] + party > capacity:
                 break   # a later dropoff keeps the party aboard over more legs
             else:
                 approx_len = row_len + col_len[m]
                 approx_shared = row_shared + col_shared[m]
             if approx_len > budget + tol:
                 continue
-            if best is not None and approx_shared <= best.shared_miles - tol:
+            if best is not None and approx_shared <= best_shared - tol:
                 continue
-            legs = base[:i] + [pickup] + base[i:m] + [dropoff] + base[m:]
-            exact_len, exact_shared = route_cost(sav, legs, table)
+            exact_len, exact_shared = resume_walk(
+                prefix, i, m, into, out, direct if m == i else drop_in[m],
+                drop_out[m] if m < n else 0.0,
+            )
             if exact_len > budget:
                 continue
-            if best is None or exact_shared > best.shared_miles:
-                best = Insertion(tuple(legs), exact_shared, exact_len, i)
-    return best
+            if best is None or exact_shared > best_shared:
+                best, best_len, best_shared = (i, m), exact_len, exact_shared
+    if best is None:
+        return None
+    i, m = best
+    pickup = RouteLeg(origin, PICKUP, cid, party)
+    dropoff = RouteLeg(dest, DROPOFF, cid, party)
+    route = (*base[:i], pickup, *base[i:m], dropoff, *base[m:])
+    return Insertion(route, best_shared, best_len, i)
 
 
 def on_arrival(

@@ -32,8 +32,14 @@ Model notes:
   * Each arrival event carries the leg plan it was scheduled for; a plan
     that a reroute replaced is no longer the vehicle's plan, so its arrival
     is stale and is ignored.
-  * Passenger conservation and vehicle capacity are asserted after every
-    fleet event; violations raise ConsistencyError.
+  * Invariants are checked where they can break, and violations raise
+    ConsistencyError.  Capacity is asserted in ``dispatch.on_arrival``, the
+    one place a vehicle's load grows.  ``PendingRequest.advance`` keeps the
+    requests per state, and after every fleet event ``_check_counts``
+    compares those counts with the metrics and the vehicles' onboard sets,
+    in O(fleet).  ``_check_conservation`` walks every request once, at the
+    end of the replication, so a state written without ``advance`` is
+    caught too.
 """
 
 from __future__ import annotations
@@ -62,7 +68,9 @@ from .dispatch import (
     UNASSIGNED,
     on_arrival,
     request_legs,
+    route_cost,
     select_next_request,
+    state_counts,
     try_insert_shared,
 )
 from .errors import ConfigurationError, ConsistencyError, SimulationError, number, read_section
@@ -302,6 +310,7 @@ class _Replication:
         self._heap: list[tuple[float, int, str, object]] = []
         self._seq = 0
         self.pending: dict[int, PendingRequest] = {}
+        self.counts = state_counts()   # kept by ``PendingRequest.advance``
         self.collect_log = collect_log
         self.log: list[LogEntry] = []
         self.metrics = MetricsState(
@@ -418,7 +427,18 @@ class _Replication:
         """Offer one request to every active route; apply the best insertion.
 
         Called once, when the request arrives; requests that fail here wait
-        for an idle vehicle.
+        for an idle vehicle.  The vehicle with the most shared distance wins,
+        the first one on ties.  Once a best insertion exists, a vehicle whose
+        detour budget, ``detour_budget_factor`` times ``route_cost`` of its
+        route, is at most the best shared distance is not offered the
+        request: it cannot win.  ``try_insert_shared`` computes the same
+        budget (its base length is ``route_cost``'s sum, formed the same
+        way) and accepts a pair only if its exact length is at most the
+        budget.  The pair's shared distance is a sum of a subset of the same
+        non-negative segments in the same order, and rounding is monotone,
+        so each partial shared sum is at most the partial length: shared <=
+        length <= budget <= best.  A vehicle replaces the best only with a
+        strictly larger shared distance.
         """
         best = None
         best_sav = None
@@ -427,6 +447,10 @@ class _Replication:
                 continue
             if sav.status == EN_ROUTE:
                 sav.position = self.plans[sav.id].progress(now)[0]
+            if best is not None and (self.policy.detour_budget_factor
+                                     * route_cost(sav, sav.route, self.table)[0]
+                                     <= best.shared_miles):
+                continue
             res = try_insert_shared(self.policy, sav, pr.request, self.table)
             if res is not None and (best is None or res.shared_miles > best.shared_miles):
                 best, best_sav = res, sav
@@ -440,7 +464,7 @@ class _Replication:
     # event handlers -------------------------------------------------------
 
     def _on_request_arrival(self, request: TripRequest) -> None:
-        pr = PendingRequest(request)
+        pr = PendingRequest(request, counts=self.counts)
         self.pending[request.id] = pr
         self.metrics.requests_seen += 1
         self._assign_idle(self.now)
@@ -467,7 +491,6 @@ class _Replication:
             else:
                 self.metrics.record_completion(pr.request.party_size)
             self._log(leg.action, sav_id, leg.request, here)
-            sav.assert_capacity()
         self._schedule(self.now + dwell_slots * self.profile.dwell_time, DWELL_END, sav_id)
 
     def _on_dwell_end(self, sav_id: int) -> None:
@@ -480,12 +503,12 @@ class _Replication:
 
     # invariants -----------------------------------------------------------
 
-    def _check_conservation(self) -> None:
-        """Every request seen has one state; ONBOARD ones ride a vehicle, COMPLETED
-        ones are the trips completed, and both were picked up, with one wait each."""
-        counts = {UNASSIGNED: 0, ASSIGNED: 0, ONBOARD: 0, COMPLETED: 0}
-        for p in self.pending.values():
-            counts[p.state] += 1
+    def _check_counts(self) -> None:
+        """The requests per state, as ``advance`` keeps them, add up to the
+        requests seen; ONBOARD ones ride a vehicle, COMPLETED ones are the
+        trips completed, and both were picked up, with one wait each.
+        O(fleet): run after every fleet event."""
+        counts = self.counts
         aboard = sum(len(sav.onboard) for sav in self.savs)
         m = self.metrics
         if (sum(counts.values()) != m.requests_seen or counts[ONBOARD] != aboard
@@ -496,6 +519,22 @@ class _Replication:
                 f"{m.requests_seen} seen, {aboard} aboard, {m.trips_completed} completed, "
                 f"{len(m.wait_seconds)} waits"
             )
+
+    def _check_conservation(self) -> None:
+        """Every request seen is in the state the counts say, then ``_check_counts``.
+
+        The walk over every request catches a state written without
+        ``advance``; it runs once, at the end of the replication.
+        """
+        walked = state_counts()
+        for p in self.pending.values():
+            walked[p.state] += 1
+        if walked != self.counts:
+            raise ConsistencyError(
+                f"passenger conservation broken at t={self.now}: request states {walked} "
+                f"vs {self.counts} counted by advance"
+            )
+        self._check_counts()
 
     # main loop --------------------------------------------------------------
 
@@ -515,13 +554,12 @@ class _Replication:
                 raise ConsistencyError(f"event time moved backwards: {time} < {self.now}")
             self.now = time
             handlers[kind](payload)
-            self._check_conservation()
-            for sav in self.savs:
-                sav.assert_capacity()
+            self._check_counts()
         self.now = self.scenario.horizon
         for sav in self.savs:
             if sav.status == EN_ROUTE:
                 self._end_leg(sav, self.now, "horizon")
+        self._check_conservation()
         # background tallies go in before the fleet's, in exit order, so that
         # finalize's floating-point sums keep one order
         self.metrics.background_distance = self.traffic.distance
@@ -567,6 +605,7 @@ class ScenarioResult:
 def _run_chunk(
     base: Scenario, variants: list[tuple[int, str]], indices: range,
     collect_log: bool, collect_occupancy: bool,
+    fields: list[traffic_mod.BackgroundTraffic] | None = None,
 ) -> list[list[ReplicationResult]]:
     """Run replications ``indices`` of every cell, index by index; one result list per cell.
 
@@ -575,15 +614,17 @@ def _run_chunk(
     task before any replication runs, and the runtimes share one stop table
     per graph.  The cells differ only in what the background field does not
     depend on, so each index's field is built once, from ``base``, read by
-    every cell, and dropped before the next index.
+    every cell, and dropped before the next index; ``fields``, if given,
+    are those fields, built by the caller, one per index.
     """
     cells = [replace(base, fleet_size=fleet, profile=profile) for fleet, profile in variants]
     tables: dict[RoadGraph, StopDistanceTable | None] = {}
     runtimes = [_Runtime(cell, tables) for cell in cells]
     results: list[list[ReplicationResult]] = [[] for _ in cells]
-    for i in indices:
+    for k, i in enumerate(indices):
         try:
-            traffic = background_field(base, runtimes[0], i, collect_occupancy)
+            traffic = (background_field(base, runtimes[0], i, collect_occupancy)
+                       if fields is None else fields[k])
             for cell, runtime, out in zip(cells, runtimes, results):
                 out.append(simulate(cell, i, runtime, collect_log, traffic=traffic))
         except Exception as exc:
@@ -599,18 +640,33 @@ def _run_cells(
 
     This is the one place replications fan out.  The run is index-major:
     replication indices are dealt round-robin into one chunk per worker, and
-    each chunk's task runs every cell at each of its indices (see
+    each chunk's task runs its cells at each of its indices (see
     ``_run_chunk``), so the cells of a task share one stop table per graph
-    and the background clock runs once per index.  All chunks share one
-    pool; forked workers inherit any wrapper around ``simulate``.  Results
-    equal a serial run.
+    and the background clock runs once per index.  With fewer indices than
+    workers, each index's cells are dealt round-robin into groups, one chunk
+    per (index, cell group), so that every worker has cells to run; each
+    index's background field is then built here, once, and sent to its
+    chunks.  All chunks share one pool; forked workers inherit any wrapper
+    around ``simulate``.  Results are merged per cell and equal a serial
+    run.
     """
     if jobs < 1:
         raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
     indices = range(base.replications)
-    workers = min(jobs, os.cpu_count() or 1, len(indices))
-    args = (repeat(base), repeat(variants), [indices[k::workers] for k in range(workers)],
-            repeat(collect_log), repeat(collect_occupancy))
+    positions = range(len(variants))
+    workers = min(jobs, os.cpu_count() or 1, len(indices) * len(positions))
+    spread = min(workers, len(indices))
+    groups = workers // spread
+    chunks = [(positions[g::groups], indices[k::spread]) for k in range(spread) for g in range(groups)]
+    fields: list[list[traffic_mod.BackgroundTraffic] | None] = [None] * len(chunks)
+    if groups > 1:
+        # the field reads only the runtime's flow routes, so no stop table is built
+        runtime = _Runtime(replace(base, fleet_size=variants[0][0], profile=variants[0][1]),
+                           {base.graph: None})
+        built = [background_field(base, runtime, i, collect_occupancy) for i in indices]
+        fields = [[built[i] for i in chunk] for _, chunk in chunks]
+    args = (repeat(base), [[variants[c] for c in cells] for cells, _ in chunks],
+            [chunk for _, chunk in chunks], repeat(collect_log), repeat(collect_occupancy), fields)
     if workers > 1:
         from concurrent import futures  # loaded here so serial runs skip the pool machinery
         with futures.ProcessPoolExecutor(max_workers=workers) as pool:
@@ -618,9 +674,9 @@ def _run_cells(
     else:
         parts = map(_run_chunk, *args)
     per_cell: list[list[ReplicationResult]] = [[] for _ in variants]
-    for part in parts:
-        for reps, more in zip(per_cell, part):
-            reps.extend(more)
+    for (cells, _), part in zip(chunks, parts):
+        for c, more in zip(cells, part):
+            per_cell[c].extend(more)
     return [ScenarioResult(replace(base, fleet_size=fleet, profile=profile),
                            sorted(reps, key=lambda rep: rep.record.replication),
                            aggregate([rep.record for rep in reps]))

@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from savsim import dispatch
 from savsim.demand import TripRequest
@@ -17,7 +19,9 @@ from savsim.dispatch import (
     Sav,
     on_arrival,
     request_legs,
+    resume_walk,
     route_cost,
+    route_prefix,
     select_next_request,
     try_insert_shared,
 )
@@ -60,6 +64,27 @@ def as_tuple(res):
 
 def pending_of(*reqs: TripRequest) -> list[PendingRequest]:
     return [PendingRequest(r) for r in reqs]
+
+
+def pair_route(route, cand: TripRequest, i: int, m: int) -> list[RouteLeg]:
+    """The route with the candidate's pickup before base leg i and its dropoff before base leg m."""
+    pickup = RouteLeg(cand.origin, PICKUP, cand.id, cand.party_size)
+    dropoff = RouteLeg(cand.destination, DROPOFF, cand.id, cand.party_size)
+    return route[:i] + [pickup] + route[i:m] + [dropoff] + route[m:]
+
+
+def observe_walks(monkeypatch, sav: Sav, cand: TripRequest) -> list[bool]:
+    """Record, for each pair ``try_insert_shared`` walks exactly, whether its
+    materialised route keeps capacity at every leg."""
+    walked = []
+
+    def checked(prefix, i, m, *distances):
+        legs = pair_route(sav.route, cand, i, m)
+        walked.append(walk_capacity_ok(sav.onboard_total, sav.capacity, legs))
+        return resume_walk(prefix, i, m, *distances)
+
+    monkeypatch.setattr(dispatch, "resume_walk", checked)
+    return walked
 
 
 class TestSelectNextRequest:
@@ -159,13 +184,7 @@ class TestInsertion:
         ]
         cand = TripRequest(200, s1.id, s3.id, 0.0, 1)
         policy = DispatchPolicy(detour_budget_factor=10.0)   # only capacity binds
-        walked = []
-
-        def checked(vehicle, legs, tbl):
-            walked.append(walk_capacity_ok(vehicle.onboard_total, vehicle.capacity, legs))
-            return route_cost(vehicle, legs, tbl)
-
-        monkeypatch.setattr(dispatch, "route_cost", checked)
+        walked = observe_walks(monkeypatch, sav, cand)
         res = try_insert_shared(policy, sav, cand, table)
         assert as_tuple(res) == brute_best_insertion(policy, sav, cand, table)
         assert res is not None and walked and all(walked)
@@ -332,18 +351,45 @@ class TestInsertion:
         home = g.stop(route[0].stop)
         sav = Sav(0, 5, "normal", (home.edge, home.slack), route=route, status="en_route")
         cand = TripRequest(100, *rng.sample(stop_ids, 2), 0.0, 1)
-        walks = []
-
-        def counted(*args):
-            walks.append(args)
-            return route_cost(*args)
-
-        monkeypatch.setattr(dispatch, "route_cost", counted)
+        walked = observe_walks(monkeypatch, sav, cand)
         res = try_insert_shared(DispatchPolicy(), sav, cand, table)
         assert as_tuple(res) == brute_best_insertion(DispatchPolicy(), sav, cand, table)
         # only pairs that beat or nearly tie the best so far are walked: 34 here,
         # where an exhaustive scan walks all 861
-        assert len(walks) <= len(route) + 1
+        assert walked and all(walked)
+        assert len(walked) <= len(route) + 1
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), rides=st.integers(0, 8))
+    def test_resumed_walk_is_route_cost_bit_for_bit(self, seed, rides):
+        # every pair of a random vehicle state, its route lengthened by
+        # random rides so that up to a dozen requests share it
+        rng = random.Random(seed)
+        g = random_connected_graph(rng, max_vertices=10, max_edges=25)
+        stops = scatter_stops(rng, g, 5)
+        table = build_stop_distance_table(g)
+        stop_ids = [s.id for s in stops]
+        sav, rid = random_sav_state(rng, stop_ids, positions=[(s.edge, s.slack) for s in stops],
+                                    capacity=5, next_rid=0)
+        for _ in range(rides):
+            ride = TripRequest(rid, *rng.sample(stop_ids, 2), 0.0, 1)
+            i = rng.randint(0, len(sav.route))
+            sav.route = pair_route(sav.route, ride, i, rng.randint(i, len(sav.route)))
+            rid += 1
+        cand = TripRequest(rid, *rng.sample(stop_ids, 2), 0.0, 1)
+        base, n = sav.route, len(sav.route)
+        prefix = route_prefix(sav, table)
+        for i in range(n + 1):
+            into_pickup = (table.distance_from_position(*sav.position, cand.origin) if i == 0
+                           else table.distance(base[i - 1].stop, cand.origin))
+            from_pickup = table.distance(cand.origin, base[i].stop) if i < n else math.nan
+            for m in range(i, n + 1):
+                into_dropoff = table.distance(cand.origin if m == i else base[m - 1].stop,
+                                              cand.destination)
+                from_dropoff = table.distance(cand.destination, base[m].stop) if m < n else math.nan
+                got = resume_walk(prefix, i, m, into_pickup, from_pickup, into_dropoff, from_dropoff)
+                want = route_cost(sav, pair_route(base, cand, i, m), table)
+                assert [x.hex() for x in got] == [x.hex() for x in want], (i, m)
 
 
 class TestOnArrival:

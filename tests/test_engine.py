@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from savsim import engine
+from savsim import dispatch, engine
 from savsim.demand import DemandProfile, TripRequest
 from savsim.dispatch import DispatchPolicy
 from savsim.engine import (
@@ -29,6 +29,7 @@ from savsim.engine import (
 from savsim.errors import ConfigurationError, ConsistencyError, SimulationError
 from savsim.metrics import aggregate
 from savsim.netgraph import RoadGraph, save_network
+from savsim.scenario_gen import default_scenario
 from savsim.traffic import DEFAULT_PROFILES, BackgroundFlow, attainable_speed, edge_speed
 
 from randnets import ring_network
@@ -152,6 +153,50 @@ class TestConservation:
             corrupt(rep)
             with pytest.raises(ConsistencyError, match="passenger conservation broken"):
                 rep._check_conservation()
+
+    def test_corruption_mid_run_is_caught_at_that_event(self):
+        scenario = busy_scenario(fleet_size=1)
+        corruptions = (
+            lambda rep: rep.savs[0].onboard.update({10**6: 1}),
+            lambda rep: setattr(rep.metrics, "trips_completed", rep.metrics.trips_completed + 1),
+            lambda rep: rep.metrics.wait_seconds.append(0.0),
+        )
+        for corrupt in corruptions:
+            rep = new_replication(scenario)
+            handler = rep._on_sav_arrival
+            corrupted_at = []
+
+            def corrupting(plan):
+                handler(plan)
+                if not corrupted_at and rep.now > 1000.0:
+                    corrupted_at.append(rep.now)
+                    corrupt(rep)
+
+            rep._on_sav_arrival = corrupting
+            with pytest.raises(ConsistencyError, match="passenger conservation broken") as caught:
+                rep.run()
+            assert f"at t={corrupted_at[0]}:" in str(caught.value)
+
+    def test_state_written_without_advance_is_caught_at_the_end(self):
+        # the counts kept by ``advance`` still agree with the fleet and the
+        # metrics, so only the end-of-replication walk over every request sees it
+        scenario = busy_scenario(fleet_size=1)
+        for old, new in (("unassigned", "assigned"), ("completed", "onboard")):
+            rep = new_replication(scenario)
+            handler = rep._on_request_arrival
+            written = []
+
+            def bypass(request):
+                handler(request)
+                pr = next((p for p in rep.pending.values() if p.state == old), None)
+                if not written and pr is not None:
+                    pr.state = new   # not through advance
+                    written.append(pr.request.id)
+
+            rep._on_request_arrival = bypass
+            with pytest.raises(ConsistencyError, match="counted by advance") as caught:
+                rep.run()
+            assert written and f"at t={scenario.horizon}:" in str(caught.value)
 
     def test_background_conservation_and_distance(self):
         scenario = Scenario(
@@ -485,9 +530,58 @@ class TestRunSweep:
         pooled = run_sweep(scenario, [1, 2], ["cautious", "aggressive"], jobs=2)
         assert pooled.all_records() == serial.all_records()
 
+    def test_fewer_indices_than_workers_deal_cell_groups(self, monkeypatch):
+        # one index, four workers: four one-cell chunks that read one field,
+        # built once for the index and sent to each chunk
+        scenario = busy_scenario(replications=1, background_flows=[BackgroundFlow(0, 2, 120.0)])
+        cells = ([1, 2], ["cautious", "aggressive"])
+        serial = run_sweep(scenario, *cells)
+        made = record_pools(monkeypatch, cpus=4)
+        fields = []
+        monkeypatch.setattr(engine, "background_field",
+                            lambda *args: fields.append(args[2]) or background_field(*args))
+        pooled = run_sweep(scenario, *cells, jobs=4)
+        assert made == [4] and fields == [0]
+        assert pooled.all_records() == serial.all_records()
+        monkeypatch.undo()
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert run_sweep(scenario, *cells, jobs=2).all_records() == serial.all_records()
+
     def test_empty_sweep_rejected(self):
         with pytest.raises(ConfigurationError):
             run_sweep(busy_scenario(), [], ["normal"])
+
+
+class TestTryShare:
+    def test_vehicle_skip_never_changes_the_winner(self, monkeypatch):
+        # offer each request to every active vehicle, as the skip's proof
+        # says the skipped ones could not win, and compare with _try_share
+        offered = []
+        monkeypatch.setattr(engine, "try_insert_shared",
+                            lambda *args: offered.append(1) or dispatch.try_insert_shared(*args))
+        share = _Replication._try_share
+        exhaustive = []
+
+        def checked(rep, pr, now):
+            best = best_sav = None
+            for sav in rep.savs:
+                if sav.status == "idle" or not sav.route:
+                    continue
+                if sav.status == "en_route":
+                    sav.position = rep.plans[sav.id].progress(now)[0]
+                res = dispatch.try_insert_shared(rep.policy, sav, pr.request, rep.table)
+                if res is not None and (best is None or res.shared_miles > best.shared_miles):
+                    best, best_sav = res, sav
+                exhaustive.append(1)
+            share(rep, pr, now)
+            assert pr.assigned_sav == (None if best is None else best_sav.id)
+            if best is not None:
+                assert tuple(best_sav.route) == best.route
+
+        monkeypatch.setattr(_Replication, "_try_share", checked)
+        scenario = dataclasses.replace(default_scenario(), fleet_size=8, replications=2)
+        run_scenario(scenario)
+        assert len(offered) < len(exhaustive)   # the skip fired
 
 
 class TestValidationErrors:

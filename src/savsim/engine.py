@@ -8,15 +8,15 @@ strictly sequential and depends only on (scenario, index), so ``_run_cells``,
 behind ``run_scenario`` and ``run_sweep``, fans them out.  Its cells are
 variants of one base scenario that differ only in fleet size and profile;
 the cells of one task share one stop table per graph, whose trees only grow,
-and each replication index's background field, which they only read.
+and each index's draw (request stream and background field), read-only.
 
 Model notes:
   * ``traffic.BackgroundTraffic`` owns the background vehicles and the edge
-    occupancy they make; the engine keeps only their clock.  Background
-    traffic does not depend on the fleet, so ``background_field`` runs that
-    clock once per replication index, from the base scenario, before any
-    fleet event, and every cell reads the result.  Fleet vehicles are
-    few enough at this scale that their density contribution is ignored.
+    occupancy they make; the engine keeps only their clock.  Neither demand
+    nor background traffic depends on the fleet, so ``draw_index`` makes
+    each index's draw once, from the base scenario, before any fleet event,
+    and every cell reads it.  Fleet vehicles are few enough at this scale
+    that their density contribution is ignored.
     A fleet vehicle drives each edge of a leg at ``traffic.attainable_speed``,
     sampled once, at leg start, from the occupancy at that instant
     (``BackgroundTraffic.occupancy_at``: a background change at the same
@@ -50,6 +50,7 @@ import os
 from dataclasses import asdict, dataclass, field, replace
 from heapq import heappop, heappush
 from itertools import repeat
+from typing import NamedTuple
 
 from . import traffic as traffic_mod
 from .demand import DemandProfile, TripRequest, generate_requests
@@ -135,17 +136,6 @@ class Scenario:
             )
 
 
-def replication_seed(scenario: Scenario, index: int) -> int:
-    return scenario.base_seed + index
-
-
-def replication_requests(scenario: Scenario, index: int) -> list[TripRequest]:
-    """The request stream a replication will see; shared across sweep cells."""
-    return generate_requests(
-        scenario.demand, list(scenario.graph.stops()), replication_seed(scenario, index)
-    )
-
-
 class _Runtime:
     """Per-scenario precomputation shared by the replications of a chunk.
 
@@ -198,19 +188,26 @@ class _Runtime:
         self.table = tables[graph]
 
 
-def background_field(scenario: Scenario, runtime: _Runtime, index: int,
-                     sample: bool = False) -> traffic_mod.BackgroundTraffic:
-    """Run the background clock of replication ``index`` to the horizon.
+class Draw(NamedTuple):
+    """A replication index's draw, which every sweep cell at the index reads."""
 
-    The injections, then each edge exit, are processed in (time, scheduling
-    sequence) order up to the first event at or after the horizon, the same
-    test that stops a replication's fleet events.  The field then holds
-    every occupancy change before the horizon and the finished vehicles'
-    tallies; occupancy samples are kept if ``sample``.
+    requests: list[TripRequest]
+    traffic: traffic_mod.BackgroundTraffic
+
+
+def draw_index(scenario: Scenario, runtime: _Runtime, index: int, sample: bool = False) -> Draw:
+    """Draw replication ``index``'s requests and run its background clock to the horizon.
+
+    Both are seeded from ``base_seed + index``.  The injections, then each
+    edge exit, are processed in (time, scheduling sequence) order up to the
+    first event at or after the horizon, the test that stops a replication's
+    fleet events.  The field then holds every occupancy change before the
+    horizon and the finished vehicles' tallies, and samples if ``sample``.
     """
+    seed = scenario.base_seed + index
+    requests = generate_requests(scenario.demand, runtime.stops, seed)
     traffic = traffic_mod.BackgroundTraffic(
-        scenario.background_flows, runtime.flow_routes, scenario.horizon,
-        replication_seed(scenario, index), sample,
+        scenario.background_flows, runtime.flow_routes, scenario.horizon, seed, sample,
     )
     # events carry their kind, like a replication's, so that wrappers of
     # ``heappush`` (the benchmark's tracer) count them by kind
@@ -227,7 +224,7 @@ def background_field(scenario: Scenario, runtime: _Runtime, index: int,
             heappush(heap, (exit_time, seq, BACKGROUND_EDGE_EXIT, vehicle))
             seq += 1
     traffic.check()
-    return traffic
+    return Draw(requests, traffic)
 
 
 @dataclass
@@ -291,14 +288,14 @@ class ReplicationResult:
 
 
 class _Replication:
-    """One replication's fleet, run against its index's background field."""
+    """One replication's fleet, run against its index's draw."""
 
     def __init__(
         self,
         runtime: _Runtime,
         scenario: Scenario,
         index: int,
-        traffic: traffic_mod.BackgroundTraffic,
+        draw: Draw,
         collect_log: bool = False,
     ) -> None:
         self.scenario = scenario
@@ -319,7 +316,7 @@ class _Replication:
             profile=scenario.profile,
             replication=index,
         )
-        self.requests = replication_requests(scenario, index)
+        self.requests, self.traffic = draw
 
         # fleet parked round-robin over stops, in stop-id order
         self.savs: list[Sav] = []
@@ -336,7 +333,6 @@ class _Replication:
         self.plans: dict[int, _LegPlan | None] = {s.id: None for s in self.savs}
         self.sav_delay: dict[int, float] = {s.id: 0.0 for s in self.savs}
         self.sav_stops: dict[int, int] = {s.id: 0 for s in self.savs}
-        self.traffic = traffic
 
     # event plumbing -----------------------------------------------------
 
@@ -577,18 +573,18 @@ def simulate(
     runtime: _Runtime | None = None,
     collect_log: bool = False,
     collect_occupancy: bool = False,
-    traffic: traffic_mod.BackgroundTraffic | None = None,
+    draw: Draw | None = None,
 ) -> ReplicationResult:
     """Run one seeded replication; equal inputs give identical results.
 
-    ``traffic`` is the index's background field; when none is given it is
-    computed here, with occupancy samples if ``collect_occupancy``.
+    ``draw`` is the index's draw; when none is given it is drawn here, with
+    occupancy samples if ``collect_occupancy``.
     """
     if runtime is None:
         runtime = _Runtime(scenario)
-    if traffic is None:
-        traffic = background_field(scenario, runtime, index, collect_occupancy)
-    return _Replication(runtime, scenario, index, traffic, collect_log).run()
+    if draw is None:
+        draw = draw_index(scenario, runtime, index, collect_occupancy)
+    return _Replication(runtime, scenario, index, draw, collect_log).run()
 
 
 @dataclass
@@ -605,17 +601,16 @@ class ScenarioResult:
 def _run_chunk(
     base: Scenario, variants: list[tuple[int, str]], indices: range,
     collect_log: bool, collect_occupancy: bool,
-    fields: list[traffic_mod.BackgroundTraffic] | None = None,
+    draws: list[Draw] | None = None,
 ) -> list[list[ReplicationResult]]:
     """Run replications ``indices`` of every cell, index by index; one result list per cell.
 
     Each ``(fleet_size, profile)`` variant of ``base`` is one cell.  Every
     cell's runtime is built first, so a cell that fails its checks stops the
     task before any replication runs, and the runtimes share one stop table
-    per graph.  The cells differ only in what the background field does not
-    depend on, so each index's field is built once, from ``base``, read by
-    every cell, and dropped before the next index; ``fields``, if given,
-    are those fields, built by the caller, one per index.
+    per graph.  An index's draw does not depend on what the cells vary, so
+    it is made once, from ``base``, read by every cell and dropped before
+    the next index; the caller may give ``draws``, one per index.
     """
     cells = [replace(base, fleet_size=fleet, profile=profile) for fleet, profile in variants]
     tables: dict[RoadGraph, StopDistanceTable | None] = {}
@@ -623,10 +618,9 @@ def _run_chunk(
     results: list[list[ReplicationResult]] = [[] for _ in cells]
     for k, i in enumerate(indices):
         try:
-            traffic = (background_field(base, runtimes[0], i, collect_occupancy)
-                       if fields is None else fields[k])
+            draw = draw_index(base, runtimes[0], i, collect_occupancy) if draws is None else draws[k]
             for cell, runtime, out in zip(cells, runtimes, results):
-                out.append(simulate(cell, i, runtime, collect_log, traffic=traffic))
+                out.append(simulate(cell, i, runtime, collect_log, draw=draw))
         except Exception as exc:
             raise SimulationError(f"replication {i} failed: {exc}") from exc
     return results
@@ -642,13 +636,12 @@ def _run_cells(
     replication indices are dealt round-robin into one chunk per worker, and
     each chunk's task runs its cells at each of its indices (see
     ``_run_chunk``), so the cells of a task share one stop table per graph
-    and the background clock runs once per index.  With fewer indices than
-    workers, each index's cells are dealt round-robin into groups, one chunk
-    per (index, cell group), so that every worker has cells to run; each
-    index's background field is then built here, once, and sent to its
-    chunks.  All chunks share one pool; forked workers inherit any wrapper
-    around ``simulate``.  Results are merged per cell and equal a serial
-    run.
+    and each index is drawn once.  With fewer indices than workers, each
+    index's cells are dealt round-robin into groups, one chunk per (index,
+    cell group), so that every worker has cells to run; each index's draw
+    is then made here, once, and sent to its chunks.  All chunks share one
+    pool; forked workers inherit any wrapper around ``simulate``.  Results
+    are merged per cell and equal a serial run.
     """
     if jobs < 1:
         raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
@@ -658,15 +651,15 @@ def _run_cells(
     spread = min(workers, len(indices))
     groups = workers // spread
     chunks = [(positions[g::groups], indices[k::spread]) for k in range(spread) for g in range(groups)]
-    fields: list[list[traffic_mod.BackgroundTraffic] | None] = [None] * len(chunks)
+    draws: list[list[Draw] | None] = [None] * len(chunks)
     if groups > 1:
-        # the field reads only the runtime's flow routes, so no stop table is built
+        # a draw reads only the runtime's stops and flow routes, so no stop table is built
         runtime = _Runtime(replace(base, fleet_size=variants[0][0], profile=variants[0][1]),
                            {base.graph: None})
-        built = [background_field(base, runtime, i, collect_occupancy) for i in indices]
-        fields = [[built[i] for i in chunk] for _, chunk in chunks]
+        made = [draw_index(base, runtime, i, collect_occupancy) for i in indices]
+        draws = [[made[i] for i in chunk] for _, chunk in chunks]
     args = (repeat(base), [[variants[c] for c in cells] for cells, _ in chunks],
-            [chunk for _, chunk in chunks], repeat(collect_log), repeat(collect_occupancy), fields)
+            [chunk for _, chunk in chunks], repeat(collect_log), repeat(collect_occupancy), draws)
     if workers > 1:
         from concurrent import futures  # loaded here so serial runs skip the pool machinery
         with futures.ProcessPoolExecutor(max_workers=workers) as pool:
@@ -715,8 +708,8 @@ def run_sweep(
 ) -> SweepResult:
     """One aggregated result per (fleet size, profile) cell.
 
-    Every cell derives demand from the same base seed, so request streams are
-    identical across cells and comparisons isolate the swept variables.
+    Every cell reads each index's draw (request stream and background
+    field), so comparisons isolate the swept variables.
     """
     if not fleet_sizes or not profiles:
         raise ConfigurationError("sweep needs at least one fleet size and one profile")

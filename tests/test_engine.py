@@ -17,9 +17,8 @@ from savsim.engine import (
     _Replication,
     _Runtime,
     _Segment,
-    background_field,
+    draw_index,
     load_scenario,
-    replication_requests,
     run_scenario,
     run_sweep,
     scenario_from_dict,
@@ -57,8 +56,8 @@ def new_replication(scenario: Scenario, index: int = 0, collect_log: bool = Fals
                     sample: bool = False) -> _Replication:
     """A replication set up the way ``simulate`` sets one up, for the test to run."""
     runtime = _Runtime(scenario)
-    traffic = background_field(scenario, runtime, index, sample)
-    return _Replication(runtime, scenario, index, traffic, collect_log)
+    draw = draw_index(scenario, runtime, index, sample)
+    return _Replication(runtime, scenario, index, draw, collect_log)
 
 
 def line_graph() -> RoadGraph:
@@ -495,7 +494,8 @@ class TestRunSweep:
         assert set(sweep.cells) == {(1, "cautious"), (1, "aggressive"), (2, "cautious"), (2, "aggressive")}
         cell_a = dataclasses.replace(scenario, fleet_size=1, profile="cautious")
         cell_b = dataclasses.replace(scenario, fleet_size=1, profile="aggressive")
-        assert replication_requests(cell_a, 0) == replication_requests(cell_b, 0)
+        assert (draw_index(cell_a, _Runtime(cell_a), 0).requests
+                == draw_index(cell_b, _Runtime(cell_b), 0).requests)
 
     def test_single_cell_equals_run_scenario(self):
         scenario = busy_scenario(replications=2)
@@ -512,15 +512,15 @@ class TestRunSweep:
         assert pooled.all_records() == serial.all_records()
 
     def test_cells_sharing_a_field_and_table_match_lone_replications(self, monkeypatch):
-        # a task runs every cell on one background field per index and one
-        # stop table; each cell must still get what it gets alone
+        # a task runs every cell on one draw per index and one stop table;
+        # each cell must still get what it gets alone
         scenario = busy_scenario(replications=2,
                                  background_flows=[BackgroundFlow(0, 2, 120.0), BackgroundFlow(3, 1, 90.0)])
-        fields = []
-        monkeypatch.setattr(engine, "background_field",
-                            lambda *args: fields.append(args[2]) or background_field(*args))
+        draws = []
+        monkeypatch.setattr(engine, "draw_index",
+                            lambda *args: draws.append(args[2]) or draw_index(*args))
         serial = run_sweep(scenario, [1, 2], ["cautious", "aggressive"])
-        assert fields == [0, 1]   # one field per index, read by all four cells
+        assert draws == [0, 1]   # one draw per index, read by all four cells
         monkeypatch.undo()
         assert all(r.total_distance_m > r.sav_distance_m for r in serial.all_records())
         for (fleet, profile), result in serial.cells.items():
@@ -531,21 +531,46 @@ class TestRunSweep:
         assert pooled.all_records() == serial.all_records()
 
     def test_fewer_indices_than_workers_deal_cell_groups(self, monkeypatch):
-        # one index, four workers: four one-cell chunks that read one field,
-        # built once for the index and sent to each chunk
+        # one index, four workers: four one-cell chunks that read one draw,
+        # made once for the index and sent to each chunk
         scenario = busy_scenario(replications=1, background_flows=[BackgroundFlow(0, 2, 120.0)])
         cells = ([1, 2], ["cautious", "aggressive"])
         serial = run_sweep(scenario, *cells)
         made = record_pools(monkeypatch, cpus=4)
-        fields = []
-        monkeypatch.setattr(engine, "background_field",
-                            lambda *args: fields.append(args[2]) or background_field(*args))
+        draws = []
+        monkeypatch.setattr(engine, "draw_index",
+                            lambda *args: draws.append(args[2]) or draw_index(*args))
         pooled = run_sweep(scenario, *cells, jobs=4)
-        assert made == [4] and fields == [0]
+        assert made == [4] and draws == [0]
         assert pooled.all_records() == serial.all_records()
         monkeypatch.undo()
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         assert run_sweep(scenario, *cells, jobs=2).all_records() == serial.all_records()
+
+    def test_each_index_draws_its_requests_once_for_every_cell(self, monkeypatch):
+        # serially, one chunk per index on two workers, and (index, cell
+        # group) chunks for one index on four workers
+        generate, run = engine.generate_requests, engine.simulate
+        for jobs, replications in ((1, 2), (2, 2), (4, 1)):
+            scenario = busy_scenario(replications=replications)
+            record_pools(monkeypatch, cpus=jobs)
+            drawn, read = [], []
+
+            def counted(demand, stops, seed):
+                drawn.append((seed, generate(demand, stops, seed)))
+                return drawn[-1][1]
+
+            def reading(cell, index, *args, draw, **kwargs):
+                read.append((cell.base_seed + index, draw.requests))
+                return run(cell, index, *args, draw=draw, **kwargs)
+
+            monkeypatch.setattr(engine, "generate_requests", counted)
+            monkeypatch.setattr(engine, "simulate", reading)
+            run_sweep(scenario, [1, 2], ["cautious", "aggressive"], jobs=jobs)
+            by_seed = dict(drawn)
+            assert len(drawn) == len(by_seed) == replications
+            assert len(read) == 4 * replications
+            assert all(requests is by_seed[seed] for seed, requests in read)
 
     def test_empty_sweep_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -1,7 +1,7 @@
 import pytest
 
 from savsim.demand import DemandProfile, TripRequest
-from savsim.engine import Scenario, _Replication, _Runtime, background_field, simulate
+from savsim.engine import Scenario, _Replication, _Runtime, draw_index, simulate
 from savsim.metrics import (
     LogEntry,
     MetricsState,
@@ -114,7 +114,7 @@ class TestSharedMilesReplay:
             replications=1,
         )
         runtime = _Runtime(scenario)
-        rep = _Replication(runtime, scenario, 0, background_field(scenario, runtime, 0), collect_log=True)
+        rep = _Replication(runtime, scenario, 0, draw_index(scenario, runtime, 0), collect_log=True)
         stops = [s.id for s in graph.stops()]
         rep.requests = [
             TripRequest(0, stops[0], stops[1], 0.0, 1),

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from savsim.demand import DemandProfile
-from savsim.engine import Scenario, _Runtime, background_field
+from savsim.engine import Scenario, _Runtime, draw_index
 from savsim.netgraph import DirectedEdge
 from savsim.traffic import (
     DEFAULT_PROFILES,
@@ -153,7 +153,7 @@ def test_occupancy_at_is_the_last_sample_at_or_before_t(flows, seed, horizon, da
         background_flows=[BackgroundFlow(*f) for f in flows], fleet_size=0, horizon=horizon,
         replications=1, base_seed=seed,
     )
-    traffic = background_field(scenario, _Runtime(scenario), 0, sample=True)
+    traffic = draw_index(scenario, _Runtime(scenario), 0, sample=True).traffic
     sample_times = [t for t, _, _ in traffic.samples]
     assert all(t < horizon for t in sample_times)
     times = st.floats(0.0, horizon)

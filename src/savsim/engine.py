@@ -258,9 +258,9 @@ class _LegPlan:
         """Position, and distance, delay and stop events driven, at ``now`` >= the leg's start.
 
         Segments already left count in full, in order.  The segment being
-        driven counts its distance and delay pro rata and its entry stop
-        event.  At or after ``arrive`` every segment has been left, and
-        coming to rest at the stop counts too.
+        driven counts its entry stop event and its distance and delay pro
+        rata, capped at its own.  At or after ``arrive`` every segment has
+        been left, and coming to rest at the stop counts too.
         """
         distance = delay = 0.0
         stops = 0
@@ -274,10 +274,12 @@ class _LegPlan:
             return (seg.edge, seg.end_offset), distance, delay, stops + self.rest_stop
         length = seg.end_offset - seg.start_offset
         frac = (now - seg.enter) / (seg.exit - seg.enter)
-        # not length * frac: that rounds differently and would move recorded distances
-        distance += length * (now - seg.enter) / (seg.exit - seg.enter)
-        delay += seg.delay * (now - seg.enter) / (seg.exit - seg.enter)
-        return (seg.edge, seg.start_offset + frac * length), distance, delay, stops + seg.stopped
+        # not length * frac: that rounds differently and would move recorded
+        # distances; rounding can pass the segment's own values, so clamp them
+        distance += min(length * (now - seg.enter) / (seg.exit - seg.enter), length)
+        delay += min(seg.delay * (now - seg.enter) / (seg.exit - seg.enter), seg.delay)
+        position = (seg.edge, min(seg.start_offset + frac * length, seg.end_offset))
+        return position, distance, delay, stops + seg.stopped
 
 
 @dataclass
@@ -709,10 +711,15 @@ def run_sweep(
     """One aggregated result per (fleet size, profile) cell.
 
     Every cell reads each index's draw (request stream and background
-    field), so comparisons isolate the swept variables.
+    field), so comparisons isolate the swept variables.  A fleet size or
+    profile listed twice is rejected.
     """
     if not fleet_sizes or not profiles:
         raise ConfigurationError("sweep needs at least one fleet size and one profile")
+    for name, values in (("fleet size", fleet_sizes), ("profile", profiles)):
+        for k, value in enumerate(values):
+            if value in values[:k]:
+                raise ConfigurationError(f"sweep {name} {value!r} is repeated")
     keys = [(fleet, profile) for fleet in fleet_sizes for profile in profiles]
     return SweepResult(base, dict(zip(keys, _run_cells(base, keys, jobs))))
 

@@ -258,6 +258,16 @@ class TestSweep:
         ])
         assert code == 1
 
+    def test_repeated_fleet_size_rejected(self, tmp_path, capsys):
+        out = generate_small(tmp_path)
+        code = main([
+            "sweep", "--scenario", str(out / "scenario.json"),
+            "--out", str(tmp_path / "s"), "--fleet-sizes", "2,2",
+        ])
+        assert code == 1
+        assert "fleet size 2 is repeated" in capsys.readouterr().err
+        assert not (tmp_path / "s" / "sweep.csv").exists()
+
 
 class TestOracleCheck:
     def test_generated_network_passes(self, tmp_path, capsys):

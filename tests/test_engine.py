@@ -27,7 +27,7 @@ from savsim.engine import (
 )
 from savsim.errors import ConfigurationError, ConsistencyError, SimulationError
 from savsim.metrics import aggregate
-from savsim.netgraph import RoadGraph, save_network
+from savsim.netgraph import RoadGraph, build_stop_distance_table, save_network
 from savsim.scenario_gen import default_scenario
 from savsim.traffic import DEFAULT_PROFILES, BackgroundFlow, attainable_speed, edge_speed
 
@@ -347,7 +347,8 @@ def position_at(plan: _LegPlan, now: float) -> tuple[int, float]:
             if seg.exit <= seg.enter:
                 return (seg.edge, seg.start_offset)
             frac = max(0.0, (now - seg.enter) / (seg.exit - seg.enter))
-            return (seg.edge, seg.start_offset + frac * (seg.end_offset - seg.start_offset))
+            return (seg.edge, min(seg.start_offset + frac * (seg.end_offset - seg.start_offset),
+                                  seg.end_offset))
     return (last.edge, last.end_offset)
 
 
@@ -359,21 +360,21 @@ def distance_until(plan: _LegPlan, now: float) -> float:
         if now >= seg.exit:
             total += distance
         elif now > seg.enter and seg.exit > seg.enter:
-            total += distance * (now - seg.enter) / (seg.exit - seg.enter)
+            total += min(distance * (now - seg.enter) / (seg.exit - seg.enter), distance)
     return total
 
 
 def delay_and_stops_until(plan: _LegPlan, now: float) -> tuple[float, int]:
     """Reference: pieces left count in full, the piece being driven its delay
-    pro rata and its entry stop; on arrival every piece has been left, and
-    coming to rest at the stop counts too."""
+    pro rata, at most its own, and its entry stop; on arrival every piece has
+    been left, and coming to rest at the stop counts too."""
     delay, stops = 0.0, 0
     for seg in plan.segments:
         if now >= seg.exit:
             delay += seg.delay
             stops += seg.stopped
         elif now >= seg.enter:
-            delay += seg.delay * (now - seg.enter) / (seg.exit - seg.enter)
+            delay += min(seg.delay * (now - seg.enter) / (seg.exit - seg.enter), seg.delay)
             stops += seg.stopped
     if now >= plan.arrive:
         stops += plan.rest_stop
@@ -398,13 +399,33 @@ class TestLegProgress:
             assert position == position_at(plan, now)
             assert distance == distance_until(plan, now)
             assert (delay, stops) == delay_and_stops_until(plan, now)
-        # length * (now - enter) / (exit - enter) rounds twice, so just before
-        # a piece's exit it can exceed the whole piece by an ulp (enter
-        # 936.7090513495132, exit 118055.62653510747, length 1015.1979641436611
-        # does): distance and delay may step back by that rounding, no more
-        for earlier, later in zip(before[1:3], after[1:3]):
-            assert earlier <= later + 4 * math.ulp(later)
-        assert before[3] <= after[3]
+        for earlier, later in zip(before[1:], after[1:]):
+            assert earlier <= later
+        if before[0][0] == after[0][0]:
+            assert before[0][1] <= after[0][1]
+
+    def test_the_piece_being_driven_ends_at_its_end(self):
+        # one ulp before a piece's exit, start + frac * length, the pro rata
+        # delay and the pro rata distance can each round past the whole
+        # piece's; a position past the edge's end makes the stop table raise
+        g = RoadGraph()
+        g.add_vertex(0, 0.0, 0.0)
+        g.add_vertex(1, 892.9313592549657, 0.0)
+        g.add_edge(0, 0, 1, 10.0, 50)
+        g.add_edge(1, 1, 0, 10.0, 50)
+        g.place_stop(0, 100.0, "peripheral_housing")
+        g.place_stop(1, 100.0, "central_opportunity")
+        table = build_stop_distance_table(g, list(g.stops()))
+        first = _Segment(0, 286.10101169720286, 892.9313592549657, 30.285679263277743,
+                         212.18343607176502, 90.11853098624158, False)
+        plan = _LegPlan(0, first.exit + 10.0, False,
+                        [first, _Segment(1, 0.0, 100.0, first.exit, first.exit + 10.0, 0.0, False)])
+        position, distance, delay, _ = plan.progress(math.nextafter(first.exit, 0))
+        assert position == (0, 892.9313592549657) and delay == first.delay
+        assert table.distance_from_position(*position, 1) == 100.0
+        long = _Segment(0, 0.0, 1015.1979641436611, 936.7090513495132, 118055.62653510747, 0.0, False)
+        distance = _LegPlan(0, long.exit, False, [long]).progress(math.nextafter(long.exit, 0))[1]
+        assert distance == 1015.1979641436611
 
     @given(leg_plans())
     def test_at_arrival_progress_is_the_plan_totals(self, plan):
@@ -575,6 +596,13 @@ class TestRunSweep:
     def test_empty_sweep_rejected(self):
         with pytest.raises(ConfigurationError):
             run_sweep(busy_scenario(), [], ["normal"])
+
+    def test_repeated_fleet_size_or_profile_rejected_before_it_runs(self, monkeypatch):
+        monkeypatch.setattr(engine, "simulate", None)   # a replication that starts fails the test
+        for sizes, profiles, repeated in (([2, 2], ["normal"], "fleet size 2"),
+                                          ([1, 2], ["normal", "cautious", "normal"], "profile 'normal'")):
+            with pytest.raises(ConfigurationError, match=repeated):
+                run_sweep(busy_scenario(replications=2), sizes, profiles)
 
 
 class TestTryShare:

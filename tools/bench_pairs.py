@@ -9,7 +9,9 @@ benchmark and simulator sources.  Each (workload, seed) set runs
 ``--pairs`` pairs; pair ``k`` runs the parent first when ``k`` is even and
 the change first when it is odd.  The file records every run's end-to-end
 metrics, and per set and metric each side's median and quartiles and the
-number of pairs the change won (ties count for neither side).
+number of pairs the change won (ties count for neither side).  It exits 1,
+after writing the file, if any run exited non-zero, was not correct or
+failed an operation; quartiles need ``--pairs`` of at least 2.
 """
 
 from __future__ import annotations
@@ -86,6 +88,8 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
+    if args.pairs < 2:
+        parser.error(f"--pairs must be >= 2 for quartiles, got {args.pairs}")
 
     commits = {"parent": git("rev-parse", args.parent), "change": git("rev-parse", args.change)}
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as scratch:
@@ -123,7 +127,12 @@ def main(argv=None) -> int:
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
-    return 0
+    bad = [f"{s['workload']} seed {s['seed']} pair {k} {side}"
+           for s in sets for k, pair in enumerate(s["runs"]) for side in ("parent", "change")
+           if pair[side]["exit"] != 0 or not pair[side]["correct"] or pair[side]["failed"] > 0]
+    for run in bad:
+        print(f"failed run: {run}", file=sys.stderr)
+    return 1 if bad else 0
 
 
 if __name__ == "__main__":

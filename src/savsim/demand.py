@@ -45,6 +45,8 @@ class DemandProfile:
         if self.horizon <= 0:
             raise InvalidInputError("demand horizon must be > 0")
         weights = self.party_size_weights
+        if any(size < 1 for size in weights):
+            raise InvalidInputError(f"party_size_weights sizes must be >= 1, got {sorted(weights)}")
         if any(not math.isfinite(w) or w < 0 for w in weights.values()):
             raise InvalidInputError("party size weights must be finite and >= 0")
         if not math.isclose(sum(weights.values()), 1.0, rel_tol=1e-9):

@@ -5,10 +5,11 @@ order with no simultaneity ambiguity.  Both clocks, the background one and a
 replication's fleet one, follow one cut-off rule: they stop at the first
 event at or after the horizon, which is never processed.  One replication is
 strictly sequential and depends only on (scenario, index), so ``_run_cells``,
-behind ``run_scenario`` and ``run_sweep``, fans them out.  Its cells are
-variants of one base scenario that differ only in fleet size and profile;
-the cells of one task share one stop table per graph, whose trees only grow,
-and each index's draw (request stream and background field), read-only.
+behind ``run_scenario`` and ``run_sweep``, fans them out by dealing
+replication indices to its workers.  Its cells are variants of one base
+scenario that differ only in fleet size and profile; the cells of one task
+share one stop table per graph, whose trees only grow, and each index's draw
+(request stream and background field), read-only.
 
 Model notes:
   * ``traffic.BackgroundTraffic`` owns the background vehicles and the edge
@@ -603,7 +604,6 @@ class ScenarioResult:
 def _run_chunk(
     base: Scenario, variants: list[tuple[int, str]], indices: range,
     collect_log: bool, collect_occupancy: bool,
-    draws: list[Draw] | None = None,
 ) -> list[list[ReplicationResult]]:
     """Run replications ``indices`` of every cell, index by index; one result list per cell.
 
@@ -612,20 +612,27 @@ def _run_chunk(
     task before any replication runs, and the runtimes share one stop table
     per graph.  An index's draw does not depend on what the cells vary, so
     it is made once, from ``base``, read by every cell and dropped before
-    the next index; the caller may give ``draws``, one per index.
+    the next index.
     """
     cells = [replace(base, fleet_size=fleet, profile=profile) for fleet, profile in variants]
     tables: dict[RoadGraph, StopDistanceTable | None] = {}
     runtimes = [_Runtime(cell, tables) for cell in cells]
     results: list[list[ReplicationResult]] = [[] for _ in cells]
-    for k, i in enumerate(indices):
+    for i in indices:
         try:
-            draw = draw_index(base, runtimes[0], i, collect_occupancy) if draws is None else draws[k]
+            draw = draw_index(base, runtimes[0], i, collect_occupancy)
             for cell, runtime, out in zip(cells, runtimes, results):
                 out.append(simulate(cell, i, runtime, collect_log, draw=draw))
         except Exception as exc:
             raise SimulationError(f"replication {i} failed: {exc}") from exc
     return results
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _run_cells(
@@ -635,33 +642,20 @@ def _run_cells(
     """Run every replication of every ``(fleet_size, profile)`` variant of ``base``.
 
     This is the one place replications fan out.  The run is index-major:
-    replication indices are dealt round-robin into one chunk per worker, and
-    each chunk's task runs its cells at each of its indices (see
+    replication indices are dealt round-robin into one chunk per worker, of
+    which there are at most ``jobs``, ``usable_cpus()`` and the replications,
+    and each chunk's task runs every cell at each of its indices (see
     ``_run_chunk``), so the cells of a task share one stop table per graph
-    and each index is drawn once.  With fewer indices than workers, each
-    index's cells are dealt round-robin into groups, one chunk per (index,
-    cell group), so that every worker has cells to run; each index's draw
-    is then made here, once, and sent to its chunks.  All chunks share one
-    pool; forked workers inherit any wrapper around ``simulate``.  Results
-    are merged per cell and equal a serial run.
+    and each index is drawn once.  All chunks share one pool; forked workers
+    inherit any wrapper around ``simulate``.  Results are merged per cell
+    and equal a serial run.
     """
     if jobs < 1:
         raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
     indices = range(base.replications)
-    positions = range(len(variants))
-    workers = min(jobs, os.cpu_count() or 1, len(indices) * len(positions))
-    spread = min(workers, len(indices))
-    groups = workers // spread
-    chunks = [(positions[g::groups], indices[k::spread]) for k in range(spread) for g in range(groups)]
-    draws: list[list[Draw] | None] = [None] * len(chunks)
-    if groups > 1:
-        # a draw reads only the runtime's stops and flow routes, so no stop table is built
-        runtime = _Runtime(replace(base, fleet_size=variants[0][0], profile=variants[0][1]),
-                           {base.graph: None})
-        made = [draw_index(base, runtime, i, collect_occupancy) for i in indices]
-        draws = [[made[i] for i in chunk] for _, chunk in chunks]
-    args = (repeat(base), [[variants[c] for c in cells] for cells, _ in chunks],
-            [chunk for _, chunk in chunks], repeat(collect_log), repeat(collect_occupancy), draws)
+    workers = min(jobs, usable_cpus(), len(indices))
+    args = (repeat(base), repeat(variants), [indices[k::workers] for k in range(workers)],
+            repeat(collect_log), repeat(collect_occupancy))
     if workers > 1:
         from concurrent import futures  # loaded here so serial runs skip the pool machinery
         with futures.ProcessPoolExecutor(max_workers=workers) as pool:
@@ -669,9 +663,9 @@ def _run_cells(
     else:
         parts = map(_run_chunk, *args)
     per_cell: list[list[ReplicationResult]] = [[] for _ in variants]
-    for (cells, _), part in zip(chunks, parts):
-        for c, more in zip(cells, part):
-            per_cell[c].extend(more)
+    for part in parts:
+        for reps, more in zip(per_cell, part):
+            reps.extend(more)
     return [ScenarioResult(replace(base, fleet_size=fleet, profile=profile),
                            sorted(reps, key=lambda rep: rep.record.replication),
                            aggregate([rep.record for rep in reps]))

@@ -182,6 +182,14 @@ class TestRun:
         assert "policy.capacity 2 is below the largest party size 3" in err
         assert "replication" not in err
 
+    def test_party_size_below_one_names_the_field(self, tmp_path, capsys):
+        out = generate_small(tmp_path)
+        code = main(run_args(tmp_path / "x", out / "scenario.json",
+                             extra=["--set", 'demand.party_size_weights={"-2": 1.0}']))
+        assert code == 1
+        assert "party_size_weights" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_bad_scenario_file_names_the_field(self, tmp_path, capsys):
         out = generate_small(tmp_path)
         doc = json.loads((out / "scenario.json").read_text())

@@ -107,3 +107,6 @@ def test_profile_validation():
                 DemandProfile(**{field: bad})
         with pytest.raises(InvalidInputError):
             DemandProfile(party_size_weights={1: bad})
+    for sizes in ({-2: 1.0}, {0: 0.5, 1: 0.5}, {0: 0.0, 1: 1.0}):   # below 1 would serve negative passengers
+        with pytest.raises(InvalidInputError, match="party_size_weights"):
+            DemandProfile(party_size_weights=sizes)

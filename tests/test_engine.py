@@ -318,22 +318,57 @@ class TestCutShortLegs:
         assert [e.kind for e in before.log[:2]] == ["assign", "depart"]
 
 
+def with_last_bit_set(x: float) -> float:
+    """``x``, or the next float up if its last mantissa bit is clear."""
+    mantissa, _ = math.frexp(x)
+    return x if int(mantissa * 2 ** 53) % 2 else math.nextafter(x, math.inf)
+
+
+def across_a_binade(draw, start: float, wanted) -> float:
+    """An end in the binade above ``start`` > 0, at least that binade's power of two past it.
+
+    The end has half the precision of ``start``.  If ``start``'s last bit is
+    set, end - start falls half way between two floats, and which way it
+    rounds alternates with the end's last bit; of two adjacent ends, the
+    first for which ``wanted`` holds is taken.
+    """
+    power = math.ldexp(1.0, math.frexp(start)[1])
+    end = draw(st.floats(start + power, 2 * power))
+    return end if wanted(end) else math.nextafter(end, math.inf)
+
+
 @st.composite
 def leg_plans(draw) -> _LegPlan:
-    """A plan built the way ``_Replication._build_plan`` builds one, from random pieces."""
+    """A plan built the way ``_Replication._build_plan`` builds one, from random pieces.
+
+    Some pieces sit on the rounding edge, where the pro rata values of the
+    piece being driven can round past the piece's own.  One ulp before such
+    a piece's exit, the time driven rounds to its duration, so the fraction
+    driven is 1; this always holds on a first piece, whose entry time is
+    free, and on half the later ones.  Half of these pieces also end where
+    start offset + (end offset - start offset) rounds past the end offset,
+    as a piece that ends at its edge's length can round past the edge.
+    """
     t = draw(st.floats(0.0, 1e5))
     segments = []
     for edge in range(draw(st.integers(1, 6))):
         a = draw(st.floats(0.0, 1000.0))
         b = draw(st.one_of(st.just(a), st.floats(a, a + 2000.0)))   # zero-length pieces too
-        dt = seg_delay = 0.0
-        stopped = False
+        leave, seg_delay, stopped = t, 0.0, False
         if b - a > 0:
-            dt = draw(st.floats(0.0, 3600.0))
-            seg_delay = draw(st.floats(0.0, dt))
+            if min(a, t) > 0 and draw(st.booleans()):   # on the rounding edge
+                if draw(st.booleans()):
+                    a = with_last_bit_set(a)
+                    b = across_a_binade(draw, a, lambda b: a + (b - a) > b)
+                if not segments:
+                    t = with_last_bit_set(t)
+                leave = across_a_binade(draw, t, lambda leave: math.nextafter(leave, 0) - t == leave - t)
+            else:
+                leave = t + draw(st.floats(0.0, 3600.0))
+            seg_delay = draw(st.floats(0.0, leave - t))
             stopped = draw(st.booleans())
-        segments.append(_Segment(edge, a, b, t, t + dt, seg_delay, stopped))
-        t += dt
+        segments.append(_Segment(edge, a, b, t, leave, seg_delay, stopped))
+        t = leave
     return _LegPlan(0, t, draw(st.booleans()), segments)   # whether coming to rest is a stop
 
 
@@ -381,24 +416,35 @@ def delay_and_stops_until(plan: _LegPlan, now: float) -> tuple[float, int]:
     return delay, stops
 
 
+def reference_progress(plan: _LegPlan, now: float) -> tuple[tuple[int, float], float, float, int]:
+    """Reference: what ``progress`` returns, from the walks above."""
+    return (position_at(plan, now), distance_until(plan, now), *delay_and_stops_until(plan, now))
+
+
+def ulp_before_exits(plan: _LegPlan) -> list[float]:
+    """The last time on each piece, where the fraction driven can round to 1."""
+    start = plan.segments[0].enter
+    return [now for now in (math.nextafter(seg.exit, 0) for seg in plan.segments) if now >= start]
+
+
 def times_in(plan: _LegPlan):
-    """Times from the leg's start to past its arrival, segment boundaries included."""
-    boundaries = [seg.exit for seg in plan.segments]
+    """Times from the leg's start to past its arrival; segment exits and the ulp before them included."""
+    boundaries = [seg.exit for seg in plan.segments] + ulp_before_exits(plan)
     return st.one_of(st.floats(plan.segments[0].enter, plan.arrive + 60.0), st.sampled_from(boundaries))
 
 
 class TestLegProgress:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=500, deadline=None)
     @given(st.data())
     def test_progress_matches_the_reference_walks_and_never_goes_back(self, data):
         plan = data.draw(leg_plans())
         early, late = sorted((data.draw(times_in(plan)), data.draw(times_in(plan))))
         before = plan.progress(early)
         after = plan.progress(late)
-        for now, (position, distance, delay, stops) in ((early, before), (late, after)):
-            assert position == position_at(plan, now)
-            assert distance == distance_until(plan, now)
-            assert (delay, stops) == delay_and_stops_until(plan, now)
+        assert before == reference_progress(plan, early)
+        assert after == reference_progress(plan, late)
+        for now in ulp_before_exits(plan):
+            assert plan.progress(now) == reference_progress(plan, now)
         for earlier, later in zip(before[1:], after[1:]):
             assert earlier <= later
         if before[0][0] == after[0][0]:
@@ -454,13 +500,18 @@ class _InlinePool:
         return map(fn, *iterables)
 
 
-def record_pools(monkeypatch, cpus: int) -> list:
-    """Replace the engine's executor and CPU count; returns the sizes of the pools made."""
+def record_executor(monkeypatch) -> list:
+    """Replace the engine's executor; returns the sizes of the pools made."""
     made: list = []
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                         lambda max_workers: _InlinePool(made, max_workers))
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     return made
+
+
+def record_pools(monkeypatch, cpus: int) -> list:
+    """Replace the engine's executor and usable CPU count; returns the sizes of the pools made."""
+    monkeypatch.setattr(engine, "usable_cpus", lambda: cpus)
+    return record_executor(monkeypatch)
 
 
 class TestRunScenario:
@@ -496,6 +547,18 @@ class TestRunScenario:
         assert run_scenario(scenario, jobs=8).records == run_scenario(scenario).records
         run_scenario(busy_scenario(replications=2), jobs=8)
         assert made == [3, 2]
+
+    def test_pool_is_capped_at_the_cpus_this_process_may_use(self, monkeypatch):
+        # the host may have more CPUs than the process's affinity set allows
+        made = record_executor(monkeypatch)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        scenario = busy_scenario(replications=4)
+        for affinity in ({0}, {0, 1}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
+            assert run_scenario(scenario, jobs=4).records == run_scenario(scenario).records
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        run_scenario(scenario, jobs=4)
+        assert made == [2, 4]
 
     def test_jobs_below_one_rejected(self):
         with pytest.raises(ConfigurationError, match="jobs"):
@@ -547,32 +610,28 @@ class TestRunSweep:
         for (fleet, profile), result in serial.cells.items():
             cell = dataclasses.replace(scenario, fleet_size=fleet, profile=profile)
             assert result.records == [simulate(cell, i).record for i in range(2)]
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(engine, "usable_cpus", lambda: 2)
         pooled = run_sweep(scenario, [1, 2], ["cautious", "aggressive"], jobs=2)
         assert pooled.all_records() == serial.all_records()
 
-    def test_fewer_indices_than_workers_deal_cell_groups(self, monkeypatch):
-        # one index, four workers: four one-cell chunks that read one draw,
-        # made once for the index and sent to each chunk
-        scenario = busy_scenario(replications=1, background_flows=[BackgroundFlow(0, 2, 120.0)])
+    def test_pool_has_no_more_workers_than_indices(self, monkeypatch):
+        # only indices are dealt, so each worker gets at least one index and
+        # runs every cell at it; (replications, cpus, jobs) -> pools made
         cells = ([1, 2], ["cautious", "aggressive"])
-        serial = run_sweep(scenario, *cells)
-        made = record_pools(monkeypatch, cpus=4)
-        draws = []
-        monkeypatch.setattr(engine, "draw_index",
-                            lambda *args: draws.append(args[2]) or draw_index(*args))
-        pooled = run_sweep(scenario, *cells, jobs=4)
-        assert made == [4] and draws == [0]
-        assert pooled.all_records() == serial.all_records()
-        monkeypatch.undo()
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        assert run_sweep(scenario, *cells, jobs=2).all_records() == serial.all_records()
+        for replications, cpus, jobs, pools in ((1, 4, 4, []), (2, 4, 4, [2]), (3, 2, 4, [2])):
+            scenario = busy_scenario(replications=replications,
+                                     background_flows=[BackgroundFlow(0, 2, 120.0)])
+            serial = run_sweep(scenario, *cells)
+            made = record_pools(monkeypatch, cpus=cpus)
+            assert run_sweep(scenario, *cells, jobs=jobs).all_records() == serial.all_records()
+            assert made == pools
+            monkeypatch.undo()
 
     def test_each_index_draws_its_requests_once_for_every_cell(self, monkeypatch):
-        # serially, one chunk per index on two workers, and (index, cell
-        # group) chunks for one index on four workers
+        # serially, one index per chunk on two workers, and on three workers
+        # for four indices, where one chunk draws two of them
         generate, run = engine.generate_requests, engine.simulate
-        for jobs, replications in ((1, 2), (2, 2), (4, 1)):
+        for jobs, replications in ((1, 2), (2, 2), (3, 4)):
             scenario = busy_scenario(replications=replications)
             record_pools(monkeypatch, cpus=jobs)
             drawn, read = [], []

@@ -158,10 +158,7 @@ def _cmd_sweep(args) -> int:
     out = _out_dir(args.out)
     sweep = engine.run_sweep(scenario, fleet_sizes, profiles, jobs=args.jobs)
     write_atomic(os.path.join(out, "sweep.csv"), metrics.records_to_csv(sweep.all_records()))
-    cells = [
-        (res.scenario.name, fleet, profile, res.aggregates)
-        for (fleet, profile), res in sweep.cells.items()
-    ]
+    cells = [(scenario.name, fleet, profile, res.aggregates) for (fleet, profile), res in sweep.cells.items()]
     write_atomic(os.path.join(out, "sweep_aggregate.csv"), metrics.aggregates_to_csv(cells))
     print(f"wrote {out}/sweep.csv and {out}/sweep_aggregate.csv")
     return EXIT_OK

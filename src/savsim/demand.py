@@ -1,9 +1,11 @@
 """Trip request generation.
 
 Requests arrive as two independent homogeneous Poisson streams: outbound
-(peripheral housing to central opportunity stops) and inbound (the reverse).
-Origins and destinations are drawn uniformly from the matching zone.  All
-randomness is driven by an explicit seed; equal seeds give identical output.
+(peripheral housing to central opportunity stops) and inbound (the reverse),
+over ``[0, horizon)``.  The horizon is the scenario's, passed in by the
+caller; the profile holds only rates and party sizes.  Origins and
+destinations are drawn uniformly from the matching zone.  All randomness is
+driven by an explicit seed; equal seeds give identical output.
 """
 
 from __future__ import annotations
@@ -35,15 +37,11 @@ class DemandProfile:
     outbound_rate: float = 9.0     # requests/hour, peripheral -> central
     inbound_rate: float = 6.0      # requests/hour, central -> peripheral
     party_size_weights: dict[int, float] = field(default_factory=default_party_weights)
-    horizon: float = 14400.0       # seconds
 
     def __post_init__(self) -> None:
-        check_finite("demand", outbound_rate=self.outbound_rate, inbound_rate=self.inbound_rate,
-                     horizon=self.horizon)
+        check_finite("demand", outbound_rate=self.outbound_rate, inbound_rate=self.inbound_rate)
         if self.outbound_rate < 0 or self.inbound_rate < 0:
             raise InvalidInputError("demand rates must be >= 0")
-        if self.horizon <= 0:
-            raise InvalidInputError("demand horizon must be > 0")
         weights = self.party_size_weights
         if any(size < 1 for size in weights):
             raise InvalidInputError(f"party_size_weights sizes must be >= 1, got {sorted(weights)}")
@@ -64,8 +62,9 @@ def poisson_arrivals(rng: random.Random, rate_per_hour: float, horizon: float) -
         yield t
 
 
-def generate_requests(profile: DemandProfile, stops: list[Stop], seed: int) -> list[TripRequest]:
-    """Draw a time-ordered request list for one replication."""
+def generate_requests(profile: DemandProfile, stops: list[Stop], seed: int,
+                      horizon: float) -> list[TripRequest]:
+    """Draw a time-ordered request list for one replication, over ``[0, horizon)``."""
     peripheral = sorted((s for s in stops if s.zone == "peripheral_housing"), key=lambda s: s.id)
     central = sorted((s for s in stops if s.zone == "central_opportunity"), key=lambda s: s.id)
     sizes = sorted(profile.party_size_weights)
@@ -80,7 +79,7 @@ def generate_requests(profile: DemandProfile, stops: list[Stop], seed: int) -> l
         if not origins or not destinations:
             raise InvalidInputError(f"{label} demand needs stops in both zones")
         rng = random.Random(f"{seed}:{label}")
-        for t in poisson_arrivals(rng, rate, profile.horizon):
+        for t in poisson_arrivals(rng, rate, horizon):
             origin = rng.choice(origins)
             dest = rng.choice(destinations)
             party = rng.choices(sizes, weights=probs)[0]

@@ -75,7 +75,7 @@ from .dispatch import (
     state_counts,
     try_insert_shared,
 )
-from .errors import ConfigurationError, ConsistencyError, SimulationError, number, read_section
+from .errors import ConfigurationError, ConsistencyError, SimulationError, json_object, number, read_section
 from .metrics import LogEntry, MetricsRecord, MetricsState, aggregate, finalize
 from .netgraph import (
     DirectedEdge,
@@ -141,7 +141,8 @@ class _Runtime:
     """Per-scenario precomputation shared by the replications of a chunk.
 
     ``tables`` maps a graph to its stop table; runtimes built with one dict
-    share one table per graph.
+    share one table per graph.  The event estimate spans ``scenario.horizon``,
+    the one window of demand, background traffic and the fleet clock.
     """
 
     def __init__(self, scenario: Scenario,
@@ -173,15 +174,15 @@ class _Runtime:
         # one injection plus one exit per route edge.  The integer fields are
         # counted exactly, so no value is too large to compare.
         demand = scenario.demand
-        requests = (demand.outbound_rate + demand.inbound_rate) / 3600.0 * demand.horizon
+        requests = (demand.outbound_rate + demand.inbound_rate) / 3600.0 * scenario.horizon
         background = sum(flow.rate / 3600.0 * scenario.horizon * (len(route) + 1)
                          for flow, route in zip(scenario.background_flows, self.flow_routes))
         counted = scenario.replications * (1 + scenario.fleet_size)
         if counted > MAX_EVENTS or scenario.replications * (requests + background) > MAX_EVENTS - counted:
             raise ConfigurationError(
                 f"scenario is estimated to need more than {MAX_EVENTS} events: replications "
-                f"{scenario.replications} x (1 + fleet_size {scenario.fleet_size} + {requests:.3g} requests"
-                f" over demand.horizon + {background:.3g} background_flows events over horizon)"
+                f"{scenario.replications} x (1 + fleet_size {scenario.fleet_size} + {requests:.3g} demand"
+                f" requests + {background:.3g} background_flows events over horizon {scenario.horizon:g})"
             )
         tables = {} if tables is None else tables
         if graph not in tables:
@@ -206,7 +207,7 @@ def draw_index(scenario: Scenario, runtime: _Runtime, index: int, sample: bool =
     horizon and the finished vehicles' tallies, and samples if ``sample``.
     """
     seed = scenario.base_seed + index
-    requests = generate_requests(scenario.demand, runtime.stops, seed)
+    requests = generate_requests(scenario.demand, runtime.stops, seed, scenario.horizon)
     traffic = traffic_mod.BackgroundTraffic(
         scenario.background_flows, runtime.flow_routes, scenario.horizon, seed, sample,
     )
@@ -566,7 +567,7 @@ class _Replication:
             self.metrics.record_vehicle(delay, stops)
         for sav in self.savs:
             self.metrics.record_vehicle(self.sav_delay[sav.id], self.sav_stops[sav.id])
-        record = finalize(self.metrics, self.scenario.horizon)
+        record = finalize(self.metrics)
         return ReplicationResult(record, self.log, self.traffic.samples)
 
 
@@ -592,7 +593,6 @@ def simulate(
 
 @dataclass
 class ScenarioResult:
-    scenario: Scenario
     replications: list[ReplicationResult]
     aggregates: dict[str, tuple[float, float, float, float]]
 
@@ -666,27 +666,20 @@ def _run_cells(
     for part in parts:
         for reps, more in zip(per_cell, part):
             reps.extend(more)
-    return [ScenarioResult(replace(base, fleet_size=fleet, profile=profile),
-                           sorted(reps, key=lambda rep: rep.record.replication),
+    return [ScenarioResult(sorted(reps, key=lambda rep: rep.record.replication),
                            aggregate([rep.record for rep in reps]))
-            for (fleet, profile), reps in zip(variants, per_cell)]
+            for reps in per_cell]
 
 
-def run_scenario(
-    scenario: Scenario,
-    jobs: int = 1,
-    collect_log: bool = False,
-    collect_occupancy: bool = False,
-) -> ScenarioResult:
+def run_scenario(scenario: Scenario, jobs: int = 1, collect_log: bool = False,
+                 collect_occupancy: bool = False) -> ScenarioResult:
     """Run all replications, keeping logs and occupancy samples if asked, and aggregate."""
-    result = _run_cells(scenario, [(scenario.fleet_size, scenario.profile)], jobs,
-                        collect_log, collect_occupancy)[0]
-    return replace(result, scenario=scenario)
+    return _run_cells(scenario, [(scenario.fleet_size, scenario.profile)], jobs,
+                      collect_log, collect_occupancy)[0]
 
 
 @dataclass
 class SweepResult:
-    base: Scenario
     cells: dict[tuple[int, str], ScenarioResult]
 
     def all_records(self) -> list[MetricsRecord]:
@@ -696,12 +689,7 @@ class SweepResult:
         return out
 
 
-def run_sweep(
-    base: Scenario,
-    fleet_sizes: list[int],
-    profiles: list[str],
-    jobs: int = 1,
-) -> SweepResult:
+def run_sweep(base: Scenario, fleet_sizes: list[int], profiles: list[str], jobs: int = 1) -> SweepResult:
     """One aggregated result per (fleet size, profile) cell.
 
     Every cell reads each index's draw (request stream and background
@@ -715,7 +703,7 @@ def run_sweep(
             if value in values[:k]:
                 raise ConfigurationError(f"sweep {name} {value!r} is repeated")
     keys = [(fleet, profile) for fleet in fleet_sizes for profile in profiles]
-    return SweepResult(base, dict(zip(keys, _run_cells(base, keys, jobs))))
+    return SweepResult(dict(zip(keys, _run_cells(base, keys, jobs))))
 
 
 # scenario files -------------------------------------------------------------
@@ -730,7 +718,6 @@ def scenario_to_dict(scenario: Scenario) -> dict:
             "party_size_weights": {
                 str(k): v for k, v in sorted(scenario.demand.party_size_weights.items())
             },
-            "horizon": scenario.demand.horizon,
         },
         "background_flows": [asdict(f) for f in scenario.background_flows],
         "fleet_size": scenario.fleet_size,
@@ -748,8 +735,8 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     return doc
 
 
-def _party_weights(doc: dict) -> dict[int, float]:
-    return {int(k): number(v) for k, v in doc.items()}
+def _party_weights(doc: object) -> dict[int, float]:
+    return {int(k): number(v) for k, v in json_object(doc).items()}
 
 
 _SCENARIO_FIELDS = {
@@ -757,10 +744,7 @@ _SCENARIO_FIELDS = {
     "fleet_size": int, "profile": str, "policy": dict, "horizon": float,
     "replications": int, "base_seed": int, "behavior_profiles": dict,
 }
-_DEMAND_FIELDS = {
-    "outbound_rate": float, "inbound_rate": float,
-    "party_size_weights": _party_weights, "horizon": float,
-}
+_DEMAND_FIELDS = {"outbound_rate": float, "inbound_rate": float, "party_size_weights": _party_weights}
 _FLOW_FIELDS = {"origin_vertex": int, "destination_vertex": int, "rate": float}
 _POLICY_FIELDS = {
     "overdue_threshold": float, "priority_radius": float,
@@ -771,16 +755,15 @@ _POLICY_FIELDS = {
 def scenario_from_dict(doc: dict, graph: RoadGraph, network_path: str | None = None) -> Scenario:
     """Build a scenario from its document; absent optional fields take the dataclass defaults.
 
-    The demand section and its two rates are required; the demand horizon
-    defaults to the scenario horizon.  Unknown keys are rejected.
+    The demand section and its two rates are required.  Unknown keys are
+    rejected, a retired ``demand.horizon`` among them: demand is drawn over
+    the scenario's ``horizon``.
     """
     fields = read_section("scenario", doc, _SCENARIO_FIELDS, required=("demand",))
     fields.pop("network", None)
     try:
         demand = read_section("demand", fields.pop("demand"), _DEMAND_FIELDS,
                               required=("outbound_rate", "inbound_rate"))
-        if "horizon" in fields:
-            demand.setdefault("horizon", fields["horizon"])
         fields["demand"] = DemandProfile(**demand)
         fields["policy"] = DispatchPolicy(
             **read_section("policy", fields.get("policy", {}), _POLICY_FIELDS)

@@ -55,14 +55,29 @@ def number(raw: object) -> float:
     return float(raw)
 
 
+def json_object(raw: object) -> dict:
+    """Check an object field; bare ``dict`` would load ``[["a", 1]]`` as ``{"a": 1}``."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"expected an object, got {type(raw).__name__}")
+    return raw
+
+
+def json_array(raw: object) -> list:
+    """Check an array field; bare ``list`` would load ``{"a": 1}`` as ``["a"]``."""
+    if not isinstance(raw, list):
+        raise ValueError(f"expected an array, got {type(raw).__name__}")
+    return raw
+
+
 def read_section(where: str, doc: object, kinds: dict[str, Callable], required: Iterable[str] = ()) -> dict:
     """Convert the fields of one object in an input document.
 
     ``kinds`` maps every allowed key to its converter.  An unknown key is
     rejected rather than ignored, so a misspelt field cannot silently fall
     back to its default; a missing ``required`` key or a bad value is named by
-    path.  An ``int`` field is converted by :func:`integer` and a ``float``
-    field by :func:`number`.
+    path.  An ``int`` field is converted by :func:`integer`, a ``float``
+    field by :func:`number`, and a ``dict`` or ``list`` field is checked by
+    :func:`json_object` or :func:`json_array`.
     """
     if not isinstance(doc, dict):
         raise ConfigurationError(f"{where}: expected an object, got {type(doc).__name__}")
@@ -74,7 +89,8 @@ def read_section(where: str, doc: object, kinds: dict[str, Callable], required: 
         if key not in kinds:
             raise ConfigurationError(f"{where}.{key}: no such field")
         try:
-            convert = {int: integer, float: number}.get(kinds[key], kinds[key])
+            convert = {int: integer, float: number, dict: json_object,
+                       list: json_array}.get(kinds[key], kinds[key])
             fields[key] = convert(raw)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigurationError(f"{where}.{key}: {exc}") from None

@@ -88,7 +88,7 @@ class MetricsState:
         self.vehicle_stops.append(stops)
 
 
-def finalize(state: MetricsState, horizon: float) -> MetricsRecord:
+def finalize(state: MetricsState) -> MetricsRecord:
     """Reduce accumulators to one record; empty populations yield flagged zeros."""
     no_vehicles = not state.vehicle_delays
     no_waits = not state.wait_seconds

@@ -136,7 +136,7 @@ def generate_network(spec: SyntheticSpec) -> tuple[RoadGraph, DemandProfile]:
         edge = graph.edge(eid)
         graph.place_stop(eid, round(rng.uniform(0.3, 0.7) * edge.length, 3), "central_opportunity")
 
-    demand = DemandProfile(outbound_rate=9.0, inbound_rate=6.0, horizon=14400.0)
+    demand = DemandProfile(outbound_rate=9.0, inbound_rate=6.0)
     return graph, demand
 
 

@@ -50,3 +50,12 @@ def test_any_failed_run_exits_one_after_writing_the_file(monkeypatch, tmp_path):
         fake_runs(monkeypatch, {2: broken})
         assert bench_pairs.main(ARGS + ["--pairs", "2", "--out", str(out)]) == 1
         assert len(json.loads(out.read_text())["sets"][0]["runs"]) == 2
+
+
+def test_same_records_needs_one_digest_on_every_run(monkeypatch, tmp_path):
+    out = tmp_path / "b.json"
+    for broken, same in (({}, True), ({3: {"csv_sha256": "1" * 64}}, False), ({0: {"csv_sha256": None}}, False)):
+        fake_runs(monkeypatch, broken)
+        assert bench_pairs.main(ARGS + ["--pairs", "2", "--out", str(out)]) == 0   # records may differ on purpose
+        assert json.loads(out.read_text())["sets"][0]["same_records"] is same
+    assert bench_pairs.same_records([{"parent": {"csv_sha256": None}, "change": {"csv_sha256": None}}]) is False

@@ -30,7 +30,6 @@ def run_args(out_dir, scenario_path, extra=()):
         "--replications", "2",
         "--set", "fleet_size=2",
         "--set", "horizon=3600",
-        "--set", "demand.horizon=3600",
         *extra,
     ]
 
@@ -151,7 +150,7 @@ class TestRun:
                 ))
         assert sorted(logs) == [0, 1, 2]
         result = engine.run_scenario(engine.load_scenario(str(out / "scenario.json"), {
-            "replications": 3, "fleet_size": 2, "horizon": 3600, "demand.horizon": 3600,
+            "replications": 3, "fleet_size": 2, "horizon": 3600,
             "demand.outbound_rate": 30,
         }))
         assert any(r.shared_miles_m > 0 for r in result.records)
@@ -190,6 +189,35 @@ class TestRun:
         assert "party_size_weights" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("item, message", [
+        ("demand.party_size_weights=[1]", "demand.party_size_weights: expected an object, got list"),
+        ('demand=[["outbound_rate",1],["inbound_rate",2]]', "scenario.demand: expected an object, got list"),
+        ('behavior_profiles=[["normal",{"dwell_time":5}]]',
+         "scenario.behavior_profiles: expected an object, got list"),
+        ('background_flows={"x":{"origin_vertex":0}}', "scenario.background_flows: expected an array, got dict"),
+    ])
+    def test_container_field_of_the_wrong_json_type_names_the_field(self, tmp_path, capsys, item, message):
+        # bare dict() and list() would coerce these into something else
+        out = generate_small(tmp_path)
+        code = main(run_args(tmp_path / "x", out / "scenario.json", extra=["--set", item]))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not (tmp_path / "x").exists()
+
+    def test_demand_horizon_is_no_such_field(self, tmp_path, capsys):
+        # demand is drawn over the scenario's horizon; there is no second window
+        out = generate_small(tmp_path)
+        code = main(run_args(tmp_path / "x", out / "scenario.json", extra=["--set", "demand.horizon=3600"]))
+        assert code == 1
+        assert "demand.horizon: no such field" in capsys.readouterr().err
+        doc = json.loads((out / "scenario.json").read_text())
+        assert "horizon" not in doc["demand"]
+        doc["demand"]["horizon"] = doc["horizon"]
+        (out / "old.json").write_text(json.dumps(doc))
+        assert main(["run", "--scenario", str(out / "old.json"), "--out", str(tmp_path / "x")]) == 1
+        assert "demand.horizon: no such field" in capsys.readouterr().err
+
     def test_bad_scenario_file_names_the_field(self, tmp_path, capsys):
         out = generate_small(tmp_path)
         doc = json.loads((out / "scenario.json").read_text())
@@ -209,8 +237,7 @@ class TestRun:
     def test_huge_scenario_rejected_before_it_runs(self, tmp_path, capsys, monkeypatch):
         out = generate_small(tmp_path)
         monkeypatch.setattr(engine, "_Replication", None)   # a replication that starts fails the test
-        for item, field in (("fleet_size=1000000000000000000", "fleet_size"), ("horizon=1e300", "horizon"),
-                            ("demand.horizon=1e300", "demand.horizon")):
+        for item, field in (("fleet_size=1000000000000000000", "fleet_size"), ("horizon=1e300", "horizon")):
             code = main(["run", "--scenario", str(out / "scenario.json"), "--out", str(tmp_path / "x"),
                          "--set", item])
             assert code == 1
@@ -236,7 +263,7 @@ class TestRun:
         argv = [
             "run", "--scenario", str(out / "scenario.json"),
             "--replications", "1",
-            "--set", "fleet_size=1", "--set", "horizon=1800", "--set", "demand.horizon=1800",
+            "--set", "fleet_size=1", "--set", "horizon=1800",
         ]
         assert main(argv) == 0
         assert (target / "replications.csv").exists()
@@ -251,7 +278,7 @@ class TestSweep:
             "--out", str(sweep_out),
             "--fleet-sizes", "1,2", "--profiles", "normal,aggressive",
             "--replications", "2",
-            "--set", "horizon=3600", "--set", "demand.horizon=3600",
+            "--set", "horizon=3600",
         ])
         assert code == 0
         rows = (sweep_out / "sweep.csv").read_text().splitlines()

@@ -42,7 +42,7 @@ def busy_scenario(**overrides) -> Scenario:
     base = dict(
         graph=ring_network(),
         name="ring",
-        demand=DemandProfile(outbound_rate=12.0, inbound_rate=8.0, horizon=7200.0),
+        demand=DemandProfile(outbound_rate=12.0, inbound_rate=8.0),
         fleet_size=2,
         horizon=7200.0,
         replications=3,
@@ -254,13 +254,15 @@ class TestConservation:
             rep.traffic.check()
 
     def test_no_starvation_with_generous_horizon(self):
+        # demand stops at 3600 s, long before the horizon, so every request is served
         scenario = busy_scenario(
             fleet_size=1,
-            demand=DemandProfile(outbound_rate=6.0, inbound_rate=4.0, horizon=3600.0),
+            demand=DemandProfile(outbound_rate=6.0, inbound_rate=4.0),
             horizon=999999.0,
             replications=1,
         )
         rep = new_replication(scenario)
+        rep.requests = [r for r in rep.requests if r.request_time < 3600.0]
         result = rep.run()
         assert rep.metrics.requests_seen > 0
         assert result.record.unserved == 0
@@ -337,6 +339,23 @@ def across_a_binade(draw, start: float, wanted) -> float:
     return end if wanted(end) else math.nextafter(end, math.inf)
 
 
+def short_of_a_power_of_two(power: float, duration: float) -> float:
+    """A length a few ulps short of ``power`` for which ``length * duration / duration``
+    rounds up past the length: the first, counting down from two ulps short, within 1024 ulps.
+
+    One ulp short never rounds past.  If no length within reach does, as for
+    a duration whose mantissa is within about 2**-11 of 1, the length two ulps
+    short is returned.
+    """
+    two_short = math.nextafter(math.nextafter(power, 0), 0)
+    length = two_short
+    for _ in range(1024):
+        if length * duration / duration > length:
+            return length
+        length = math.nextafter(length, 0)
+    return two_short
+
+
 @st.composite
 def leg_plans(draw) -> _LegPlan:
     """A plan built the way ``_Replication._build_plan`` builds one, from random pieces.
@@ -345,9 +364,11 @@ def leg_plans(draw) -> _LegPlan:
     piece being driven can round past the piece's own.  One ulp before such
     a piece's exit, the time driven rounds to its duration, so the fraction
     driven is 1; this always holds on a first piece, whose entry time is
-    free, and on half the later ones.  Half of these pieces also end where
+    free, and on half the later ones.  A third of these pieces also end where
     start offset + (end offset - start offset) rounds past the end offset,
-    as a piece that ends at its edge's length can round past the edge.
+    as a piece that ends at its edge's length can round past the edge, and
+    another third are a few ulps short of a power of two, at a length that
+    length * duration / duration rounds past.
     """
     t = draw(st.floats(0.0, 1e5))
     segments = []
@@ -357,12 +378,17 @@ def leg_plans(draw) -> _LegPlan:
         leave, seg_delay, stopped = t, 0.0, False
         if b - a > 0:
             if min(a, t) > 0 and draw(st.booleans()):   # on the rounding edge
-                if draw(st.booleans()):
-                    a = with_last_bit_set(a)
-                    b = across_a_binade(draw, a, lambda b: a + (b - a) > b)
                 if not segments:
                     t = with_last_bit_set(t)
                 leave = across_a_binade(draw, t, lambda leave: math.nextafter(leave, 0) - t == leave - t)
+                shape = draw(st.sampled_from(["free", "offset", "length"]))
+                if shape == "offset":
+                    a = with_last_bit_set(a)
+                    b = across_a_binade(draw, a, lambda b: a + (b - a) > b)
+                elif shape == "length":
+                    length = short_of_a_power_of_two(math.ldexp(1.0, draw(st.integers(0, 11))), leave - t)
+                    b = draw(st.floats(length, 2 * length))
+                    a = b - length   # exact, as b is within a factor of 2 of length, so b - a == length
             else:
                 leave = t + draw(st.floats(0.0, 3600.0))
             seg_delay = draw(st.floats(0.0, leave - t))
@@ -636,8 +662,8 @@ class TestRunSweep:
             record_pools(monkeypatch, cpus=jobs)
             drawn, read = [], []
 
-            def counted(demand, stops, seed):
-                drawn.append((seed, generate(demand, stops, seed)))
+            def counted(demand, stops, seed, horizon):
+                drawn.append((seed, generate(demand, stops, seed, horizon)))
                 return drawn[-1][1]
 
             def reading(cell, index, *args, draw, **kwargs):
@@ -748,11 +774,11 @@ class TestValidationErrors:
             dict(fleet_size=10**18),
             dict(replications=10**400),
             dict(horizon=1e300, background_flows=[BackgroundFlow(0, 2, 60.0)]),
-            dict(demand=DemandProfile(outbound_rate=9.0, inbound_rate=6.0, horizon=1e300)),
+            dict(horizon=1e300),    # demand and no background flows
         ):
             with pytest.raises(ConfigurationError, match="estimated to need more than 10000000 events") as exc:
                 _Runtime(busy_scenario(**overrides))
-            for field in ("replications", "fleet_size", "demand.horizon", "background_flows", "horizon"):
+            for field in ("replications", "fleet_size", "demand", "background_flows", "horizon"):
                 assert field in str(exc.value)
         _Runtime(busy_scenario(fleet_size=10**5, horizon=1e5,
                                background_flows=[BackgroundFlow(0, 2, 60.0)]))
@@ -771,7 +797,7 @@ class TestScenarioFiles:
         scenario = Scenario(
             graph=graph,
             name="files",
-            demand=DemandProfile(outbound_rate=4.0, inbound_rate=2.0, horizon=3600.0),
+            demand=DemandProfile(outbound_rate=4.0, inbound_rate=2.0),
             background_flows=[BackgroundFlow(0, 2, 30.0)],
             fleet_size=3,
             profile="cautious",
@@ -828,6 +854,7 @@ class TestScenarioFiles:
         for path in (
             ("fleet_szie",),
             ("demand", "outbound_rat"),
+            ("demand", "horizon"),
             ("policy", "capacty"),
             ("background_flows", 0, "rte"),
             ("behavior_profiles", "normal", "dwell"),
@@ -842,7 +869,6 @@ class TestScenarioFiles:
             ("replications",),
             ("base_seed",),
             ("demand", "outbound_rate"),
-            ("demand", "horizon"),
             ("policy", "priority_radius"),
             ("policy", "capacity"),
             ("background_flows", 0, "rate"),

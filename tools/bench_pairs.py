@@ -9,9 +9,13 @@ benchmark and simulator sources.  Each (workload, seed) set runs
 ``--pairs`` pairs; pair ``k`` runs the parent first when ``k`` is even and
 the change first when it is odd.  The file records every run's end-to-end
 metrics, and per set and metric each side's median and quartiles and the
-number of pairs the change won (ties count for neither side).  It exits 1,
+number of pairs the change won (ties count for neither side), and
+``same_records``: true only if every run of both sides wrote records with
+one and the same non-null CSV digest.  It exits 1,
 after writing the file, if any run exited non-zero, was not correct or
-failed an operation; quartiles need ``--pairs`` of at least 2.
+failed an operation; quartiles need ``--pairs`` of at least 2.  Records
+that differ do not change the exit code, since a change may re-baseline
+its outputs on purpose.
 """
 
 from __future__ import annotations
@@ -64,6 +68,12 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def same_records(runs: list[dict]) -> bool:
+    """Whether every parent and change run has the same non-null records digest."""
+    digests = {pair[side]["csv_sha256"] for pair in runs for side in ("parent", "change")}
+    return len(digests) == 1 and None not in digests
+
+
 def summarise(runs: list[dict], better: dict[str, str]) -> dict:
     out = {}
     for name, direction in better.items():
@@ -111,7 +121,7 @@ def main(argv=None) -> int:
                         print(f"{workload} seed {seed} pair {k} {side}: wall_s "
                               f"{pair[side]['metrics'].get('wall_s')}", file=sys.stderr)
                     runs.append(pair)
-                sets.append({"workload": workload, "seed": seed,
+                sets.append({"workload": workload, "seed": seed, "same_records": same_records(runs),
                              "summary": summarise(runs, better), "runs": runs})
 
     doc = {

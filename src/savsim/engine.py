@@ -75,7 +75,7 @@ from .dispatch import (
     state_counts,
     try_insert_shared,
 )
-from .errors import ConfigurationError, ConsistencyError, SimulationError, json_object, number, read_section
+from .errors import ConfigurationError, ConsistencyError, SimulationError, json_value, read_section
 from .metrics import LogEntry, MetricsRecord, MetricsState, aggregate, finalize
 from .netgraph import (
     DirectedEdge,
@@ -736,7 +736,7 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 
 
 def _party_weights(doc: object) -> dict[int, float]:
-    return {int(k): number(v) for k, v in json_object(doc).items()}
+    return {int(k): json_value(float, v) for k, v in json_value(dict, doc).items()}
 
 
 _SCENARIO_FIELDS = {
@@ -797,7 +797,9 @@ def load_scenario(path: str, overrides: dict[str, object] | None = None) -> Scen
         if not isinstance(node, dict):
             raise ConfigurationError(f"override {key!r}: no such field")
         node[leaf] = value
-    network_rel = str(doc.get("network", "network.json"))
+    # checked before it is opened, so a path of another JSON type is named, not opened
+    network_rel = read_section("scenario", {"network": doc.get("network", "network.json")},
+                               {"network": str})["network"]
     network_path = os.path.join(os.path.dirname(os.path.abspath(path)), network_rel)
     graph = load_network(network_path)
     return scenario_from_dict(doc, graph, network_path=network_rel)

@@ -38,35 +38,28 @@ def check_finite(owner: str, **values: float) -> None:
             raise InvalidInputError(f"{owner} {name} must be a finite number, got {value!r}")
 
 
-def integer(raw: object) -> int:
-    """Convert an integer field, rejecting booleans and non-integral numbers.
+_JSON_KINDS = {int: "an integer", float: "a number", str: "a string", dict: "an object", list: "an array"}
 
-    Bare ``int`` would load ``2.9`` as 2 and ``true`` as 1.
+
+def json_value(kind: type, raw: object):
+    """Return a field's value if its JSON type is ``kind``: int, float, str, dict or list.
+
+    The value is returned as ``kind``: an integral float counts as an
+    integer and an int as a number.  A boolean is never accepted, and
+    nothing is coerced: bare ``int`` would load ``2.9`` as 2, ``true`` as 1
+    and ``"4"`` as 4, ``str`` would load ``[1, 2]`` as ``"[1, 2]"``, and
+    ``dict`` would load ``[["a", 1]]`` as ``{"a": 1}``.
     """
-    if isinstance(raw, bool) or (isinstance(raw, float) and not raw.is_integer()):
-        raise ValueError(f"expected an integer, got {raw!r}")
-    return int(raw)
-
-
-def number(raw: object) -> float:
-    """Convert a real-number field, rejecting booleans; bare ``float`` would load ``true`` as 1.0."""
-    if isinstance(raw, bool):
-        raise ValueError(f"expected a number, got {raw!r}")
-    return float(raw)
-
-
-def json_object(raw: object) -> dict:
-    """Check an object field; bare ``dict`` would load ``[["a", 1]]`` as ``{"a": 1}``."""
-    if not isinstance(raw, dict):
-        raise ValueError(f"expected an object, got {type(raw).__name__}")
-    return raw
-
-
-def json_array(raw: object) -> list:
-    """Check an array field; bare ``list`` would load ``{"a": 1}`` as ``["a"]``."""
-    if not isinstance(raw, list):
-        raise ValueError(f"expected an array, got {type(raw).__name__}")
-    return raw
+    if kind is int:
+        ok = isinstance(raw, int) or (isinstance(raw, float) and raw.is_integer())
+    elif kind is float:
+        ok = isinstance(raw, (int, float))
+    else:
+        ok = isinstance(raw, kind)
+    if not ok or isinstance(raw, bool):
+        got = type(raw).__name__ if isinstance(raw, (dict, list)) else repr(raw)
+        raise ValueError(f"expected {_JSON_KINDS[kind]}, got {got}")
+    return kind(raw)
 
 
 def read_section(where: str, doc: object, kinds: dict[str, Callable], required: Iterable[str] = ()) -> dict:
@@ -75,9 +68,8 @@ def read_section(where: str, doc: object, kinds: dict[str, Callable], required: 
     ``kinds`` maps every allowed key to its converter.  An unknown key is
     rejected rather than ignored, so a misspelt field cannot silently fall
     back to its default; a missing ``required`` key or a bad value is named by
-    path.  An ``int`` field is converted by :func:`integer`, a ``float``
-    field by :func:`number`, and a ``dict`` or ``list`` field is checked by
-    :func:`json_object` or :func:`json_array`.
+    path.  A field whose kind is a JSON type is checked by :func:`json_value`;
+    any other kind is a converter called on the raw value.
     """
     if not isinstance(doc, dict):
         raise ConfigurationError(f"{where}: expected an object, got {type(doc).__name__}")
@@ -89,9 +81,8 @@ def read_section(where: str, doc: object, kinds: dict[str, Callable], required: 
         if key not in kinds:
             raise ConfigurationError(f"{where}.{key}: no such field")
         try:
-            convert = {int: integer, float: number, dict: json_object,
-                       list: json_array}.get(kinds[key], kinds[key])
-            fields[key] = convert(raw)
+            kind = kinds[key]
+            fields[key] = json_value(kind, raw) if kind in _JSON_KINDS else kind(raw)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigurationError(f"{where}.{key}: {exc}") from None
     return fields

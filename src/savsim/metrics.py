@@ -115,21 +115,23 @@ def finalize(state: MetricsState) -> MetricsRecord:
     )
 
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, float):
-        return f"{value:.6f}"
-    return str(value)
+def _table(header, rows) -> str:
+    """CSV text of a header and rows; a field holding a comma, quote or newline is quoted (RFC 4180)."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def _fmt(value):
+    return f"{value:.6f}" if isinstance(value, float) else value
 
 
 def records_to_csv(records: list[MetricsRecord]) -> str:
     """The per-replication CSV; rows are sorted, so identical records give identical bytes."""
     rows = sorted(records, key=lambda r: (r.scenario, r.fleet_size, r.profile, r.replication))
-    lines = [",".join(CSV_FIELDS)]
-    for r in rows:
-        lines.append(",".join(_fmt(getattr(r, name)) for name in CSV_FIELDS))
-    return "\n".join(lines) + "\n"
+    return _table(CSV_FIELDS, ([_fmt(getattr(r, name)) for name in CSV_FIELDS] for r in rows))
 
 
 def aggregate(records: list[MetricsRecord]) -> dict[str, tuple[float, float, float, float]]:
@@ -146,24 +148,14 @@ def aggregate(records: list[MetricsRecord]) -> dict[str, tuple[float, float, flo
 
 def aggregates_to_csv(cells: list[tuple[str, int, str, dict]]) -> str:
     """Long-form aggregate table: one row per (cell, metric)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["scenario", "fleet_size", "profile", "metric", "mean", "std", "min", "max"])
-    for scenario, fleet_size, profile, stats in sorted(cells, key=lambda c: (c[0], c[1], c[2])):
-        for metric in AGGREGATE_FIELDS:
-            mean, std, lo, hi = stats[metric]
-            writer.writerow([
-                scenario, fleet_size, profile, metric,
-                f"{mean:.6f}", f"{std:.6f}", f"{lo:.6f}", f"{hi:.6f}",
-            ])
-    return buf.getvalue()
+    rows = ([scenario, fleet_size, profile, metric, *(f"{v:.6f}" for v in stats[metric])]
+            for scenario, fleet_size, profile, stats in sorted(cells, key=lambda c: (c[0], c[1], c[2]))
+            for metric in AGGREGATE_FIELDS)
+    return _table(["scenario", "fleet_size", "profile", "metric", "mean", "std", "min", "max"], rows)
 
 
 def occupancy_to_csv(samples: list[tuple[float, int, int]]) -> str:
-    lines = ["time_s,edge_id,occupancy"]
-    for t, edge_id, occ in samples:
-        lines.append(f"{t:.6f},{edge_id},{occ}")
-    return "\n".join(lines) + "\n"
+    return _table(["time_s", "edge_id", "occupancy"], ((f"{t:.6f}", edge, occ) for t, edge, occ in samples))
 
 
 # event-log replay ----------------------------------------------------------
@@ -181,16 +173,10 @@ class LogEntry:
 
 
 def events_to_csv(logs: list[tuple[int, list[LogEntry]]]) -> str:
-    """The event log of each (replication, entries) pair, distances in round-trip ``repr`` form."""
-    def cell(v):
-        return "" if v is None else str(v)
-    lines = ["replication,time_s,sav,event,request,stop,distance"]
-    for replication, entries in logs:
-        lines.extend(
-            f"{replication},{e.time:.6f},{e.sav},{e.kind},{cell(e.request)},{cell(e.stop)},{e.distance!r}"
-            for e in entries
-        )
-    return "\n".join(lines) + "\n"
+    """The event log of each (replication, entries) pair; distances in round-trip ``repr`` form, None empty."""
+    rows = ((replication, f"{e.time:.6f}", e.sav, e.kind, e.request, e.stop, repr(e.distance))
+            for replication, entries in logs for e in entries)
+    return _table(["replication", "time_s", "sav", "event", "request", "stop", "distance"], rows)
 
 
 def replay_shared_miles(entries: list[LogEntry]) -> float:

@@ -77,9 +77,12 @@ class TestGenerateAndValidate:
         fractional_id["vertices"][0]["id"] = 1.5
         boolean_x = json.loads(json.dumps(good))
         boolean_x["vertices"][0]["x"] = True
+        list_zone = json.loads(json.dumps(good))
+        list_zone["stops"][0]["zone"] = ["other"]
         for doc, field in ((infinite_id, "vertices[0].id"), (no_sink, "edges[0].sink"),
                            (nan_speed, "free_flow_speed"), (fractional_id, "vertices[0].id"),
-                           (boolean_x, "vertices[0].x: expected a number")):
+                           (boolean_x, "vertices[0].x: expected a number"),
+                           (list_zone, "stops[0].zone: expected a string, got list")):
             path = tmp_path / "bad.json"
             path.write_text(json.dumps(doc))
             assert main(["validate", "--network", str(path)]) == 1
@@ -195,9 +198,13 @@ class TestRun:
         ('behavior_profiles=[["normal",{"dwell_time":5}]]',
          "scenario.behavior_profiles: expected an object, got list"),
         ('background_flows={"x":{"origin_vertex":0}}', "scenario.background_flows: expected an array, got dict"),
+        ("name=[1,2]", "scenario.name: expected a string, got list"),
+        ("name=123", "scenario.name: expected a string, got 123"),
+        ("network=5", "scenario.network: expected a string, got 5"),
+        ('fleet_size="4"', "scenario.fleet_size: expected an integer, got '4'"),
     ])
     def test_container_field_of_the_wrong_json_type_names_the_field(self, tmp_path, capsys, item, message):
-        # bare dict() and list() would coerce these into something else
+        # bare dict(), list(), str() and int() would coerce these into something else
         out = generate_small(tmp_path)
         code = main(run_args(tmp_path / "x", out / "scenario.json", extra=["--set", item]))
         assert code == 1
@@ -310,7 +317,7 @@ class TestOracleCheck:
         assert main(["oracle-check", "--network", str(out / "network.json")]) == 0
         assert "match the split-graph oracle" in capsys.readouterr().out
 
-    def test_too_few_stops(self, tmp_path):
+    def test_too_few_stops(self, tmp_path, capsys):
         doc = {
             "vertices": [{"id": 1, "x": 0.0, "y": 0.0}, {"id": 2, "x": 100.0, "y": 0.0}],
             "edges": [
@@ -322,6 +329,7 @@ class TestOracleCheck:
         path = tmp_path / "net.json"
         path.write_text(json.dumps(doc))
         assert main(["oracle-check", "--network", str(path)]) == 1
+        assert "need at least 2 stops" in capsys.readouterr().err
 
 
 class TestUsage:

@@ -368,7 +368,9 @@ def leg_plans(draw) -> _LegPlan:
     start offset + (end offset - start offset) rounds past the end offset,
     as a piece that ends at its edge's length can round past the edge, and
     another third are a few ulps short of a power of two, at a length that
-    length * duration / duration rounds past.
+    length * duration / duration rounds past.  Every rounding-edge piece's
+    delay is drawn that way too, capped at its duration, so that
+    delay * duration / duration can round past the delay.
     """
     t = draw(st.floats(0.0, 1e5))
     segments = []
@@ -389,9 +391,11 @@ def leg_plans(draw) -> _LegPlan:
                     length = short_of_a_power_of_two(math.ldexp(1.0, draw(st.integers(0, 11))), leave - t)
                     b = draw(st.floats(length, 2 * length))
                     a = b - length   # exact, as b is within a factor of 2 of length, so b - a == length
+                power = math.ldexp(1.0, draw(st.integers(0, 11)))
+                seg_delay = min(short_of_a_power_of_two(power, leave - t), leave - t)
             else:
                 leave = t + draw(st.floats(0.0, 3600.0))
-            seg_delay = draw(st.floats(0.0, leave - t))
+                seg_delay = draw(st.floats(0.0, leave - t))
             stopped = draw(st.booleans())
         segments.append(_Segment(edge, a, b, t, leave, seg_delay, stopped))
         t = leave
@@ -818,6 +822,7 @@ class TestScenarioFiles:
             scenario_from_dict({"demand": {"outbound_rate": "lots"}}, ring_network())
         for path, value in (
             (("fleet_size",), 2.9),
+            (("fleet_size",), "4"),
             (("replications",), True),
             (("base_seed",), 0.5),
             (("policy", "capacity"), 2.5),
@@ -833,8 +838,13 @@ class TestScenarioFiles:
             ("background_flows", 0, "rate"),
             ("behavior_profiles", "normal", "dwell_time"),
         ):
-            with pytest.raises(ConfigurationError, match=f"{path[-1]}: expected a number, got True"):
-                scenario_from_dict(self.document_with(path, True), ring_network())
+            for value in (True, "4"):
+                with pytest.raises(ConfigurationError, match=f"{path[-1]}: expected a number, got {value!r}"):
+                    scenario_from_dict(self.document_with(path, value), ring_network())
+        for path in (("name",), ("profile",)):
+            for value, got in (([1, 2], "list"), (123, "123"), (None, "None")):
+                with pytest.raises(ConfigurationError, match=f"{path[-1]}: expected a string, got {got}"):
+                    scenario_from_dict(self.document_with(path, value), ring_network())
 
     @staticmethod
     def document_with(path: tuple, value) -> dict:

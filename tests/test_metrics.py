@@ -1,11 +1,16 @@
+import csv
+import io
+
 import pytest
 
 from savsim.demand import DemandProfile, TripRequest
 from savsim.engine import Scenario, _Replication, _Runtime, draw_index, simulate
 from savsim.metrics import (
+    CSV_FIELDS,
     LogEntry,
     MetricsState,
     aggregate,
+    aggregates_to_csv,
     finalize,
     records_to_csv,
     replay_shared_miles,
@@ -72,6 +77,17 @@ class TestCsv:
         record = finalize(make_state(wait_seconds=[90.0]))
         line = records_to_csv([record]).splitlines()[1]
         assert ",1.500000," in line
+
+    def test_text_field_with_delimiters_reads_back_intact(self):
+        name = 'a,b "quoted"\nnext line'
+        records = [finalize(make_state(scenario=name, replication=i)) for i in range(2)]
+        header, *rows = csv.reader(io.StringIO(records_to_csv(records)))
+        assert header == list(CSV_FIELDS) and len(header) == 13
+        assert len(rows) == 2
+        assert all(len(row) == 13 and row[0] == name for row in rows)
+        header, *rows = csv.reader(io.StringIO(aggregates_to_csv([(name, 2, "normal", aggregate(records))])))
+        assert len(rows) == 10
+        assert all(len(row) == len(header) and row[0] == name for row in rows)
 
 
 class TestAggregate:

@@ -8,8 +8,8 @@ strictly sequential and depends only on (scenario, index), so ``_run_cells``,
 behind ``run_scenario`` and ``run_sweep``, fans them out by dealing
 replication indices to its workers.  Its cells are variants of one base
 scenario that differ only in fleet size and profile; the cells of one task
-share one stop table per graph, whose trees only grow, and each index's draw
-(request stream and background field), read-only.
+share, read-only, one stop table per graph, which never changes once built,
+and each index's draw (request stream and background field).
 
 Model notes:
   * ``traffic.BackgroundTraffic`` owns the background vehicles and the edge

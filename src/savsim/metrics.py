@@ -9,9 +9,9 @@ up; requests never completed are counted separately so nothing is lost.
 from __future__ import annotations
 
 import csv
-import io
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 from .dispatch import DROPOFF, PICKUP
 
@@ -116,12 +116,19 @@ def finalize(state: MetricsState) -> MetricsRecord:
 
 
 def _table(header, rows) -> str:
-    """CSV text of a header and rows; a field holding a comma, quote or newline is quoted (RFC 4180)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    """CSV text of a header and rows; a field holding a comma, quote or line break is quoted (RFC 4180).
+
+    Rows end in ``"\n"``.  Before Python 3.13 the writer quotes a field for
+    a line break only if the break is in its terminator, and a bare
+    ``"\r"`` left unquoted splits the row when it is read.  So the writer is
+    given ``"\r\n"``, and each row, written by one ``write`` call, has that
+    terminator cut to ``"\n"``.
+    """
+    lines: list[str] = []
+    writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\r\n")
     writer.writerow(header)
     writer.writerows(rows)
-    return buf.getvalue()
+    return "".join(line[:-2] + "\n" for line in lines)
 
 
 def _fmt(value):

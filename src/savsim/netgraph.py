@@ -8,13 +8,14 @@ shortest path to the destination edge's source vertex, then drives the slack
 into the destination edge.  Two stops on the same edge are a special case: the
 downstream stop is reached directly, the upstream one requires looping around.
 
-The stop table stores only distances.  Each shortest-path tree keeps, per
-vertex, its distance and the edge it is entered by; the driven pieces of a
-leg are rebuilt by walking those in-edges back from the target.
+The stop table stores only distances: one reverse shortest-path search per
+distinct stop host-edge source vertex gives every vertex's distance to it, so
+a distance from any position is one lookup, and the driven pieces of a leg
+are rebuilt by following exactly tight out-edges forward from the vehicle.
+Background-flow routes (``shortest_path``) come from forward searches instead.
 
-All distances are meters, speeds meters/second.  A graph does not change after
-construction.  A ``StopDistanceTable`` does: it keeps each shortest-path tree
-it builds on first use, but its answers depend only on the graph.
+All distances are meters, speeds meters/second.  Neither a graph nor a
+``StopDistanceTable`` changes after construction.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Iterator, Sequence
 
-from .errors import InvalidInputError, NotFoundError, read_section
+from .errors import ConsistencyError, InvalidInputError, NotFoundError, read_section
 
 ZONES = ("peripheral_housing", "central_opportunity", "other")
 
@@ -250,9 +251,11 @@ def _reachable(graph: RoadGraph, start: int, forward: bool) -> set[int]:
 def validate_graph(graph: RoadGraph) -> ValidationReport:
     """Collect every structural violation in the graph.
 
-    Checks dangling edge endpoints, self-loops, duplicate (source, sink)
-    pairs, stored lengths that disagree with endpoint geometry, and strong
-    connectivity (reported once, with a witness unreachable pair).
+    Checks dangling edge endpoints, self-loops, edges of length 0 (coincident
+    endpoints), duplicate (source, sink) pairs, stored lengths that disagree
+    with endpoint geometry, and strong connectivity (reported once, with a
+    witness unreachable pair).  Zero-length edges both ways would tie a
+    shortest path in a cycle (see ``StopDistanceTable.position_path``).
     """
     issues: list[ValidationIssue] = []
     seen_pairs: dict[tuple[int, int], int] = {}
@@ -268,6 +271,10 @@ def validate_graph(graph: RoadGraph) -> ValidationReport:
         if e.source == e.sink:
             issues.append(ValidationIssue(
                 "self_loop", f"edge {e.id} is a self-loop at vertex {e.source}"
+            ))
+        elif not e.length > 0:
+            issues.append(ValidationIssue(
+                "zero_length", f"edge {e.id} has length {e.length}; an edge must be longer than 0"
             ))
         pair = (e.source, e.sink)
         if pair in seen_pairs:
@@ -370,72 +377,59 @@ def shortest_path(
 
 # stop distances -----------------------------------------------------------
 
-def _traverse(
-    graph: RoadGraph, edge: DirectedEdge, offset: float, dest: Stop, trees: dict[int, _Tree]
-) -> tuple[float, _Tree | None]:
-    """Apply the traversal rule from ``offset`` meters along ``edge`` to ``dest``.
+def _distances_to(incoming: dict[int, list[tuple[int, float]]], root: int) -> dict[int, float]:
+    """Reverse Dijkstra: the shortest distance from every vertex that can reach ``root``.
 
-    A stop downstream on the same edge is reached directly.  Otherwise the
-    vehicle finishes the edge, follows the shortest-path tree rooted at the
-    edge's sink (built into ``trees`` on first use) to the destination edge's
-    source vertex, then drives the destination slack.  Returns the distance
-    and the tree followed, which is None for a direct hop.
+    ``incoming`` maps a vertex to ``(source, length)`` of each edge entering
+    it.  Heap entries are ``(distance, vertex)``; a vertex ``u`` with an edge
+    ``e`` to a settled vertex ``w`` is offered ``e.length + d[w]``, so each
+    distance is the minimum of that sum over ``u``'s out-edges.
     """
-    if not 0.0 <= offset <= edge.length:
-        raise InvalidInputError(f"offset {offset} outside edge {edge.id}")
-    if edge.id == dest.edge and dest.slack >= offset:
-        return dest.slack - offset, None
-    tree = trees.get(edge.sink)
-    if tree is None:
-        tree = trees[edge.sink] = _shortest_tree(graph, edge.sink)
-    target = graph.edge(dest.edge).source
-    if target not in tree:
-        raise NotFoundError(
-            f"vertex {target} unreachable from {edge.sink}; graph not strongly connected"
-        )
-    return (edge.length - offset) + tree[target][0] + dest.slack, tree
+    dist: dict[int, float] = {}
+    heap = [(0.0, root)]
+    while heap:
+        d, v = heappop(heap)
+        if v in dist:
+            continue
+        dist[v] = d
+        for u, length in incoming.get(v, ()):
+            if u not in dist:
+                heappush(heap, (length + d, u))
+    return dist
 
 
 Piece = tuple[int, float, float]   # (edge id, start offset, end offset) of one driven stretch
 
 
-def _traverse_path(
-    graph: RoadGraph, edge: DirectedEdge, offset: float, dest: Stop, trees: dict[int, _Tree]
-) -> tuple[tuple[Piece, ...], float]:
-    """Driven pieces and distance of :func:`_traverse`; a direct hop is one piece."""
-    distance, tree = _traverse(graph, edge, offset, dest, trees)
-    if tree is None:
-        return ((edge.id, offset, dest.slack),), distance
-    middle = _edges_to(graph, tree, graph.edge(dest.edge).source)
-    return (
-        ((edge.id, offset, edge.length),)
-        + tuple((eid, 0.0, graph.edge(eid).length) for eid in middle)
-        + ((dest.edge, 0.0, dest.slack),)
-    ), distance
-
-
 class StopDistanceTable:
-    """Precomputed traversal distances between every ordered pair of stops.
+    """Traversal distances to every stop, from every stop and from any mid-edge position.
 
-    Holds one distance per ordered pair of the m stops, the zero diagonal
-    included; ``len()`` counts the m(m-1) off-diagonal pairs.  The
-    shortest-path trees built during precomputation are kept (and extended on
-    demand) so that distances and driven pieces from an arbitrary mid-edge
-    position, such as a vehicle between stops, reuse the same machinery.
+    Built once and never changed: one reverse shortest-path search per
+    distinct host-edge source vertex of the m stops gives every vertex's
+    distance to that root, and from those the distance of each ordered pair
+    of stops, the zero diagonal included; ``len()`` counts the m(m-1)
+    off-diagonal pairs.  A distance from any position is then one lookup.
     """
 
     def __init__(self, graph: RoadGraph, stops: list[Stop]) -> None:
         self._graph = graph
         self._stops = {s.id: s for s in stops}
-        self._trees: dict[int, _Tree] = {}
+        incoming: dict[int, list[tuple[int, float]]] = defaultdict(list)
+        for e in graph.edges():
+            incoming[e.sink].append((e.source, e.length))
+        # root vertex -> {vertex: distance to the root}
+        self._dist_to: dict[int, dict[int, float]] = {}
+        for s in stops:
+            root = graph.edge(s.edge).source
+            if root not in self._dist_to:
+                self._dist_to[root] = _distances_to(incoming, root)
         self._distances: dict[tuple[int, int], float] = {}
         ordered = sorted(stops, key=lambda s: s.id)
         for origin in ordered:
             host = graph.edge(origin.edge)
             for dest in ordered:
                 self._distances[(origin.id, dest.id)] = (
-                    0.0 if dest.id == origin.id
-                    else _traverse(graph, host, origin.slack, dest, self._trees)[0]
+                    0.0 if dest.id == origin.id else self._traverse(host, origin.slack, dest)[0]
                 )
 
     def _check(self, stop_id: int) -> Stop:
@@ -443,6 +437,27 @@ class StopDistanceTable:
         if stop is None:
             raise NotFoundError(f"stop {stop_id} not in distance table")
         return stop
+
+    def _traverse(self, edge: DirectedEdge, offset: float, dest: Stop) -> tuple[float, int | None]:
+        """Apply the traversal rule from ``offset`` meters along ``edge`` to ``dest``.
+
+        A stop downstream on the same edge is reached directly.  Otherwise
+        the vehicle finishes the edge, follows a shortest path from the
+        edge's sink to the destination edge's source vertex, the root, then
+        drives the destination slack.  Returns the distance and the root,
+        which is None for a direct hop.
+        """
+        if not 0.0 <= offset <= edge.length:
+            raise InvalidInputError(f"offset {offset} outside edge {edge.id}")
+        if edge.id == dest.edge and dest.slack >= offset:
+            return dest.slack - offset, None
+        root = self._graph.edge(dest.edge).source
+        rest = self._dist_to[root].get(edge.sink)
+        if rest is None:
+            raise NotFoundError(
+                f"vertex {root} unreachable from {edge.sink}; graph not strongly connected"
+            )
+        return (edge.length - offset) + rest + dest.slack, root
 
     def distance(self, from_stop: int, to_stop: int) -> float:
         try:
@@ -455,12 +470,59 @@ class StopDistanceTable:
     def distance_from_position(self, edge_id: int, offset: float, to_stop: int) -> float:
         """Distance from a mid-edge position to a stop, same traversal rule."""
         dest = self._check(to_stop)
-        return _traverse(self._graph, self._graph.edge(edge_id), offset, dest, self._trees)[0]
+        return self._traverse(self._graph.edge(edge_id), offset, dest)[0]
 
     def position_path(self, edge_id: int, offset: float, to_stop: int) -> tuple[tuple[Piece, ...], float]:
-        """Driven pieces ``(edge id, start offset, end offset)`` and distance from a mid-edge position to a stop."""
+        """Driven pieces ``(edge id, start offset, end offset)`` and distance from a mid-edge position to a stop.
+
+        A direct hop is one piece.  Otherwise, with ``d`` the distances to
+        the root, the vertex path from the edge's sink takes at each vertex
+        ``v`` the first out-edge ``e``, in ``out_edges`` order (by sink, then
+        id), that is tight: ``e.length + d[e.sink] == d[v]`` exactly, in
+        floating point.  This gives the lexicographically smallest vertex
+        sequence among the tight paths to the root:
+
+        * Every vertex ``v`` but the root that can reach it has a tight
+          out-edge: the search settled ``v`` at the sum it was offered over
+          an edge to a vertex settled before it.
+        * Among tight paths from ``v``, those through the smallest tight
+          successor are smaller than the rest at their second vertex, and
+          from that successor on the same choice repeats.  A tight path
+          stops at its first arrival at the root, as no cycle is tight
+          (next point), so no tight path is a proper prefix of another.
+        * No cycle is tight when adding any edge's length to a distance
+          changes it, as then ``d`` falls strictly along tight edges.  An
+          edge too short for that could close a tight cycle: the path is
+          then longer than the vertex count, and InvalidInputError names
+          the vertex it revisits.
+
+        The path's length summed from the root end is ``d`` exactly, so it
+        is the distance returned.
+        """
         dest = self._check(to_stop)
-        return _traverse_path(self._graph, self._graph.edge(edge_id), offset, dest, self._trees)
+        edge = self._graph.edge(edge_id)
+        distance, root = self._traverse(edge, offset, dest)
+        if root is None:
+            return ((edge.id, offset, dest.slack),), distance
+        to_root = self._dist_to[root]
+        pieces = [(edge.id, offset, edge.length)]
+        v = edge.sink
+        while v != root:
+            if len(pieces) > len(to_root):
+                raise InvalidInputError(
+                    f"vertex {v}: the shortest paths to vertex {root} run in a cycle;"
+                    " an edge is too short to change a distance"
+                )
+            for e in self._graph.out_edges(v):
+                rest = to_root.get(e.sink)
+                if rest is not None and e.length + rest == to_root[v]:
+                    break
+            else:
+                raise ConsistencyError(f"vertex {v} has no tight out-edge towards vertex {root}")
+            pieces.append((e.id, 0.0, e.length))
+            v = e.sink
+        pieces.append((dest.edge, 0.0, dest.slack))
+        return tuple(pieces), distance
 
     def stop_ids(self) -> list[int]:
         return sorted(self._stops)
@@ -474,8 +536,8 @@ def build_stop_distance_table(
 ) -> StopDistanceTable:
     """Build the all-pairs stop distance table.
 
-    Runs one single-source shortest-path computation per distinct host-edge
-    sink vertex, then assembles every ordered pair from those trees.
+    Runs one reverse shortest-path search per distinct host-edge source
+    vertex, then assembles every ordered pair from those distances.
     """
     if stops is None:
         stops = list(graph.stops())

@@ -79,15 +79,17 @@ class TestCsv:
         assert ",1.500000," in line
 
     def test_text_field_with_delimiters_reads_back_intact(self):
-        name = 'a,b "quoted"\nnext line'
-        records = [finalize(make_state(scenario=name, replication=i)) for i in range(2)]
-        header, *rows = csv.reader(io.StringIO(records_to_csv(records)))
-        assert header == list(CSV_FIELDS) and len(header) == 13
-        assert len(rows) == 2
-        assert all(len(row) == 13 and row[0] == name for row in rows)
-        header, *rows = csv.reader(io.StringIO(aggregates_to_csv([(name, 2, "normal", aggregate(records))])))
-        assert len(rows) == 10
-        assert all(len(row) == len(header) and row[0] == name for row in rows)
+        # a bare carriage return is quoted too, which csv.writer does not do for it before Python 3.13
+        for name in ('a,b "quoted"\nnext line', "a\rb"):
+            records = [finalize(make_state(scenario=name, replication=i)) for i in range(2)]
+            header, *rows = csv.reader(io.StringIO(records_to_csv(records), newline=""))
+            assert header == list(CSV_FIELDS) and len(header) == 13
+            assert len(rows) == 2
+            assert all(len(row) == 13 and row[0] == name for row in rows)
+            text = aggregates_to_csv([(name, 2, "normal", aggregate(records))])
+            header, *rows = csv.reader(io.StringIO(text, newline=""))
+            assert len(rows) == 10
+            assert all(len(row) == len(header) and row[0] == name for row in rows)
 
 
 class TestAggregate:

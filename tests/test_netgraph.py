@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import random
@@ -10,6 +11,7 @@ from savsim.netgraph import (
     Stop,
     build_stop_distance_table,
     edge_weight,
+    graph_from_dict,
     graph_to_dict,
     load_network,
     save_network,
@@ -40,6 +42,33 @@ def triangle() -> RoadGraph:
     g.add_edge(11, 2, 3, 15.0, 20)
     g.add_edge(12, 3, 1, 15.0, 20)
     return g
+
+
+def coincident_pair() -> RoadGraph:
+    """Vertices 1 and 2 at one point, joined both ways by zero-length edges, and a two-way
+    100 m edge from vertex 1 to vertex 3."""
+    g = RoadGraph()
+    g.add_vertex(1, 0.0, 0.0)
+    g.add_vertex(2, 0.0, 0.0)
+    g.add_vertex(3, 100.0, 0.0)
+    g.add_edge(10, 1, 2, 13.4, 20)
+    g.add_edge(11, 2, 1, 13.4, 20)
+    g.add_edge(12, 1, 3, 13.4, 20)
+    g.add_edge(13, 3, 1, 13.4, 20)
+    return g
+
+
+def not_strongly_connected() -> RoadGraph:
+    """A two-cycle 1 <-> 2 with stops on both edges, and a one-way edge 20 from vertex 2 to a dead end 3."""
+    doc = {
+        "vertices": [{"id": 1, "x": 0.0, "y": 0.0}, {"id": 2, "x": 100.0, "y": 0.0},
+                     {"id": 3, "x": 200.0, "y": 0.0}],
+        "edges": [{"id": eid, "source": a, "sink": b, "free_flow_speed": 13.4, "capacity_vehicles": 20}
+                  for eid, a, b in ((10, 1, 2), (11, 2, 1), (20, 2, 3))],
+        "stops": [{"id": 0, "edge": 10, "slack": 20.0, "zone": "other"},
+                  {"id": 1, "edge": 11, "slack": 20.0, "zone": "other"}],
+    }
+    return graph_from_dict(doc, validate=False)
 
 
 class TestEdgeWeight:
@@ -112,6 +141,13 @@ class TestValidateGraph:
         g.add_edge(14, 1, 2, 13.4, 20)               # duplicate pair
         kinds = {i.kind for i in validate_graph(g).issues}
         assert {"dangling_endpoint", "self_loop", "duplicate_edge"} <= kinds
+
+
+    def test_zero_length_edges(self):
+        g = coincident_pair()
+        issues = validate_graph(g).issues
+        assert [i.kind for i in issues] == ["zero_length", "zero_length"]
+        assert "edge 10 has length 0.0" in issues[0].message
 
 
 class TestPlaceStop:
@@ -297,6 +333,32 @@ class TestStopDistanceTable:
             table.position_path(10, 100.5, b2.id)
         with pytest.raises(InvalidInputError):
             table.position_path(10, -1.0, b2.id)
+        with pytest.raises(InvalidInputError):
+            table.distance_from_position(10, 100.5, b2.id)
+        with pytest.raises(InvalidInputError):
+            table.distance_from_position(10, -1.0, b2.id)
+
+    def test_unreachable_root_raises_not_found(self):
+        g = not_strongly_connected()
+        table = build_stop_distance_table(g)
+        # from the dead-end edge 20, no path leads back to stop 0's host-edge source, vertex 1
+        for query in (table.distance_from_position, table.position_path):
+            with pytest.raises(NotFoundError, match="vertex 1 unreachable from 3"):
+                query(20, 50.0, 0)
+        # a stop on the dead-end edge makes the build itself fail
+        g.place_stop(20, 10.0, "other")
+        with pytest.raises(NotFoundError, match="vertex 1 unreachable from 3"):
+            build_stop_distance_table(g)
+
+    def test_tight_cycle_raises_instead_of_looping(self):
+        g = coincident_pair()
+        stop = g.place_stop(13, 10.0, "other")     # on edge 3 -> 1, so the root is vertex 3
+        g.place_stop(12, 10.0, "other")
+        table = build_stop_distance_table(g)
+        assert table.distance_from_position(11, 0.0, stop.id) == 110.0
+        # from vertex 1, edge 10 to vertex 2 (sink 2 < 3) is tight, and so is edge 11 back
+        with pytest.raises(InvalidInputError, match="run in a cycle"):
+            table.position_path(11, 0.0, stop.id)
 
 
 def stop_pairs(g: RoadGraph) -> list[tuple[Stop, Stop]]:
@@ -353,6 +415,71 @@ class TestTableProperties:
                 # a piece before another runs to its edge's sink, which the next leaves from
                 assert a_end == g.edge(a).length and b_start == 0.0
                 assert g.edge(a).sink == g.edge(b).source
+
+    def test_position_path_is_the_smallest_shortest_vertex_sequence(self):
+        # 300 m x 400 m cells with one 500 m diagonal per cell: integer lengths, so every
+        # float sum is exact and every shortest path is tight; the grid ties many of them
+        g = RoadGraph()
+        for vid in range(12):
+            g.add_vertex(vid, 300.0 * (vid % 4), 400.0 * (vid // 4))
+        links = [(v, v + 1) for v in range(12) if v % 4 < 3] + [(v, v + 4) for v in range(8)]
+        links += [(v, v + 5) for v in range(8) if v % 4 < 3 and v % 2 == 0]
+        eid = 0
+        for a, b in links:
+            g.add_edge(eid, a, b, 15.0, 50)
+            g.add_edge(eid + 1, b, a, 15.0, 50)
+            eid += 2
+        assert validate_graph(g).ok
+        out = {v.id: [e.sink for e in g.out_edges(v.id)] for v in g.vertices()}
+
+        def simple_paths(v, target, seen):
+            if v == target:
+                yield (v,)
+                return
+            for w in out[v]:
+                if w not in seen:
+                    for rest in simple_paths(w, target, seen | {w}):
+                        yield (v,) + rest
+
+        def length(seq):
+            return sum(edge_weight(g.vertex(a), g.vertex(b)) for a, b in zip(seq, seq[1:]))
+
+        best = {}
+        for v in out:
+            for root in out:
+                paths = list(simple_paths(v, root, {v}))
+                shortest = min(length(p) for p in paths)
+                best[v, root] = (min(p for p in paths if length(p) == shortest), shortest)
+
+        for e in list(g.edges())[::3]:
+            g.place_stop(e.id, 100.0, "other")
+        table = build_stop_distance_table(g)
+        for edge in g.edges():
+            for dest in g.stops():
+                if edge.id == dest.edge:
+                    continue
+                want, shortest = best[edge.sink, g.edge(dest.edge).source]
+                pieces, dist = table.position_path(edge.id, 100.0, dest.id)
+                middle = [g.edge(eid) for eid, _, _ in pieces[1:-1]]
+                assert tuple([edge.sink] + [m.sink for m in middle]) == want
+                assert dist == edge.length - 100.0 + shortest + dest.slack
+
+    def test_queries_leave_one_tree_per_host_edge_source(self):
+        rng = random.Random(4242)
+        g = random_connected_graph(rng)
+        stops = scatter_stops(rng, g, 12)
+        table = build_stop_distance_table(g)
+        before = copy.deepcopy(table._dist_to)
+        assert set(before) == {g.edge(s.edge).source for s in stops}
+        edges = list(g.edges())
+        for _ in range(2000):
+            edge = rng.choice(edges)
+            offset = rng.uniform(0.0, edge.length)
+            dest = rng.choice(stops)
+            pieces, dist = table.position_path(edge.id, offset, dest.id)
+            assert table.distance_from_position(edge.id, offset, dest.id) == dist
+            assert pieces_distance(pieces) == pytest.approx(dist, abs=1e-9)
+        assert table._dist_to == before
 
     def test_byte_identical_rebuild(self):
         rng1 = random.Random(555)

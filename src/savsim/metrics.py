@@ -116,7 +116,7 @@ def finalize(state: MetricsState) -> MetricsRecord:
 
 
 def _table(header, rows) -> str:
-    """CSV text of a header and rows; a field holding a comma, quote or line break is quoted (RFC 4180).
+    r"""CSV text of a header and rows; a field holding a comma, quote or line break is quoted (RFC 4180).
 
     Rows end in ``"\n"``.  Before Python 3.13 the writer quotes a field for
     a line break only if the break is in its terminator, and a bare

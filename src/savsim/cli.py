@@ -9,13 +9,12 @@ oracle failure, 2 usage error, 3 I/O error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
 
 from . import engine, metrics, oracle, scenario_gen
-from .errors import ConfigurationError, SimulationError, read_section
+from .errors import ConfigurationError, SimulationError, read_section, record_kinds
 from .netgraph import (
     build_stop_distance_table,
     load_network,
@@ -23,6 +22,7 @@ from .netgraph import (
     validate_graph,
     write_atomic,
 )
+from .traffic import DEFAULT_PROFILES
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -46,26 +46,22 @@ def _build_parser() -> argparse.ArgumentParser:
     p_generate.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                             help="override a generator field, e.g. grid_spacing=800")
 
-    p_run = sub.add_parser("run", help="run one scenario")
-    p_run.add_argument("--scenario", required=True)
-    p_run.add_argument("--out", default=None)
-    p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument("--replications", type=int, default=None)
-    p_run.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
-                       help="dotted override into the scenario, e.g. policy.overdue_threshold=900")
+    scenario_flags = argparse.ArgumentParser(add_help=False)
+    scenario_flags.add_argument("--scenario", required=True)
+    scenario_flags.add_argument("--out", default=None)
+    scenario_flags.add_argument("--seed", type=int, default=None)
+    scenario_flags.add_argument("--replications", type=int, default=None)
+    scenario_flags.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
+                                help="dotted override into the scenario, e.g. policy.overdue_threshold=900")
+    scenario_flags.add_argument("--jobs", type=int, default=1)
+
+    p_run = sub.add_parser("run", parents=[scenario_flags], help="run one scenario")
     p_run.add_argument("--verbose", action="store_true", help="also write an event log")
     p_run.add_argument("--occupancy", action="store_true", help="also write per-edge occupancy")
-    p_run.add_argument("--jobs", type=int, default=1)
 
-    p_sweep = sub.add_parser("sweep", help="run a fleet size x profile sweep")
-    p_sweep.add_argument("--scenario", required=True)
-    p_sweep.add_argument("--out", default=None)
+    p_sweep = sub.add_parser("sweep", parents=[scenario_flags], help="run a fleet size x profile sweep")
     p_sweep.add_argument("--fleet-sizes", default="2,4,6,8,10")
-    p_sweep.add_argument("--profiles", default="cautious,normal,aggressive")
-    p_sweep.add_argument("--seed", type=int, default=None)
-    p_sweep.add_argument("--replications", type=int, default=None)
-    p_sweep.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
-    p_sweep.add_argument("--jobs", type=int, default=1)
+    p_sweep.add_argument("--profiles", default=",".join(DEFAULT_PROFILES))
 
     p_oracle = sub.add_parser("oracle-check", help="verify stop distances against the split-graph oracle")
     p_oracle.add_argument("--network", required=True)
@@ -79,21 +75,19 @@ def _out_dir(arg: str | None) -> str:
     return out
 
 
-def _parse_value(text: str):
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError:
-        return text
-
-
 def _parse_sets(items: list[str]) -> dict[str, object]:
-    """The KEY=VALUE pairs of repeated ``--set`` flags."""
+    """The KEY=VALUE pairs of repeated ``--set`` flags; a value that is not JSON is a string."""
     pairs = {}
     for item in items:
         if "=" not in item:
             raise ConfigurationError(f"override {item!r} is not KEY=VALUE")
         key, _, raw = item.partition("=")
-        pairs[key] = _parse_value(raw)
+        try:
+            pairs[key] = json.loads(raw)
+        except json.JSONDecodeError:
+            pairs[key] = raw
+        except (ValueError, RecursionError) as exc:   # an over-long integer, or nesting too deep
+            raise ConfigurationError(f"override {key!r}: {exc}") from None
     return pairs
 
 
@@ -117,8 +111,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    kinds = {f.name: type(f.default) for f in dataclasses.fields(scenario_gen.SyntheticSpec)}
-    fields = read_section("generator", {"seed": args.seed, **_parse_sets(args.set)}, kinds)
+    fields = read_section("generator", {"seed": args.seed, **_parse_sets(args.set)},
+                          record_kinds(scenario_gen.SyntheticSpec))
     spec = scenario_gen.SyntheticSpec(**fields)
     out = _out_dir(args.out)
     scenario = scenario_gen.default_scenario(spec)
@@ -194,7 +188,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {getattr(exc, 'filename', None) or exc}", file=sys.stderr)
         return EXIT_IO
-    except (SimulationError, json.JSONDecodeError) as exc:
+    except SimulationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
 

@@ -45,10 +45,9 @@ Model notes:
 
 from __future__ import annotations
 
-import json
 import math
 import os
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from heapq import heappop, heappush
 from itertools import repeat
 from typing import NamedTuple
@@ -76,6 +75,7 @@ from .dispatch import (
     try_insert_shared,
 )
 from .errors import ConfigurationError, ConsistencyError, SimulationError, json_value, read_section
+from .errors import record_dict, record_kinds
 from .metrics import LogEntry, MetricsRecord, MetricsState, aggregate, finalize
 from .netgraph import (
     DirectedEdge,
@@ -83,6 +83,7 @@ from .netgraph import (
     StopDistanceTable,
     build_stop_distance_table,
     load_network,
+    read_json,
     shortest_path,
     validate_graph,
 )
@@ -709,28 +710,24 @@ def run_sweep(base: Scenario, fleet_sizes: list[int], profiles: list[str], jobs:
 # scenario files -------------------------------------------------------------
 
 def scenario_to_dict(scenario: Scenario) -> dict:
+    weights = scenario.demand.party_size_weights
     doc = {
         "name": scenario.name,
         "network": scenario.network_path or "network.json",
-        "demand": {
-            "outbound_rate": scenario.demand.outbound_rate,
-            "inbound_rate": scenario.demand.inbound_rate,
-            "party_size_weights": {
-                str(k): v for k, v in sorted(scenario.demand.party_size_weights.items())
-            },
-        },
-        "background_flows": [asdict(f) for f in scenario.background_flows],
+        # str keys: json.dumps(sort_keys=True) then orders them as text ("10" before "2"), as every file has
+        "demand": {**record_dict(scenario.demand),
+                   "party_size_weights": {str(k): weights[k] for k in sorted(weights)}},
+        "background_flows": [record_dict(f) for f in scenario.background_flows],
         "fleet_size": scenario.fleet_size,
         "profile": scenario.profile,
-        "policy": asdict(scenario.policy),
+        "policy": record_dict(scenario.policy),
         "horizon": scenario.horizon,
         "replications": scenario.replications,
         "base_seed": scenario.base_seed,
     }
     if scenario.behavior_profiles is not None:
         doc["behavior_profiles"] = {
-            name: {"speed_factor": p.speed_factor, "dwell_time": p.dwell_time}
-            for name, p in sorted(scenario.behavior_profiles.items())
+            name: record_dict(p, skip=("name",)) for name, p in sorted(scenario.behavior_profiles.items())
         }
     return doc
 
@@ -744,12 +741,9 @@ _SCENARIO_FIELDS = {
     "fleet_size": int, "profile": str, "policy": dict, "horizon": float,
     "replications": int, "base_seed": int, "behavior_profiles": dict,
 }
-_DEMAND_FIELDS = {"outbound_rate": float, "inbound_rate": float, "party_size_weights": _party_weights}
-_FLOW_FIELDS = {"origin_vertex": int, "destination_vertex": int, "rate": float}
-_POLICY_FIELDS = {
-    "overdue_threshold": float, "priority_radius": float,
-    "detour_budget_factor": float, "capacity": int,
-}
+_DEMAND_FIELDS = record_kinds(DemandProfile, party_size_weights=_party_weights)
+_FLOW_FIELDS = record_kinds(BackgroundFlow)
+_POLICY_FIELDS = record_kinds(DispatchPolicy)
 
 
 def scenario_from_dict(doc: dict, graph: RoadGraph, network_path: str | None = None) -> Scenario:
@@ -785,8 +779,7 @@ def load_scenario(path: str, overrides: dict[str, object] | None = None) -> Scen
     ``overrides`` maps dotted field paths, such as ``policy.capacity``, to
     values that replace the file's before it is parsed.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = read_json(path)
     if not isinstance(doc, dict):
         raise ConfigurationError(f"{path}: expected a JSON object")
     for key, value in (overrides or {}).items():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from typing import Callable, Iterable
 
@@ -60,6 +61,30 @@ def json_value(kind: type, raw: object):
         got = type(raw).__name__ if isinstance(raw, (dict, list)) else repr(raw)
         raise ValueError(f"expected {_JSON_KINDS[kind]}, got {got}")
     return kind(raw)
+
+
+_ANNOTATION_KINDS = {"int": int, "float": float, "str": str}
+
+
+def record_kinds(cls: type, skip: Iterable[str] = (), **special: Callable) -> dict[str, Callable]:
+    """``{field: kind}`` for :func:`read_section`, read from a dataclass's field annotations.
+
+    Annotations are read by name (``from __future__ import annotations`` makes
+    them strings): ``int``, ``float`` and ``str``.  A field in ``skip`` is left
+    out and one in ``special`` takes that converter; any other annotation is a
+    TypeError, raised when the module declaring the reader is imported.
+    """
+    kinds = {f.name: special.get(f.name) or _ANNOTATION_KINDS.get(getattr(f.type, "__name__", f.type))
+             for f in dataclasses.fields(cls) if f.name not in skip}
+    for name, kind in kinds.items():
+        if kind is None:
+            raise TypeError(f"{cls.__name__}.{name}: no JSON kind for its annotation")
+    return kinds
+
+
+def record_dict(record: object, skip: Iterable[str] = ()) -> dict:
+    """A dataclass record's fields but ``skip``; shallow, where ``dataclasses.asdict`` deep-copies each value."""
+    return {f.name: getattr(record, f.name) for f in dataclasses.fields(record) if f.name not in skip}
 
 
 def read_section(where: str, doc: object, kinds: dict[str, Callable], required: Iterable[str] = ()) -> dict:

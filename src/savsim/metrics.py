@@ -32,8 +32,6 @@ class MetricsRecord:
     shared_miles_m: float
     unserved: int
     sav_distance_m: float
-    empty_vehicle_population: bool
-    empty_wait_population: bool
 
 
 # numeric fields aggregated by mean/std/min/max, in output order
@@ -89,12 +87,11 @@ class MetricsState:
 
 
 def finalize(state: MetricsState) -> MetricsRecord:
-    """Reduce accumulators to one record; empty populations yield flagged zeros."""
-    no_vehicles = not state.vehicle_delays
-    no_waits = not state.wait_seconds
-    avg_delay = 0.0 if no_vehicles else sum(state.vehicle_delays) / len(state.vehicle_delays)
-    avg_stops = 0.0 if no_vehicles else sum(state.vehicle_stops) / len(state.vehicle_stops)
-    avg_wait = 0.0 if no_waits else sum(state.wait_seconds) / len(state.wait_seconds)
+    """Reduce accumulators to one record; the average over an empty population is zero."""
+    delays, stops, waits = state.vehicle_delays, state.vehicle_stops, state.wait_seconds
+    avg_delay = sum(delays) / len(delays) if delays else 0.0
+    avg_stops = sum(stops) / len(stops) if stops else 0.0
+    avg_wait = sum(waits) / len(waits) if waits else 0.0
     return MetricsRecord(
         scenario=state.scenario,
         fleet_size=state.fleet_size,
@@ -110,8 +107,6 @@ def finalize(state: MetricsState) -> MetricsRecord:
         shared_miles_m=state.shared_miles,
         unserved=state.requests_seen - state.trips_completed,
         sav_distance_m=state.sav_distance,
-        empty_vehicle_population=no_vehicles,
-        empty_wait_population=no_waits,
     )
 
 

@@ -29,7 +29,8 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Iterator, Sequence
 
-from .errors import ConsistencyError, InvalidInputError, NotFoundError, read_section
+from .errors import ConfigurationError, ConsistencyError, InvalidInputError, NotFoundError
+from .errors import read_section, record_dict, record_kinds
 
 ZONES = ("peripheral_housing", "central_opportunity", "other")
 
@@ -191,15 +192,6 @@ class RoadGraph:
 
     def out_edges(self, vertex_id: int) -> Sequence[DirectedEdge]:
         return self._out.get(vertex_id, ())
-
-    def stop_point(self, stop_id: int) -> tuple[float, float]:
-        """Planar coordinates of a stop, interpolated along its host edge."""
-        stop = self.stop(stop_id)
-        edge = self.edge(stop.edge)
-        a = self.vertex(edge.source)
-        b = self.vertex(edge.sink)
-        f = stop.slack / edge.length if edge.length > 0 else 0.0
-        return (a.x + f * (b.x - a.x), a.y + f * (b.y - a.y))
 
     def __len__(self) -> int:
         return len(self._vertices)
@@ -550,31 +542,17 @@ def build_stop_distance_table(
 
 def graph_to_dict(graph: RoadGraph) -> dict:
     return {
-        "vertices": [{"id": v.id, "x": v.x, "y": v.y} for v in graph.vertices()],
-        "edges": [
-            {
-                "id": e.id,
-                "source": e.source,
-                "sink": e.sink,
-                "length": e.length,
-                "free_flow_speed": e.free_flow_speed,
-                "capacity_vehicles": e.capacity_vehicles,
-            }
-            for e in graph.edges()
-        ],
-        "stops": [
-            {"id": s.id, "edge": s.edge, "slack": s.slack, "zone": s.zone}
-            for s in graph.stops()
-        ],
+        "vertices": [record_dict(v) for v in graph.vertices()],
+        "edges": [record_dict(e) for e in graph.edges()],
+        "stops": [record_dict(s) for s in graph.stops()],
     }
 
 
 _NETWORK_FIELDS = {"vertices": list, "edges": list, "stops": list}
-_VERTEX_FIELDS = {"id": int, "x": float, "y": float}
-_EDGE_FIELDS = {"id": int, "source": int, "sink": int, "free_flow_speed": float,
-                "capacity_vehicles": int, "length": float}
-_EDGE_REQUIRED = ("id", "source", "sink", "free_flow_speed", "capacity_vehicles")
-_STOP_FIELDS = {"id": int, "edge": int, "slack": float, "zone": str}
+_VERTEX_FIELDS = record_kinds(Vertex)
+_EDGE_FIELDS = record_kinds(DirectedEdge)
+_EDGE_REQUIRED = [key for key in _EDGE_FIELDS if key != "length"]
+_STOP_FIELDS = record_kinds(Stop)
 
 
 def graph_from_dict(doc: dict, validate: bool = True) -> RoadGraph:
@@ -598,10 +576,17 @@ def graph_from_dict(doc: dict, validate: bool = True) -> RoadGraph:
     return graph
 
 
-def load_network(path: str, validate: bool = True) -> RoadGraph:
+def read_json(path: str) -> object:
+    """The document in a JSON file; one not UTF-8, not JSON or nested too deep is a ConfigurationError."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return graph_from_dict(doc, validate=validate)
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise ConfigurationError(f"{path}: not a JSON document: {exc}") from None
+
+
+def load_network(path: str, validate: bool = True) -> RoadGraph:
+    return graph_from_dict(read_json(path), validate=validate)
 
 
 def write_atomic(path: str, text: str) -> None:

@@ -12,17 +12,17 @@ import math
 import random
 from dataclasses import dataclass
 
-from .demand import DemandProfile
-from .dispatch import DispatchPolicy
 from .engine import Scenario
 from .errors import InvalidInputError, check_finite
 from .netgraph import RoadGraph, edge_weight
 from .traffic import BackgroundFlow
 
-MILE = 1609.344  # meters, for reference in configs
-
 DEFAULT_FREE_FLOW_SPEED = 13.41   # about 30 mph, small-city arterials
 VEHICLE_SPACING = 8.0             # meters of edge per vehicle at jam
+
+# generate_network's peak RSS grew by 26.0 MB for 18,980 vertices (grid_spacing=100) and
+# 104.8 MB for 75,369 (grid_spacing=50), Python 3.11; `savsim generate` peaked at 683 MB for the latter.
+MAX_GRID_VERTICES = 100_000
 
 
 @dataclass(frozen=True)
@@ -41,6 +41,11 @@ class SyntheticSpec:
             raise InvalidInputError("width, height, grid_spacing must be > 0")
         if self.peripheral_stop_count < 1 or self.central_stop_count < 1:
             raise InvalidInputError("stop counts must be >= 1")
+        spans = (self.width / self.grid_spacing, self.height / self.grid_spacing)
+        vertices = math.prod(_grid_counts(self)) if all(map(math.isfinite, spans)) else math.inf
+        if vertices > MAX_GRID_VERTICES:
+            raise InvalidInputError(f"width, height and grid_spacing give {vertices} grid vertices, "
+                                    f"more than {MAX_GRID_VERTICES}")
 
 
 def _grid_counts(spec: SyntheticSpec) -> tuple[int, int]:
@@ -68,8 +73,8 @@ def _spread(candidates: list[int], count: int, kind: str) -> list[int]:
     return [candidates[(k * len(candidates)) // count] for k in range(count)]
 
 
-def generate_network(spec: SyntheticSpec) -> tuple[RoadGraph, DemandProfile]:
-    """Build the grid, place zone-tagged stops, return a stressed demand default."""
+def generate_network(spec: SyntheticSpec) -> RoadGraph:
+    """Build the grid and place its zone-tagged stops."""
     nx, ny = _grid_counts(spec)
     # i/(nx-1) hits 1.0 exactly, so the bounding box is exactly width x height
     xs = [spec.width * i / (nx - 1) for i in range(nx)]
@@ -135,9 +140,7 @@ def generate_network(spec: SyntheticSpec) -> tuple[RoadGraph, DemandProfile]:
     for eid in _spread(_ring_order(graph, central, center), spec.central_stop_count, "central"):
         edge = graph.edge(eid)
         graph.place_stop(eid, round(rng.uniform(0.3, 0.7) * edge.length, 3), "central_opportunity")
-
-    demand = DemandProfile(outbound_rate=9.0, inbound_rate=6.0)
-    return graph, demand
+    return graph
 
 
 def default_background_flows(spec: SyntheticSpec) -> list[BackgroundFlow]:
@@ -153,18 +156,7 @@ def default_background_flows(spec: SyntheticSpec) -> list[BackgroundFlow]:
 
 
 def default_scenario(spec: SyntheticSpec | None = None, name: str = "synthetic-city") -> Scenario:
-    """The stock experiment: stressed demand on the default synthetic grid."""
+    """The stock experiment: ``Scenario``'s defaults on the default synthetic grid with its corner flows."""
     spec = spec or SyntheticSpec()
-    graph, demand = generate_network(spec)
-    return Scenario(
-        graph=graph,
-        name=name,
-        demand=demand,
-        background_flows=default_background_flows(spec),
-        fleet_size=8,
-        profile="normal",
-        policy=DispatchPolicy(),
-        horizon=14400.0,
-        replications=20,
-        base_seed=spec.seed,
-    )
+    return Scenario(graph=generate_network(spec), name=name,
+                    background_flows=default_background_flows(spec), base_seed=spec.seed)

@@ -17,7 +17,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, replace
 
 from .demand import poisson_arrivals
-from .errors import ConsistencyError, InvalidInputError, check_finite, read_section
+from .errors import ConsistencyError, InvalidInputError, check_finite, read_section, record_kinds
 from .netgraph import DirectedEdge
 
 CRAWL_FRACTION = 0.05
@@ -54,15 +54,15 @@ def get_profile(name: str, overrides: dict[str, BehaviorProfile] | None = None) 
     return profile
 
 
-_PROFILE_FIELDS = {"speed_factor": float, "dwell_time": float}
+_PROFILE_FIELDS = record_kinds(BehaviorProfile, skip=("name",))
 
 
 def profiles_from_dict(doc: dict) -> dict[str, BehaviorProfile]:
-    """Parse scenario-file profile overrides, keeping defaults for absent names and fields."""
+    """Parse scenario-file profile overrides; absent fields keep defaults, new names start from normal's."""
     table = dict(DEFAULT_PROFILES)
     for name, rec in doc.items():
         fields = read_section(f"behavior_profiles.{name}", rec, _PROFILE_FIELDS)
-        table[name] = replace(table.get(name, BehaviorProfile(name, 1.0, 12.0)), **fields)
+        table[name] = replace(table.get(name, DEFAULT_PROFILES["normal"]), name=name, **fields)
     return table
 
 

@@ -182,7 +182,7 @@ def test_criterion_9_determinism():
 
 def test_criterion_10_protocol_defaults():
     scenario = default_scenario()
-    graph, _ = generate_network(SyntheticSpec())
+    graph = generate_network(SyntheticSpec())
     xs = [v.x for v in graph.vertices()]
     ys = [v.y for v in graph.vertices()]
     ok = (

@@ -42,6 +42,13 @@ class TestGenerateAndValidate:
         graph = load_network(str(out / "network.json"))
         assert len(list(graph.stops())) == 6
 
+    def test_generate_rejects_an_unbounded_grid(self, tmp_path, capsys):
+        argv = ["generate", "--out", str(tmp_path / "g"),
+                "--set", "width=1e308", "--set", "height=1e308", "--set", "grid_spacing=1e-300"]
+        assert main(argv) == 1
+        assert "width, height and grid_spacing give inf grid vertices" in capsys.readouterr().err
+        assert not (tmp_path / "g" / "network.json").exists()
+
     def test_generate_rejects_bad_fields(self, tmp_path, capsys):
         for item, field in (("grid_spacng=800", "grid_spacng"), ("grid_spacing=NaN", "grid_spacing"),
                             ("central_stop_count=2.5", "central_stop_count"), ("seed=true", "seed")):
@@ -212,6 +219,14 @@ class TestRun:
         assert message in err and "Traceback" not in err
         assert not (tmp_path / "x").exists()
 
+    def test_override_value_json_cannot_read_names_the_key(self, tmp_path, capsys):
+        out = generate_small(tmp_path)
+        for item in ("name=" + "[" * 200000, "base_seed=" + "1" * 5000):
+            assert main(run_args(tmp_path / "run", out / "scenario.json", extra=["--set", item])) == 1
+            err = capsys.readouterr().err
+            assert f"override {item.partition('=')[0]!r}: " in err
+            assert "Traceback" not in err
+
     def test_demand_horizon_is_no_such_field(self, tmp_path, capsys):
         # demand is drawn over the scenario's horizon; there is no second window
         out = generate_small(tmp_path)
@@ -332,6 +347,33 @@ class TestOracleCheck:
         assert "need at least 2 stops" in capsys.readouterr().err
 
 
+# file contents that json.load cannot read: bytes that are not UTF-8, and nesting past the recursion limit
+UNREADABLE = [pytest.param(b"\xff{}", id="not-utf8"), pytest.param(b"[" * 200000, id="nested-200000")]
+
+
+class TestUnreadableFiles:
+    @pytest.mark.parametrize("content", UNREADABLE)
+    @pytest.mark.parametrize("verb", ["validate", "oracle-check"])
+    def test_network_file_exits_one_naming_it(self, tmp_path, capsys, verb, content):
+        path = tmp_path / "network.json"
+        path.write_bytes(content)
+        assert main([verb, "--network", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"{path}: not a JSON document" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("content", UNREADABLE)
+    @pytest.mark.parametrize("name", ["scenario.json", "network.json"])
+    def test_run_exits_one_naming_the_file(self, tmp_path, capsys, name, content):
+        out = generate_small(tmp_path)
+        (out / name).write_bytes(content)
+        capsys.readouterr()
+        assert main(run_args(tmp_path / "run", out / "scenario.json")) == 1
+        err = capsys.readouterr().err
+        assert f"{out / name}: not a JSON document" in err
+        assert "Traceback" not in err
+
+
 class TestUsage:
     def test_no_verb_exits_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -342,3 +384,12 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["validate", "--nonsense"])
         assert exc.value.code == 2
+
+    def test_run_and_sweep_share_the_scenario_flags(self, capsys):
+        for verb in ("run", "sweep"):
+            with pytest.raises(SystemExit):
+                main([verb, "--help"])
+            out = capsys.readouterr().out
+            for flag in ("--scenario", "--out", "--seed", "--replications", "--jobs"):
+                assert flag in out
+            assert "dotted override into the scenario" in out

@@ -25,11 +25,11 @@ from savsim.engine import (
     scenario_to_dict,
     simulate,
 )
-from savsim.errors import ConfigurationError, ConsistencyError, SimulationError
+from savsim.errors import ConfigurationError, ConsistencyError, SimulationError, record_kinds
 from savsim.metrics import aggregate
 from savsim.netgraph import RoadGraph, build_stop_distance_table, save_network
 from savsim.scenario_gen import default_scenario
-from savsim.traffic import DEFAULT_PROFILES, BackgroundFlow, attainable_speed, edge_speed
+from savsim.traffic import DEFAULT_PROFILES, BackgroundFlow, BehaviorProfile, attainable_speed, edge_speed
 
 from randnets import ring_network
 
@@ -83,8 +83,6 @@ class TestEmptySimulation:
         assert record.avg_delay_min == 0.0
         assert record.shared_miles_m == 0.0
         assert record.unserved == 0
-        assert record.empty_vehicle_population
-        assert record.empty_wait_population
 
 
 class TestSingleRequestClosedForm:
@@ -209,7 +207,7 @@ class TestConservation:
         result = simulate(scenario, 0, collect_occupancy=True)
         assert result.record.total_distance_m > 0
         assert result.record.sav_distance_m == 0.0
-        assert not result.record.empty_vehicle_population
+        assert result.record.avg_delay_min > 0   # background vehicles fill the delay population
         assert result.occupancy
         times = [t for t, _, _ in result.occupancy]
         assert times == sorted(times)
@@ -816,6 +814,48 @@ class TestScenarioFiles:
         loaded = load_scenario(str(tmp_path / "scenario.json"))
         assert scenario_to_dict(loaded) == scenario_to_dict(scenario)
         assert simulate(loaded, 0).record == simulate(scenario, 0).record
+
+    def test_round_trip_of_every_record_field(self, tmp_path):
+        """Profiles, every policy field and a two-digit party size survive a save and a load."""
+        graph = ring_network()
+        profiles = {**DEFAULT_PROFILES, "cautious": BehaviorProfile("cautious", 0.8, 20.0),
+                    "careful": BehaviorProfile("careful", 1.0, 30.0)}
+        scenario = Scenario(
+            graph=graph,
+            name="records",
+            demand=DemandProfile(outbound_rate=4.0, inbound_rate=2.0,
+                                 party_size_weights={1: 0.5, 2: 0.3, 10: 0.2}),
+            profile="careful",
+            policy=DispatchPolicy(overdue_threshold=900.0, priority_radius=2000.0,
+                                  detour_budget_factor=1.6, capacity=12),
+            behavior_profiles=profiles,
+            network_path="network.json",
+        )
+        assert all(getattr(scenario.policy, f.name) != f.default for f in dataclasses.fields(DispatchPolicy))
+        doc = scenario_to_dict(scenario)
+        # party sizes are string keys, so "10" sorts before "2" as in every file written so far
+        assert json.dumps(doc["demand"]["party_size_weights"], sort_keys=True) == '{"1": 0.5, "10": 0.2, "2": 0.3}'
+        save_network(graph, str(tmp_path / "network.json"))
+        (tmp_path / "scenario.json").write_text(json.dumps(doc, indent=2, sort_keys=True))
+        loaded = load_scenario(str(tmp_path / "scenario.json"))
+        assert scenario_to_dict(loaded) == doc
+        assert dataclasses.replace(loaded, graph=graph) == scenario
+        # one field overrides a default profile; a new name starts from normal's fields
+        doc["behavior_profiles"] = {"cautious": {"speed_factor": 0.8}, "careful": {"dwell_time": 30.0}}
+        assert scenario_from_dict(doc, graph).behavior_profiles == profiles
+
+    def test_record_kinds_come_from_annotations(self):
+        @dataclasses.dataclass
+        class Record:
+            count: int
+            share: float
+            label: "str"
+            items: list[int]
+
+        assert record_kinds(Record, skip=("items",)) == {"count": int, "share": float, "label": str}
+        assert record_kinds(Record, items=list)["items"] is list
+        with pytest.raises(TypeError, match="Record.items"):
+            record_kinds(Record)
 
     def test_bad_document(self):
         with pytest.raises(ConfigurationError):

@@ -8,8 +8,10 @@ golden file only on purpose (and say why in CHANGES.md):
 """
 
 import dataclasses
+import hashlib
 import os
 
+from savsim.cli import main
 from savsim.engine import run_sweep
 from savsim.metrics import records_to_csv
 from savsim.scenario_gen import default_scenario
@@ -18,6 +20,11 @@ GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "swe
 FLEET_SIZES = [2, 4, 6, 8, 10]
 PROFILES = ["cautious", "normal", "aggressive"]
 REPLICATIONS = 3
+# savsim generate --seed 3: the stock network and scenario files
+GENERATED_SHA256 = {
+    "network.json": "5fa58743ffa2ce5d1d8dd23de18d851889ab77221e2e07c51538a2ae9243c5a0",
+    "scenario.json": "efd5718f353cbc6612b4044f30467b6b5a61b07f1baa6d832aa42196e2d24945",
+}
 
 
 def golden_sweep_csv() -> str:
@@ -29,6 +36,12 @@ def test_sweep_matches_golden_csv():
     with open(GOLDEN, "r", encoding="utf-8", newline="") as fh:
         want = fh.read()
     assert golden_sweep_csv() == want
+
+
+def test_generated_files_match_their_digests(tmp_path):
+    assert main(["generate", "--out", str(tmp_path), "--seed", "3"]) == 0
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in GENERATED_SHA256}
+    assert got == GENERATED_SHA256
 
 
 if __name__ == "__main__":

@@ -33,13 +33,11 @@ class TestFinalize:
         record = finalize(make_state(fleet_size=0))
         assert record.avg_delay_min == 0.0
         assert record.avg_stops == 0.0
-        assert record.empty_vehicle_population
 
     def test_wait_average(self):
         state = make_state(wait_seconds=[600.0, 1200.0])
         record = finalize(state)
         assert record.avg_wait_min == pytest.approx(15.0)
-        assert not record.empty_wait_population
 
     def test_unserved_accounting(self):
         state = make_state(requests_seen=5, trips_completed=3, passengers_served=4)

@@ -12,6 +12,7 @@ The stop table stores only distances: one reverse shortest-path search per
 distinct stop host-edge source vertex gives every vertex's distance to it, so
 a distance from any position is one lookup, and the driven pieces of a leg
 are rebuilt by following exactly tight out-edges forward from the vehicle.
+Each search runs on dense vertex indices and pushes only improving offers.
 Background-flow routes (``shortest_path``) come from forward searches instead.
 
 All distances are meters, speeds meters/second.  Neither a graph nor a
@@ -369,25 +370,39 @@ def shortest_path(
 
 # stop distances -----------------------------------------------------------
 
-def _distances_to(incoming: dict[int, list[tuple[int, float]]], root: int) -> dict[int, float]:
-    """Reverse Dijkstra: the shortest distance from every vertex that can reach ``root``.
+def _distances_to(incoming: list[list[tuple[int, float]]], ids: list[int], root: int) -> dict[int, float]:
+    """Reverse Dijkstra: ``{vertex id: distance}`` for every vertex that can reach ``root``.
 
-    ``incoming`` maps a vertex to ``(source, length)`` of each edge entering
-    it.  Heap entries are ``(distance, vertex)``; a vertex ``u`` with an edge
-    ``e`` to a settled vertex ``w`` is offered ``e.length + d[w]``, so each
-    distance is the minimum of that sum over ``u``'s out-edges.
+    The search runs on dense indices, never on raw ids, which may be
+    negative or sparse: ``root`` is an index, ``ids[i]`` is the vertex id of
+    index ``i``, and ``incoming[i]`` lists ``(source index, length)`` of each
+    edge entering it.  Heap entries are ``(distance, index)``; a vertex ``u``
+    with an edge ``e`` to a settled vertex ``w`` is offered ``e.length +
+    d[w]``, and is pushed only if that is its first offer or strictly below
+    its best so far.  ``dist`` holds NaN until the first, so an infinite
+    offer (a length that overflowed) still reaches ``u``.
+
+    Every distance is bitwise that of a search pushing every offer: it is
+    the minimum of the same offers from settled vertices, as a skipped offer
+    is never below one already pushed, and the vertices settle in the same
+    order, as each one's smallest entry is pushed and ``ids`` increase, so
+    equal distances tie by index as they did by id.
     """
-    dist: dict[int, float] = {}
+    dist = [math.nan] * len(incoming)
+    settled = [False] * len(incoming)
+    dist[root] = 0.0
     heap = [(0.0, root)]
     while heap:
         d, v = heappop(heap)
-        if v in dist:
+        if settled[v]:
             continue
-        dist[v] = d
-        for u, length in incoming.get(v, ()):
-            if u not in dist:
-                heappush(heap, (length + d, u))
-    return dist
+        settled[v] = True
+        for u, length in incoming[v]:
+            offer = length + d
+            if not offer >= dist[u] and not settled[u]:
+                dist[u] = offer
+                heappush(heap, (offer, u))
+    return {vid: d for vid, d, done in zip(ids, dist, settled) if done}
 
 
 Piece = tuple[int, float, float]   # (edge id, start offset, end offset) of one driven stretch
@@ -406,15 +421,19 @@ class StopDistanceTable:
     def __init__(self, graph: RoadGraph, stops: list[Stop]) -> None:
         self._graph = graph
         self._stops = {s.id: s for s in stops}
-        incoming: dict[int, list[tuple[int, float]]] = defaultdict(list)
-        for e in graph.edges():
-            incoming[e.sink].append((e.source, e.length))
+        # every edge endpoint, present or dangling, gets a dense index in id order
+        edges = list(graph.edges())
+        ids = sorted({end for e in edges for end in (e.source, e.sink)})
+        index = {vid: i for i, vid in enumerate(ids)}
+        incoming: list[list[tuple[int, float]]] = [[] for _ in ids]
+        for e in edges:
+            incoming[index[e.sink]].append((index[e.source], e.length))
         # root vertex -> {vertex: distance to the root}
         self._dist_to: dict[int, dict[int, float]] = {}
         for s in stops:
             root = graph.edge(s.edge).source
             if root not in self._dist_to:
-                self._dist_to[root] = _distances_to(incoming, root)
+                self._dist_to[root] = _distances_to(incoming, ids, index[root])
         self._distances: dict[tuple[int, int], float] = {}
         ordered = sorted(stops, key=lambda s: s.id)
         for origin in ordered:
@@ -604,4 +623,12 @@ def write_atomic(path: str, text: str) -> None:
 
 
 def save_network(graph: RoadGraph, path: str) -> None:
-    write_atomic(path, json.dumps(graph_to_dict(graph), indent=2, sort_keys=True) + "\n")
+    """Write the graph's document with sorted keys, one record per line.
+
+    Each record goes through one reused encoder, which runs in C; ``indent``
+    would switch ``json`` to its pure-Python encoder.
+    """
+    encode = json.JSONEncoder(sort_keys=True).encode
+    sections = [f"{encode(key)}: [\n" + ",\n".join(map(encode, records)) + "\n]"
+                for key, records in sorted(graph_to_dict(graph).items())]
+    write_atomic(path, "{\n" + ",\n".join(sections) + "\n}\n")

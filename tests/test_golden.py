@@ -20,9 +20,9 @@ GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "swe
 FLEET_SIZES = [2, 4, 6, 8, 10]
 PROFILES = ["cautious", "normal", "aggressive"]
 REPLICATIONS = 3
-# savsim generate --seed 3: the stock network and scenario files
+# savsim generate --seed 3: the stock network (one record per line) and scenario files
 GENERATED_SHA256 = {
-    "network.json": "5fa58743ffa2ce5d1d8dd23de18d851889ab77221e2e07c51538a2ae9243c5a0",
+    "network.json": "42bfb6c6abab7aaab2bbce11b37b0b1dfbe05040c4d1ecd6f4a682bc64b680e7",
     "scenario.json": "efd5718f353cbc6612b4044f30467b6b5a61b07f1baa6d832aa42196e2d24945",
 }
 

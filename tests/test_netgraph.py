@@ -371,6 +371,62 @@ def pieces_distance(pieces: tuple[tuple[int, float, float], ...]) -> float:
     return sum(end - start for _, start, end in pieces)
 
 
+def tied_grid() -> RoadGraph:
+    """300 m x 400 m cells with one 500 m diagonal per cell, both ways, and a stop 100 m into
+    every third edge: integer lengths, so every float sum is exact and every shortest path is
+    tight; the grid ties many of them."""
+    g = RoadGraph()
+    for vid in range(12):
+        g.add_vertex(vid, 300.0 * (vid % 4), 400.0 * (vid // 4))
+    links = [(v, v + 1) for v in range(12) if v % 4 < 3] + [(v, v + 4) for v in range(8)]
+    links += [(v, v + 5) for v in range(8) if v % 4 < 3 and v % 2 == 0]
+    eid = 0
+    for a, b in links:
+        g.add_edge(eid, a, b, 15.0, 50)
+        g.add_edge(eid + 1, b, a, 15.0, 50)
+        eid += 2
+    for e in list(g.edges())[::3]:
+        g.place_stop(e.id, 100.0, "other")
+    assert validate_graph(g).ok
+    return g
+
+
+def assert_smallest_shortest_vertex_sequences(g: RoadGraph) -> None:
+    """Every position path 100 m into an edge follows the lexicographically smallest of the
+    shortest simple vertex sequences, found by enumerating them all."""
+    out = {v.id: [e.sink for e in g.out_edges(v.id)] for v in g.vertices()}
+
+    def simple_paths(v, target, seen):
+        if v == target:
+            yield (v,)
+            return
+        for w in out[v]:
+            if w not in seen:
+                for rest in simple_paths(w, target, seen | {w}):
+                    yield (v,) + rest
+
+    def length(seq):
+        return sum(edge_weight(g.vertex(a), g.vertex(b)) for a, b in zip(seq, seq[1:]))
+
+    best = {}
+    for v in out:
+        for root in out:
+            paths = list(simple_paths(v, root, {v}))
+            shortest = min(length(p) for p in paths)
+            best[v, root] = (min(p for p in paths if length(p) == shortest), shortest)
+
+    table = build_stop_distance_table(g)
+    for edge in g.edges():
+        for dest in g.stops():
+            if edge.id == dest.edge:
+                continue
+            want, shortest = best[edge.sink, g.edge(dest.edge).source]
+            pieces, dist = table.position_path(edge.id, 100.0, dest.id)
+            middle = [g.edge(eid) for eid, _, _ in pieces[1:-1]]
+            assert tuple([edge.sink] + [m.sink for m in middle]) == want
+            assert dist == edge.length - 100.0 + shortest + dest.slack
+
+
 class TestTableProperties:
     def test_oracle_equivalence_sample(self):
         for seed in range(20):
@@ -417,52 +473,7 @@ class TestTableProperties:
                 assert g.edge(a).sink == g.edge(b).source
 
     def test_position_path_is_the_smallest_shortest_vertex_sequence(self):
-        # 300 m x 400 m cells with one 500 m diagonal per cell: integer lengths, so every
-        # float sum is exact and every shortest path is tight; the grid ties many of them
-        g = RoadGraph()
-        for vid in range(12):
-            g.add_vertex(vid, 300.0 * (vid % 4), 400.0 * (vid // 4))
-        links = [(v, v + 1) for v in range(12) if v % 4 < 3] + [(v, v + 4) for v in range(8)]
-        links += [(v, v + 5) for v in range(8) if v % 4 < 3 and v % 2 == 0]
-        eid = 0
-        for a, b in links:
-            g.add_edge(eid, a, b, 15.0, 50)
-            g.add_edge(eid + 1, b, a, 15.0, 50)
-            eid += 2
-        assert validate_graph(g).ok
-        out = {v.id: [e.sink for e in g.out_edges(v.id)] for v in g.vertices()}
-
-        def simple_paths(v, target, seen):
-            if v == target:
-                yield (v,)
-                return
-            for w in out[v]:
-                if w not in seen:
-                    for rest in simple_paths(w, target, seen | {w}):
-                        yield (v,) + rest
-
-        def length(seq):
-            return sum(edge_weight(g.vertex(a), g.vertex(b)) for a, b in zip(seq, seq[1:]))
-
-        best = {}
-        for v in out:
-            for root in out:
-                paths = list(simple_paths(v, root, {v}))
-                shortest = min(length(p) for p in paths)
-                best[v, root] = (min(p for p in paths if length(p) == shortest), shortest)
-
-        for e in list(g.edges())[::3]:
-            g.place_stop(e.id, 100.0, "other")
-        table = build_stop_distance_table(g)
-        for edge in g.edges():
-            for dest in g.stops():
-                if edge.id == dest.edge:
-                    continue
-                want, shortest = best[edge.sink, g.edge(dest.edge).source]
-                pieces, dist = table.position_path(edge.id, 100.0, dest.id)
-                middle = [g.edge(eid) for eid, _, _ in pieces[1:-1]]
-                assert tuple([edge.sink] + [m.sink for m in middle]) == want
-                assert dist == edge.length - 100.0 + shortest + dest.slack
+        assert_smallest_shortest_vertex_sequences(tied_grid())
 
     def test_queries_leave_one_tree_per_host_edge_source(self):
         rng = random.Random(4242)
@@ -498,6 +509,92 @@ class TestTableProperties:
         assert dump(g1) == dump(g2)
 
 
+def relabelled(g: RoadGraph, new_id) -> RoadGraph:
+    """``g`` with each vertex id ``v`` renamed ``new_id(v)``; coordinates, lengths, edges and stops kept."""
+    doc = graph_to_dict(g)
+    for v in doc["vertices"]:
+        v["id"] = new_id(v["id"])
+    for e in doc["edges"]:
+        e["source"], e["sink"] = new_id(e["source"]), new_id(e["sink"])
+    return graph_from_dict(doc)
+
+
+def scrambled(g: RoadGraph, rng: random.Random) -> dict[int, int]:
+    """A map of ``g``'s vertex ids onto distinct ids in [-500, 500), in no order."""
+    ids = [v.id for v in g.vertices()]
+    return dict(zip(ids, rng.sample(range(-500, 500), len(ids))))
+
+
+class TestRelabelledVertexIds:
+    """The table indexes vertices densely: sparse, negative or dangling ids give the same floats."""
+
+    def graphs(self):
+        for seed in range(12):
+            rng = random.Random(3000 + seed)
+            g = random_connected_graph(rng)
+            scatter_stops(rng, g, rng.randint(2, 10))
+            yield rng, g
+
+    def assert_same_distances(self, g, table, g2, table2, new_id, rng):
+        renamed = {new_id(root): {new_id(v): d for v, d in dists.items()}
+                   for root, dists in table._dist_to.items()}
+        assert table2._dist_to == renamed
+        for origin, dest in stop_pairs(g):
+            assert table2.distance(origin.id, dest.id) == table.distance(origin.id, dest.id)
+        edges = list(g.edges())
+        for _ in range(300):
+            edge = rng.choice(edges)
+            offset = rng.uniform(0.0, edge.length)
+            dest = rng.choice(list(g.stops()))
+            want = table.distance_from_position(edge.id, offset, dest.id)
+            assert table2.distance_from_position(edge.id, offset, dest.id) == want
+            yield edge.id, offset, dest.id
+
+    def test_monotone_ids_with_gaps_and_negatives_give_equal_answers(self):
+        def new_id(v):
+            return 7 * v - 50
+
+        for rng, g in self.graphs():
+            g2 = relabelled(g, new_id)
+            table, table2 = build_stop_distance_table(g), build_stop_distance_table(g2)
+            for origin, dest in stop_pairs(g):
+                assert (table2.position_path(origin.edge, origin.slack, dest.id)
+                        == table.position_path(origin.edge, origin.slack, dest.id))
+            for query in self.assert_same_distances(g, table, g2, table2, new_id, rng):
+                assert table2.position_path(*query) == table.position_path(*query)
+
+    def test_scrambled_ids_give_bitwise_distances_and_smallest_sequences(self):
+        for rng, g in self.graphs():
+            new_id = scrambled(g, rng).__getitem__
+            g2 = relabelled(g, new_id)
+            table, table2 = build_stop_distance_table(g), build_stop_distance_table(g2)
+            for query in self.assert_same_distances(g, table, g2, table2, new_id, rng):
+                pieces, dist = table2.position_path(*query)
+                assert dist == table.position_path(*query)[1]
+                assert pieces_distance(pieces) == pytest.approx(dist, abs=1e-9)
+            assert check_table(g2, table2, tol=1e-9) == []
+        for seed in range(3):
+            grid = tied_grid()
+            assert_smallest_shortest_vertex_sequences(relabelled(grid, scrambled(grid, random.Random(seed)).__getitem__))
+
+    def test_edges_to_missing_vertices(self):
+        # edge 20 leaves missing vertex -9 for vertex 1, edge 21 runs from vertex 2 to missing 1000
+        g = two_cycle()
+        g.add_edge(20, -9, 1, 13.4, 20, length=30.0)
+        g.add_edge(21, 2, 1000, 13.4, 20, length=40.0)
+        stop = g.place_stop(10, 20.0, "other")    # root: vertex 1
+        g.place_stop(11, 20.0, "other")            # root: vertex 2
+        table = build_stop_distance_table(g)
+        assert table._dist_to == {1: {1: 0.0, 2: 100.0, -9: 30.0}, 2: {2: 0.0, 1: 100.0, -9: 130.0}}
+        assert table.distance_from_position(20, 10.0, stop.id) == 40.0
+        assert table.position_path(20, 10.0, stop.id) == (((20, 10.0, 30.0), (10, 0.0, 20.0)), 40.0)
+        with pytest.raises(NotFoundError, match="vertex 1 unreachable from 1000"):
+            table.distance_from_position(21, 0.0, stop.id)
+        g.place_stop(21, 5.0, "other")
+        with pytest.raises(NotFoundError, match="unreachable from 1000"):
+            build_stop_distance_table(g)
+
+
 class TestOracleInternals:
     def test_merged_stops_at_identical_position(self):
         g = two_cycle()
@@ -525,6 +622,18 @@ class TestNetworkFiles:
         save_network(g, str(p1))
         save_network(g, str(p2))
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_one_record_per_line(self, tmp_path):
+        rng = random.Random(9)
+        g = random_connected_graph(rng, max_vertices=10, max_edges=25)
+        scatter_stops(rng, g, 4)
+        path = tmp_path / "net.json"
+        save_network(g, str(path))
+        lines = path.read_text(encoding="utf-8").split("\n")
+        doc = graph_to_dict(g)
+        records = [json.loads(line.rstrip(",")) for line in lines if line.startswith("{\"")]
+        assert records == doc["edges"] + doc["stops"] + doc["vertices"]
+        assert len(lines) == len(records) + 2 * len(doc) + 3   # braces, section brackets, final newline
 
     def test_loader_rejects_invalid(self, tmp_path):
         doc = {

@@ -373,20 +373,16 @@ def shortest_path(
 def _distances_to(incoming: list[list[tuple[int, float]]], ids: list[int], root: int) -> dict[int, float]:
     """Reverse Dijkstra: ``{vertex id: distance}`` for every vertex that can reach ``root``.
 
-    The search runs on dense indices, never on raw ids, which may be
-    negative or sparse: ``root`` is an index, ``ids[i]`` is the vertex id of
-    index ``i``, and ``incoming[i]`` lists ``(source index, length)`` of each
-    edge entering it.  Heap entries are ``(distance, index)``; a vertex ``u``
-    with an edge ``e`` to a settled vertex ``w`` is offered ``e.length +
-    d[w]``, and is pushed only if that is its first offer or strictly below
-    its best so far.  ``dist`` holds NaN until the first, so an infinite
-    offer (a length that overflowed) still reaches ``u``.
-
-    Every distance is bitwise that of a search pushing every offer: it is
-    the minimum of the same offers from settled vertices, as a skipped offer
-    is never below one already pushed, and the vertices settle in the same
-    order, as each one's smallest entry is pushed and ``ids`` increase, so
-    equal distances tie by index as they did by id.
+    The search runs on dense indices, as raw ids may be negative or sparse:
+    ``root`` is an index, ``ids[i]`` the id of index ``i``, and ``incoming[i]``
+    lists ``(source index, length)`` of each edge entering it.  Heap entries
+    are ``(distance, index)``.  A vertex ``u`` with an edge ``e`` to a settled
+    ``w`` is offered ``e.length + d[w]``, and pushed only if that is its first
+    offer (``dist`` is NaN until then, so an infinite one counts) or strictly
+    below its best so far.  The distances are bitwise those of pushing every
+    offer: each is the minimum of the same offers, as a skipped one is never
+    below one pushed, and the vertices settle in the same order, as ``ids``
+    increase.
     """
     dist = [math.nan] * len(incoming)
     settled = [False] * len(incoming)
@@ -623,11 +619,8 @@ def write_atomic(path: str, text: str) -> None:
 
 
 def save_network(graph: RoadGraph, path: str) -> None:
-    """Write the graph's document with sorted keys, one record per line.
-
-    Each record goes through one reused encoder, which runs in C; ``indent``
-    would switch ``json`` to its pure-Python encoder.
-    """
+    """Write the graph's document with sorted keys, one record per line, each through one
+    reused encoder: it runs in C, where ``indent`` would switch to the pure-Python one."""
     encode = json.JSONEncoder(sort_keys=True).encode
     sections = [f"{encode(key)}: [\n" + ",\n".join(map(encode, records)) + "\n]"
                 for key, records in sorted(graph_to_dict(graph).items())]

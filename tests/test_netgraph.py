@@ -350,6 +350,21 @@ class TestStopDistanceTable:
         with pytest.raises(NotFoundError, match="vertex 1 unreachable from 3"):
             build_stop_distance_table(g)
 
+    def test_an_edge_whose_length_overflows_still_reaches_its_source(self):
+        # finite coordinates 2e308 apart: validation accepts the infinite lengths
+        g = RoadGraph()
+        for vid, x, y in ((1, -1e308, 0.0), (2, 1e308, 0.0), (3, 1e308, 1.0)):
+            g.add_vertex(vid, x, y)
+        for eid, a, b in ((10, 1, 2), (11, 2, 3), (12, 3, 1)):
+            g.add_edge(eid, a, b, 13.4, 20)
+        assert validate_graph(g).ok
+        stop = g.place_stop(11, 0.5, "other")     # root: vertex 2
+        g.place_stop(12, 0.5, "other")
+        table = build_stop_distance_table(g)
+        assert table._dist_to[2] == {2: 0.0, 1: math.inf, 3: math.inf}
+        assert table.distance_from_position(12, 0.0, stop.id) == math.inf
+        assert table.position_path(12, 0.0, stop.id) == (((12, 0.0, math.inf), (10, 0.0, math.inf), (11, 0.0, 0.5)), math.inf)
+
     def test_tight_cycle_raises_instead_of_looping(self):
         g = coincident_pair()
         stop = g.place_stop(13, 10.0, "other")     # on edge 3 -> 1, so the root is vertex 3

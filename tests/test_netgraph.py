@@ -363,7 +363,8 @@ class TestStopDistanceTable:
         table = build_stop_distance_table(g)
         assert table._dist_to[2] == {2: 0.0, 1: math.inf, 3: math.inf}
         assert table.distance_from_position(12, 0.0, stop.id) == math.inf
-        assert table.position_path(12, 0.0, stop.id) == (((12, 0.0, math.inf), (10, 0.0, math.inf), (11, 0.0, 0.5)), math.inf)
+        pieces = ((12, 0.0, math.inf), (10, 0.0, math.inf), (11, 0.0, 0.5))
+        assert table.position_path(12, 0.0, stop.id) == (pieces, math.inf)
 
     def test_tight_cycle_raises_instead_of_looping(self):
         g = coincident_pair()
@@ -543,54 +544,47 @@ def scrambled(g: RoadGraph, rng: random.Random) -> dict[int, int]:
 class TestRelabelledVertexIds:
     """The table indexes vertices densely: sparse, negative or dangling ids give the same floats."""
 
-    def graphs(self):
+    @staticmethod
+    def cases(new_ids):
+        """Seeded random graphs relabelled by ``new_ids(graph, rng)``, each as (relabelled graph, both
+        tables, position queries), once every distance is checked bitwise equal."""
+        cases = []
         for seed in range(12):
             rng = random.Random(3000 + seed)
             g = random_connected_graph(rng)
-            scatter_stops(rng, g, rng.randint(2, 10))
-            yield rng, g
-
-    def assert_same_distances(self, g, table, g2, table2, new_id, rng):
-        renamed = {new_id(root): {new_id(v): d for v, d in dists.items()}
-                   for root, dists in table._dist_to.items()}
-        assert table2._dist_to == renamed
-        for origin, dest in stop_pairs(g):
-            assert table2.distance(origin.id, dest.id) == table.distance(origin.id, dest.id)
-        edges = list(g.edges())
-        for _ in range(300):
-            edge = rng.choice(edges)
-            offset = rng.uniform(0.0, edge.length)
-            dest = rng.choice(list(g.stops()))
-            want = table.distance_from_position(edge.id, offset, dest.id)
-            assert table2.distance_from_position(edge.id, offset, dest.id) == want
-            yield edge.id, offset, dest.id
-
-    def test_monotone_ids_with_gaps_and_negatives_give_equal_answers(self):
-        def new_id(v):
-            return 7 * v - 50
-
-        for rng, g in self.graphs():
+            stops = scatter_stops(rng, g, rng.randint(2, 10))
+            new_id = new_ids(g, rng)
             g2 = relabelled(g, new_id)
             table, table2 = build_stop_distance_table(g), build_stop_distance_table(g2)
+            assert table2._dist_to == {new_id(root): {new_id(v): d for v, d in dists.items()}
+                                       for root, dists in table._dist_to.items()}
             for origin, dest in stop_pairs(g):
-                assert (table2.position_path(origin.edge, origin.slack, dest.id)
-                        == table.position_path(origin.edge, origin.slack, dest.id))
-            for query in self.assert_same_distances(g, table, g2, table2, new_id, rng):
+                assert table2.distance(origin.id, dest.id) == table.distance(origin.id, dest.id)
+            queries = [(origin.edge, origin.slack, dest.id) for origin, dest in stop_pairs(g)]
+            edges = list(g.edges())
+            for _ in range(300):
+                edge = rng.choice(edges)
+                queries.append((edge.id, rng.uniform(0.0, edge.length), rng.choice(stops).id))
+            for query in queries:
+                assert table2.distance_from_position(*query) == table.distance_from_position(*query)
+            cases.append((g2, table, table2, queries))
+        return cases
+
+    def test_monotone_ids_with_gaps_and_negatives_give_equal_answers(self):
+        for _, table, table2, queries in self.cases(lambda g, rng: lambda v: 7 * v - 50):
+            for query in queries:
                 assert table2.position_path(*query) == table.position_path(*query)
 
     def test_scrambled_ids_give_bitwise_distances_and_smallest_sequences(self):
-        for rng, g in self.graphs():
-            new_id = scrambled(g, rng).__getitem__
-            g2 = relabelled(g, new_id)
-            table, table2 = build_stop_distance_table(g), build_stop_distance_table(g2)
-            for query in self.assert_same_distances(g, table, g2, table2, new_id, rng):
+        for g2, _, table2, queries in self.cases(lambda g, rng: scrambled(g, rng).__getitem__):
+            for query in queries:
                 pieces, dist = table2.position_path(*query)
-                assert dist == table.position_path(*query)[1]
                 assert pieces_distance(pieces) == pytest.approx(dist, abs=1e-9)
             assert check_table(g2, table2, tol=1e-9) == []
         for seed in range(3):
             grid = tied_grid()
-            assert_smallest_shortest_vertex_sequences(relabelled(grid, scrambled(grid, random.Random(seed)).__getitem__))
+            new_id = scrambled(grid, random.Random(seed)).__getitem__
+            assert_smallest_shortest_vertex_sequences(relabelled(grid, new_id))
 
     def test_edges_to_missing_vertices(self):
         # edge 20 leaves missing vertex -9 for vertex 1, edge 21 runs from vertex 2 to missing 1000

@@ -8,11 +8,12 @@ shortest path to the destination edge's source vertex, then drives the slack
 into the destination edge.  Two stops on the same edge are a special case: the
 downstream stop is reached directly, the upstream one requires looping around.
 
-The stop table stores only distances: one reverse shortest-path search per
-distinct stop host-edge source vertex gives every vertex's distance to it, so
-a distance from any position is one lookup, and the driven pieces of a leg
-are rebuilt by following exactly tight out-edges forward from the vehicle.
-Each search runs on dense vertex indices and pushes only improving offers.
+The stop table runs one reverse shortest-path search per distinct stop
+host-edge source vertex.  Each search runs on dense vertex indices, pushes
+only improving offers, and keeps two flat arrays: every vertex's distance to
+the root and its next edge, the first exactly tight out-edge.  A distance from
+any position is then one lookup, and the driven pieces of a leg are a walk
+along the next edges from the vehicle to the root.
 Background-flow routes (``shortest_path``) come from forward searches instead.
 
 All distances are meters, speeds meters/second.  Neither a graph nor a
@@ -25,9 +26,11 @@ import json
 import math
 import os
 import tempfile
+from array import array
 from collections import defaultdict
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from struct import pack
 from typing import Iterator, Sequence
 
 from .errors import ConfigurationError, ConsistencyError, InvalidInputError, NotFoundError
@@ -370,22 +373,34 @@ def shortest_path(
 
 # stop distances -----------------------------------------------------------
 
-def _distances_to(incoming: list[list[tuple[int, float]]], ids: list[int], root: int) -> dict[int, float]:
-    """Reverse Dijkstra: ``{vertex id: distance}`` for every vertex that can reach ``root``.
+def _distances_to(incoming: list[list[tuple[int, float, int]]], root: int) -> tuple[array, array]:
+    """Reverse Dijkstra to ``root``: each vertex's distance and next edge, over dense indices.
 
     The search runs on dense indices, as raw ids may be negative or sparse:
-    ``root`` is an index, ``ids[i]`` the id of index ``i``, and ``incoming[i]``
-    lists ``(source index, length)`` of each edge entering it.  Heap entries
-    are ``(distance, index)``.  A vertex ``u`` with an edge ``e`` to a settled
+    ``root`` is an index, and ``incoming[i]`` lists ``(source index, length,
+    rank)`` of each edge entering index ``i``, where the ranks of one
+    vertex's out-edges increase in ``out_edges`` order (by sink, then id).
+    Heap entries are ``(distance, index)``.  A vertex ``u`` with an edge ``e`` to a settled
     ``w`` is offered ``e.length + d[w]``, and pushed only if that is its first
     offer (``dist`` is NaN until then, so an infinite one counts) or strictly
     below its best so far.  The distances are bitwise those of pushing every
     offer: each is the minimum of the same offers, as a skipped one is never
-    below one pushed, and the vertices settle in the same order, as ``ids``
-    increase.
+    below one pushed, and the vertices settle in the same order, as the
+    indices follow the ids.
+
+    Returns ``dist``, NaN for a vertex that cannot reach the root, and
+    ``next``, the rank of the offering edge.  A first offer or a strict
+    improvement sets ``next[u]`` to its edge's rank, and an offer equal to
+    ``dist[u]`` keeps the smaller of the two ranks, whether ``u`` is settled
+    or not.  So ``next[u]`` ends as the smallest rank among the offers equal
+    to the final ``dist[u]``: an earlier offer either exceeded it and is
+    forgotten at the next improvement, or equalled it and set it.  The
+    root's entry is -1, as is an unreachable vertex's.
     """
-    dist = [math.nan] * len(incoming)
-    settled = [False] * len(incoming)
+    n = len(incoming)
+    dist = [math.nan] * n
+    nxt = [-1] * n
+    settled = [False] * n
     dist[root] = 0.0
     heap = [(0.0, root)]
     while heap:
@@ -393,12 +408,19 @@ def _distances_to(incoming: list[list[tuple[int, float]]], ids: list[int], root:
         if settled[v]:
             continue
         settled[v] = True
-        for u, length in incoming[v]:
+        for u, length, rank in incoming[v]:
             offer = length + d
-            if not offer >= dist[u] and not settled[u]:
+            if offer > dist[u]:
+                continue
+            if offer == dist[u]:
+                if rank < nxt[u]:
+                    nxt[u] = rank
+            elif not settled[u]:
                 dist[u] = offer
+                nxt[u] = rank
                 heappush(heap, (offer, u))
-    return {vid: d for vid, d, done in zip(ids, dist, settled) if done}
+    # array() over a list parses every item; packing the list first is several times faster
+    return array("d", pack(f"{n}d", *dist)), array("l", pack(f"{n}l", *nxt))
 
 
 Piece = tuple[int, float, float]   # (edge id, start offset, end offset) of one driven stretch
@@ -408,9 +430,10 @@ class StopDistanceTable:
     """Traversal distances to every stop, from every stop and from any mid-edge position.
 
     Built once and never changed: one reverse shortest-path search per
-    distinct host-edge source vertex of the m stops gives every vertex's
-    distance to that root, and from those the distance of each ordered pair
-    of stops, the zero diagonal included; ``len()`` counts the m(m-1)
+    distinct host-edge source vertex of the m stops gives, per root, flat
+    arrays over a dense vertex index of every vertex's distance to the root
+    and next edge towards it.  From those comes the distance of each ordered
+    pair of stops, the zero diagonal included; ``len()`` counts the m(m-1)
     off-diagonal pairs.  A distance from any position is then one lookup.
     """
 
@@ -418,26 +441,47 @@ class StopDistanceTable:
         self._graph = graph
         self._stops = {s.id: s for s in stops}
         # every edge endpoint, present or dangling, gets a dense index in id order
-        edges = list(graph.edges())
-        ids = sorted({end for e in edges for end in (e.source, e.sink)})
-        index = {vid: i for i, vid in enumerate(ids)}
-        incoming: list[list[tuple[int, float]]] = [[] for _ in ids]
-        for e in edges:
-            incoming[index[e.sink]].append((index[e.source], e.length))
-        # root vertex -> {vertex: distance to the root}
-        self._dist_to: dict[int, dict[int, float]] = {}
-        for s in stops:
+        ids = sorted({end for e in graph.edges() for end in (e.source, e.sink)})
+        self._index = index = {vid: i for i, vid in enumerate(ids)}
+        # an edge's rank is its place in this list: each vertex's out_edges in turn
+        self._ranked = [e for vid in ids for e in graph.out_edges(vid)]
+        incoming: list[list[tuple[int, float, int]]] = [[] for _ in ids]
+        for rank, e in enumerate(self._ranked):
+            incoming[index[e.sink]].append((index[e.source], e.length, rank))
+        # root vertex -> (distance to the root, next-edge rank), both over the dense index
+        self._dist_to: dict[int, tuple[array, array]] = {}
+        ordered = sorted(stops, key=lambda s: s.id)
+        dests: dict[int, list[Stop]] = defaultdict(list)   # root -> its stops, in id order
+        for s in ordered:
             root = graph.edge(s.edge).source
             if root not in self._dist_to:
-                self._dist_to[root] = _distances_to(incoming, ids, index[root])
-        self._distances: dict[tuple[int, int], float] = {}
-        ordered = sorted(stops, key=lambda s: s.id)
+                self._dist_to[root] = _distances_to(incoming, index[root])
+            dests[root].append(s)
+        # each origin stop as _traverse reads it: (id, host edge, offset, rest of the edge, sink index)
+        origins = []
         for origin in ordered:
             host = graph.edge(origin.edge)
-            for dest in ordered:
-                self._distances[(origin.id, dest.id)] = (
-                    0.0 if dest.id == origin.id else self._traverse(host, origin.slack, dest)[0]
-                )
+            if not 0.0 <= origin.slack <= host.length:
+                raise InvalidInputError(f"offset {origin.slack} outside edge {host.id}")
+            origins.append((origin.id, host, origin.slack, host.length - origin.slack, index[host.sink]))
+        self._distances: dict[tuple[int, int], float] = {}
+        distances = self._distances
+        for root, group in dests.items():
+            dist = self._dist_to[root][0]
+            for dest in group:
+                to, to_edge, slack = dest.id, dest.edge, dest.slack
+                for origin, host, offset, head, sink in origins:
+                    if origin == to:
+                        distances[(origin, to)] = 0.0
+                    elif host.id == to_edge and slack >= offset:
+                        distances[(origin, to)] = slack - offset
+                    else:
+                        rest = dist[sink]
+                        if rest != rest:
+                            raise NotFoundError(
+                                f"vertex {root} unreachable from {host.sink}; graph not strongly connected"
+                            )
+                        distances[(origin, to)] = head + rest + slack
 
     def _check(self, stop_id: int) -> Stop:
         stop = self._stops.get(stop_id)
@@ -452,15 +496,16 @@ class StopDistanceTable:
         the vehicle finishes the edge, follows a shortest path from the
         edge's sink to the destination edge's source vertex, the root, then
         drives the destination slack.  Returns the distance and the root,
-        which is None for a direct hop.
+        which is None for a direct hop.  The stop pairs in ``__init__`` are
+        this same expression.
         """
         if not 0.0 <= offset <= edge.length:
             raise InvalidInputError(f"offset {offset} outside edge {edge.id}")
         if edge.id == dest.edge and dest.slack >= offset:
             return dest.slack - offset, None
         root = self._graph.edge(dest.edge).source
-        rest = self._dist_to[root].get(edge.sink)
-        if rest is None:
+        rest = self._dist_to[root][0][self._index[edge.sink]]
+        if rest != rest:
             raise NotFoundError(
                 f"vertex {root} unreachable from {edge.sink}; graph not strongly connected"
             )
@@ -483,12 +528,20 @@ class StopDistanceTable:
         """Driven pieces ``(edge id, start offset, end offset)`` and distance from a mid-edge position to a stop.
 
         A direct hop is one piece.  Otherwise, with ``d`` the distances to
-        the root, the vertex path from the edge's sink takes at each vertex
-        ``v`` the first out-edge ``e``, in ``out_edges`` order (by sink, then
-        id), that is tight: ``e.length + d[e.sink] == d[v]`` exactly, in
-        floating point.  This gives the lexicographically smallest vertex
-        sequence among the tight paths to the root:
+        the root, the vertex path from the edge's sink follows the search's
+        next edges to the root.  At each vertex ``v`` that is the first
+        out-edge ``e``, in ``out_edges`` order (by sink, then id), that is
+        tight: ``e.length + d[e.sink] == d[v]`` exactly, in floating point.
+        This gives the lexicographically smallest vertex sequence among the
+        tight paths to the root:
 
+        * The next edge is the first tight out-edge.  Each out-edge ``e`` of
+          ``v`` whose sink reaches the root is offered to ``v`` exactly once,
+          when ``e.sink`` is popped at its final distance, and the offer is
+          the float sum ``e.length + d[e.sink]`` that the tightness test
+          compares with ``d[v]``.  ``next[v]`` is the smallest rank among the offers equal
+          to the final ``d[v]`` (see ``_distances_to``), that is, among the
+          tight out-edges, and ranks follow ``out_edges`` order.
         * Every vertex ``v`` but the root that can reach it has a tight
           out-edge: the search settled ``v`` at the sum it was offered over
           an edge to a vertex settled before it.
@@ -511,21 +564,20 @@ class StopDistanceTable:
         distance, root = self._traverse(edge, offset, dest)
         if root is None:
             return ((edge.id, offset, dest.slack),), distance
-        to_root = self._dist_to[root]
+        index, ranked = self._index, self._ranked
+        nxt = self._dist_to[root][1]
         pieces = [(edge.id, offset, edge.length)]
         v = edge.sink
         while v != root:
-            if len(pieces) > len(to_root):
+            if len(pieces) > len(nxt):
                 raise InvalidInputError(
                     f"vertex {v}: the shortest paths to vertex {root} run in a cycle;"
                     " an edge is too short to change a distance"
                 )
-            for e in self._graph.out_edges(v):
-                rest = to_root.get(e.sink)
-                if rest is not None and e.length + rest == to_root[v]:
-                    break
-            else:
+            rank = nxt[index[v]]
+            if rank < 0:
                 raise ConsistencyError(f"vertex {v} has no tight out-edge towards vertex {root}")
+            e = ranked[rank]
             pieces.append((e.id, 0.0, e.length))
             v = e.sink
         pieces.append((dest.edge, 0.0, dest.slack))
@@ -605,12 +657,19 @@ def load_network(path: str, validate: bool = True) -> RoadGraph:
 
 
 def write_atomic(path: str, text: str) -> None:
-    """Write via a temp file in the target directory, then rename."""
+    """Write via a temp file in the target directory, then rename.
+
+    The file gets the mode a plain ``open`` would give it, ``0o666`` less the
+    umask, where ``mkstemp`` alone leaves ``0o600``.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+        umask = os.umask(0)   # reading the umask means setting it; put it straight back
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -1,5 +1,7 @@
 import csv
 import json
+import os
+import stat
 
 import pytest
 
@@ -99,6 +101,19 @@ class TestGenerateAndValidate:
 
 
 class TestRun:
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o027, 0o640)])
+    def test_written_files_take_their_mode_from_the_umask(self, tmp_path, umask, mode):
+        saved = os.umask(umask)
+        try:
+            out = generate_small(tmp_path)
+            run_out = tmp_path / "run"
+            assert main(run_args(run_out, out / "scenario.json", extra=["--verbose"])) == 0
+        finally:
+            os.umask(saved)
+        paths = sorted(out.iterdir()) + sorted(run_out.iterdir())
+        assert len(paths) == 5
+        assert {p.name: stat.S_IMODE(p.stat().st_mode) for p in paths} == {p.name: mode for p in paths}
+
     def test_run_writes_csvs(self, tmp_path):
         out = generate_small(tmp_path)
         run_out = tmp_path / "run"

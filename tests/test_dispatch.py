@@ -359,6 +359,32 @@ class TestInsertion:
         assert walked and all(walked)
         assert len(walked) <= len(route) + 1
 
+    def test_reach_and_direct_bound_fires_only_when_no_pair_is_feasible(self):
+        # the lower bound try_insert_shared rejects by, restated: every pair
+        # drives from the vehicle to the origin and from there to the destination
+        rng = random.Random(98)
+        fired = 0
+        for _ in range(6):
+            g = random_connected_graph(rng, max_vertices=12, max_edges=30)
+            stops = scatter_stops(rng, g, 6)
+            table = build_stop_distance_table(g)
+            stop_ids = [s.id for s in stops]
+            positions = [(s.edge, s.slack) for s in stops]
+            rid = 1000
+            for _ in range(100):
+                policy = random_policy(rng)
+                sav, rid = random_sav_state(rng, stop_ids, positions, policy.capacity, rid)
+                cand = TripRequest(rid, *rng.sample(stop_ids, 2), 0.0, rng.randint(1, 3))
+                rid += 1
+                budget = policy.detour_budget_factor * walk_length(sav.position, sav.route, table)
+                tol = 1e-9 * (budget + 1.0) * (len(sav.route) + 4)
+                reach = table.distance_from_position(*sav.position, cand.origin)
+                if reach + table.distance(cand.origin, cand.destination) > budget + tol:
+                    fired += 1
+                    assert brute_best_insertion(policy, sav, cand, table) is None
+                    assert try_insert_shared(policy, sav, cand, table) is None
+        assert fired >= 100
+
     @settings(max_examples=80, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), rides=st.integers(0, 8))
     def test_resumed_walk_is_route_cost_bit_for_bit(self, seed, rides):

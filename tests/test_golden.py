@@ -1,8 +1,11 @@
 """Golden lock: the default-scenario sweep must reproduce a committed CSV byte for byte.
 
 Criterion 9 proves determinism within one build; this file proves that a
-change to the code left the simulation's outputs unchanged.  Regenerate the
-golden file only on purpose (and say why in CHANGES.md):
+change to the code left the simulation's outputs unchanged.  The sweep runs
+on the 90-vertex default grid; the digests of a one-replication run on the
+400 m city also lock the driven pieces of every leg where many grid paths
+tie.  Regenerate the golden file only on purpose (and say why in
+CHANGES.md):
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -26,6 +29,14 @@ GENERATED_SHA256 = {
     "scenario.json": "efd5718f353cbc6612b4044f30467b6b5a61b07f1baa6d832aa42196e2d24945",
 }
 
+# savsim generate with the 400 m city settings CI checks the oracle on, then
+# savsim run --replications 1 --verbose on its scenario
+CITY_SETTINGS = ["grid_spacing=400", "peripheral_stop_count=56", "central_stop_count=56"]
+CITY_RUN_SHA256 = {
+    "events.csv": "7e50f4822a52505f52d010cda376004c85de4a21ace6411e63d013a67f85ad96",
+    "replications.csv": "20a82703595998aa0ed63eaf312a4e423d5d52785a298db70877dc9a4721555f",
+}
+
 
 def golden_sweep_csv() -> str:
     scenario = dataclasses.replace(default_scenario(), replications=REPLICATIONS)
@@ -42,6 +53,17 @@ def test_generated_files_match_their_digests(tmp_path):
     assert main(["generate", "--out", str(tmp_path), "--seed", "3"]) == 0
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in GENERATED_SHA256}
     assert got == GENERATED_SHA256
+
+
+def test_city_run_matches_its_digests(tmp_path):
+    generate = ["generate", "--out", str(tmp_path / "city")]
+    for item in CITY_SETTINGS:
+        generate += ["--set", item]
+    assert main(generate) == 0
+    assert main(["run", "--scenario", str(tmp_path / "city" / "scenario.json"), "--replications", "1",
+                 "--verbose", "--out", str(tmp_path / "run")]) == 0
+    got = {name: hashlib.sha256((tmp_path / "run" / name).read_bytes()).hexdigest() for name in CITY_RUN_SHA256}
+    assert got == CITY_RUN_SHA256
 
 
 if __name__ == "__main__":

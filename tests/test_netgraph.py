@@ -58,6 +58,13 @@ def coincident_pair() -> RoadGraph:
     return g
 
 
+def distances_to(table) -> dict[int, dict[int, float]]:
+    """The table's distances as ``{root: {vertex id: distance}}``, read through its dense index;
+    a vertex that cannot reach a root is left out of that root's dict."""
+    return {root: {vid: dist[i] for vid, i in table._index.items() if not math.isnan(dist[i])}
+            for root, (dist, _) in table._dist_to.items()}
+
+
 def not_strongly_connected() -> RoadGraph:
     """A two-cycle 1 <-> 2 with stops on both edges, and a one-way edge 20 from vertex 2 to a dead end 3."""
     doc = {
@@ -361,7 +368,7 @@ class TestStopDistanceTable:
         stop = g.place_stop(11, 0.5, "other")     # root: vertex 2
         g.place_stop(12, 0.5, "other")
         table = build_stop_distance_table(g)
-        assert table._dist_to[2] == {2: 0.0, 1: math.inf, 3: math.inf}
+        assert distances_to(table)[2] == {2: 0.0, 1: math.inf, 3: math.inf}
         assert table.distance_from_position(12, 0.0, stop.id) == math.inf
         pieces = ((12, 0.0, math.inf), (10, 0.0, math.inf), (11, 0.0, 0.5))
         assert table.position_path(12, 0.0, stop.id) == (pieces, math.inf)
@@ -443,7 +450,35 @@ def assert_smallest_shortest_vertex_sequences(g: RoadGraph) -> None:
             assert dist == edge.length - 100.0 + shortest + dest.slack
 
 
+def assert_next_edges_are_first_tight_out_edges(g: RoadGraph) -> int:
+    """Every vertex's next edge towards every root is its first tight out-edge in ``out_edges``
+    order, found by scanning them; returns how many of those vertices have two or more."""
+    table = build_stop_distance_table(g)
+    index = table._index
+    ties = 0
+    for root, (dist, nxt) in table._dist_to.items():
+        assert nxt[index[root]] == -1
+        for vid, i in index.items():
+            if vid == root or math.isnan(dist[i]):
+                continue
+            tight = [e for e in g.out_edges(vid) if e.length + dist[index[e.sink]] == dist[i]]
+            assert nxt[i] >= 0 and table._ranked[nxt[i]] == tight[0], (root, vid)
+            ties += len(tight) > 1
+    return ties
+
+
 class TestTableProperties:
+    def test_next_edges_are_the_first_tight_out_edges(self):
+        for seed in range(12):
+            rng = random.Random(5000 + seed)
+            g = random_connected_graph(rng)
+            scatter_stops(rng, g, rng.randint(2, 10))
+            assert_next_edges_are_first_tight_out_edges(g)
+        grid = tied_grid()
+        assert assert_next_edges_are_first_tight_out_edges(grid) > 0
+        scrambled_grid = relabelled(grid, scrambled(grid, random.Random(7)).__getitem__)
+        assert assert_next_edges_are_first_tight_out_edges(scrambled_grid) > 0
+
     def test_oracle_equivalence_sample(self):
         for seed in range(20):
             rng = random.Random(1000 + seed)
@@ -496,8 +531,8 @@ class TestTableProperties:
         g = random_connected_graph(rng)
         stops = scatter_stops(rng, g, 12)
         table = build_stop_distance_table(g)
-        before = copy.deepcopy(table._dist_to)
-        assert set(before) == {g.edge(s.edge).source for s in stops}
+        before = distances_to(table), copy.deepcopy(table._dist_to)
+        assert set(before[0]) == {g.edge(s.edge).source for s in stops}
         edges = list(g.edges())
         for _ in range(2000):
             edge = rng.choice(edges)
@@ -506,7 +541,7 @@ class TestTableProperties:
             pieces, dist = table.position_path(edge.id, offset, dest.id)
             assert table.distance_from_position(edge.id, offset, dest.id) == dist
             assert pieces_distance(pieces) == pytest.approx(dist, abs=1e-9)
-        assert table._dist_to == before
+        assert (distances_to(table), table._dist_to) == before
 
     def test_byte_identical_rebuild(self):
         rng1 = random.Random(555)
@@ -556,8 +591,8 @@ class TestRelabelledVertexIds:
             new_id = new_ids(g, rng)
             g2 = relabelled(g, new_id)
             table, table2 = build_stop_distance_table(g), build_stop_distance_table(g2)
-            assert table2._dist_to == {new_id(root): {new_id(v): d for v, d in dists.items()}
-                                       for root, dists in table._dist_to.items()}
+            assert distances_to(table2) == {new_id(root): {new_id(v): d for v, d in dists.items()}
+                                            for root, dists in distances_to(table).items()}
             for origin, dest in stop_pairs(g):
                 assert table2.distance(origin.id, dest.id) == table.distance(origin.id, dest.id)
             queries = [(origin.edge, origin.slack, dest.id) for origin, dest in stop_pairs(g)]
@@ -594,7 +629,7 @@ class TestRelabelledVertexIds:
         stop = g.place_stop(10, 20.0, "other")    # root: vertex 1
         g.place_stop(11, 20.0, "other")            # root: vertex 2
         table = build_stop_distance_table(g)
-        assert table._dist_to == {1: {1: 0.0, 2: 100.0, -9: 30.0}, 2: {2: 0.0, 1: 100.0, -9: 130.0}}
+        assert distances_to(table) == {1: {1: 0.0, 2: 100.0, -9: 30.0}, 2: {2: 0.0, 1: 100.0, -9: 130.0}}
         assert table.distance_from_position(20, 10.0, stop.id) == 40.0
         assert table.position_path(20, 10.0, stop.id) == (((20, 10.0, 30.0), (10, 0.0, 20.0)), 40.0)
         with pytest.raises(NotFoundError, match="vertex 1 unreachable from 1000"):

@@ -22,6 +22,14 @@ Model notes:
     sampled once, at leg start, from the occupancy at that instant
     (``BackgroundTraffic.occupancy_at``: a background change at the same
     instant counts).
+  * ``traffic`` owns the speed rule: ``edge_speed`` is the one speed-density
+    formula, and ``attainable_speed`` and ``drive`` the fleet's speed and an
+    edge's time and delay.  ``_run_chunk`` owns the drive tables, one per
+    (graph, profile), shared by its cells like the stop table: each maps
+    (edge id, occupancy) to what those two functions return for the whole
+    edge, filled by calling them the first time ``_build_plan`` needs it.
+    A partial first or last piece calls them directly and never enters a
+    table.
   * A leg's driven pieces, including the direct same-edge hop, come from
     the distance table's ``position_path``; the traversal rule lives in
     netgraph.  ``_LegPlan.progress`` is the only sum over a leg's pieces, and
@@ -138,16 +146,23 @@ class Scenario:
             )
 
 
+# (edge id, occupancy) -> (speed, seconds, delay) of driving the whole edge
+DriveTable = dict[tuple[int, int], tuple[float, float, float]]
+
+
 class _Runtime:
     """Per-scenario precomputation shared by the replications of a chunk.
 
-    ``tables`` maps a graph to its stop table; runtimes built with one dict
-    share one table per graph.  The event estimate spans ``scenario.horizon``,
+    ``tables`` maps a graph to its stop table and ``drives`` a (graph,
+    profile) pair to its drive table; runtimes built with the same dicts
+    share them.  A drive table depends on neither the time nor the draw, so
+    it serves every index.  The event estimate spans ``scenario.horizon``,
     the one window of demand, background traffic and the fleet clock.
     """
 
     def __init__(self, scenario: Scenario,
-                 tables: dict[RoadGraph, StopDistanceTable | None] | None = None) -> None:
+                 tables: dict[RoadGraph, StopDistanceTable | None] | None = None,
+                 drives: dict[tuple[RoadGraph, BehaviorProfile], DriveTable] | None = None) -> None:
         graph = scenario.graph
         report = validate_graph(graph)
         if not report.ok:
@@ -189,6 +204,7 @@ class _Runtime:
         if graph not in tables:
             tables[graph] = build_stop_distance_table(graph, self.stops) if len(self.stops) >= 2 else None
         self.table = tables[graph]
+        self.drives = ({} if drives is None else drives).setdefault((graph, self.profile), {})
 
 
 class Draw(NamedTuple):
@@ -231,58 +247,58 @@ def draw_index(scenario: Scenario, runtime: _Runtime, index: int, sample: bool =
 
 
 @dataclass
-class _Segment:
-    """One driven piece of a leg, entered at ``enter`` and left at ``exit``, with
-    its delay against free flow and whether entering it was a stop event."""
-
-    edge: int
-    start_offset: float
-    end_offset: float
-    enter: float
-    exit: float
-    delay: float
-    stopped: bool
-
-
-@dataclass
 class _LegPlan:
     """A vehicle's active leg; also its own arrival event's payload.
 
-    ``arrive`` is the last segment's exit; ``rest_stop`` is whether coming to
-    rest at the stop is a stop event.
+    The leg is stored flat: ``pieces`` are ``position_path``'s driven pieces
+    ``(edge id, start offset, end offset)``, and ``exits``, ``delays`` and
+    ``stopped`` hold, per piece, the time it is left, its delay against free
+    flow and whether entering it was a stop event.  Each piece is entered at
+    the previous piece's exit, the first at ``start``.  ``arrive`` is the
+    last piece's exit; ``rest_stop`` is whether coming to rest at the stop is
+    a stop event.
     """
 
     sav: int
+    start: float
     arrive: float
     rest_stop: bool
-    segments: list[_Segment]
+    pieces: tuple[tuple[int, float, float], ...]
+    exits: list[float]
+    delays: list[float]
+    stopped: list[bool]
 
     def progress(self, now: float) -> tuple[tuple[int, float], float, float, int]:
         """Position, and distance, delay and stop events driven, at ``now`` >= the leg's start.
 
-        Segments already left count in full, in order.  The segment being
-        driven counts its entry stop event and its distance and delay pro
-        rata, capped at its own.  At or after ``arrive`` every segment has
-        been left, and coming to rest at the stop counts too.
+        Pieces already left count in full, in order.  The piece being driven
+        counts its entry stop event and its distance and delay pro rata,
+        capped at its own.  At or after ``arrive`` every piece has been left,
+        and coming to rest at the stop counts too.
         """
         distance = delay = 0.0
         stops = 0
-        for seg in self.segments:
-            if now < seg.exit:
+        exits, delays, stopped = self.exits, self.delays, self.stopped
+        k = 0
+        for edge, a, b in self.pieces:
+            if now < exits[k]:
                 break
-            distance += seg.end_offset - seg.start_offset
-            delay += seg.delay
-            stops += seg.stopped
+            distance += b - a
+            delay += delays[k]
+            stops += stopped[k]
+            k += 1
         else:
-            return (seg.edge, seg.end_offset), distance, delay, stops + self.rest_stop
-        length = seg.end_offset - seg.start_offset
-        frac = (now - seg.enter) / (seg.exit - seg.enter)
+            return (edge, b), distance, delay, stops + self.rest_stop
+        enter = exits[k - 1] if k else self.start
+        leave, piece_delay = exits[k], delays[k]
+        length = b - a
+        frac = (now - enter) / (leave - enter)
         # not length * frac: that rounds differently and would move recorded
-        # distances; rounding can pass the segment's own values, so clamp them
-        distance += min(length * (now - seg.enter) / (seg.exit - seg.enter), length)
-        delay += min(seg.delay * (now - seg.enter) / (seg.exit - seg.enter), seg.delay)
-        position = (seg.edge, min(seg.start_offset + frac * length, seg.end_offset))
-        return position, distance, delay, stops + seg.stopped
+        # distances; rounding can pass the piece's own values, so clamp them
+        distance += min(length * (now - enter) / (leave - enter), length)
+        delay += min(piece_delay * (now - enter) / (leave - enter), piece_delay)
+        position = (edge, min(a + frac * length, b))
+        return position, distance, delay, stops + stopped[k]
 
 
 @dataclass
@@ -308,6 +324,7 @@ class _Replication:
         self.table = runtime.table
         self.policy = scenario.policy
         self.profile = runtime.profile
+        self.drives = runtime.drives
         self.now = 0.0
         self._heap: list[tuple[float, int, str, object]] = []
         self._seq = 0
@@ -352,23 +369,45 @@ class _Replication:
     # fleet movement ------------------------------------------------------
 
     def _build_plan(self, sav: Sav, target_stop: int, now: float) -> _LegPlan:
+        """The leg from the vehicle's position to ``target_stop``, driven from ``now``.
+
+        A piece that starts at offset 0 before the last is a whole edge, as
+        every piece but the last ends at its edge's end: it reads the drive
+        table, which is filled on a miss.  Any other piece calls
+        ``attainable_speed`` and ``drive`` directly.
+        """
         edge_id, offset = sav.position
         pieces, _ = self.table.position_path(edge_id, offset, target_stop)
-        segments: list[_Segment] = []
+        occupancy_at = self.traffic.occupancy_at
+        drives = self.drives
+        exits: list[float] = []
+        delays: list[float] = []
+        stopped: list[bool] = []
         t = now
-        prev_speed = 0.0
-        for eid, a, b in pieces:
+        speed = 0.0
+        last = len(pieces) - 1
+        for k, (eid, a, b) in enumerate(pieces):
             length = b - a
-            dt = edge_delay = 0.0
-            stopped = False
             if length > 0:
-                edge = self.graph.edge(eid)
-                v = attainable_speed(edge, self.traffic.occupancy_at(eid, now), self.profile)
-                dt, edge_delay, stopped = drive(edge, length, v, prev_speed)
-                prev_speed = v
-            segments.append(_Segment(eid, a, b, t, t + dt, edge_delay, stopped))
-            t += dt
-        return _LegPlan(sav.id, t, count_stop_event(prev_speed, 0.0), segments)
+                occupancy = occupancy_at(eid, now)
+                whole = a == 0.0 and k < last
+                entry = drives.get((eid, occupancy)) if whole else None
+                if entry is None:
+                    edge = self.graph.edge(eid)
+                    v = attainable_speed(edge, occupancy, self.profile)
+                    entry = (v, *drive(edge, length, v, speed)[:2])
+                    if whole:
+                        drives[eid, occupancy] = entry
+                v, dt, edge_delay = entry
+                t += dt
+                delays.append(edge_delay)
+                stopped.append(count_stop_event(speed, v))
+                speed = v
+            else:
+                delays.append(0.0)
+                stopped.append(False)
+            exits.append(t)
+        return _LegPlan(sav.id, now, t, count_stop_event(speed, 0.0), pieces, exits, delays, stopped)
 
     def _start_leg(self, sav: Sav, now: float) -> None:
         leg = sav.route[0]
@@ -611,13 +650,14 @@ def _run_chunk(
     Each ``(fleet_size, profile)`` variant of ``base`` is one cell.  Every
     cell's runtime is built first, so a cell that fails its checks stops the
     task before any replication runs, and the runtimes share one stop table
-    per graph.  An index's draw does not depend on what the cells vary, so
+    per graph and one drive table per (graph, profile).  An index's draw does not depend on what the cells vary, so
     it is made once, from ``base``, read by every cell and dropped before
     the next index.
     """
     cells = [replace(base, fleet_size=fleet, profile=profile) for fleet, profile in variants]
     tables: dict[RoadGraph, StopDistanceTable | None] = {}
-    runtimes = [_Runtime(cell, tables) for cell in cells]
+    drives: dict[tuple[RoadGraph, BehaviorProfile], DriveTable] = {}
+    runtimes = [_Runtime(cell, tables, drives) for cell in cells]
     results: list[list[ReplicationResult]] = [[] for _ in cells]
     for i in indices:
         try:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from typing import Callable, Iterable
 
@@ -82,9 +83,17 @@ def record_kinds(cls: type, skip: Iterable[str] = (), **special: Callable) -> di
     return kinds
 
 
+@functools.cache
+def _field_names(cls: type) -> tuple[str, ...]:
+    return tuple(f.name for f in dataclasses.fields(cls))
+
+
 def record_dict(record: object, skip: Iterable[str] = ()) -> dict:
-    """A dataclass record's fields but ``skip``; shallow, where ``dataclasses.asdict`` deep-copies each value."""
-    return {f.name: getattr(record, f.name) for f in dataclasses.fields(record) if f.name not in skip}
+    """A dataclass record's fields but ``skip``; shallow, where ``dataclasses.asdict`` deep-copies each value.
+
+    Each record class's field names are read once.
+    """
+    return {name: getattr(record, name) for name in _field_names(type(record)) if name not in skip}
 
 
 def read_section(where: str, doc: object, kinds: dict[str, Callable], required: Iterable[str] = ()) -> dict:

@@ -678,9 +678,18 @@ def write_atomic(path: str, text: str) -> None:
 
 
 def save_network(graph: RoadGraph, path: str) -> None:
-    """Write the graph's document with sorted keys, one record per line, each through one
-    reused encoder: it runs in C, where ``indent`` would switch to the pure-Python one."""
+    """Write the graph's document with sorted keys, one record per line.
+
+    Each section is encoded by one call, in C (``indent`` would take the
+    pure-Python encoder), then split into lines.  Records are flat and their
+    only text is a zone from ``ZONES``, so ``}, {`` occurs only between two
+    records; the count is checked.
+    """
     encode = json.JSONEncoder(sort_keys=True).encode
-    sections = [f"{encode(key)}: [\n" + ",\n".join(map(encode, records)) + "\n]"
-                for key, records in sorted(graph_to_dict(graph).items())]
+    sections = []
+    for key, records in sorted(graph_to_dict(graph).items()):
+        body = encode(records)[1:-1]
+        if body.count("}, {") != max(len(records) - 1, 0):
+            raise ConsistencyError(f"{key}: a record holds text that looks like a record boundary")
+        sections.append(f"{encode(key)}: [\n" + body.replace("}, {", "},\n{") + "\n]")
     write_atomic(path, "{\n" + ",\n".join(sections) + "\n}\n")

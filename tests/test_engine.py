@@ -3,6 +3,8 @@ import dataclasses
 import json
 import math
 import os
+import random
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,6 @@ from savsim.engine import (
     _LegPlan,
     _Replication,
     _Runtime,
-    _Segment,
     draw_index,
     load_scenario,
     run_scenario,
@@ -29,9 +30,17 @@ from savsim.errors import ConfigurationError, ConsistencyError, SimulationError,
 from savsim.metrics import aggregate
 from savsim.netgraph import RoadGraph, build_stop_distance_table, save_network
 from savsim.scenario_gen import default_scenario
-from savsim.traffic import DEFAULT_PROFILES, BackgroundFlow, BehaviorProfile, attainable_speed, edge_speed
+from savsim.traffic import (
+    DEFAULT_PROFILES,
+    BackgroundFlow,
+    BehaviorProfile,
+    attainable_speed,
+    count_stop_event,
+    drive,
+    edge_speed,
+)
 
-from randnets import ring_network
+from randnets import ZONE_CYCLE, random_connected_graph, ring_network
 
 
 def quiet_demand() -> DemandProfile:
@@ -370,16 +379,16 @@ def leg_plans(draw) -> _LegPlan:
     delay is drawn that way too, capped at its duration, so that
     delay * duration / duration can round past the delay.
     """
-    t = draw(st.floats(0.0, 1e5))
-    segments = []
+    t = start = draw(st.floats(0.0, 1e5))
+    pieces, exits, delays, stops = [], [], [], []
     for edge in range(draw(st.integers(1, 6))):
         a = draw(st.floats(0.0, 1000.0))
         b = draw(st.one_of(st.just(a), st.floats(a, a + 2000.0)))   # zero-length pieces too
         leave, seg_delay, stopped = t, 0.0, False
         if b - a > 0:
             if min(a, t) > 0 and draw(st.booleans()):   # on the rounding edge
-                if not segments:
-                    t = with_last_bit_set(t)
+                if not pieces:
+                    t = start = with_last_bit_set(t)
                 leave = across_a_binade(draw, t, lambda leave: math.nextafter(leave, 0) - t == leave - t)
                 shape = draw(st.sampled_from(["free", "offset", "length"]))
                 if shape == "offset":
@@ -395,17 +404,40 @@ def leg_plans(draw) -> _LegPlan:
                 leave = t + draw(st.floats(0.0, 3600.0))
                 seg_delay = draw(st.floats(0.0, leave - t))
             stopped = draw(st.booleans())
-        segments.append(_Segment(edge, a, b, t, leave, seg_delay, stopped))
+        pieces.append((edge, a, b))
+        exits.append(leave)
+        delays.append(seg_delay)
+        stops.append(stopped)
         t = leave
-    return _LegPlan(0, t, draw(st.booleans()), segments)   # whether coming to rest is a stop
+    # the last draw is whether coming to rest is a stop
+    return _LegPlan(0, start, t, draw(st.booleans()), tuple(pieces), exits, delays, stops)
+
+
+class Piece(NamedTuple):
+    """One piece of a flat plan, with the times it is entered and left."""
+
+    edge: int
+    start_offset: float
+    end_offset: float
+    enter: float
+    exit: float
+    delay: float
+    stopped: bool
+
+
+def plan_pieces(plan: _LegPlan) -> list[Piece]:
+    """A plan's pieces from its flat lists: each is entered at the previous one's exit."""
+    enters = [plan.start, *plan.exits[:-1]]
+    return [Piece(*piece, enter, leave, delay, stopped) for piece, enter, leave, delay, stopped
+            in zip(plan.pieces, enters, plan.exits, plan.delays, plan.stopped, strict=True)]
 
 
 def position_at(plan: _LegPlan, now: float) -> tuple[int, float]:
     """Reference: the position walk that ``progress`` replaced."""
-    last = plan.segments[-1]
+    last = plan_pieces(plan)[-1]
     if now >= plan.arrive:
         return (last.edge, last.end_offset)
-    for seg in plan.segments:
+    for seg in plan_pieces(plan):
         if now < seg.exit:
             if seg.exit <= seg.enter:
                 return (seg.edge, seg.start_offset)
@@ -418,7 +450,7 @@ def position_at(plan: _LegPlan, now: float) -> tuple[int, float]:
 def distance_until(plan: _LegPlan, now: float) -> float:
     """Reference: the distance walk that ``progress`` replaced."""
     total = 0.0
-    for seg in plan.segments:
+    for seg in plan_pieces(plan):
         distance = seg.end_offset - seg.start_offset
         if now >= seg.exit:
             total += distance
@@ -432,7 +464,7 @@ def delay_and_stops_until(plan: _LegPlan, now: float) -> tuple[float, int]:
     pro rata, at most its own, and its entry stop; on arrival every piece has
     been left, and coming to rest at the stop counts too."""
     delay, stops = 0.0, 0
-    for seg in plan.segments:
+    for seg in plan_pieces(plan):
         if now >= seg.exit:
             delay += seg.delay
             stops += seg.stopped
@@ -451,14 +483,13 @@ def reference_progress(plan: _LegPlan, now: float) -> tuple[tuple[int, float], f
 
 def ulp_before_exits(plan: _LegPlan) -> list[float]:
     """The last time on each piece, where the fraction driven can round to 1."""
-    start = plan.segments[0].enter
-    return [now for now in (math.nextafter(seg.exit, 0) for seg in plan.segments) if now >= start]
+    return [now for now in (math.nextafter(leave, 0) for leave in plan.exits) if now >= plan.start]
 
 
 def times_in(plan: _LegPlan):
     """Times from the leg's start to past its arrival; segment exits and the ulp before them included."""
-    boundaries = [seg.exit for seg in plan.segments] + ulp_before_exits(plan)
-    return st.one_of(st.floats(plan.segments[0].enter, plan.arrive + 60.0), st.sampled_from(boundaries))
+    boundaries = plan.exits + ulp_before_exits(plan)
+    return st.one_of(st.floats(plan.start, plan.arrive + 60.0), st.sampled_from(boundaries))
 
 
 class TestLegProgress:
@@ -490,26 +521,140 @@ class TestLegProgress:
         g.place_stop(0, 100.0, "peripheral_housing")
         g.place_stop(1, 100.0, "central_opportunity")
         table = build_stop_distance_table(g, list(g.stops()))
-        first = _Segment(0, 286.10101169720286, 892.9313592549657, 30.285679263277743,
-                         212.18343607176502, 90.11853098624158, False)
-        plan = _LegPlan(0, first.exit + 10.0, False,
-                        [first, _Segment(1, 0.0, 100.0, first.exit, first.exit + 10.0, 0.0, False)])
-        position, distance, delay, _ = plan.progress(math.nextafter(first.exit, 0))
-        assert position == (0, 892.9313592549657) and delay == first.delay
+        first_exit, first_delay = 212.18343607176502, 90.11853098624158
+        plan = _LegPlan(0, 30.285679263277743, first_exit + 10.0, False,
+                        ((0, 286.10101169720286, 892.9313592549657), (1, 0.0, 100.0)),
+                        [first_exit, first_exit + 10.0], [first_delay, 0.0], [False, False])
+        position, distance, delay, _ = plan.progress(math.nextafter(first_exit, 0))
+        assert position == (0, 892.9313592549657) and delay == first_delay
         assert table.distance_from_position(*position, 1) == 100.0
-        long = _Segment(0, 0.0, 1015.1979641436611, 936.7090513495132, 118055.62653510747, 0.0, False)
-        distance = _LegPlan(0, long.exit, False, [long]).progress(math.nextafter(long.exit, 0))[1]
+        long_exit = 118055.62653510747
+        long = _LegPlan(0, 936.7090513495132, long_exit, False, ((0, 0.0, 1015.1979641436611),),
+                        [long_exit], [0.0], [False])
+        distance = long.progress(math.nextafter(long_exit, 0))[1]
         assert distance == 1015.1979641436611
 
     @given(leg_plans())
     def test_at_arrival_progress_is_the_plan_totals(self, plan):
-        last = plan.segments[-1]
+        last = plan_pieces(plan)[-1]
         delay = 0.0
-        for seg in plan.segments:   # in order: ``sum`` compensates rounding from Python 3.12 on
+        for seg in plan_pieces(plan):   # in order: ``sum`` compensates rounding from Python 3.12 on
             delay += seg.delay
-        stops = sum(seg.stopped for seg in plan.segments) + plan.rest_stop
+        stops = sum(seg.stopped for seg in plan_pieces(plan)) + plan.rest_stop
         totals = ((last.edge, last.end_offset), distance_until(plan, plan.arrive), delay, stops)
         assert plan.progress(plan.arrive) == totals
+
+
+def reference_plan(rep: _Replication, sav: dispatch.Sav, target_stop: int, now: float):
+    """Reference: the leg loop before the drive table, which calls
+    ``occupancy_at``, ``attainable_speed`` and ``drive`` for every piece.
+
+    Returns the plan's (exits, delays, stop flags, arrive, rest stop) and
+    the (edge id, occupancy) of each whole edge driven.
+    """
+    pieces, _ = rep.table.position_path(*sav.position, target_stop)
+    exits, delays, stopped, whole = [], [], [], set()
+    t = now
+    prev_speed = 0.0
+    for eid, a, b in pieces:
+        length = b - a
+        dt = edge_delay = 0.0
+        stop = False
+        if length > 0:
+            edge = rep.graph.edge(eid)
+            occupancy = rep.traffic.occupancy_at(eid, now)
+            v = attainable_speed(edge, occupancy, rep.profile)
+            dt, edge_delay, stop = drive(edge, length, v, prev_speed)
+            prev_speed = v
+            if a == 0.0 and b == edge.length:
+                whole.add((eid, occupancy))
+        exits.append(t + dt)
+        delays.append(edge_delay)
+        stopped.append(stop)
+        t += dt
+    return (exits, delays, stopped, t, count_stop_event(prev_speed, 0.0)), whole
+
+
+def as_hex(plan: tuple) -> tuple:
+    exits, delays, stopped, arrive, rest_stop = plan
+    return [x.hex() for x in exits], [x.hex() for x in delays], stopped, arrive.hex(), rest_stop
+
+
+class TestDriveTable:
+    @staticmethod
+    def chunk(seed: int):
+        """Cells of one chunk on a ``randnets`` graph with one stop inside every edge and
+        busy background flows; returns the replications at index 0 and the shared dicts."""
+        rng = random.Random(seed)
+        graph = random_connected_graph(rng, max_vertices=12, max_edges=30)
+        edges = list(graph.edges())
+        for k, e in enumerate(edges):
+            graph.place_stop(e.id, e.length * rng.uniform(0.1, 0.9), ZONE_CYCLE[k % 3])
+        vertices = [v.id for v in graph.vertices()]
+        flows = [BackgroundFlow(*rng.sample(vertices, 2), 1500.0) for _ in range(3)]
+        base = Scenario(graph=graph, demand=quiet_demand(), background_flows=flows,
+                        fleet_size=1, horizon=1200.0, replications=1, base_seed=seed)
+        cells = [dataclasses.replace(base, fleet_size=fleet, profile=profile)
+                 for fleet, profile in ((1, "cautious"), (2, "cautious"), (1, "aggressive"))]
+        tables, drives = {}, {}
+        runtimes = [_Runtime(cell, tables, drives) for cell in cells]
+        draw = draw_index(base, runtimes[0], 0)
+        reps = [_Replication(rt, cell, 0, draw) for rt, cell in zip(runtimes, cells)]
+        return rng, graph, edges, reps, drives
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_plans_match_the_per_piece_loop_and_the_table_holds_only_whole_edges(self, seed):
+        rng, graph, edges, reps, drives = self.chunk(seed)
+        # two profiles in one chunk: one table each, shared by the cells of a profile
+        assert set(drives) == {(graph, rep.profile) for rep in reps} and len(drives) == 2
+        assert reps[0].drives is reps[1].drives is not reps[2].drives
+        stop_on = {stop.edge: stop.id for stop in graph.stops()}
+        # an edge seen at two occupancies: a flow's first edge is empty at
+        # time 0 and loaded at the flow's first injection, which counts then
+        when, vehicle = reps[0].traffic.injections[0]
+        busy = vehicle.route[0]
+        loaded = reps[0].traffic.occupancy_at(busy.id, when)
+        assert reps[0].traffic.occupancy_at(busy.id, 0.0) == 0 < loaded
+        other = next(e for e in edges if e.id != busy.id)
+        legs = [((busy.id, 0.0), stop_on[other.id], 0.0), ((busy.id, 0.0), stop_on[other.id], when),
+                # a partial first, then last, piece on an edge that has a
+                # whole-edge entry at the same occupancy
+                ((busy.id, busy.length / 2), stop_on[other.id], when),
+                ((other.id, 0.0), stop_on[busy.id], when)]
+        for _ in range(12):
+            e = rng.choice(edges)
+            legs.append(((e.id, rng.choice([0.0, e.length * rng.random()])),
+                         rng.choice(list(stop_on.values())), rng.uniform(0.0, 1200.0)))
+        whole = {id(rep.drives): set() for rep in reps}
+        for rep in reps:
+            sav = rep.savs[0]
+            for k, (position, target, now) in enumerate(legs):
+                sav.position = position
+                expected, driven = reference_plan(rep, sav, target, now)
+                plan = rep._build_plan(sav, target, now)
+                assert as_hex((plan.exits, plan.delays, plan.stopped, plan.arrive, plan.rest_stop)) \
+                    == as_hex(expected)
+                assert plan.start == now and len(plan.pieces) == len(plan.exits)
+                whole[id(rep.drives)] |= driven
+                if k == 1:
+                    assert {(busy.id, 0), (busy.id, loaded)} <= set(rep.drives)
+                if k in (2, 3):
+                    eid, a, b = plan.pieces[0 if k == 2 else -1]
+                    assert eid == busy.id and b - a < busy.length and (busy.id, loaded) in rep.drives
+        for rep in reps:
+            table = rep.drives
+            # the table never holds a partial piece: every key is a whole edge
+            # that some leg drove, and every entry is that whole edge's drive
+            assert set(table) <= whole[id(table)]
+            for (eid, occupancy), entry in table.items():
+                edge = graph.edge(eid)
+                speed = attainable_speed(edge, occupancy, rep.profile)
+                seconds, delay, _ = drive(edge, edge.length, speed, 0.0)
+                assert [x.hex() for x in entry] == [speed.hex(), seconds.hex(), delay.hex()]
+            edges_driven = {eid for eid, _ in whole[id(table)]}
+            occupancies = {occupancy for _, occupancy in whole[id(table)]}
+            assert len(table) <= len(edges_driven) * len(occupancies)
 
 
 class _InlinePool:

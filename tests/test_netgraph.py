@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from savsim.errors import InvalidInputError, NotFoundError
+from savsim import netgraph
+from savsim.errors import ConsistencyError, InvalidInputError, NotFoundError
 from savsim.netgraph import (
     RoadGraph,
     Stop,
@@ -678,6 +679,15 @@ class TestNetworkFiles:
         records = [json.loads(line.rstrip(",")) for line in lines if line.startswith("{\"")]
         assert records == doc["edges"] + doc["stops"] + doc["vertices"]
         assert len(lines) == len(records) + 2 * len(doc) + 3   # braces, section brackets, final newline
+
+    def test_text_that_looks_like_a_record_boundary_is_refused(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(netgraph, "ZONES", (*netgraph.ZONES, "a}, {b"))
+        g = random_connected_graph(random.Random(9), max_vertices=10, max_edges=25)
+        g.place_stop(0, 0.0, "a}, {b")
+        path = tmp_path / "net.json"
+        with pytest.raises(ConsistencyError, match="stops"):
+            save_network(g, str(path))
+        assert not path.exists()
 
     def test_loader_rejects_invalid(self, tmp_path):
         doc = {

@@ -9,9 +9,10 @@ into the destination edge.  Two stops on the same edge are a special case: the
 downstream stop is reached directly, the upstream one requires looping around.
 
 The stop table runs one reverse shortest-path search per distinct stop
-host-edge source vertex.  Each search runs on dense vertex indices, pushes
-only improving offers, and keeps two flat arrays: every vertex's distance to
-the root and its next edge, the first exactly tight out-edge.  A distance from
+host-edge source vertex.  Each search runs on dense vertex indices, settles
+the vertices from buckets of distance half the shortest edge wide (Dial's
+algorithm), and keeps two flat arrays: every vertex's distance to the root
+and its next edge, the first exactly tight out-edge.  A distance from
 any position is then one lookup, and the driven pieces of a leg are a walk
 along the next edges from the vehicle to the root.
 Background-flow routes (``shortest_path``) come from forward searches instead.
@@ -223,21 +224,12 @@ class ValidationReport:
         return "\n".join(f"{i.kind}: {i.message}" for i in self.issues)
 
 
-def _reachable(graph: RoadGraph, start: int, forward: bool) -> set[int]:
-    incoming: dict[int, list[int]] = defaultdict(list)
-    if not forward:
-        for e in graph.edges():
-            if graph.has_vertex(e.source) and graph.has_vertex(e.sink):
-                incoming[e.sink].append(e.source)
+def _reachable(adjacent: dict[int, list[int]], start: int) -> set[int]:
+    """The vertices that ``start`` reaches along ``adjacent``'s lists, ``start`` included."""
     seen = {start}
     frontier = [start]
     while frontier:
-        v = frontier.pop()
-        if forward:
-            nxt = (e.sink for e in graph.out_edges(v) if graph.has_vertex(e.sink))
-        else:
-            nxt = iter(incoming.get(v, ()))
-        for u in nxt:
+        for u in adjacent.get(frontier.pop(), ()):
             if u not in seen:
                 seen.add(u)
                 frontier.append(u)
@@ -252,18 +244,36 @@ def validate_graph(graph: RoadGraph) -> ValidationReport:
     with endpoint geometry, and strong connectivity (reported once, with a
     witness unreachable pair).  Zero-length edges both ways would tie a
     shortest path in a cycle (see ``StopDistanceTable.position_path``).
+    A vertex with a non-finite coordinate, which only a vertex not added by
+    ``add_vertex`` can have, raises InvalidInputError.
+
+    One pass over the edges, in id order, finds the edge issues in that
+    order and builds the forward and backward adjacency of the edges whose
+    endpoints both exist, which the connectivity check walks.
     """
+    vertices = graph._vertices
+    edges = graph._edges
     issues: list[ValidationIssue] = []
     seen_pairs: dict[tuple[int, int], int] = {}
-    for e in graph.edges():
-        dangling = False
-        for end, role in ((e.source, "source"), (e.sink, "sink")):
-            if not graph.has_vertex(end):
-                issues.append(ValidationIssue(
-                    "dangling_endpoint",
-                    f"edge {e.id} references missing {role} vertex {end}",
-                ))
-                dangling = True
+    forward: dict[int, list[int]] = defaultdict(list)
+    backward: dict[int, list[int]] = defaultdict(list)
+    vertex_ids = sorted(vertices)
+    for vid in vertex_ids:
+        v = vertices[vid]
+        if not (math.isfinite(v.x) and math.isfinite(v.y)):
+            raise InvalidInputError(f"vertex {v.id} has non-finite coordinates")
+    for eid in sorted(edges):
+        e = edges[eid]
+        source = vertices.get(e.source)
+        sink = vertices.get(e.sink)
+        if source is None:
+            issues.append(ValidationIssue(
+                "dangling_endpoint", f"edge {e.id} references missing source vertex {e.source}",
+            ))
+        if sink is None:
+            issues.append(ValidationIssue(
+                "dangling_endpoint", f"edge {e.id} references missing sink vertex {e.sink}",
+            ))
         if e.source == e.sink:
             issues.append(ValidationIssue(
                 "self_loop", f"edge {e.id} is a self-loop at vertex {e.source}"
@@ -280,25 +290,26 @@ def validate_graph(graph: RoadGraph) -> ValidationReport:
             ))
         else:
             seen_pairs[pair] = e.id
-        if not dangling:
-            want = edge_weight(graph.vertex(e.source), graph.vertex(e.sink))
+        if source is not None and sink is not None:
+            forward[e.source].append(e.sink)
+            backward[e.sink].append(e.source)
+            want = math.hypot(sink.x - source.x, sink.y - source.y)
             if not math.isclose(e.length, want, rel_tol=1e-9, abs_tol=1e-9):
                 issues.append(ValidationIssue(
                     "length_mismatch",
                     f"edge {e.id} stored length {e.length} != endpoint distance {want}",
                 ))
 
-    vertex_ids = sorted(v.id for v in graph.vertices())
     if len(vertex_ids) > 1:
         root = vertex_ids[0]
-        fwd = _reachable(graph, root, forward=True)
+        fwd = _reachable(forward, root)
         witness = None
         for vid in vertex_ids:
             if vid not in fwd:
                 witness = (root, vid)
                 break
         if witness is None:
-            bwd = _reachable(graph, root, forward=False)
+            bwd = _reachable(backward, root)
             for vid in vertex_ids:
                 if vid not in bwd:
                     witness = (vid, root)
@@ -373,52 +384,92 @@ def shortest_path(
 
 # stop distances -----------------------------------------------------------
 
-def _distances_to(incoming: list[list[tuple[int, float, int]]], root: int) -> tuple[array, array]:
-    """Reverse Dijkstra to ``root``: each vertex's distance and next edge, over dense indices.
+def _distances_to(incoming: list[list[tuple[int, float, int]]], root: int, width: float) -> tuple[array, array]:
+    """Reverse Dijkstra to ``root`` on a bucket queue: each vertex's distance and next edge, over dense indices.
 
     The search runs on dense indices, as raw ids may be negative or sparse:
     ``root`` is an index, and ``incoming[i]`` lists ``(source index, length,
     rank)`` of each edge entering index ``i``, where the ranks of one
     vertex's out-edges increase in ``out_edges`` order (by sink, then id).
-    Heap entries are ``(distance, index)``.  A vertex ``u`` with an edge ``e`` to a settled
-    ``w`` is offered ``e.length + d[w]``, and pushed only if that is its first
-    offer (``dist`` is NaN until then, so an infinite one counts) or strictly
-    below its best so far.  The distances are bitwise those of pushing every
-    offer: each is the minimum of the same offers, as a skipped one is never
-    below one pushed, and the vertices settle in the same order, as the
-    indices follow the ids.
+    A vertex ``u`` with an edge ``e`` to a settled ``w`` is offered
+    ``e.length + d[w]``.  Its first offer (``dist`` is NaN until then, so an
+    infinite one counts) or one strictly below its best so far sets
+    ``dist[u]`` and appends ``u`` to the bucket of key ``offer // width``
+    (Dial 1969).  A heap holds only the keys of non-empty buckets; the
+    bucket of the least key is settled next, each of its vertices once and
+    in any order.  ``width`` is half the shortest edge length:
+
+    * Buckets are final.  A vertex ``v`` settled in bucket K has ``d[v] <
+      (K+1) width``.  A vertex settled after it is in bucket K or later, so
+      at least ``K width`` away, and every edge is at least ``2 width``
+      long: its offer to ``v`` is ``(K+2) width`` or more, less one
+      rounding, so it lands in bucket K+1 or later and is above ``d[v]``.
+      So ``v`` was settled at its final distance, and no bucket gains a
+      vertex once it is taken; half, not all, of the shortest edge leaves
+      a bucket's margin for the rounding.  This holds while keys are exact
+      floors.  CPython's ``//`` rounds the quotient to an integer, which is
+      the floor while it is below 2**50, and no offer exceeds the total
+      edge length by more than roundings, so the table asks for a total
+      below ``2**50 width``.
+    * Results do not depend on settle order.  ``dist[u]`` is the minimum of
+      the same offers, each made once, from its sender's final distance.  A
+      first offer or a strict improvement sets ``next[u]`` to its edge's
+      rank, and an offer equal to ``dist[u]`` keeps the smaller of the two
+      ranks, whether ``u`` is settled or not.  So ``next[u]`` is the least
+      rank among the offers that equal the final ``dist[u]``, and both
+      arrays are bitwise those of a binary heap of ``(distance, index)``
+      entries (kept in ``tests/brute.py`` as the reference).
+
+    For a graph outside that rule the table passes ``width`` 0: one with a
+    zero-length edge (only a graph loaded without validation), an infinite
+    or NaN length, or a total length of ``2**50 width`` or more.  The key
+    is then the offer itself, one bucket per distinct distance, and an
+    infinite offer keys to infinity (``inf // width`` would be NaN).  The
+    buckets then settle in increasing order of exact distance, Dijkstra's
+    own order, so both points hold for any lengths of 0 or more.  A NaN
+    offer, which only a NaN length, or infinite lengths of both signs, can
+    make, is dropped: it neither sets nor ties ``dist[u]``, as if its
+    edge were absent.
 
     Returns ``dist``, NaN for a vertex that cannot reach the root, and
-    ``next``, the rank of the offering edge.  A first offer or a strict
-    improvement sets ``next[u]`` to its edge's rank, and an offer equal to
-    ``dist[u]`` keeps the smaller of the two ranks, whether ``u`` is settled
-    or not.  So ``next[u]`` ends as the smallest rank among the offers equal
-    to the final ``dist[u]``: an earlier offer either exceeded it and is
-    forgotten at the next improvement, or equalled it and set it.  The
-    root's entry is -1, as is an unreachable vertex's.
+    ``next``, the rank of the offering edge.  The root's entry is -1, as is
+    an unreachable vertex's.
     """
     n = len(incoming)
     dist = [math.nan] * n
     nxt = [-1] * n
     settled = [False] * n
     dist[root] = 0.0
-    heap = [(0.0, root)]
-    while heap:
-        d, v = heappop(heap)
-        if settled[v]:
-            continue
-        settled[v] = True
-        for u, length, rank in incoming[v]:
-            offer = length + d
-            if offer > dist[u]:
+    buckets = {0.0: [root]}
+    keys = [0.0]
+    while keys:
+        for v in buckets.pop(heappop(keys)):
+            if settled[v]:
                 continue
-            if offer == dist[u]:
-                if rank < nxt[u]:
+            settled[v] = True
+            d = dist[v]
+            for u, length, rank in incoming[v]:
+                offer = length + d
+                if offer > dist[u]:
+                    continue
+                if offer == dist[u]:
+                    if rank < nxt[u]:
+                        nxt[u] = rank
+                elif not settled[u]:
+                    if width:
+                        key = offer // width
+                    elif offer == offer:
+                        key = offer
+                    else:
+                        continue
+                    dist[u] = offer
                     nxt[u] = rank
-            elif not settled[u]:
-                dist[u] = offer
-                nxt[u] = rank
-                heappush(heap, (offer, u))
+                    bucket = buckets.get(key)
+                    if bucket is None:
+                        buckets[key] = [u]
+                        heappush(keys, key)
+                    else:
+                        bucket.append(u)
     # array() over a list parses every item; packing the list first is several times faster
     return array("d", pack(f"{n}d", *dist)), array("l", pack(f"{n}l", *nxt))
 
@@ -448,6 +499,10 @@ class StopDistanceTable:
         incoming: list[list[tuple[int, float, int]]] = [[] for _ in ids]
         for rank, e in enumerate(self._ranked):
             incoming[index[e.sink]].append((index[e.source], e.length, rank))
+        lengths = [e.length for e in self._ranked]
+        width = min(lengths, default=0.0) / 2   # the bucket width; 0 outside its rule, see _distances_to
+        if not (0.0 < width and sum(lengths) < 2.0**50 * width):
+            width = 0.0
         # root vertex -> (distance to the root, next-edge rank), both over the dense index
         self._dist_to: dict[int, tuple[array, array]] = {}
         ordered = sorted(stops, key=lambda s: s.id)
@@ -455,7 +510,7 @@ class StopDistanceTable:
         for s in ordered:
             root = graph.edge(s.edge).source
             if root not in self._dist_to:
-                self._dist_to[root] = _distances_to(incoming, index[root])
+                self._dist_to[root] = _distances_to(incoming, index[root], width)
             dests[root].append(s)
         # each origin stop as _traverse reads it: (id, host edge, offset, rest of the edge, sink index)
         origins = []
@@ -537,7 +592,7 @@ class StopDistanceTable:
 
         * The next edge is the first tight out-edge.  Each out-edge ``e`` of
           ``v`` whose sink reaches the root is offered to ``v`` exactly once,
-          when ``e.sink`` is popped at its final distance, and the offer is
+          when ``e.sink`` is settled at its final distance, and the offer is
           the float sum ``e.length + d[e.sink]`` that the tightness test
           compares with ``d[v]``.  ``next[v]`` is the smallest rank among the offers equal
           to the final ``d[v]`` (see ``_distances_to``), that is, among the

@@ -1,10 +1,13 @@
-"""Brute-force reference evaluations of the dispatch rules, plus random
-dispatcher-state generators.  Written as flat loops, independent of the
-implementations they check."""
+"""Brute-force reference evaluations of the dispatch rules and the stop
+table's reverse search, plus random dispatcher-state generators.  Written as
+flat loops, independent of the implementations they check."""
 
 from __future__ import annotations
 
+import math
 import random
+from array import array
+from heapq import heappop, heappush
 
 from savsim.demand import TripRequest
 from savsim.dispatch import (
@@ -108,6 +111,39 @@ def brute_best_shared(policy, sav, candidate, table):
     """Max shared distance over every feasible insertion; None if none is."""
     best = brute_best_insertion(policy, sav, candidate, table)
     return None if best is None else best[1]
+
+
+def heap_distances_to(incoming, root):
+    """Reverse Dijkstra on a binary heap of ``(distance, index)`` entries: the reference for
+    ``netgraph._distances_to``, with its inputs and outputs.
+
+    A vertex is pushed on its first offer (``dist`` is NaN until then) or one strictly below
+    its best so far, and settled at its first pop.  An offer equal to ``dist[u]`` keeps the
+    smaller of the two next-edge ranks, settled or not.
+    """
+    n = len(incoming)
+    dist = [math.nan] * n
+    nxt = [-1] * n
+    settled = [False] * n
+    dist[root] = 0.0
+    heap = [(0.0, root)]
+    while heap:
+        d, v = heappop(heap)
+        if settled[v]:
+            continue
+        settled[v] = True
+        for u, length, rank in incoming[v]:
+            offer = length + d
+            if offer > dist[u]:
+                continue
+            if offer == dist[u]:
+                if rank < nxt[u]:
+                    nxt[u] = rank
+            elif not settled[u]:
+                dist[u] = offer
+                nxt[u] = rank
+                heappush(heap, (offer, u))
+    return array("d", dist), array("l", nxt)
 
 
 def random_pending(rng: random.Random, count: int) -> list[PendingRequest]:

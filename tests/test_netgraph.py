@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from savsim import netgraph
 from savsim.errors import ConsistencyError, InvalidInputError, NotFoundError
@@ -20,7 +22,9 @@ from savsim.netgraph import (
     validate_graph,
 )
 from savsim.oracle import check_table, split_stop_distances
+from savsim.scenario_gen import SyntheticSpec, generate_network
 
+from brute import heap_distances_to
 from randnets import random_connected_graph, scatter_stops
 
 
@@ -156,6 +160,12 @@ class TestValidateGraph:
         issues = validate_graph(g).issues
         assert [i.kind for i in issues] == ["zero_length", "zero_length"]
         assert "edge 10 has length 0.0" in issues[0].message
+
+    def test_a_vertex_with_non_finite_coordinates_raises(self):
+        g = two_cycle()
+        g._vertices[2] = type(g.vertex(2))(2, math.inf, 0.0)   # add_vertex would refuse it
+        with pytest.raises(InvalidInputError, match="vertex 2 has non-finite coordinates"):
+            validate_graph(g)
 
 
 class TestPlaceStop:
@@ -559,6 +569,130 @@ class TestTableProperties:
             ])
 
         assert dump(g1) == dump(g2)
+
+
+def rooted_everywhere(g: RoadGraph) -> RoadGraph:
+    """``g`` with a stop at the start of every vertex's first out-edge, so that every vertex is a root."""
+    for v in g.vertices():
+        g.place_stop(g.out_edges(v.id)[0].id, 0.0, "other")
+    return g
+
+
+def assert_searches_match_reference(g: RoadGraph, drop_length=lambda length: False) -> None:
+    """Every root's distances are bitwise, and its next edges equal to, those of the reference heap
+    search over the table's own dense index and ranks, less the edges whose length ``drop_length``
+    picks."""
+    table = build_stop_distance_table(g)
+    index = table._index
+    incoming = [[] for _ in index]
+    for rank, e in enumerate(table._ranked):
+        if not drop_length(e.length):
+            incoming[index[e.sink]].append((index[e.source], e.length, rank))
+    assert table._dist_to
+    for root, (dist, nxt) in table._dist_to.items():
+        want_dist, want_next = heap_distances_to(incoming, index[root])
+        assert dist.tobytes() == want_dist.tobytes(), root
+        assert nxt == want_next, root
+
+
+def graph_with_lengths(n: int, edges: list[tuple[int, int, float]]) -> RoadGraph:
+    """Vertices 0 to ``n - 1`` and, in id order from 0, edges ``(source, sink, stored length)``;
+    the stored lengths ignore the coordinates."""
+    g = RoadGraph()
+    for vid in range(n):
+        g.add_vertex(vid, float(vid), 0.0)
+    for eid, (a, b, length) in enumerate(edges):
+        g.add_edge(eid, a, b, 13.4, 20, length=length)
+    return g
+
+
+def ring_with_lengths(lengths: list[float], chords: list[tuple[int, int, float]] = ()) -> RoadGraph:
+    """A one-way ring whose edge ``i`` runs from vertex ``i`` to ``i + 1`` with stored length
+    ``lengths[i]``, then the chords, rooted everywhere."""
+    n = len(lengths)
+    ring = [(vid, (vid + 1) % n, length) for vid, length in enumerate(lengths)]
+    return rooted_everywhere(graph_with_lengths(n, ring + list(chords)))
+
+
+@st.composite
+def graphs_with_lengths(draw) -> RoadGraph:
+    """A ring through 2 to 9 vertices plus chords, rooted everywhere.  Either its lengths are
+    small multiples of a base, one of them twice the base, so that the bucket width is the base,
+    edges exactly twice the width long are common, and sums land exactly on bucket boundaries; or
+    they spread over 6 orders of magnitude, and in half of those graphs some are infinite."""
+    n = draw(st.integers(2, 9))
+    order = draw(st.permutations(range(n)))
+    extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n))
+    pairs = list(dict.fromkeys(list(zip(order, order[1:] + order[:1])) + [p for p in extra if p[0] != p[1]]))
+    if draw(st.booleans()):
+        base = draw(st.sampled_from([1.0, 0.5, 0.1, 1 / 3, 7.25, 1e-3]))
+        multiples = [2] + draw(st.lists(st.sampled_from([2, 3, 4, 5, 7, 11]), min_size=len(pairs) - 1,
+                                        max_size=len(pairs) - 1))
+        lengths = [k * base for k in draw(st.permutations(multiples))]
+    else:
+        spread = st.builds(lambda m, k: m * 10.0 ** k, st.floats(1.0, 9.99), st.integers(-3, 3))
+        if draw(st.booleans()):
+            spread = st.one_of(spread, st.just(math.inf))
+        lengths = draw(st.lists(spread, min_size=len(pairs), max_size=len(pairs)))
+    return rooted_everywhere(graph_with_lengths(n, [(a, b, length) for (a, b), length in zip(pairs, lengths)]))
+
+
+class TestBucketSearch:
+    """The bucket-queue searches give bitwise the reference heap search's distances and next edges."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(g=graphs_with_lengths())
+    def test_hand_made_lengths_match_the_reference(self, g):
+        assert_searches_match_reference(g)
+
+    def test_random_graphs_and_the_tied_grid_match_the_reference(self):
+        for seed in range(12):
+            assert_searches_match_reference(rooted_everywhere(random_connected_graph(random.Random(6000 + seed))))
+        assert_searches_match_reference(rooted_everywhere(tied_grid()))
+
+    def test_the_400_m_city_matches_the_reference(self):
+        spec = SyntheticSpec(grid_spacing=400.0, peripheral_stop_count=56, central_stop_count=56, seed=424242)
+        assert_searches_match_reference(generate_network(spec))
+
+    def test_a_comb_that_catches_any_width_over_the_shortest_edge(self):
+        # root 0; vertex x_j is 1 + t_j from it, and v_j is 2 + 1.5 t_j directly or 2 + t_j over its
+        # 1 m edge to x_j, the shortest edge.  A width of (1 + eps) m with t_j in [eps, 4 eps / 3),
+        # which the ratio 1.2 between the t_j leaves for every eps in [1e-9, 1), would put x_j and
+        # v_j in one bucket, and v_j, offered first as its id is lower, would settle at 2 + 1.5 t_j.
+        ts = [1e-9 * 1.2**j for j in range(114)]
+        edges = []
+        for j, t in enumerate(ts):
+            v, x = 1 + j, 1 + len(ts) + j
+            edges += [(v, 0, 2 + 1.5 * t), (v, x, 1.0), (x, 0, 1 + t)]
+        g = graph_with_lengths(1 + 2 * len(ts), edges + [(0, 1 + len(ts), 1.0)])
+        g.place_stop(len(edges), 0.0, "other")   # roots: vertex 0, and x_0 below
+        g.place_stop(2, 0.0, "other")
+        assert_searches_match_reference(g)
+
+    def test_zero_length_edges_match_the_reference(self):
+        assert_searches_match_reference(rooted_everywhere(coincident_pair()))
+
+    def test_infinite_lengths_match_the_reference(self):
+        inf = math.inf
+        assert_searches_match_reference(ring_with_lengths([inf, inf, inf]))
+        assert_searches_match_reference(ring_with_lengths([1.0, inf, 2.0, 0.5], [(0, 2, inf), (2, 0, 4.0)]))
+
+    def test_a_total_length_of_2_to_the_50_widths_matches_the_reference(self):
+        # shortest edge 1.0, so a width of 0.5, and totals over 2**50 widths: the key is the offer itself
+        assert_searches_match_reference(ring_with_lengths([1.0, 2.0**49, 3.0, 2.5], [(1, 3, 1.5), (3, 1, 2.0)]))
+        assert_searches_match_reference(ring_with_lengths([1.0, 2.0**51 + 1, 2.0**51, 1.0], [(0, 2, 2.0**52)]))
+        # width 0.75: vertex 2 is d from vertex 0 and vertex 1 is d + 4 directly, or d over its 1.5 m
+        # edge to vertex 2, as d + 1.5 rounds to d.  d // 0.75 and (d + 4) // 0.75 round to one key.
+        d = 1.5 * 2.0**54 + 4
+        assert d + 1.5 == d and d // 0.75 == (d + 4) // 0.75
+        assert_searches_match_reference(ring_with_lengths([2.0, 1.5, d], [(1, 0, d + 4)]))
+
+    def test_a_nan_length_is_as_if_its_edge_were_absent(self):
+        nan = math.nan
+        g = ring_with_lengths([1.0, 2.0, 3.0, 4.0], [(0, 2, nan), (2, 0, 4.0), (1, 3, nan)])
+        assert_searches_match_reference(g, drop_length=math.isnan)
+        dist, _ = build_stop_distance_table(g)._dist_to[0]
+        assert list(dist) == [0.0, 6.0, 4.0, 4.0]
 
 
 def relabelled(g: RoadGraph, new_id) -> RoadGraph:

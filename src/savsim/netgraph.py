@@ -28,9 +28,11 @@ import math
 import os
 import tempfile
 from array import array
+from bisect import insort
 from collections import defaultdict
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from operator import attrgetter
 from struct import pack
 from typing import Iterator, Sequence
 
@@ -38,6 +40,7 @@ from .errors import ConfigurationError, ConsistencyError, InvalidInputError, Not
 from .errors import read_section, record_dict, record_kinds
 
 ZONES = ("peripheral_housing", "central_opportunity", "other")
+_OUT_ORDER = attrgetter("sink", "id")
 
 
 @dataclass(frozen=True)
@@ -137,8 +140,7 @@ class RoadGraph:
             length = edge_weight(self._vertices[source], self._vertices[sink])
         e = DirectedEdge(edge_id, source, sink, float(length), float(free_flow_speed), int(capacity_vehicles))
         self._edges[edge_id] = e
-        self._out[source].append(e)
-        self._out[source].sort(key=lambda out: (out.sink, out.id))
+        insort(self._out[source], e, key=_OUT_ORDER)
         return e
 
     def place_stop(self, edge_id: int, slack: float, zone: str, stop_id: int | None = None) -> Stop:

@@ -54,16 +54,6 @@ def _grid_counts(spec: SyntheticSpec) -> tuple[int, int]:
     return nx, ny
 
 
-def _ring_order(graph: RoadGraph, edge_ids: list[int], center: tuple[float, float]) -> list[int]:
-    """Edges sorted by angle of their midpoint around the center."""
-    def angle(eid: int) -> tuple[float, int]:
-        e = graph.edge(eid)
-        a, b = graph.vertex(e.source), graph.vertex(e.sink)
-        mx, my = (a.x + b.x) / 2.0, (a.y + b.y) / 2.0
-        return (math.atan2(my - center[1], mx - center[0]), eid)
-    return sorted(edge_ids, key=angle)
-
-
 def _spread(candidates: list[int], count: int, kind: str) -> list[int]:
     if count > len(candidates):
         raise InvalidInputError(
@@ -79,67 +69,45 @@ def generate_network(spec: SyntheticSpec) -> RoadGraph:
     # i/(nx-1) hits 1.0 exactly, so the bounding box is exactly width x height
     xs = [spec.width * i / (nx - 1) for i in range(nx)]
     ys = [spec.height * j / (ny - 1) for j in range(ny)]
+    inner_x = [spec.width / 3.0 <= x <= 2.0 * spec.width / 3.0 for x in xs]
+    inner_y = [spec.height / 3.0 <= y <= 2.0 * spec.height / 3.0 for y in ys]
     graph = RoadGraph()
-    for j in range(ny):
-        for i in range(nx):
-            graph.add_vertex(j * nx + i, xs[i], ys[j])
+    grid = [graph.add_vertex(j * nx + i, x, y) for j, y in enumerate(ys) for i, x in enumerate(xs)]
 
-    eid = 0
+    # each road once, as (id of its edge from the lower vertex id, midpoint), so stop hosts are unambiguous
+    roads: list[tuple[int, tuple[float, float]]] = []
+    boundary, central = [], []
     for j in range(ny):
         for i in range(nx):
-            vid = j * nx + i
-            neighbors = []
-            if i + 1 < nx:
-                neighbors.append(vid + 1)
-            if j + 1 < ny:
-                neighbors.append(vid + nx)
-            for other in neighbors:
-                length = edge_weight(graph.vertex(vid), graph.vertex(other))
+            for i2, j2 in ((i + 1, j), (i, j + 1)):
+                if i2 == nx or j2 == ny:
+                    continue
+                a, b = grid[j * nx + i], grid[j2 * nx + i2]
+                length = edge_weight(a, b)
                 capacity = max(1, round(length / VEHICLE_SPACING))
-                graph.add_edge(eid, vid, other, DEFAULT_FREE_FLOW_SPEED, capacity)
-                graph.add_edge(eid + 1, other, vid, DEFAULT_FREE_FLOW_SPEED, capacity)
-                eid += 2
+                eid = 2 * len(roads)
+                graph.add_edge(eid, a.id, b.id, DEFAULT_FREE_FLOW_SPEED, capacity, length=length)
+                graph.add_edge(eid + 1, b.id, a.id, DEFAULT_FREE_FLOW_SPEED, capacity, length=length)
+                road = (eid, ((a.x + b.x) / 2.0, (a.y + b.y) / 2.0))
+                roads.append(road)
+                if (a.x == b.x and a.x in (0.0, spec.width)) or (a.y == b.y and a.y in (0.0, spec.height)):
+                    boundary.append(road)
+                if inner_x[i] and inner_x[i2] and inner_y[j] and inner_y[j2]:
+                    central.append(road)
 
-    center = (spec.width / 2.0, spec.height / 2.0)
-
-    def in_middle_third(v) -> bool:
-        return (
-            spec.width / 3.0 <= v.x <= 2.0 * spec.width / 3.0
-            and spec.height / 3.0 <= v.y <= 2.0 * spec.height / 3.0
-        )
-
-    # one direction per road so stop hosts are unambiguous
-    forward = [e for e in graph.edges() if e.source < e.sink]
-
-    def along_boundary(e) -> bool:
-        a, b = graph.vertex(e.source), graph.vertex(e.sink)
-        return (a.x == b.x and a.x in (0.0, spec.width)) or (
-            a.y == b.y and a.y in (0.0, spec.height)
-        )
-
-    boundary = [e.id for e in forward if along_boundary(e)]
-    central = [
-        e.id for e in forward
-        if in_middle_third(graph.vertex(e.source)) and in_middle_third(graph.vertex(e.sink))
-    ]
+    cx, cy = spec.width / 2.0, spec.height / 2.0
     if not central:
-        # grid too coarse for a middle third; fall back to edges nearest the center
-        def center_gap(eid2: int) -> tuple[float, int]:
-            e = graph.edge(eid2)
-            a, b = graph.vertex(e.source), graph.vertex(e.sink)
-            mx, my = (a.x + b.x) / 2.0, (a.y + b.y) / 2.0
-            return (math.hypot(mx - center[0], my - center[1]), eid2)
-
-        ranked = sorted((e.id for e in forward), key=center_gap)
-        central = ranked[: spec.central_stop_count]
+        # grid too coarse for a middle third; fall back to the roads nearest the center
+        central = sorted(roads, key=lambda r: (math.hypot(r[1][0] - cx, r[1][1] - cy), r[0]))
+        central = central[: spec.central_stop_count]
 
     rng = random.Random(f"{spec.seed}:stops")
-    for eid in _spread(_ring_order(graph, boundary, center), spec.peripheral_stop_count, "peripheral"):
-        edge = graph.edge(eid)
-        graph.place_stop(eid, round(rng.uniform(0.3, 0.7) * edge.length, 3), "peripheral_housing")
-    for eid in _spread(_ring_order(graph, central, center), spec.central_stop_count, "central"):
-        edge = graph.edge(eid)
-        graph.place_stop(eid, round(rng.uniform(0.3, 0.7) * edge.length, 3), "central_opportunity")
+    for records, count, kind, zone in ((boundary, spec.peripheral_stop_count, "peripheral", "peripheral_housing"),
+                                       (central, spec.central_stop_count, "central", "central_opportunity")):
+        # the ring order: by angle of the midpoint around the center
+        ring = [eid for _, eid in sorted((math.atan2(my - cy, mx - cx), eid) for eid, (mx, my) in records)]
+        for eid in _spread(ring, count, kind):
+            graph.place_stop(eid, round(rng.uniform(0.3, 0.7) * graph.edge(eid).length, 3), zone)
     return graph
 
 

@@ -117,6 +117,37 @@ class TestEdgeWeight:
             edge_weight(a, bad)
 
 
+class TestOutEdgeOrder:
+    """Each out-list is ascending by (sink, id) however its edges arrive; ``position_path``'s tie rule reads it."""
+
+    @staticmethod
+    def out_lists(g: RoadGraph) -> dict[int, list[tuple[int, int]]]:
+        return {v.id: [(e.sink, e.id) for e in g.out_edges(v.id)] for v in g.vertices()}
+
+    def test_shuffled_adds_and_records_in_reverse_id_order(self):
+        rng = random.Random(25)
+        doc = graph_to_dict(random_connected_graph(rng, max_vertices=8, max_edges=40))
+        first = doc["edges"][0]
+        # two more edges from first's source to its sink, one id below all others and one above
+        doc["edges"] += [dict(first, id=-1), dict(first, id=len(doc["edges"]))]
+        expected = {v["id"]: sorted((e["sink"], e["id"]) for e in doc["edges"] if e["source"] == v["id"])
+                    for v in doc["vertices"]}
+        assert [key[0] for key in expected[first["source"]]].count(first["sink"]) == 3
+        assert max(map(len, expected.values())) >= 4
+
+        shuffled = RoadGraph()
+        for v in doc["vertices"]:
+            shuffled.add_vertex(v["id"], v["x"], v["y"])
+        records = list(doc["edges"])
+        rng.shuffle(records)
+        for e in records:
+            shuffled.add_edge(e["id"], e["source"], e["sink"], e["free_flow_speed"], e["capacity_vehicles"])
+        assert self.out_lists(shuffled) == expected
+
+        doc["edges"].sort(key=lambda e: e["id"], reverse=True)
+        assert self.out_lists(graph_from_dict(doc, validate=False)) == expected
+
+
 class TestValidateGraph:
     def test_minimal_strongly_connected(self):
         assert validate_graph(two_cycle()).ok

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -5,7 +6,7 @@ import pytest
 
 from savsim.demand import DemandProfile
 from savsim.errors import InvalidInputError
-from savsim.netgraph import _shortest_tree, graph_to_dict, validate_graph
+from savsim.netgraph import graph_to_dict, shortest_path, validate_graph
 from savsim.scenario_gen import (
     MAX_GRID_VERTICES,
     SyntheticSpec,
@@ -49,12 +50,10 @@ def test_peripheral_farther_than_central():
 
 
 def test_diameter_spans_width():
-    graph = generate_network(SyntheticSpec())
-    diameter = 0.0
-    for v in graph.vertices():
-        tree = _shortest_tree(graph, v.id)
-        diameter = max(diameter, max(d for d, _ in tree.values()))
-    assert diameter >= 14484.0
+    spec = SyntheticSpec()
+    graph = generate_network(spec)
+    for flow in default_background_flows(spec):   # the four corner-to-opposite-corner pairs
+        assert shortest_path(graph, flow.origin_vertex, flow.destination_vertex)[1] >= 14484.0
 
 
 def test_deterministic_serialization():
@@ -63,6 +62,33 @@ def test_deterministic_serialization():
     assert json.dumps(graph_to_dict(a), sort_keys=True) == json.dumps(graph_to_dict(b), sort_keys=True)
     c = generate_network(SyntheticSpec(seed=6))
     assert json.dumps(graph_to_dict(a), sort_keys=True) != json.dumps(graph_to_dict(c), sort_keys=True)
+
+
+def network_digest(graph) -> str:
+    """SHA-256 of the sorted-key network document, then of every vertex's out-edge ids in order."""
+    digest = hashlib.sha256(json.dumps(graph_to_dict(graph), sort_keys=True).encode())
+    digest.update(json.dumps([[e.id for e in graph.out_edges(v.id)] for v in graph.vertices()]).encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("fields, expected", [
+    ({"seed": 0}, "8ff7ccffb7296dba0c350c10c4a5abbf66ba6ffa537bc595c1e59b296b4010ca"),
+    ({"seed": 1}, "34f3575fe465a9e95d6bd9139e7674772b493d047c6fa4729cc68264feee7ea9"),
+    ({"seed": 2}, "4532c50953b236a962d203cc0e8795ed62d8eb2b17318341c4b8a41346c2b8c4"),
+    ({"seed": 3}, "69b851d79ef2dc26b32eb5cbcc62fdae13cb24dd31efc37c009836734557b5da"),
+    ({"seed": 4}, "ce75d9099576192c31673b8b14845737cf0937a21da2fbbdad745f9afd8c6526"),
+    ({"grid_spacing": 400.0, "peripheral_stop_count": 56, "central_stop_count": 56, "seed": 424242},
+     "09f36959ecd2cf02c562320b4b310430d4d786c7db6f3ff21fc29851d6d5774f"),
+    ({"width": 5000.0, "height": 4000.0, "grid_spacing": 5000.0,   # no middle third: the nearest-road fallback
+      "peripheral_stop_count": 2, "central_stop_count": 1},
+     "f8df2228f0892423378a38940e230913fae3ca6aa461e09b5c5df2a262600650"),
+    ({"width": 3000.0, "height": 20000.0, "grid_spacing": 700.0},
+     "3e7aec5a792215fb66368560bd5e9b0c6a55e585d6349cd6a30fbb3042e63629"),
+    ({"grid_spacing": 100.0, "peripheral_stop_count": 200, "central_stop_count": 300},
+     "28d3be961a3af2a20dd5a28fd69c10d62c7e479d41f6a74b01485960fb8eed89"),
+])
+def test_generated_networks_are_locked(fields, expected):
+    assert network_digest(generate_network(SyntheticSpec(**fields))) == expected
 
 
 def test_degenerate_grid_still_strongly_connected():

@@ -12,9 +12,10 @@ The stop table runs one reverse shortest-path search per distinct stop
 host-edge source vertex.  Each search runs on dense vertex indices, settles
 the vertices from buckets of distance half the shortest edge wide (Dial's
 algorithm), and keeps two flat arrays: every vertex's distance to the root
-and its next edge, the first exactly tight out-edge.  A distance from
-any position is then one lookup, and the driven pieces of a leg are a walk
-along the next edges from the vehicle to the root.
+and its next edge, the first exactly tight out-edge, kept as its place in
+the vertex's out-list.  A distance from any position is then one lookup,
+and the driven pieces of a leg are a walk along the next edges from the
+vehicle to the root.
 Background-flow routes (``shortest_path``) come from forward searches instead.
 
 All distances are meters, speeds meters/second.  Neither a graph nor a
@@ -391,8 +392,9 @@ def _distances_to(incoming: list[list[tuple[int, float, int]]], root: int, width
 
     The search runs on dense indices, as raw ids may be negative or sparse:
     ``root`` is an index, and ``incoming[i]`` lists ``(source index, length,
-    rank)`` of each edge entering index ``i``, where the ranks of one
-    vertex's out-edges increase in ``out_edges`` order (by sink, then id).
+    place)`` of each edge entering index ``i``, where the place is the
+    edge's place in its source's out-list, ``out_edges`` order (by sink,
+    then id).
     A vertex ``u`` with an edge ``e`` to a settled ``w`` is offered
     ``e.length + d[w]``.  Its first offer (``dist`` is NaN until then, so an
     infinite one counts) or one strictly below its best so far sets
@@ -416,9 +418,10 @@ def _distances_to(incoming: list[list[tuple[int, float, int]]], root: int, width
     * Results do not depend on settle order.  ``dist[u]`` is the minimum of
       the same offers, each made once, from its sender's final distance.  A
       first offer or a strict improvement sets ``next[u]`` to its edge's
-      rank, and an offer equal to ``dist[u]`` keeps the smaller of the two
-      ranks, whether ``u`` is settled or not.  So ``next[u]`` is the least
-      rank among the offers that equal the final ``dist[u]``, and both
+      place in the out-list, and an offer equal to ``dist[u]`` keeps the
+      smaller of the two places, whether ``u`` is settled or not.  So
+      ``next[u]`` is the least place among the offers that equal the final
+      ``dist[u]``, every one of them an out-edge of ``u``, and both
       arrays are bitwise those of a binary heap of ``(distance, index)``
       entries (kept in ``tests/brute.py`` as the reference).
 
@@ -434,8 +437,8 @@ def _distances_to(incoming: list[list[tuple[int, float, int]]], root: int, width
     edge were absent.
 
     Returns ``dist``, NaN for a vertex that cannot reach the root, and
-    ``next``, the rank of the offering edge.  The root's entry is -1, as is
-    an unreachable vertex's.
+    ``next``, one signed byte per vertex: the offering edge's place in the
+    out-list.  The root's entry is -1, as is an unreachable vertex's.
     """
     n = len(incoming)
     dist = [math.nan] * n
@@ -450,13 +453,13 @@ def _distances_to(incoming: list[list[tuple[int, float, int]]], root: int, width
                 continue
             settled[v] = True
             d = dist[v]
-            for u, length, rank in incoming[v]:
+            for u, length, place in incoming[v]:
                 offer = length + d
                 if offer > dist[u]:
                     continue
                 if offer == dist[u]:
-                    if rank < nxt[u]:
-                        nxt[u] = rank
+                    if place < nxt[u]:
+                        nxt[u] = place
                 elif not settled[u]:
                     if width:
                         key = offer // width
@@ -465,7 +468,7 @@ def _distances_to(incoming: list[list[tuple[int, float, int]]], root: int, width
                     else:
                         continue
                     dist[u] = offer
-                    nxt[u] = rank
+                    nxt[u] = place
                     bucket = buckets.get(key)
                     if bucket is None:
                         buckets[key] = [u]
@@ -473,10 +476,11 @@ def _distances_to(incoming: list[list[tuple[int, float, int]]], root: int, width
                     else:
                         bucket.append(u)
     # array() over a list parses every item; packing the list first is several times faster
-    return array("d", pack(f"{n}d", *dist)), array("l", pack(f"{n}l", *nxt))
+    return array("d", pack(f"{n}d", *dist)), array("b", pack(f"{n}b", *nxt))
 
 
 Piece = tuple[int, float, float]   # (edge id, start offset, end offset) of one driven stretch
+_MAX_OUT_EDGES = 127   # a next edge's place in its out-list is one signed byte
 
 
 class StopDistanceTable:
@@ -485,9 +489,12 @@ class StopDistanceTable:
     Built once and never changed: one reverse shortest-path search per
     distinct host-edge source vertex of the m stops gives, per root, flat
     arrays over a dense vertex index of every vertex's distance to the root
-    and next edge towards it.  From those comes the distance of each ordered
-    pair of stops, the zero diagonal included; ``len()`` counts the m(m-1)
-    off-diagonal pairs.  A distance from any position is then one lookup.
+    (8 bytes) and next edge towards it, stored as the edge's place in the
+    vertex's out-list (1 byte), so no vertex may have more than 127
+    out-edges.  From those comes one row per origin stop of its distances
+    to every stop, the zero diagonal included, in stop id order; ``len()``
+    counts the m(m-1) off-diagonal pairs.  A distance from any position is
+    then one lookup.
     """
 
     def __init__(self, graph: RoadGraph, stops: list[Stop]) -> None:
@@ -496,49 +503,57 @@ class StopDistanceTable:
         # every edge endpoint, present or dangling, gets a dense index in id order
         ids = sorted({end for e in graph.edges() for end in (e.source, e.sink)})
         self._index = index = {vid: i for i, vid in enumerate(ids)}
-        # an edge's rank is its place in this list: each vertex's out_edges in turn
-        self._ranked = [e for vid in ids for e in graph.out_edges(vid)]
+        # each dense index's out-list; a next edge is its place there
+        self._out = [graph.out_edges(vid) for vid in ids]
         incoming: list[list[tuple[int, float, int]]] = [[] for _ in ids]
-        for rank, e in enumerate(self._ranked):
-            incoming[index[e.sink]].append((index[e.source], e.length, rank))
-        lengths = [e.length for e in self._ranked]
+        lengths = []
+        for i, (vid, out) in enumerate(zip(ids, self._out)):
+            if len(out) > _MAX_OUT_EDGES:
+                raise InvalidInputError(
+                    f"vertex {vid} has {len(out)} out-edges; the stop table takes at most {_MAX_OUT_EDGES}"
+                )
+            for place, e in enumerate(out):
+                incoming[index[e.sink]].append((i, e.length, place))
+                lengths.append(e.length)
         width = min(lengths, default=0.0) / 2   # the bucket width; 0 outside its rule, see _distances_to
         if not (0.0 < width and sum(lengths) < 2.0**50 * width):
             width = 0.0
-        # root vertex -> (distance to the root, next-edge rank), both over the dense index
+        # root vertex -> (distance to the root, next edge's place in the out-list), both over the dense index
         self._dist_to: dict[int, tuple[array, array]] = {}
-        ordered = sorted(stops, key=lambda s: s.id)
+        ordered = [self._stops[sid] for sid in sorted(self._stops)]
         dests: dict[int, list[Stop]] = defaultdict(list)   # root -> its stops, in id order
         for s in ordered:
             root = graph.edge(s.edge).source
             if root not in self._dist_to:
                 self._dist_to[root] = _distances_to(incoming, index[root], width)
             dests[root].append(s)
-        # each origin stop as _traverse reads it: (id, host edge, offset, rest of the edge, sink index)
+        # stop id -> its column in every row; origin stop id -> its row of distances to every column
+        self._col = col = {s.id: j for j, s in enumerate(ordered)}
+        self._rows: dict[int, array] = {}
+        # each origin stop as _traverse reads it: (id, row, host edge, offset, rest of the edge, sink index)
         origins = []
         for origin in ordered:
             host = graph.edge(origin.edge)
             if not 0.0 <= origin.slack <= host.length:
                 raise InvalidInputError(f"offset {origin.slack} outside edge {host.id}")
-            origins.append((origin.id, host, origin.slack, host.length - origin.slack, index[host.sink]))
-        self._distances: dict[tuple[int, int], float] = {}
-        distances = self._distances
+            row = self._rows[origin.id] = array("d", bytes(8 * len(ordered)))
+            origins.append((origin.id, row, host, origin.slack, host.length - origin.slack, index[host.sink]))
         for root, group in dests.items():
             dist = self._dist_to[root][0]
             for dest in group:
-                to, to_edge, slack = dest.id, dest.edge, dest.slack
-                for origin, host, offset, head, sink in origins:
+                to, j, to_edge, slack = dest.id, col[dest.id], dest.edge, dest.slack
+                for origin, row, host, offset, head, sink in origins:
                     if origin == to:
-                        distances[(origin, to)] = 0.0
+                        row[j] = 0.0
                     elif host.id == to_edge and slack >= offset:
-                        distances[(origin, to)] = slack - offset
+                        row[j] = slack - offset
                     else:
                         rest = dist[sink]
                         if rest != rest:
                             raise NotFoundError(
                                 f"vertex {root} unreachable from {host.sink}; graph not strongly connected"
                             )
-                        distances[(origin, to)] = head + rest + slack
+                        row[j] = head + rest + slack
 
     def _check(self, stop_id: int) -> Stop:
         stop = self._stops.get(stop_id)
@@ -570,7 +585,7 @@ class StopDistanceTable:
 
     def distance(self, from_stop: int, to_stop: int) -> float:
         try:
-            return self._distances[(from_stop, to_stop)]
+            return self._rows[from_stop][self._col[to_stop]]
         except KeyError:
             self._check(from_stop)
             self._check(to_stop)
@@ -596,9 +611,9 @@ class StopDistanceTable:
           ``v`` whose sink reaches the root is offered to ``v`` exactly once,
           when ``e.sink`` is settled at its final distance, and the offer is
           the float sum ``e.length + d[e.sink]`` that the tightness test
-          compares with ``d[v]``.  ``next[v]`` is the smallest rank among the offers equal
-          to the final ``d[v]`` (see ``_distances_to``), that is, among the
-          tight out-edges, and ranks follow ``out_edges`` order.
+          compares with ``d[v]``.  ``next[v]`` is the smallest place in the
+          out-list among the offers equal to the final ``d[v]`` (see
+          ``_distances_to``), that is, among the tight out-edges.
         * Every vertex ``v`` but the root that can reach it has a tight
           out-edge: the search settled ``v`` at the sum it was offered over
           an edge to a vertex settled before it.
@@ -621,7 +636,7 @@ class StopDistanceTable:
         distance, root = self._traverse(edge, offset, dest)
         if root is None:
             return ((edge.id, offset, dest.slack),), distance
-        index, ranked = self._index, self._ranked
+        index, out = self._index, self._out
         nxt = self._dist_to[root][1]
         pieces = [(edge.id, offset, edge.length)]
         v = edge.sink
@@ -631,10 +646,11 @@ class StopDistanceTable:
                     f"vertex {v}: the shortest paths to vertex {root} run in a cycle;"
                     " an edge is too short to change a distance"
                 )
-            rank = nxt[index[v]]
-            if rank < 0:
+            i = index[v]
+            place = nxt[i]
+            if place < 0:
                 raise ConsistencyError(f"vertex {v} has no tight out-edge towards vertex {root}")
-            e = ranked[rank]
+            e = out[i][place]
             pieces.append((e.id, 0.0, e.length))
             v = e.sink
         pieces.append((dest.edge, 0.0, dest.slack))
@@ -644,7 +660,8 @@ class StopDistanceTable:
         return sorted(self._stops)
 
     def __len__(self) -> int:
-        return len(self._distances) - len(self._stops)
+        m = len(self._col)
+        return m * (m - 1)
 
 
 def build_stop_distance_table(

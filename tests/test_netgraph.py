@@ -504,7 +504,7 @@ def assert_next_edges_are_first_tight_out_edges(g: RoadGraph) -> int:
             if vid == root or math.isnan(dist[i]):
                 continue
             tight = [e for e in g.out_edges(vid) if e.length + dist[index[e.sink]] == dist[i]]
-            assert nxt[i] >= 0 and table._ranked[nxt[i]] == tight[0], (root, vid)
+            assert nxt[i] >= 0 and g.out_edges(vid)[nxt[i]] == tight[0], (root, vid)
             ties += len(tight) > 1
     return ties
 
@@ -611,14 +611,15 @@ def rooted_everywhere(g: RoadGraph) -> RoadGraph:
 
 def assert_searches_match_reference(g: RoadGraph, drop_length=lambda length: False) -> None:
     """Every root's distances are bitwise, and its next edges equal to, those of the reference heap
-    search over the table's own dense index and ranks, less the edges whose length ``drop_length``
-    picks."""
+    search over the table's own dense index and each edge's place in its source's out-list, less
+    the edges whose length ``drop_length`` picks."""
     table = build_stop_distance_table(g)
     index = table._index
     incoming = [[] for _ in index]
-    for rank, e in enumerate(table._ranked):
-        if not drop_length(e.length):
-            incoming[index[e.sink]].append((index[e.source], e.length, rank))
+    for vid in index:
+        for place, e in enumerate(g.out_edges(vid)):
+            if not drop_length(e.length):
+                incoming[index[e.sink]].append((index[e.source], e.length, place))
     assert table._dist_to
     for root, (dist, nxt) in table._dist_to.items():
         want_dist, want_next = heap_distances_to(incoming, index[root])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 from savsim.netgraph import RoadGraph, Stop
@@ -61,6 +62,22 @@ def ring_network(side: float = 2000.0, speed: float = 10.0) -> RoadGraph:
     g.place_stop(2, side * 0.25, "central_opportunity")
     g.place_stop(4, side * 0.25, "peripheral_housing")
     g.place_stop(6, side * 0.25, "central_opportunity")
+    return g
+
+
+def star_network(leaves: int, hub: int = 1000) -> RoadGraph:
+    """A ``hub`` vertex joined both ways to ``leaves`` vertices 1, 2, ... on a 100 m circle around
+    it: edge ``2k`` runs from the hub to leaf ``k`` and edge ``2k + 1`` back.  Stop 0 is 10 m along
+    the edge to leaf 1, and stop 1 is 10 m along the last leaf's edge back to the hub."""
+    g = RoadGraph()
+    g.add_vertex(hub, 0.0, 0.0)
+    for k in range(1, leaves + 1):
+        angle = 2 * math.pi * k / leaves
+        g.add_vertex(k, 100.0 * math.cos(angle), 100.0 * math.sin(angle))
+        g.add_edge(2 * k, hub, k, 13.4, 20)
+        g.add_edge(2 * k + 1, k, hub, 13.4, 20)
+    g.place_stop(2, 10.0, "other", stop_id=0)
+    g.place_stop(2 * leaves + 1, 10.0, "other", stop_id=1)
     return g
 
 

@@ -8,7 +8,9 @@ import pytest
 from savsim import engine
 from savsim.cli import main
 from savsim.metrics import LogEntry, replay_shared_miles
-from savsim.netgraph import load_network
+from savsim.netgraph import load_network, save_network
+
+from randnets import star_network
 
 
 SMALL = [
@@ -360,6 +362,12 @@ class TestOracleCheck:
         path.write_text(json.dumps(doc))
         assert main(["oracle-check", "--network", str(path)]) == 1
         assert "need at least 2 stops" in capsys.readouterr().err
+
+    def test_a_vertex_with_more_than_127_out_edges_exits_one_naming_it(self, tmp_path, capsys):
+        path = tmp_path / "star.json"
+        save_network(star_network(128), str(path))
+        assert main(["oracle-check", "--network", str(path)]) == 1
+        assert "vertex 1000 has 128 out-edges" in capsys.readouterr().err
 
 
 # file contents that json.load cannot read: bytes that are not UTF-8, and nesting past the recursion limit

@@ -2,6 +2,7 @@ import copy
 import json
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +26,7 @@ from savsim.oracle import check_table, split_stop_distances
 from savsim.scenario_gen import SyntheticSpec, generate_network
 
 from brute import heap_distances_to
-from randnets import random_connected_graph, scatter_stops
+from randnets import random_connected_graph, scatter_stops, star_network
 
 
 def two_cycle(length: float = 100.0) -> RoadGraph:
@@ -424,6 +425,35 @@ class TestStopDistanceTable:
         # from vertex 1, edge 10 to vertex 2 (sink 2 < 3) is tight, and so is edge 11 back
         with pytest.raises(InvalidInputError, match="run in a cycle"):
             table.position_path(11, 0.0, stop.id)
+
+    def test_a_vertex_with_127_out_edges_builds_and_walks_its_last_one(self):
+        g = star_network(127)
+        table = build_stop_distance_table(g)
+        # from leaf 1 to stop 1, on leaf 127's edge to the hub: the hub's next edge is its 127th out-edge
+        assert table._dist_to[127][1][table._index[1000]] == 126
+        pieces, dist = table.position_path(3, 0.0, 1)
+        into, out = g.edge(3).length, g.edge(254).length
+        assert pieces == ((3, 0.0, into), (254, 0.0, out), (255, 0.0, 10.0))
+        assert dist == into + out + 10.0 == table.distance_from_position(3, 0.0, 1)
+
+    def test_a_vertex_with_128_out_edges_is_named(self):
+        with pytest.raises(InvalidInputError, match="vertex 1000 has 128 out-edges; the stop table takes at most 127"):
+            build_stop_distance_table(star_network(128))
+
+    def test_one_400_m_city_table_holds_8_byte_distances_and_1_byte_next_edges_in_under_2_mb(self):
+        spec = SyntheticSpec(grid_spacing=400.0, peripheral_stop_count=56, central_stop_count=56, seed=424242)
+        g = generate_network(spec)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            table = build_stop_distance_table(g)
+            size = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # the arrays: 106 roots x 1,221 vertices x 9 B, 1.2 MB; the rows: 112 x 112 x 8 B, 0.1 MB
+        assert size < 2 * 2**20
+        assert len(table._dist_to) == 106 and len(table) == 112 * 111
+        assert {(dist.typecode, nxt.typecode) for dist, nxt in table._dist_to.values()} == {("d", "b")}
 
 
 def stop_pairs(g: RoadGraph) -> list[tuple[Stop, Stop]]:

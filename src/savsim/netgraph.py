@@ -15,7 +15,10 @@ algorithm), and keeps two flat arrays: every vertex's distance to the root
 and its next edge, the first exactly tight out-edge, kept as its place in
 the vertex's out-list.  A distance from any position is then one lookup,
 and the driven pieces of a leg are a walk along the next edges from the
-vehicle to the root.
+vehicle to the root.  The table builds only graphs whose edge lengths are
+finite, above 0 and total below 2**49 times the shortest, where the buckets
+are proved correct; for any other it raises InvalidInputError naming an
+edge.
 Background-flow routes (``shortest_path``) come from forward searches instead.
 
 All distances are meters, speeds meters/second.  Neither a graph nor a
@@ -245,8 +248,10 @@ def validate_graph(graph: RoadGraph) -> ValidationReport:
     Checks dangling edge endpoints, self-loops, edges of length 0 (coincident
     endpoints), duplicate (source, sink) pairs, stored lengths that disagree
     with endpoint geometry, and strong connectivity (reported once, with a
-    witness unreachable pair).  Zero-length edges both ways would tie a
-    shortest path in a cycle (see ``StopDistanceTable.position_path``).
+    witness unreachable pair).  The stop table asks more of the lengths:
+    it also refuses an infinite one, which vertices 2e308 apart give, and a
+    total of 2**49 times the shortest edge or more (see
+    ``StopDistanceTable``).
     A vertex with a non-finite coordinate, which only a vertex not added by
     ``add_vertex`` can have, raises InvalidInputError.
 
@@ -396,12 +401,13 @@ def _distances_to(incoming: list[list[tuple[int, float, int]]], root: int, width
     edge's place in its source's out-list, ``out_edges`` order (by sink,
     then id).
     A vertex ``u`` with an edge ``e`` to a settled ``w`` is offered
-    ``e.length + d[w]``.  Its first offer (``dist`` is NaN until then, so an
-    infinite one counts) or one strictly below its best so far sets
-    ``dist[u]`` and appends ``u`` to the bucket of key ``offer // width``
-    (Dial 1969).  A heap holds only the keys of non-empty buckets; the
-    bucket of the least key is settled next, each of its vertices once and
-    in any order.  ``width`` is half the shortest edge length:
+    ``e.length + d[w]``.  Its first offer (``dist`` is NaN until then) or
+    one strictly below its best so far sets ``dist[u]`` and appends ``u``
+    to the bucket of key ``offer // width`` (Dial 1969).  A heap holds only
+    the keys of non-empty buckets; the bucket of the least key is settled
+    next, each of its vertices once and in any order.  ``width`` is half
+    the shortest edge length, and the table builds only graphs whose
+    lengths are finite, above 0 and total below ``2**50 width``:
 
     * Buckets are final.  A vertex ``v`` settled in bucket K has ``d[v] <
       (K+1) width``.  A vertex settled after it is in bucket K or later, so
@@ -413,8 +419,7 @@ def _distances_to(incoming: list[list[tuple[int, float, int]]], root: int, width
       a bucket's margin for the rounding.  This holds while keys are exact
       floors.  CPython's ``//`` rounds the quotient to an integer, which is
       the floor while it is below 2**50, and no offer exceeds the total
-      edge length by more than roundings, so the table asks for a total
-      below ``2**50 width``.
+      edge length by more than roundings, hence the bound on the total.
     * Results do not depend on settle order.  ``dist[u]`` is the minimum of
       the same offers, each made once, from its sender's final distance.  A
       first offer or a strict improvement sets ``next[u]`` to its edge's
@@ -424,17 +429,6 @@ def _distances_to(incoming: list[list[tuple[int, float, int]]], root: int, width
       ``dist[u]``, every one of them an out-edge of ``u``, and both
       arrays are bitwise those of a binary heap of ``(distance, index)``
       entries (kept in ``tests/brute.py`` as the reference).
-
-    For a graph outside that rule the table passes ``width`` 0: one with a
-    zero-length edge (only a graph loaded without validation), an infinite
-    or NaN length, or a total length of ``2**50 width`` or more.  The key
-    is then the offer itself, one bucket per distinct distance, and an
-    infinite offer keys to infinity (``inf // width`` would be NaN).  The
-    buckets then settle in increasing order of exact distance, Dijkstra's
-    own order, so both points hold for any lengths of 0 or more.  A NaN
-    offer, which only a NaN length, or infinite lengths of both signs, can
-    make, is dropped: it neither sets nor ties ``dist[u]``, as if its
-    edge were absent.
 
     Returns ``dist``, NaN for a vertex that cannot reach the root, and
     ``next``, one signed byte per vertex: the offering edge's place in the
@@ -461,12 +455,7 @@ def _distances_to(incoming: list[list[tuple[int, float, int]]], root: int, width
                     if place < nxt[u]:
                         nxt[u] = place
                 elif not settled[u]:
-                    if width:
-                        key = offer // width
-                    elif offer == offer:
-                        key = offer
-                    else:
-                        continue
+                    key = offer // width
                     dist[u] = offer
                     nxt[u] = place
                     bucket = buckets.get(key)
@@ -491,8 +480,11 @@ class StopDistanceTable:
     arrays over a dense vertex index of every vertex's distance to the root
     (8 bytes) and next edge towards it, stored as the edge's place in the
     vertex's out-list (1 byte), so no vertex may have more than 127
-    out-edges.  From those comes one row per origin stop of its distances
-    to every stop, the zero diagonal included, in stop id order; ``len()``
+    out-edges.  The searches need every edge length finite and above 0,
+    and their total below 2**49 times the shortest (see
+    ``_distances_to``); a graph outside that rule raises InvalidInputError.
+    ``_traverse`` then gives one row per origin stop of its distances to
+    every stop, the zero diagonal included, in stop id order; ``len()``
     counts the m(m-1) off-diagonal pairs.  A distance from any position is
     then one lookup.
     """
@@ -515,45 +507,32 @@ class StopDistanceTable:
             for place, e in enumerate(out):
                 incoming[index[e.sink]].append((i, e.length, place))
                 lengths.append(e.length)
-        width = min(lengths, default=0.0) / 2   # the bucket width; 0 outside its rule, see _distances_to
+        ordered = [self._stops[sid] for sid in sorted(self._stops)]
+        hosts = [graph.edge(s.edge) for s in ordered]
+        width = min(lengths, default=0.0) / 2   # the bucket width, see _distances_to
         if not (0.0 < width and sum(lengths) < 2.0**50 * width):
-            width = 0.0
+            edges = list(graph.edges())
+            for e in edges:   # not min(): with a NaN length, min() depends on the order
+                if not 0.0 < e.length < math.inf:
+                    raise InvalidInputError(
+                        f"edge {e.id} has length {e.length}; the stop table takes only finite lengths above 0"
+                    )
+            shortest = min(edges, key=attrgetter("length"))
+            raise InvalidInputError(
+                f"the edge lengths total {sum(lengths)}, not below 2**49 times the shortest,"
+                f" edge {shortest.id} of length {shortest.length}"
+            )
         # root vertex -> (distance to the root, next edge's place in the out-list), both over the dense index
         self._dist_to: dict[int, tuple[array, array]] = {}
-        ordered = [self._stops[sid] for sid in sorted(self._stops)]
-        dests: dict[int, list[Stop]] = defaultdict(list)   # root -> its stops, in id order
-        for s in ordered:
-            root = graph.edge(s.edge).source
-            if root not in self._dist_to:
-                self._dist_to[root] = _distances_to(incoming, index[root], width)
-            dests[root].append(s)
+        for host in hosts:
+            if host.source not in self._dist_to:
+                self._dist_to[host.source] = _distances_to(incoming, index[host.source], width)
         # stop id -> its column in every row; origin stop id -> its row of distances to every column
-        self._col = col = {s.id: j for j, s in enumerate(ordered)}
-        self._rows: dict[int, array] = {}
-        # each origin stop as _traverse reads it: (id, row, host edge, offset, rest of the edge, sink index)
-        origins = []
-        for origin in ordered:
-            host = graph.edge(origin.edge)
-            if not 0.0 <= origin.slack <= host.length:
-                raise InvalidInputError(f"offset {origin.slack} outside edge {host.id}")
-            row = self._rows[origin.id] = array("d", bytes(8 * len(ordered)))
-            origins.append((origin.id, row, host, origin.slack, host.length - origin.slack, index[host.sink]))
-        for root, group in dests.items():
-            dist = self._dist_to[root][0]
-            for dest in group:
-                to, j, to_edge, slack = dest.id, col[dest.id], dest.edge, dest.slack
-                for origin, row, host, offset, head, sink in origins:
-                    if origin == to:
-                        row[j] = 0.0
-                    elif host.id == to_edge and slack >= offset:
-                        row[j] = slack - offset
-                    else:
-                        rest = dist[sink]
-                        if rest != rest:
-                            raise NotFoundError(
-                                f"vertex {root} unreachable from {host.sink}; graph not strongly connected"
-                            )
-                        row[j] = head + rest + slack
+        self._col = {s.id: j for j, s in enumerate(ordered)}
+        self._rows = {
+            origin.id: array("d", [self._traverse(host, origin.slack, dest)[0] for dest in ordered])
+            for origin, host in zip(ordered, hosts)
+        }
 
     def _check(self, stop_id: int) -> Stop:
         stop = self._stops.get(stop_id)
@@ -568,8 +547,8 @@ class StopDistanceTable:
         the vehicle finishes the edge, follows a shortest path from the
         edge's sink to the destination edge's source vertex, the root, then
         drives the destination slack.  Returns the distance and the root,
-        which is None for a direct hop.  The stop pairs in ``__init__`` are
-        this same expression.
+        which is None for a direct hop.  ``__init__`` builds every stop
+        pair's distance with it.
         """
         if not 0.0 <= offset <= edge.length:
             raise InvalidInputError(f"offset {offset} outside edge {edge.id}")
@@ -622,11 +601,14 @@ class StopDistanceTable:
           from that successor on the same choice repeats.  A tight path
           stops at its first arrival at the root, as no cycle is tight
           (next point), so no tight path is a proper prefix of another.
-        * No cycle is tight when adding any edge's length to a distance
-          changes it, as then ``d`` falls strictly along tight edges.  An
-          edge too short for that could close a tight cycle: the path is
-          then longer than the vertex count, and InvalidInputError names
-          the vertex it revisits.
+        * No cycle is tight, as ``d`` falls strictly along tight edges.  The
+          table takes only lengths of at least ``2 width`` (the shortest
+          edge) whose total is below ``2**49`` times the shortest edge, and
+          a distance is the float sum of a simple path, so about the total
+          at most.  So every edge's length is about ``2**-49 d`` or more for
+          every distance ``d``, far above half of ``d``'s last place (at
+          most ``2**-53 d``), and ``fl(length + d) > d``: each tight edge's
+          sink is strictly nearer the root than its source.
 
         The path's length summed from the root end is ``d`` exactly, so it
         is the distance returned.
@@ -641,11 +623,6 @@ class StopDistanceTable:
         pieces = [(edge.id, offset, edge.length)]
         v = edge.sink
         while v != root:
-            if len(pieces) > len(nxt):
-                raise InvalidInputError(
-                    f"vertex {v}: the shortest paths to vertex {root} run in a cycle;"
-                    " an edge is too short to change a distance"
-                )
             i = index[v]
             place = nxt[i]
             if place < 0:

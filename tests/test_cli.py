@@ -370,6 +370,43 @@ class TestOracleCheck:
         assert "vertex 1000 has 128 out-edges" in capsys.readouterr().err
 
 
+def overflowing_ring(path) -> None:
+    """Write a two-way ring through 4 vertices at x = -1e308 and 1e308: validation accepts it, but
+    the long sides, edges 0, 1, 4 and 5, have length inf.  Its 4 stops sit on the 1 m sides."""
+    corners = [(-1e308, 0.0), (1e308, 0.0), (1e308, 1.0), (-1e308, 1.0)]
+    edges = []
+    for k in range(4):
+        a, b = k, (k + 1) % 4
+        edges += [(2 * k, a, b), (2 * k + 1, b, a)]
+    zones = {2: "peripheral_housing", 3: "central_opportunity", 6: "peripheral_housing", 7: "central_opportunity"}
+    doc = {
+        "vertices": [{"id": vid, "x": x, "y": y} for vid, (x, y) in enumerate(corners)],
+        "edges": [{"id": eid, "source": a, "sink": b, "free_flow_speed": 13.4, "capacity_vehicles": 20}
+                  for eid, a, b in edges],
+        "stops": [{"id": k, "edge": eid, "slack": 0.5, "zone": zone} for k, (eid, zone) in enumerate(zones.items())],
+    }
+    path.write_text(json.dumps(doc))
+
+
+class TestOverflowingNetwork:
+    def test_oracle_check_exits_one_naming_the_edge(self, tmp_path, capsys):
+        overflowing_ring(tmp_path / "ring.json")
+        load_network(str(tmp_path / "ring.json"))   # it validates
+        assert main(["oracle-check", "--network", str(tmp_path / "ring.json")]) == 1
+        out, err = capsys.readouterr()
+        assert "edge 0 has length inf" in err and "Traceback" not in err and "ok:" not in out
+
+    def test_run_exits_one_naming_the_edge(self, tmp_path, capsys):
+        scenario = generate_small(tmp_path) / "scenario.json"
+        overflowing_ring(tmp_path / "ring.json")
+        argv = run_args(tmp_path / "r", scenario, ["--set", f"network={tmp_path / 'ring.json'}",
+                                                     "--set", "background_flows=[]"])
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "edge 0 has length inf" in err and "Traceback" not in err
+        assert not (tmp_path / "r" / "replications.csv").exists()
+
+
 # file contents that json.load cannot read: bytes that are not UTF-8, and nesting past the recursion limit
 UNREADABLE = [pytest.param(b"\xff{}", id="not-utf8"), pytest.param(b"[" * 200000, id="nested-200000")]
 

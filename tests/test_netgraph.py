@@ -400,31 +400,26 @@ class TestStopDistanceTable:
         with pytest.raises(NotFoundError, match="vertex 1 unreachable from 3"):
             build_stop_distance_table(g)
 
-    def test_an_edge_whose_length_overflows_still_reaches_its_source(self):
-        # finite coordinates 2e308 apart: validation accepts the infinite lengths
+    def test_an_edge_whose_length_overflows_is_named(self):
+        # finite coordinates 2e308 apart: validation accepts the infinite lengths, the stop table does not
         g = RoadGraph()
         for vid, x, y in ((1, -1e308, 0.0), (2, 1e308, 0.0), (3, 1e308, 1.0)):
             g.add_vertex(vid, x, y)
         for eid, a, b in ((10, 1, 2), (11, 2, 3), (12, 3, 1)):
             g.add_edge(eid, a, b, 13.4, 20)
         assert validate_graph(g).ok
-        stop = g.place_stop(11, 0.5, "other")     # root: vertex 2
+        g.place_stop(11, 0.5, "other")
         g.place_stop(12, 0.5, "other")
-        table = build_stop_distance_table(g)
-        assert distances_to(table)[2] == {2: 0.0, 1: math.inf, 3: math.inf}
-        assert table.distance_from_position(12, 0.0, stop.id) == math.inf
-        pieces = ((12, 0.0, math.inf), (10, 0.0, math.inf), (11, 0.0, 0.5))
-        assert table.position_path(12, 0.0, stop.id) == (pieces, math.inf)
+        with pytest.raises(InvalidInputError, match="edge 10 has length inf; the stop table takes only finite"):
+            build_stop_distance_table(g)
 
     def test_tight_cycle_raises_instead_of_looping(self):
+        # from vertex 1, edge 10 to vertex 2 and edge 11 back would both be tight: the build refuses them
         g = coincident_pair()
-        stop = g.place_stop(13, 10.0, "other")     # on edge 3 -> 1, so the root is vertex 3
+        g.place_stop(13, 10.0, "other")
         g.place_stop(12, 10.0, "other")
-        table = build_stop_distance_table(g)
-        assert table.distance_from_position(11, 0.0, stop.id) == 110.0
-        # from vertex 1, edge 10 to vertex 2 (sink 2 < 3) is tight, and so is edge 11 back
-        with pytest.raises(InvalidInputError, match="run in a cycle"):
-            table.position_path(11, 0.0, stop.id)
+        with pytest.raises(InvalidInputError, match="edge 10 has length 0.0"):
+            build_stop_distance_table(g)
 
     def test_a_vertex_with_127_out_edges_builds_and_walks_its_last_one(self):
         g = star_network(127)
@@ -595,6 +590,24 @@ class TestTableProperties:
                 assert a_end == g.edge(a).length and b_start == 0.0
                 assert g.edge(a).sink == g.edge(b).source
 
+    def test_every_stop_pair_is_the_traversal_rule_from_its_origin(self):
+        spec = SyntheticSpec(grid_spacing=400.0, peripheral_stop_count=56, central_stop_count=56, seed=424242)
+        graphs = [tied_grid(), generate_network(spec)]
+        for seed in range(12):
+            rng = random.Random(7000 + seed)
+            graphs.append(random_connected_graph(rng))
+            scatter_stops(rng, graphs[-1], rng.randint(2, 10))
+        for g in graphs:
+            # one stop at the first stop's slack on its edge, one upstream of it and one downstream
+            first = next(g.stops())
+            length = g.edge(first.edge).length
+            for slack in (first.slack, first.slack / 2, (first.slack + length) / 2):
+                g.place_stop(first.edge, slack, "other")
+            table = build_stop_distance_table(g)
+            for a in g.stops():
+                for b in g.stops():
+                    assert table.distance(a.id, b.id).hex() == table.distance_from_position(a.edge, a.slack, b.id).hex()
+
     def test_position_path_is_the_smallest_shortest_vertex_sequence(self):
         assert_smallest_shortest_vertex_sequences(tied_grid())
 
@@ -639,17 +652,15 @@ def rooted_everywhere(g: RoadGraph) -> RoadGraph:
     return g
 
 
-def assert_searches_match_reference(g: RoadGraph, drop_length=lambda length: False) -> None:
+def assert_searches_match_reference(g: RoadGraph) -> None:
     """Every root's distances are bitwise, and its next edges equal to, those of the reference heap
-    search over the table's own dense index and each edge's place in its source's out-list, less
-    the edges whose length ``drop_length`` picks."""
+    search over the table's own dense index and each edge's place in its source's out-list."""
     table = build_stop_distance_table(g)
     index = table._index
     incoming = [[] for _ in index]
     for vid in index:
         for place, e in enumerate(g.out_edges(vid)):
-            if not drop_length(e.length):
-                incoming[index[e.sink]].append((index[e.source], e.length, place))
+            incoming[index[e.sink]].append((index[e.source], e.length, place))
     assert table._dist_to
     for root, (dist, nxt) in table._dist_to.items():
         want_dist, want_next = heap_distances_to(incoming, index[root])
@@ -681,7 +692,7 @@ def graphs_with_lengths(draw) -> RoadGraph:
     """A ring through 2 to 9 vertices plus chords, rooted everywhere.  Either its lengths are
     small multiples of a base, one of them twice the base, so that the bucket width is the base,
     edges exactly twice the width long are common, and sums land exactly on bucket boundaries; or
-    they spread over 6 orders of magnitude, and in half of those graphs some are infinite."""
+    they spread over 6 orders of magnitude."""
     n = draw(st.integers(2, 9))
     order = draw(st.permutations(range(n)))
     extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n))
@@ -693,8 +704,6 @@ def graphs_with_lengths(draw) -> RoadGraph:
         lengths = [k * base for k in draw(st.permutations(multiples))]
     else:
         spread = st.builds(lambda m, k: m * 10.0 ** k, st.floats(1.0, 9.99), st.integers(-3, 3))
-        if draw(st.booleans()):
-            spread = st.one_of(spread, st.just(math.inf))
         lengths = draw(st.lists(spread, min_size=len(pairs), max_size=len(pairs)))
     return rooted_everywhere(graph_with_lengths(n, [(a, b, length) for (a, b), length in zip(pairs, lengths)]))
 
@@ -731,30 +740,21 @@ class TestBucketSearch:
         g.place_stop(2, 0.0, "other")
         assert_searches_match_reference(g)
 
-    def test_zero_length_edges_match_the_reference(self):
-        assert_searches_match_reference(rooted_everywhere(coincident_pair()))
-
-    def test_infinite_lengths_match_the_reference(self):
-        inf = math.inf
-        assert_searches_match_reference(ring_with_lengths([inf, inf, inf]))
-        assert_searches_match_reference(ring_with_lengths([1.0, inf, 2.0, 0.5], [(0, 2, inf), (2, 0, 4.0)]))
+    @pytest.mark.parametrize("length", [pytest.param(0.0, id="zero"), pytest.param(-1.0, id="negative"),
+                                        pytest.param(math.inf, id="infinite"), pytest.param(math.nan, id="nan")])
+    def test_a_length_outside_the_rule_is_named(self, length):
+        # edge 4 is vertex 0's second out-edge, so min() over the lengths meets 1.0 before it
+        g = ring_with_lengths([1.0, 2.0, 3.0, 4.0], [(0, 2, length), (2, 0, 4.0)])
+        with pytest.raises(InvalidInputError, match=f"edge 4 has length {length}; the stop table takes only finite"):
+            build_stop_distance_table(g)
 
     def test_a_total_length_of_2_to_the_50_widths_matches_the_reference(self):
-        # shortest edge 1.0, so a width of 0.5, and totals over 2**50 widths: the key is the offer itself
-        assert_searches_match_reference(ring_with_lengths([1.0, 2.0**49, 3.0, 2.5], [(1, 3, 1.5), (3, 1, 2.0)]))
-        assert_searches_match_reference(ring_with_lengths([1.0, 2.0**51 + 1, 2.0**51, 1.0], [(0, 2, 2.0**52)]))
-        # width 0.75: vertex 2 is d from vertex 0 and vertex 1 is d + 4 directly, or d over its 1.5 m
-        # edge to vertex 2, as d + 1.5 rounds to d.  d // 0.75 and (d + 4) // 0.75 round to one key.
-        d = 1.5 * 2.0**54 + 4
-        assert d + 1.5 == d and d // 0.75 == (d + 4) // 0.75
-        assert_searches_match_reference(ring_with_lengths([2.0, 1.5, d], [(1, 0, d + 4)]))
-
-    def test_a_nan_length_is_as_if_its_edge_were_absent(self):
-        nan = math.nan
-        g = ring_with_lengths([1.0, 2.0, 3.0, 4.0], [(0, 2, nan), (2, 0, 4.0), (1, 3, nan)])
-        assert_searches_match_reference(g, drop_length=math.isnan)
-        dist, _ = build_stop_distance_table(g)._dist_to[0]
-        assert list(dist) == [0.0, 6.0, 4.0, 4.0]
+        # shortest edge 1.0, so a width of 0.5: the total must be below 2**50 widths, 2**49 m
+        assert_searches_match_reference(ring_with_lengths([1.0, 2.0**49 - 10.5, 3.0, 2.5], [(1, 3, 1.5), (3, 1, 2.0)]))
+        g = ring_with_lengths([1.0, 2.0**49 - 10, 3.0, 2.5], [(1, 3, 1.5), (3, 1, 2.0)])
+        with pytest.raises(InvalidInputError, match=r"total 562949953421312.0, not below 2\*\*49 times the shortest,"
+                                                    " edge 0 of length 1.0"):
+            build_stop_distance_table(g)
 
 
 def relabelled(g: RoadGraph, new_id) -> RoadGraph:

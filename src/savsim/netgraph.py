@@ -47,7 +47,7 @@ ZONES = ("peripheral_housing", "central_opportunity", "other")
 _OUT_ORDER = attrgetter("sink", "id")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Vertex:
     """A 2D point; intersections are vertices."""
 
@@ -56,7 +56,7 @@ class Vertex:
     y: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DirectedEdge:
     """A one-way road segment from ``source`` to ``sink``.
 
@@ -73,7 +73,7 @@ class DirectedEdge:
     capacity_vehicles: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Stop:
     """A pickup/dropoff location ``slack`` meters along its host edge."""
 
@@ -242,18 +242,51 @@ def _reachable(adjacent: dict[int, list[int]], start: int) -> set[int]:
     return seen
 
 
+_MAX_OUT_EDGES = 127   # the stop table keeps a next edge's place in its out-list as one signed byte
+
+
+def _table_rule_issues(graph: RoadGraph) -> Iterator[ValidationIssue]:
+    """The stop table's preconditions that ``graph`` breaks, in the order they are checked.
+
+    Every vertex has at most 127 out-edges; every edge's length is finite
+    and above 0, one issue per edge in id order, found by a scan (with a
+    NaN length, ``min()`` depends on the order); and, when every length is,
+    the bucket width, half the shortest, is above 0 and the lengths total
+    below 2**50 widths, that is 2**49 times the shortest (see
+    ``_distances_to``).  The total is summed in the table's order: by
+    source vertex id, then out-list order.  ``StopDistanceTable`` raises the
+    first issue's message, and ``validate_graph`` reports them all.
+    """
+    lengths = []
+    for vid in sorted(graph._out):
+        out = graph._out[vid]
+        if len(out) > _MAX_OUT_EDGES:
+            yield ValidationIssue("out_degree", f"vertex {vid} has {len(out)} out-edges;"
+                                                f" the stop table takes at most {_MAX_OUT_EDGES}")
+        lengths += [e.length for e in out]
+    bad = [e for e in graph.edges() if not 0.0 < e.length < math.inf]
+    for e in bad:
+        yield ValidationIssue("edge_length", f"edge {e.id} has length {e.length};"
+                                             " the stop table takes only finite lengths above 0")
+    if lengths and not bad:
+        width, total = min(lengths) / 2, sum(lengths)
+        if not (0.0 < width and total < 2.0**50 * width):
+            shortest = min(graph.edges(), key=attrgetter("length"))
+            yield ValidationIssue("length_total", f"the edge lengths total {total}, not below 2**49 times"
+                                                  f" the shortest, edge {shortest.id} of length {shortest.length}")
+
+
 def validate_graph(graph: RoadGraph) -> ValidationReport:
     """Collect every structural violation in the graph.
 
-    Checks dangling edge endpoints, self-loops, edges of length 0 (coincident
-    endpoints), duplicate (source, sink) pairs, stored lengths that disagree
-    with endpoint geometry, and strong connectivity (reported once, with a
-    witness unreachable pair).  The stop table asks more of the lengths:
-    it also refuses an infinite one, which vertices 2e308 apart give, and a
-    total of 2**49 times the shortest edge or more (see
-    ``StopDistanceTable``).
-    A vertex with a non-finite coordinate, which only a vertex not added by
-    ``add_vertex`` can have, raises InvalidInputError.
+    Checks dangling edge endpoints, self-loops, duplicate (source, sink)
+    pairs, stored lengths that disagree with endpoint geometry, the stop
+    table's rules (at most 127 out-edges per vertex, every length finite
+    and above 0, so also one of coincident or 2e308 apart endpoints, and a
+    total below 2**49 times the shortest edge; see ``_table_rule_issues``),
+    and strong connectivity (reported once, with a witness unreachable
+    pair), in that order.  A vertex with a non-finite coordinate, which only
+    a vertex not added by ``add_vertex`` can have, raises InvalidInputError.
 
     One pass over the edges, in id order, finds the edge issues in that
     order and builds the forward and backward adjacency of the edges whose
@@ -286,10 +319,6 @@ def validate_graph(graph: RoadGraph) -> ValidationReport:
             issues.append(ValidationIssue(
                 "self_loop", f"edge {e.id} is a self-loop at vertex {e.source}"
             ))
-        elif not e.length > 0:
-            issues.append(ValidationIssue(
-                "zero_length", f"edge {e.id} has length {e.length}; an edge must be longer than 0"
-            ))
         pair = (e.source, e.sink)
         if pair in seen_pairs:
             issues.append(ValidationIssue(
@@ -307,6 +336,7 @@ def validate_graph(graph: RoadGraph) -> ValidationReport:
                     "length_mismatch",
                     f"edge {e.id} stored length {e.length} != endpoint distance {want}",
                 ))
+    issues += _table_rule_issues(graph)
 
     if len(vertex_ids) > 1:
         root = vertex_ids[0]
@@ -469,7 +499,6 @@ def _distances_to(incoming: list[list[tuple[int, float, int]]], root: int, width
 
 
 Piece = tuple[int, float, float]   # (edge id, start offset, end offset) of one driven stretch
-_MAX_OUT_EDGES = 127   # a next edge's place in its out-list is one signed byte
 
 
 class StopDistanceTable:
@@ -482,8 +511,10 @@ class StopDistanceTable:
     vertex's out-list (1 byte), so no vertex may have more than 127
     out-edges.  The searches need every edge length finite and above 0,
     and their total below 2**49 times the shortest (see
-    ``_distances_to``); a graph outside that rule raises InvalidInputError.
-    ``_traverse`` then gives one row per origin stop of its distances to
+    ``_distances_to``); a graph outside these rules raises InvalidInputError
+    with the first message ``_table_rule_issues`` gives, which
+    ``validate_graph`` also reports.  Each stop's root is looked up in a map
+    made once.  ``_traverse`` then gives one row per origin stop of its distances to
     every stop, the zero diagonal included, in stop id order; ``len()``
     counts the m(m-1) off-diagonal pairs.  A distance from any position is
     then one lookup.
@@ -492,41 +523,28 @@ class StopDistanceTable:
     def __init__(self, graph: RoadGraph, stops: list[Stop]) -> None:
         self._graph = graph
         self._stops = {s.id: s for s in stops}
+        ordered = [self._stops[sid] for sid in sorted(self._stops)]
+        hosts = [graph.edge(s.edge) for s in ordered]
+        broken = next(_table_rule_issues(graph), None)
+        if broken is not None:
+            raise InvalidInputError(broken.message)
         # every edge endpoint, present or dangling, gets a dense index in id order
         ids = sorted({end for e in graph.edges() for end in (e.source, e.sink)})
         self._index = index = {vid: i for i, vid in enumerate(ids)}
         # each dense index's out-list; a next edge is its place there
         self._out = [graph.out_edges(vid) for vid in ids]
         incoming: list[list[tuple[int, float, int]]] = [[] for _ in ids]
-        lengths = []
-        for i, (vid, out) in enumerate(zip(ids, self._out)):
-            if len(out) > _MAX_OUT_EDGES:
-                raise InvalidInputError(
-                    f"vertex {vid} has {len(out)} out-edges; the stop table takes at most {_MAX_OUT_EDGES}"
-                )
+        for i, out in enumerate(self._out):
             for place, e in enumerate(out):
                 incoming[index[e.sink]].append((i, e.length, place))
-                lengths.append(e.length)
-        ordered = [self._stops[sid] for sid in sorted(self._stops)]
-        hosts = [graph.edge(s.edge) for s in ordered]
-        width = min(lengths, default=0.0) / 2   # the bucket width, see _distances_to
-        if not (0.0 < width and sum(lengths) < 2.0**50 * width):
-            edges = list(graph.edges())
-            for e in edges:   # not min(): with a NaN length, min() depends on the order
-                if not 0.0 < e.length < math.inf:
-                    raise InvalidInputError(
-                        f"edge {e.id} has length {e.length}; the stop table takes only finite lengths above 0"
-                    )
-            shortest = min(edges, key=attrgetter("length"))
-            raise InvalidInputError(
-                f"the edge lengths total {sum(lengths)}, not below 2**49 times the shortest,"
-                f" edge {shortest.id} of length {shortest.length}"
-            )
+        width = min((e.length for e in graph._edges.values()), default=0.0) / 2   # the bucket width, see _distances_to
+        # stop id -> its root, the host edge's source vertex
+        self._root = {s.id: host.source for s, host in zip(ordered, hosts)}
         # root vertex -> (distance to the root, next edge's place in the out-list), both over the dense index
         self._dist_to: dict[int, tuple[array, array]] = {}
-        for host in hosts:
-            if host.source not in self._dist_to:
-                self._dist_to[host.source] = _distances_to(incoming, index[host.source], width)
+        for root in self._root.values():
+            if root not in self._dist_to:
+                self._dist_to[root] = _distances_to(incoming, index[root], width)
         # stop id -> its column in every row; origin stop id -> its row of distances to every column
         self._col = {s.id: j for j, s in enumerate(ordered)}
         self._rows = {
@@ -554,7 +572,7 @@ class StopDistanceTable:
             raise InvalidInputError(f"offset {offset} outside edge {edge.id}")
         if edge.id == dest.edge and dest.slack >= offset:
             return dest.slack - offset, None
-        root = self._graph.edge(dest.edge).source
+        root = self._root[dest.id]
         rest = self._dist_to[root][0][self._index[edge.sink]]
         if rest != rest:
             raise NotFoundError(

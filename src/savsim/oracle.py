@@ -6,11 +6,17 @@ stop vertices.  Because the construction preserves edge direction, it
 naturally reproduces both the downstream same-edge hop and the loop back for
 an upstream stop, without encoding the traversal rule itself.  Deliberately
 shares no routing code with :mod:`savsim.netgraph`.
+
+The split graph is built once; then each origin stop's Dijkstra runs, and its
+row of distances is compared (or stored) before the next origin's starts, so
+:func:`check_table` holds one search and one row at a time: its memory grows
+with the graph and the stops, not with the stop pairs.
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
+from typing import Iterator
 
 from .netgraph import RoadGraph, Stop, StopDistanceTable
 
@@ -71,34 +77,35 @@ def _dijkstra(adj, source) -> dict:
     return dist
 
 
+def _stop_rows(graph: RoadGraph, stops: list[Stop]) -> Iterator[tuple[int, list[tuple[int, float]]]]:
+    """Each origin stop's id and its ``(dest id, distance)`` row to every other stop, both in ``stops`` order."""
+    adj, node_of = _augmented_adjacency(graph, stops)
+    for origin in stops:
+        dist = _dijkstra(adj, node_of[origin.id])
+        yield origin.id, [(dest.id, dist[node_of[dest.id]]) for dest in stops if dest.id != origin.id]
+
+
 def split_stop_distances(graph: RoadGraph, stops: list[Stop] | None = None) -> dict[tuple[int, int], float]:
     """All ordered stop-pair distances computed on the split graph."""
     if stops is None:
         stops = list(graph.stops())
-    adj, node_of = _augmented_adjacency(graph, stops)
-    result: dict[tuple[int, int], float] = {}
-    for origin in stops:
-        dist = _dijkstra(adj, node_of[origin.id])
-        for dest in stops:
-            if dest.id == origin.id:
-                continue
-            result[(origin.id, dest.id)] = dist[node_of[dest.id]]
-    return result
+    return {(a, b): d for a, row in _stop_rows(graph, stops) for b, d in row}
 
 
 def check_table(
     graph: RoadGraph, table: StopDistanceTable, tol: float = 1e-9
 ) -> list[tuple[int, int, float, float]]:
-    """Compare a distance table against the split-graph distances.
+    """Compare a distance table against the split-graph distances, one origin stop at a time.
 
     Returns mismatching entries as (origin, dest, table_distance,
-    oracle_distance); empty means agreement within ``tol``.
+    oracle_distance), in (origin, dest) id order; empty means agreement
+    within ``tol``.
     """
     stops = [graph.stop(sid) for sid in table.stop_ids()]
-    want = split_stop_distances(graph, stops)
     bad = []
-    for (a, b), expected in sorted(want.items()):
-        got = table.distance(a, b)
-        if abs(got - expected) > tol:
-            bad.append((a, b, got, expected))
+    for a, row in _stop_rows(graph, stops):
+        for b, expected in row:
+            got = table.distance(a, b)
+            if abs(got - expected) > tol:
+                bad.append((a, b, got, expected))
     return bad

@@ -20,8 +20,8 @@ from .traffic import BackgroundFlow
 DEFAULT_FREE_FLOW_SPEED = 13.41   # about 30 mph, small-city arterials
 VEHICLE_SPACING = 8.0             # meters of edge per vehicle at jam
 
-# generate_network's peak RSS grew by 26.0 MB for 18,980 vertices (grid_spacing=100) and
-# 104.8 MB for 75,369 (grid_spacing=50), Python 3.11; `savsim generate` peaked at 683 MB for the latter.
+# generate_network's peak RSS grew by 24.2 MB for 18,980 vertices (grid_spacing=100) and
+# 98.4 MB for 75,369 (grid_spacing=50), Python 3.11; `savsim generate` peaked at 303 MB for the latter.
 MAX_GRID_VERTICES = 100_000
 
 

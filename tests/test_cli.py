@@ -7,6 +7,7 @@ import pytest
 
 from savsim import engine
 from savsim.cli import main
+from savsim.errors import InvalidInputError
 from savsim.metrics import LogEntry, replay_shared_miles
 from savsim.netgraph import load_network, save_network
 
@@ -371,9 +372,15 @@ class TestOracleCheck:
 
 
 def overflowing_ring(path) -> None:
-    """Write a two-way ring through 4 vertices at x = -1e308 and 1e308: validation accepts it, but
-    the long sides, edges 0, 1, 4 and 5, have length inf.  Its 4 stops sit on the 1 m sides."""
-    corners = [(-1e308, 0.0), (1e308, 0.0), (1e308, 1.0), (-1e308, 1.0)]
+    """Write a two-way ring through 4 vertices at x = -1e308 and 1e308: its long sides, edges 0, 1, 4
+    and 5, have length inf, which validation and the stop table refuse.  Its 4 stops sit on the 1 m
+    sides."""
+    ring_network(path, [(-1e308, 0.0), (1e308, 0.0), (1e308, 1.0), (-1e308, 1.0)])
+
+
+def ring_network(path, corners) -> None:
+    """Write a two-way ring through 4 ``corners``: edge ``2k`` runs from corner ``k`` to the next and
+    edge ``2k + 1`` back, and stops 0 to 3 sit 0.5 m along edges 2, 3, 6 and 7."""
     edges = []
     for k in range(4):
         a, b = k, (k + 1) % 4
@@ -391,7 +398,8 @@ def overflowing_ring(path) -> None:
 class TestOverflowingNetwork:
     def test_oracle_check_exits_one_naming_the_edge(self, tmp_path, capsys):
         overflowing_ring(tmp_path / "ring.json")
-        load_network(str(tmp_path / "ring.json"))   # it validates
+        with pytest.raises(InvalidInputError, match="edge 0 has length inf; the stop table takes only finite"):
+            load_network(str(tmp_path / "ring.json"))
         assert main(["oracle-check", "--network", str(tmp_path / "ring.json")]) == 1
         out, err = capsys.readouterr()
         assert "edge 0 has length inf" in err and "Traceback" not in err and "ok:" not in out
@@ -405,6 +413,29 @@ class TestOverflowingNetwork:
         err = capsys.readouterr().err
         assert "edge 0 has length inf" in err and "Traceback" not in err
         assert not (tmp_path / "r" / "replications.csv").exists()
+
+    def test_validate_exits_one_naming_each_infinite_edge(self, tmp_path, capsys):
+        overflowing_ring(tmp_path / "ring.json")
+        assert main(["validate", "--network", str(tmp_path / "ring.json")]) == 1
+        out = capsys.readouterr().out
+        assert [line.split(";")[0] for line in out.splitlines()] == [
+            f"edge_length: edge {eid} has length inf" for eid in (0, 1, 4, 5)]
+
+    def test_validate_exits_one_naming_a_vertex_with_128_out_edges(self, tmp_path, capsys):
+        path = tmp_path / "star.json"
+        save_network(star_network(128), str(path))
+        assert main(["validate", "--network", str(path)]) == 1
+        assert capsys.readouterr().out == (
+            "out_degree: vertex 1000 has 128 out-edges; the stop table takes at most 127\n")
+
+    def test_validate_exits_one_on_lengths_totalling_2_to_the_49_times_the_shortest(self, tmp_path, capsys):
+        # sides of 2**47 - 1 m and 1 m, each both ways: exactly 2**49 m in all, the shortest edge 1 m
+        side = 2.0**47 - 1
+        ring_network(tmp_path / "ring.json", [(0.0, 0.0), (side, 0.0), (side, 1.0), (0.0, 1.0)])
+        assert main(["validate", "--network", str(tmp_path / "ring.json")]) == 1
+        assert capsys.readouterr().out == (
+            "length_total: the edge lengths total 562949953421312.0, not below 2**49 times the shortest,"
+            " edge 2 of length 1.0\n")
 
 
 # file contents that json.load cannot read: bytes that are not UTF-8, and nesting past the recursion limit

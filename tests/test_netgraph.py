@@ -1,6 +1,8 @@
 import copy
+import dataclasses
 import json
 import math
+import pickle
 import random
 import tracemalloc
 
@@ -8,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from savsim import netgraph
+from savsim import netgraph, oracle
 from savsim.errors import ConsistencyError, InvalidInputError, NotFoundError
 from savsim.netgraph import (
     RoadGraph,
@@ -27,6 +29,8 @@ from savsim.scenario_gen import SyntheticSpec, generate_network
 
 from brute import heap_distances_to
 from randnets import random_connected_graph, scatter_stops, star_network
+
+CITY_400M = SyntheticSpec(grid_spacing=400.0, peripheral_stop_count=56, central_stop_count=56, seed=424242)
 
 
 def two_cycle(length: float = 100.0) -> RoadGraph:
@@ -190,7 +194,7 @@ class TestValidateGraph:
     def test_zero_length_edges(self):
         g = coincident_pair()
         issues = validate_graph(g).issues
-        assert [i.kind for i in issues] == ["zero_length", "zero_length"]
+        assert [i.kind for i in issues] == ["edge_length", "edge_length"]
         assert "edge 10 has length 0.0" in issues[0].message
 
     def test_a_vertex_with_non_finite_coordinates_raises(self):
@@ -401,13 +405,14 @@ class TestStopDistanceTable:
             build_stop_distance_table(g)
 
     def test_an_edge_whose_length_overflows_is_named(self):
-        # finite coordinates 2e308 apart: validation accepts the infinite lengths, the stop table does not
+        # finite coordinates 2e308 apart: neither validation nor the stop table accepts the infinite lengths
         g = RoadGraph()
         for vid, x, y in ((1, -1e308, 0.0), (2, 1e308, 0.0), (3, 1e308, 1.0)):
             g.add_vertex(vid, x, y)
         for eid, a, b in ((10, 1, 2), (11, 2, 3), (12, 3, 1)):
             g.add_edge(eid, a, b, 13.4, 20)
-        assert validate_graph(g).ok
+        assert [i.message.split(";")[0] for i in validate_graph(g).issues] == [
+            "edge 10 has length inf", "edge 12 has length inf"]
         g.place_stop(11, 0.5, "other")
         g.place_stop(12, 0.5, "other")
         with pytest.raises(InvalidInputError, match="edge 10 has length inf; the stop table takes only finite"):
@@ -844,6 +849,55 @@ class TestOracleInternals:
         dists = split_stop_distances(g)
         assert dists[(a.id, b.id)] == 0.0
         assert dists[(b.id, a.id)] == 0.0
+
+    def test_check_table_on_the_400_m_city_peaks_under_1_5_mb(self):
+        g = generate_network(CITY_400M)
+        table = build_stop_distance_table(g)
+        tracemalloc.start()
+        try:
+            assert check_table(g, table) == []
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # all 12,432 pairs held at once, in a dict and then sorted, peaked at 2.58 MB;
+        # the split graph, one origin's search and its row of 111 pairs come to about 1.1 MB
+        assert peak < 1.5 * 2**20
+
+    def test_check_table_compares_each_origin_before_the_next_and_reports_pairs_in_order(self, monkeypatch):
+        g = generate_network(CITY_400M)
+        table = build_stop_distance_table(g)
+        ids = table.stop_ids()
+        want = split_stop_distances(g)
+        corrupt = [(ids[70], ids[3]), (ids[5], ids[90]), (ids[70], ids[1]), (ids[111], ids[0])]
+        for a, b in corrupt:
+            table._rows[a][table._col[b]] += 1.0
+        events = []   # None for an oracle search, the origin for a table lookup
+        search, lookup = oracle._dijkstra, table.distance
+        monkeypatch.setattr(oracle, "_dijkstra", lambda adj, source: events.append(None) or search(adj, source))
+        monkeypatch.setattr(table, "distance", lambda a, b: events.append(a) or lookup(a, b))
+        assert check_table(g, table, tol=1e-9) == [(a, b, lookup(a, b), want[a, b]) for a, b in sorted(corrupt)]
+        assert events == [e for a in ids for e in [None] + [a] * (len(ids) - 1)]
+
+
+class TestNetworkRecords:
+    def test_records_have_slots_and_no_instance_dict(self):
+        g = two_cycle()
+        stop = g.place_stop(10, 40.0, "other")
+        for record in (g.vertex(1), g.edge(10), stop):
+            assert not hasattr(record, "__dict__")
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                record.id = 7
+
+    @pytest.mark.parametrize("protocol", [pickle.DEFAULT_PROTOCOL, pickle.HIGHEST_PROTOCOL], ids=["default", "highest"])
+    def test_a_pickled_graph_loads_with_the_same_records_and_out_lists(self, protocol):
+        g = generate_network(SyntheticSpec(seed=3))
+        loaded = pickle.loads(pickle.dumps(g, protocol=protocol))
+        assert graph_to_dict(loaded) == graph_to_dict(g)
+        assert [loaded.out_edges(v.id) for v in loaded.vertices()] == [g.out_edges(v.id) for v in g.vertices()]
+        edge = loaded.edge(0)
+        assert not hasattr(edge, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            edge.length = 1.0
 
 
 class TestNetworkFiles:

@@ -282,10 +282,10 @@ def validate_graph(graph: RoadGraph) -> ValidationReport:
     Checks dangling edge endpoints, self-loops, duplicate (source, sink)
     pairs, stored lengths that disagree with endpoint geometry, the stop
     table's rules (at most 127 out-edges per vertex, every length finite
-    and above 0, so also one of coincident or 2e308 apart endpoints, and a
-    total below 2**49 times the shortest edge; see ``_table_rule_issues``),
-    and strong connectivity (reported once, with a witness unreachable
-    pair), in that order.  A vertex with a non-finite coordinate, which only
+    and above 0, which coincident endpoints or endpoints 2e308 apart break,
+    and a total below 2**49 times the shortest edge; see
+    ``_table_rule_issues``), and strong connectivity (reported once, with a
+    witness unreachable pair), in that order.  A vertex with a non-finite coordinate, which only
     a vertex not added by ``add_vertex`` can have, raises InvalidInputError.
 
     One pass over the edges, in id order, finds the edge issues in that
@@ -514,10 +514,10 @@ class StopDistanceTable:
     ``_distances_to``); a graph outside these rules raises InvalidInputError
     with the first message ``_table_rule_issues`` gives, which
     ``validate_graph`` also reports.  Each stop's root is looked up in a map
-    made once.  ``_traverse`` then gives one row per origin stop of its distances to
-    every stop, the zero diagonal included, in stop id order; ``len()``
-    counts the m(m-1) off-diagonal pairs.  A distance from any position is
-    then one lookup.
+    made once.  ``_traverse`` then gives one row per origin stop of its
+    distances to every stop, the zero diagonal included, in stop id order;
+    ``len()`` counts the m(m-1) off-diagonal pairs.  A distance from any
+    position is then one lookup.
     """
 
     def __init__(self, graph: RoadGraph, stops: list[Stop]) -> None:

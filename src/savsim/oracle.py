@@ -85,11 +85,9 @@ def _stop_rows(graph: RoadGraph, stops: list[Stop]) -> Iterator[tuple[int, list[
         yield origin.id, [(dest.id, dist[node_of[dest.id]]) for dest in stops if dest.id != origin.id]
 
 
-def split_stop_distances(graph: RoadGraph, stops: list[Stop] | None = None) -> dict[tuple[int, int], float]:
-    """All ordered stop-pair distances computed on the split graph."""
-    if stops is None:
-        stops = list(graph.stops())
-    return {(a, b): d for a, row in _stop_rows(graph, stops) for b, d in row}
+def split_stop_distances(graph: RoadGraph) -> dict[tuple[int, int], float]:
+    """All ordered pairs of the graph's stops and their distances on the split graph."""
+    return {(a, b): d for a, row in _stop_rows(graph, list(graph.stops())) for b, d in row}
 
 
 def check_table(

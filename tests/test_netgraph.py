@@ -860,7 +860,7 @@ class TestOracleInternals:
         finally:
             tracemalloc.stop()
         # all 12,432 pairs held at once, in a dict and then sorted, peaked at 2.58 MB;
-        # the split graph, one origin's search and its row of 111 pairs come to about 1.1 MB
+        # the split graph, one origin's search and its row of 111 pairs come to about 1.0 MB
         assert peak < 1.5 * 2**20
 
     def test_check_table_compares_each_origin_before_the_next_and_reports_pairs_in_order(self, monkeypatch):

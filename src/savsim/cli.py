@@ -161,7 +161,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_oracle_check(args) -> int:
     graph = load_network(args.network)
     table = build_stop_distance_table(graph)
-    mismatches = oracle.check_table(graph, table, tol=1e-9)
+    mismatches = oracle.check_table(graph, table)
     if not mismatches:
         print(f"ok: {len(table)} stop pairs match the split-graph oracle")
         return EXIT_OK

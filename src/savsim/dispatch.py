@@ -9,9 +9,10 @@ requests onboard), subject to capacity at every leg and a detour budget on
 total route length.  Each pair is scored in O(1) from prefix sums over the
 route, and only pairs whose score could beat the best so far, within a
 rounding tolerance, are walked exactly, resuming from the prefix sums before
-the pickup; the walk equals ``route_cost`` on the amended route bit for bit,
-and its totals alone decide, so the result is the pair an exhaustive walk
-would pick.
+the pickup; the walk equals the last prefix sums of the amended route bit
+for bit, and its totals alone decide, so the result is the pair an
+exhaustive walk would pick.  ``route_prefix`` is the one left-to-right pass
+over a route: the engine reads a route's length from it too.
 """
 
 from __future__ import annotations
@@ -151,31 +152,6 @@ def select_next_request(
     return best.request.id
 
 
-def route_cost(sav: Sav, legs: list[RouteLeg], table) -> tuple[float, float]:
-    """Driving distance from the vehicle's position through all legs, and the
-    part of it driven with at least two distinct requests onboard."""
-    onboard = set(sav.onboard)
-    length = 0.0
-    shared = 0.0
-    edge_id, offset = sav.position
-    prev: int | None = None
-    for leg in legs:
-        seg = (
-            table.distance_from_position(edge_id, offset, leg.stop)
-            if prev is None
-            else table.distance(prev, leg.stop)
-        )
-        length += seg
-        if len(onboard) >= 2:
-            shared += seg
-        if leg.action == PICKUP:
-            onboard.add(leg.request)
-        else:
-            onboard.discard(leg.request)
-        prev = leg.stop
-    return length, shared
-
-
 class RoutePrefix(NamedTuple):
     """One left-to-right pass over a vehicle's route of ``n`` legs.
 
@@ -185,7 +161,9 @@ class RoutePrefix(NamedTuple):
     distinct requests aboard, the passengers aboard, and prefix sums of the
     segments, of those driven with two or more distinct requests aboard
     (shared) and of those driven with one or more (shared once a new
-    request rides too).  Each sum is formed like ``route_cost``'s.
+    request rides too).  Each sum adds the segments left to right from 0.0,
+    so ``length[n]`` and ``shared[n]`` are the route's length and shared
+    distance, the totals every other walk of the route must reproduce.
     """
 
     seg: list[float]
@@ -234,21 +212,22 @@ def resume_walk(
     prefix: RoutePrefix, i: int, m: int,
     into_pickup: float, from_pickup: float, into_dropoff: float, from_dropoff: float,
 ) -> tuple[float, float]:
-    """``route_cost`` of the route with a new request's pickup before base leg
-    ``i`` and its dropoff before base leg ``m >= i``, resumed from the prefix.
+    """Length and shared distance of the route with a new request's pickup
+    before base leg ``i`` and its dropoff before base leg ``m >= i``, resumed
+    from the prefix.
 
     The four distances are the segments the pair adds: into the pickup, from
     it to base leg ``i`` (read only when ``m > i``), into the dropoff (from
     the pickup when ``m == i``), and from it to base leg ``m`` (read only
-    when ``m < n``).  The result equals ``route_cost`` on the materialised
-    route bit for bit: over base legs ``0 .. i - 1`` that route is the base
-    route, so ``route_cost``'s running totals after them are ``length[i]``
-    and ``shared[i]``, the same additions of the same table values in the
-    same order.  From there this walk adds, in route order, the same
-    segments ``route_cost`` looks up, each under the same test on the
-    requests aboard (the new request, not yet aboard, adds one to
-    ``aboard[k]`` between its pickup and dropoff), so every addition is the
-    same floating-point operation on the same operands.
+    when ``m < n``).  The result equals ``route_prefix``'s last ``length``
+    and ``shared`` on the materialised route bit for bit: over base legs
+    ``0 .. i - 1`` that route is the base route, so its running totals
+    after them are ``length[i]`` and ``shared[i]``, the same additions of
+    the same table values in the same order.  From there this walk adds, in
+    route order, the same segments that pass looks up, each under the same
+    test on the requests aboard (the new request, not yet aboard, adds one
+    to ``aboard[k]`` between its pickup and dropoff), so every addition is
+    the same floating-point operation on the same operands.
     """
     seg, length, shared, _, aboard, _ = prefix
     n = len(seg)
@@ -319,10 +298,10 @@ def try_insert_shared(
     over ``budget + tol`` or, once a best pair exists, its shared score is
     at most ``best shared - tol``: neither could pass the exact tests.
     Every other pair is walked by ``resume_walk`` from its prefix, which
-    equals ``route_cost`` on the materialised route bit for bit, and the
-    exact ``length > budget`` and ``shared > best shared`` tests decide it,
-    so the result is the pair an exhaustive walk returns.  Only the winning
-    pair's route is built.
+    equals ``route_prefix``'s totals on the materialised route bit for bit,
+    and the exact ``length > budget`` and ``shared > best shared`` tests
+    decide it, so the result is the pair an exhaustive walk returns.  Only
+    the winning pair's route is built.
 
     Before any pair is scored, a lower bound can reject the offer:
     ``reach``, the distance from the vehicle's position to the candidate's

@@ -77,7 +77,7 @@ from .dispatch import (
     UNASSIGNED,
     on_arrival,
     request_legs,
-    route_cost,
+    route_prefix,
     select_next_request,
     state_counts,
     try_insert_shared,
@@ -469,16 +469,16 @@ class _Replication:
         Called once, when the request arrives; requests that fail here wait
         for an idle vehicle.  The vehicle with the most shared distance wins,
         the first one on ties.  Once a best insertion exists, a vehicle whose
-        detour budget, ``detour_budget_factor`` times ``route_cost`` of its
-        route, is at most the best shared distance is not offered the
-        request: it cannot win.  ``try_insert_shared`` computes the same
-        budget (its base length is ``route_cost``'s sum, formed the same
-        way) and accepts a pair only if its exact length is at most the
-        budget.  The pair's shared distance is a sum of a subset of the same
-        non-negative segments in the same order, and rounding is monotone,
-        so each partial shared sum is at most the partial length: shared <=
-        length <= budget <= best.  A vehicle replaces the best only with a
-        strictly larger shared distance.
+        detour budget, ``detour_budget_factor`` times its route's length
+        (the last ``length`` of ``route_prefix``), is at most the best shared
+        distance is not offered the request: it cannot win.
+        ``try_insert_shared`` builds its budget from that same sum of the
+        same ``route_prefix`` pass, and accepts a pair only if its exact
+        length is at most the budget.  The pair's shared distance is a sum
+        of a subset of the same non-negative segments in the same order, and
+        rounding is monotone, so each partial shared sum is at most the
+        partial length: shared <= length <= budget <= best.  A vehicle
+        replaces the best only with a strictly larger shared distance.
         """
         best = None
         best_sav = None
@@ -488,7 +488,7 @@ class _Replication:
             if sav.status == EN_ROUTE:
                 sav.position = self.plans[sav.id].progress(now)[0]
             if best is not None and (self.policy.detour_budget_factor
-                                     * route_cost(sav, sav.route, self.table)[0]
+                                     * route_prefix(sav, self.table).length[-1]
                                      <= best.shared_miles):
                 continue
             res = try_insert_shared(self.policy, sav, pr.request, self.table)

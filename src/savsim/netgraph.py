@@ -19,7 +19,8 @@ vehicle to the root.  The table builds only graphs whose edge lengths are
 finite, above 0 and total below 2**49 times the shortest, where the buckets
 are proved correct; for any other it raises InvalidInputError naming an
 edge.
-Background-flow routes (``shortest_path``) come from forward searches instead.
+Background-flow routes come from ``shortest_path`` instead, one forward
+search per flow that stops at its destination.
 
 All distances are meters, speeds meters/second.  Neither a graph nor a
 ``StopDistanceTable`` changes after construction.
@@ -362,62 +363,40 @@ def validate_graph(graph: RoadGraph) -> ValidationReport:
 
 # shortest paths ----------------------------------------------------------
 
-_Tree = dict[int, tuple[float, int | None]]   # vertex -> (distance, in-edge id; None at the root)
-
-
-def _shortest_tree(graph: RoadGraph, source: int) -> _Tree:
-    """Single-source shortest paths, lexicographic vertex-sequence tie-break.
-
-    Heap entries carry the full vertex sequence so that equal-distance paths
-    settle in lexicographic order; with strictly positive edge weights two
-    equal-distance sequences to the same vertex are never prefixes of each
-    other, which keeps the ordering stable under extension.  The in-edge
-    rides along as a third field, compared only between parallel edges,
-    and is all the tree keeps of the sequence.
-    """
-    best: _Tree = {}
-    heap: list[tuple[float, tuple[int, ...], int | None]] = [(0.0, (source,), None)]
-    while heap:
-        dist, seq, in_edge = heappop(heap)
-        v = seq[-1]
-        if v in best:
-            continue
-        best[v] = (dist, in_edge)
-        for e in graph.out_edges(v):
-            if e.sink not in best:
-                heappush(heap, (dist + e.length, seq + (e.sink,), e.id))
-    return best
-
-
-def _edges_to(graph: RoadGraph, tree: _Tree, target: int) -> tuple[int, ...]:
-    """Edge ids from the tree's root to ``target``, walked back along in-edges."""
-    edges = []
-    eid = tree[target][1]
-    while eid is not None:
-        edges.append(eid)
-        eid = tree[graph.edge(eid).source][1]
-    return tuple(reversed(edges))
-
-
 def shortest_path(
     graph: RoadGraph,
     from_vertex: int,
     to_vertex: int,
 ) -> tuple[tuple[int, ...], float]:
-    """Minimum-weight edge sequence between two vertices.
+    """Minimum-weight edge sequence between two vertices, and its length.
 
+    One forward Dijkstra whose heap entries are ``(distance, vertex
+    sequence, edge ids)``; it returns the first entry popped at the target.
     Ties between equal-length paths go to the lexicographically smallest
-    vertex-id sequence.  Returns ``((), 0.0)`` when the endpoints coincide.
+    vertex-id sequence: with lengths above 0, two equal-distance sequences
+    to one vertex are never prefixes of each other, so the order is stable
+    under extension.  Each entry extends the one settled entry of its
+    second-to-last vertex, so two entries tied on distance and sequence
+    differ only in their last edge id, and the parallel edge with the
+    smaller id wins.  Returns ``((), 0.0)`` when the endpoints coincide.
     """
     for vid in (from_vertex, to_vertex):
         if not graph.has_vertex(vid):
             raise NotFoundError(f"vertex {vid} not in graph")
-    if from_vertex == to_vertex:
-        return ((), 0.0)
-    tree = _shortest_tree(graph, from_vertex)
-    if to_vertex not in tree:
-        raise NotFoundError(f"vertex {to_vertex} unreachable from {from_vertex}")
-    return (_edges_to(graph, tree, to_vertex), tree[to_vertex][0])
+    settled: set[int] = set()
+    heap: list[tuple[float, tuple[int, ...], tuple[int, ...]]] = [(0.0, (from_vertex,), ())]
+    while heap:
+        dist, seq, edges = heappop(heap)
+        v = seq[-1]
+        if v == to_vertex:
+            return edges, dist
+        if v in settled:
+            continue
+        settled.add(v)
+        for e in graph.out_edges(v):
+            if e.sink not in settled:
+                heappush(heap, (dist + e.length, seq + (e.sink,), edges + (e.id,)))
+    raise NotFoundError(f"vertex {to_vertex} unreachable from {from_vertex}")
 
 
 # stop distances -----------------------------------------------------------

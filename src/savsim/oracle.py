@@ -20,6 +20,8 @@ from typing import Iterator
 
 from .netgraph import RoadGraph, Stop, StopDistanceTable
 
+TOL = 1e-9   # meters a table entry may differ from the oracle's
+
 
 def _augmented_adjacency(graph: RoadGraph, stops: list[Stop]):
     """Adjacency of the split graph plus the node each stop maps to.
@@ -90,20 +92,19 @@ def split_stop_distances(graph: RoadGraph) -> dict[tuple[int, int], float]:
     return {(a, b): d for a, row in _stop_rows(graph, list(graph.stops())) for b, d in row}
 
 
-def check_table(
-    graph: RoadGraph, table: StopDistanceTable, tol: float = 1e-9
-) -> list[tuple[int, int, float, float]]:
+def check_table(graph: RoadGraph, table: StopDistanceTable) -> list[tuple[int, int, float, float]]:
     """Compare a distance table against the split-graph distances, one origin stop at a time.
 
     Returns mismatching entries as (origin, dest, table_distance,
     oracle_distance), in (origin, dest) id order; empty means agreement
-    within ``tol``.
+    within ``TOL``.  An entry is reported unless it is within ``TOL``, so a
+    NaN on either side is a mismatch.
     """
     stops = [graph.stop(sid) for sid in table.stop_ids()]
     bad = []
     for a, row in _stop_rows(graph, stops):
         for b, expected in row:
             got = table.distance(a, b)
-            if abs(got - expected) > tol:
+            if not abs(got - expected) <= TOL:
                 bad.append((a, b, got, expected))
     return bad

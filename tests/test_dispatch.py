@@ -20,7 +20,6 @@ from savsim.dispatch import (
     on_arrival,
     request_legs,
     resume_walk,
-    route_cost,
     route_prefix,
     select_next_request,
     try_insert_shared,
@@ -171,7 +170,7 @@ class TestInsertion:
             DispatchPolicy(detour_budget_factor=1.0), sav, cand, table
         )
         assert res is not None
-        assert res.length == pytest.approx(route_cost(sav, sav.route, table)[0])
+        assert res.length == pytest.approx(walk_length(sav.position, sav.route, table))
 
     def test_capacity_scan_stops_at_first_overfull_dropoff(self, monkeypatch):
         g, table, (s1, s2, s3) = line_network()
@@ -226,7 +225,7 @@ class TestInsertion:
             rid += 1
             res = try_insert_shared(policy, sav, cand, table)
             if res is not None:
-                budget = policy.detour_budget_factor * route_cost(sav, sav.route, table)[0]
+                budget = policy.detour_budget_factor * walk_length(sav.position, sav.route, table)
                 assert res.length <= budget
 
     def test_matches_exhaustive_maximum(self):
@@ -333,7 +332,7 @@ class TestInsertion:
         policy = DispatchPolicy(detour_budget_factor=1.0, capacity=5)
         res = try_insert_shared(policy, sav, cand, table)
         assert res is not None
-        assert res.length == route_cost(sav, sav.route, table)[0]
+        assert res.length == walk_length(sav.position, sav.route, table)
         assert as_tuple(res) == brute_best_insertion(policy, sav, cand, table)
 
     def test_walks_only_pairs_that_can_change_the_decision(self, monkeypatch):
@@ -387,7 +386,7 @@ class TestInsertion:
 
     @settings(max_examples=80, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), rides=st.integers(0, 8))
-    def test_resumed_walk_is_route_cost_bit_for_bit(self, seed, rides):
+    def test_resumed_walk_is_the_brute_walks_of_the_built_route_bit_for_bit(self, seed, rides):
         # every pair of a random vehicle state, its route lengthened by
         # random rides so that up to a dozen requests share it
         rng = random.Random(seed)
@@ -414,7 +413,9 @@ class TestInsertion:
                                               cand.destination)
                 from_dropoff = table.distance(cand.destination, base[m].stop) if m < n else math.nan
                 got = resume_walk(prefix, i, m, into_pickup, from_pickup, into_dropoff, from_dropoff)
-                want = route_cost(sav, pair_route(base, cand, i, m), table)
+                route = pair_route(base, cand, i, m)
+                want = (walk_length(sav.position, route, table),
+                        walk_shared(sav.onboard, sav.position, route, table))
                 assert [x.hex() for x in got] == [x.hex() for x in want], (i, m)
 
 
@@ -488,7 +489,8 @@ def test_shared_distance_walk_agrees_with_reference():
     rid = 0
     for _ in range(50):
         sav, rid = random_sav_state(rng, stop_ids, positions, 5, rid)
-        length, shared = route_cost(sav, sav.route, table)
-        assert length == walk_length(sav.position, sav.route, table)
-        assert shared == walk_shared(sav.onboard, sav.position, sav.route, table)
+        prefix = route_prefix(sav, table)
+        length, shared = prefix.length[-1], prefix.shared[-1]
+        assert length.hex() == walk_length(sav.position, sav.route, table).hex()
+        assert shared.hex() == walk_shared(sav.onboard, sav.position, sav.route, table).hex()
         assert shared >= 0.0

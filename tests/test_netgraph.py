@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import hashlib
 import json
 import math
 import pickle
@@ -25,7 +26,7 @@ from savsim.netgraph import (
     validate_graph,
 )
 from savsim.oracle import check_table, split_stop_distances
-from savsim.scenario_gen import SyntheticSpec, generate_network
+from savsim.scenario_gen import SyntheticSpec, default_background_flows, generate_network
 
 from brute import heap_distances_to
 from randnets import random_connected_graph, scatter_stops, star_network
@@ -265,6 +266,34 @@ class TestShortestPath:
     def test_unknown_vertex(self):
         with pytest.raises(NotFoundError):
             shortest_path(triangle(), 1, 99)
+
+    def test_parallel_edges_take_the_shorter_then_the_smaller_id(self):
+        # validate_graph is never run, so the parallel edges stay
+        g = triangle()
+        g.add_edge(7, 1, 2, 15.0, 20)
+        g.add_edge(5, 1, 2, 15.0, 20)
+        assert shortest_path(g, 1, 3) == ((5, 11), 200.0)
+        g.add_edge(8, 2, 3, 15.0, 20, length=99.5)
+        g.add_edge(4, 2, 3, 15.0, 20, length=100.0)
+        assert shortest_path(g, 1, 3) == ((5, 8), 199.5)
+
+    def test_unreachable_target_names_both_vertices(self):
+        g = triangle()
+        g.add_vertex(4, 50.0, 50.0)
+        g.add_edge(13, 4, 1, 15.0, 20)
+        with pytest.raises(NotFoundError, match="vertex 4 unreachable from 2"):
+            shortest_path(g, 2, 4)
+
+    def test_corner_flow_routes_are_locked(self):
+        # the background flows' routes on the default grid and the 400 m city:
+        # edge ids and the bits of each length
+        digest = hashlib.sha256()
+        for spec in (SyntheticSpec(seed=424242), CITY_400M):
+            graph = generate_network(spec)
+            for flow in default_background_flows(spec):
+                edges, dist = shortest_path(graph, flow.origin_vertex, flow.destination_vertex)
+                digest.update(repr((edges, dist.hex())).encode())
+        assert digest.hexdigest() == "b99a16a3b3b6a8f2feb4bbf1623f907102e77219e2f15cb81e4f944ce51a1c07"
 
 
 def stop_path(g: RoadGraph, origin: Stop, dest: Stop) -> tuple[tuple[tuple[int, float, float], ...], float]:
@@ -557,7 +586,7 @@ class TestTableProperties:
             g = random_connected_graph(rng)
             scatter_stops(rng, g, rng.randint(2, 10))
             table = build_stop_distance_table(g)
-            assert check_table(g, table, tol=1e-9) == []
+            assert check_table(g, table) == []
 
     def test_triangle_inequality(self):
         for seed in range(8):
@@ -817,7 +846,7 @@ class TestRelabelledVertexIds:
             for query in queries:
                 pieces, dist = table2.position_path(*query)
                 assert pieces_distance(pieces) == pytest.approx(dist, abs=1e-9)
-            assert check_table(g2, table2, tol=1e-9) == []
+            assert check_table(g2, table2) == []
         for seed in range(3):
             grid = tied_grid()
             new_id = scrambled(grid, random.Random(seed)).__getitem__
@@ -850,6 +879,16 @@ class TestOracleInternals:
         assert dists[(a.id, b.id)] == 0.0
         assert dists[(b.id, a.id)] == 0.0
 
+    def test_check_table_reports_a_nan_entry(self):
+        g = generate_network(SyntheticSpec())
+        table = build_stop_distance_table(g)
+        ids = table.stop_ids()
+        a, b = ids[2], ids[9]
+        table._rows[a][table._col[b]] = math.nan
+        [(origin, dest, got, want)] = check_table(g, table)
+        assert (origin, dest) == (a, b)
+        assert math.isnan(got) and want > 0.0
+
     def test_check_table_on_the_400_m_city_peaks_under_1_5_mb(self):
         g = generate_network(CITY_400M)
         table = build_stop_distance_table(g)
@@ -875,7 +914,7 @@ class TestOracleInternals:
         search, lookup = oracle._dijkstra, table.distance
         monkeypatch.setattr(oracle, "_dijkstra", lambda adj, source: events.append(None) or search(adj, source))
         monkeypatch.setattr(table, "distance", lambda a, b: events.append(a) or lookup(a, b))
-        assert check_table(g, table, tol=1e-9) == [(a, b, lookup(a, b), want[a, b]) for a, b in sorted(corrupt)]
+        assert check_table(g, table) == [(a, b, lookup(a, b), want[a, b]) for a, b in sorted(corrupt)]
         assert events == [e for a in ids for e in [None] + [a] * (len(ids) - 1)]
 
 

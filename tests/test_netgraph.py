@@ -268,7 +268,7 @@ class TestShortestPath:
             shortest_path(triangle(), 1, 99)
 
     def test_parallel_edges_take_the_shorter_then_the_smaller_id(self):
-        # validate_graph is never run, so the parallel edges stay
+        # validate_graph would report these duplicate edges; shortest_path takes the graph as built
         g = triangle()
         g.add_edge(7, 1, 2, 15.0, 20)
         g.add_edge(5, 1, 2, 15.0, 20)

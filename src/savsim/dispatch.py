@@ -12,7 +12,7 @@ rounding tolerance, are walked exactly, resuming from the prefix sums before
 the pickup; the walk equals the last prefix sums of the amended route bit
 for bit, and its totals alone decide, so the result is the pair an
 exhaustive walk would pick.  ``route_prefix`` is the one left-to-right pass
-over a route: the engine reads a route's length from it too.
+over a route.
 """
 
 from __future__ import annotations

@@ -77,7 +77,6 @@ from .dispatch import (
     UNASSIGNED,
     on_arrival,
     request_legs,
-    route_prefix,
     select_next_request,
     state_counts,
     try_insert_shared,
@@ -395,7 +394,7 @@ class _Replication:
                 if entry is None:
                     edge = self.graph.edge(eid)
                     v = attainable_speed(edge, occupancy, self.profile)
-                    entry = (v, *drive(edge, length, v, speed)[:2])
+                    entry = (v, *drive(edge, length, v))
                     if whole:
                         drives[eid, occupancy] = entry
                 v, dt, edge_delay = entry
@@ -464,21 +463,12 @@ class _Replication:
             self._start_leg(sav, now)
 
     def _try_share(self, pr: PendingRequest, now: float) -> None:
-        """Offer one request to every active route; apply the best insertion.
+        """Offer one request to every active route once; apply the best insertion.
 
         Called once, when the request arrives; requests that fail here wait
-        for an idle vehicle.  The vehicle with the most shared distance wins,
-        the first one on ties.  Once a best insertion exists, a vehicle whose
-        detour budget, ``detour_budget_factor`` times its route's length
-        (the last ``length`` of ``route_prefix``), is at most the best shared
-        distance is not offered the request: it cannot win.
-        ``try_insert_shared`` builds its budget from that same sum of the
-        same ``route_prefix`` pass, and accepts a pair only if its exact
-        length is at most the budget.  The pair's shared distance is a sum
-        of a subset of the same non-negative segments in the same order, and
-        rounding is monotone, so each partial shared sum is at most the
-        partial length: shared <= length <= budget <= best.  A vehicle
-        replaces the best only with a strictly larger shared distance.
+        for an idle vehicle.  Each active vehicle, in id order, is offered
+        the request once, through ``try_insert_shared``; the first vehicle
+        with the strictly largest shared distance wins.
         """
         best = None
         best_sav = None
@@ -487,10 +477,6 @@ class _Replication:
                 continue
             if sav.status == EN_ROUTE:
                 sav.position = self.plans[sav.id].progress(now)[0]
-            if best is not None and (self.policy.detour_budget_factor
-                                     * route_prefix(sav, self.table).length[-1]
-                                     <= best.shared_miles):
-                continue
             res = try_insert_shared(self.policy, sav, pr.request, self.table)
             if res is not None and (best is None or res.shared_miles > best.shared_miles):
                 best, best_sav = res, sav

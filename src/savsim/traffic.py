@@ -3,11 +3,11 @@
 Edge speed follows a linear speed-density relation with a crawl floor so
 saturated edges never produce infinite travel times.  Behavior profiles scale
 attainable speed (capped at free flow) and set per-boarding dwell times.
-``drive`` is the one rule for driving an edge, used by fleet legs and
-background vehicles alike.  ``BackgroundTraffic`` owns the background
-vehicles of one replication index: their injection draws, the per-edge
-occupancy timelines the fleet reads, and their delay, stop and distance
-tallies.
+``drive`` is the one rule for driving an edge and ``count_stop_event`` the
+one rule for a stop, both used by fleet legs and background vehicles alike.
+``BackgroundTraffic`` owns the background vehicles of one replication index:
+their injection draws, the per-edge occupancy timelines the fleet reads, and
+their delay, stop and distance tallies.
 """
 
 from __future__ import annotations
@@ -97,11 +97,10 @@ def count_stop_event(previous_speed: float, new_speed: float) -> bool:
     return previous_speed >= STOP_SPEED_THRESHOLD and new_speed < STOP_SPEED_THRESHOLD
 
 
-def drive(edge: DirectedEdge, length: float, speed: float,
-          previous_speed: float) -> tuple[float, float, bool]:
-    """(seconds, delay against free flow, stop event) for ``length`` > 0 meters of ``edge`` at ``speed``."""
+def drive(edge: DirectedEdge, length: float, speed: float) -> tuple[float, float]:
+    """(seconds, delay against free flow) for ``length`` > 0 meters of ``edge`` at ``speed``."""
     seconds = length / speed
-    return seconds, seconds - length / edge.free_flow_speed, count_stop_event(previous_speed, speed)
+    return seconds, seconds - length / edge.free_flow_speed
 
 
 @dataclass
@@ -171,10 +170,10 @@ class BackgroundTraffic:
         edge = vehicle.route[vehicle.index]
         occupancy = self.occupancy.get(edge.id, 0)
         speed = edge_speed(edge, occupancy)
-        seconds, delay, stopped = drive(edge, edge.length, speed, vehicle.speed)
+        seconds, delay = drive(edge, edge.length, speed)
+        vehicle.stops += count_stop_event(vehicle.speed, speed)
         vehicle.speed = speed
         vehicle.delay += delay
-        vehicle.stops += stopped
         self._set(edge.id, now, occupancy + 1)
         return now + seconds
 

@@ -40,6 +40,7 @@ from savsim.traffic import (
     edge_speed,
 )
 
+from brute import brute_best_shared
 from randnets import ZONE_CYCLE, random_connected_graph, ring_network
 
 
@@ -564,7 +565,8 @@ def reference_plan(rep: _Replication, sav: dispatch.Sav, target_stop: int, now: 
             edge = rep.graph.edge(eid)
             occupancy = rep.traffic.occupancy_at(eid, now)
             v = attainable_speed(edge, occupancy, rep.profile)
-            dt, edge_delay, stop = drive(edge, length, v, prev_speed)
+            dt, edge_delay = drive(edge, length, v)
+            stop = count_stop_event(prev_speed, v)
             prev_speed = v
             if a == 0.0 and b == edge.length:
                 whole.add((eid, occupancy))
@@ -650,7 +652,7 @@ class TestDriveTable:
             for (eid, occupancy), entry in table.items():
                 edge = graph.edge(eid)
                 speed = attainable_speed(edge, occupancy, rep.profile)
-                seconds, delay, _ = drive(edge, edge.length, speed, 0.0)
+                seconds, delay = drive(edge, edge.length, speed)
                 assert [x.hex() for x in entry] == [speed.hex(), seconds.hex(), delay.hex()]
             edges_driven = {eid for eid, _ in whole[id(table)]}
             occupancies = {occupancy for _, occupancy in whole[id(table)]}
@@ -838,9 +840,10 @@ class TestRunSweep:
 
 
 class TestTryShare:
-    def test_vehicle_skip_never_changes_the_winner(self, monkeypatch):
-        # offer each request to every active vehicle, as the skip's proof
-        # says the skipped ones could not win, and compare with _try_share
+    def test_each_active_vehicle_is_offered_each_request_once(self, monkeypatch):
+        # offer each request to every active vehicle, and compare with
+        # _try_share: it offers the same vehicles, and its winner is the first
+        # vehicle with the strictly largest brute-force shared distance
         offered = []
         monkeypatch.setattr(engine, "try_insert_shared",
                             lambda *args: offered.append(1) or dispatch.try_insert_shared(*args))
@@ -849,6 +852,7 @@ class TestTryShare:
 
         def checked(rep, pr, now):
             best = best_sav = None
+            brute = brute_sav = None
             for sav in rep.savs:
                 if sav.status == "idle" or not sav.route:
                     continue
@@ -857,16 +861,20 @@ class TestTryShare:
                 res = dispatch.try_insert_shared(rep.policy, sav, pr.request, rep.table)
                 if res is not None and (best is None or res.shared_miles > best.shared_miles):
                     best, best_sav = res, sav
+                shared = brute_best_shared(rep.policy, sav, pr.request, rep.table)
+                if shared is not None and (brute is None or shared > brute):
+                    brute, brute_sav = shared, sav
                 exhaustive.append(1)
             share(rep, pr, now)
             assert pr.assigned_sav == (None if best is None else best_sav.id)
+            assert pr.assigned_sav == (None if brute is None else brute_sav.id)
             if best is not None:
                 assert tuple(best_sav.route) == best.route
 
         monkeypatch.setattr(_Replication, "_try_share", checked)
         scenario = dataclasses.replace(default_scenario(), fleet_size=8, replications=2)
         run_scenario(scenario)
-        assert len(offered) < len(exhaustive)   # the skip fired
+        assert len(offered) == len(exhaustive)
 
 
 class TestValidationErrors:

@@ -4,8 +4,10 @@ Criterion 9 proves determinism within one build; this file proves that a
 change to the code left the simulation's outputs unchanged.  The sweep runs
 on the 90-vertex default grid; the digests of a one-replication run on the
 400 m city also lock the driven pieces of every leg where many grid paths
-tie.  Regenerate the golden file only on purpose (and say why in
-CHANGES.md):
+tie.  The digests of one-replication runs at four times the default
+demand lock shared-ride insertion into routes of hundreds of legs, which
+the sweep never builds.  Regenerate the golden file only on purpose (and
+say why in CHANGES.md):
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -15,8 +17,8 @@ import hashlib
 import os
 
 from savsim.cli import main
-from savsim.engine import run_sweep
-from savsim.metrics import records_to_csv
+from savsim.engine import run_scenario, run_sweep
+from savsim.metrics import events_to_csv, records_to_csv
 from savsim.scenario_gen import default_scenario
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "sweep.csv")
@@ -35,6 +37,16 @@ CITY_SETTINGS = ["grid_spacing=400", "peripheral_stop_count=56", "central_stop_c
 CITY_RUN_SHA256 = {
     "events.csv": "7e50f4822a52505f52d010cda376004c85de4a21ace6411e63d013a67f85ad96",
     "replications.csv": "20a82703595998aa0ed63eaf312a4e423d5d52785a298db70877dc9a4721555f",
+}
+
+# the default scenario at demand x4, one replication with the event log:
+# fleet size -> SHA-256 of (records_to_csv, events_to_csv)
+HIGH_DEMAND = {"outbound_rate": 36.0, "inbound_rate": 24.0}
+HIGH_DEMAND_SHA256 = {
+    2: ("369303f7985392ac9052b3f668fe5cfefc5b569b9313b98ee52d35ac3808ddd0",
+        "9f2a1d4159febac3aa2ecd25ac8ee900a795c0a0fbbc31f4159962c7b21a2d3b"),
+    8: ("1e0cc54040fed4e3b6d8166181a831a381967747cdca51260fbc4c3037a3ab25",
+        "0990d5e1286f3500e0596c1e04edf4d7bab6ca9f38f7fdb7c97b22622b6ba07a"),
 }
 
 
@@ -64,6 +76,19 @@ def test_city_run_matches_its_digests(tmp_path):
                  "--verbose", "--out", str(tmp_path / "run")]) == 0
     got = {name: hashlib.sha256((tmp_path / "run" / name).read_bytes()).hexdigest() for name in CITY_RUN_SHA256}
     assert got == CITY_RUN_SHA256
+
+
+def test_high_demand_runs_match_their_digests():
+    base = default_scenario()
+    demand = dataclasses.replace(base.demand, **HIGH_DEMAND)
+    got = {}
+    for fleet_size in HIGH_DEMAND_SHA256:
+        scenario = dataclasses.replace(base, demand=demand, fleet_size=fleet_size, replications=1)
+        result = run_scenario(scenario, collect_log=True)
+        logs = [(rep.record.replication, rep.log) for rep in result.replications]
+        got[fleet_size] = tuple(hashlib.sha256(text.encode()).hexdigest()
+                                for text in (records_to_csv(result.records), events_to_csv(logs)))
+    assert got == HIGH_DEMAND_SHA256
 
 
 if __name__ == "__main__":

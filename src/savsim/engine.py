@@ -41,6 +41,10 @@ Model notes:
   * Each arrival event carries the leg plan it was scheduled for; a plan
     that a reroute replaced is no longer the vehicle's plan, so its arrival
     is stale and is ignored.
+  * Dispatch rests on one invariant, checked by ``_check_counts``: while a
+    vehicle is idle, no request is unassigned.  An arriving request goes to
+    the first idle vehicle in id order, or is offered for sharing when none
+    is; only a vehicle turning idle applies ``select_next_request``.
   * Invariants are checked where they can break, and violations raise
     ConsistencyError.  Capacity is asserted in ``dispatch.on_arrival``, the
     one place a vehicle's load grows.  ``PendingRequest.advance`` keeps the
@@ -441,39 +445,17 @@ class _Replication:
         sav.route = route
         self._log("assign", sav.id, pr.request.id, pr.request.origin)
 
-    def _assign_idle(self, now: float) -> None:
-        """Let each idle vehicle, in id order, pick unassigned work.
-
-        One pass is enough: no vehicle turns idle during it, and each idle
-        vehicle either takes a request or finds none unassigned, which leaves
-        none for the vehicles after it, so the function returns.
-        """
-        for sav in self.savs:
-            if sav.status != IDLE:
-                continue
-            edge_id, offset = sav.position
-            rid = select_next_request(
-                self.policy, self.pending.values(), sav, now,
-                lambda pr: self.table.distance_from_position(edge_id, offset, pr.request.origin),
-            )
-            if rid is None:
-                return
-            pr = self.pending[rid]
-            self._assign(sav, pr, request_legs(pr.request))
-            self._start_leg(sav, now)
-
     def _try_share(self, pr: PendingRequest, now: float) -> None:
-        """Offer one request to every active route once; apply the best insertion.
+        """Offer one request to every vehicle with a route once; apply the best insertion.
 
-        Called once, when the request arrives; requests that fail here wait
-        for an idle vehicle.  Each active vehicle, in id order, is offered
-        the request once, through ``try_insert_shared``; the first vehicle
-        with the strictly largest shared distance wins.
+        Called when the request arrives and no vehicle is idle; a request that
+        fails here waits for a vehicle to turn idle.  The first vehicle, in id
+        order, with the strictly largest shared distance wins.
         """
         best = None
         best_sav = None
         for sav in self.savs:
-            if sav.status == IDLE or not sav.route:
+            if not sav.route:   # dwelling with nothing left
                 continue
             if sav.status == EN_ROUTE:
                 sav.position = self.plans[sav.id].progress(now)[0]
@@ -490,12 +472,16 @@ class _Replication:
     # event handlers -------------------------------------------------------
 
     def _on_request_arrival(self, request: TripRequest) -> None:
+        """The first idle vehicle takes the request, the one unassigned; or it is offered for sharing."""
         pr = PendingRequest(request, counts=self.counts)
         self.pending[request.id] = pr
         self.metrics.requests_seen += 1
-        self._assign_idle(self.now)
-        if pr.state == UNASSIGNED:
-            self._try_share(pr, self.now)
+        for sav in self.savs:
+            if sav.status == IDLE:
+                self._assign(sav, pr, request_legs(request))
+                self._start_leg(sav, self.now)
+                return
+        self._try_share(pr, self.now)
 
     def _on_sav_arrival(self, plan: _LegPlan) -> None:
         sav_id = plan.sav
@@ -520,21 +506,30 @@ class _Replication:
         self._schedule(self.now + dwell_slots * self.profile.dwell_time, DWELL_END, sav_id)
 
     def _on_dwell_end(self, sav_id: int) -> None:
+        """The vehicle drives its next leg, or turns idle, the one idle vehicle that can find work."""
         sav = self.savs[sav_id]
-        if sav.route:
-            self._start_leg(sav, self.now)
-        else:
+        if not sav.route:
             sav.status = IDLE
-            self._assign_idle(self.now)
+            rid = select_next_request(
+                self.policy, self.pending.values(), sav, self.now,
+                lambda pr: self.table.distance_from_position(*sav.position, pr.request.origin),
+            )
+            if rid is None:
+                return
+            pr = self.pending[rid]
+            self._assign(sav, pr, request_legs(pr.request))
+        self._start_leg(sav, self.now)
 
     # invariants -----------------------------------------------------------
 
     def _check_counts(self) -> None:
         """The requests per state, as ``advance`` keeps them, add up to the
         requests seen; ONBOARD ones ride a vehicle, COMPLETED ones are the
-        trips completed, and both were picked up, with one wait each.
-        O(fleet): run after every fleet event."""
+        trips completed, both picked up, with one wait each; none is
+        UNASSIGNED while a vehicle is idle.  O(fleet): run after every fleet event."""
         counts = self.counts
+        if counts[UNASSIGNED] and any(sav.status == IDLE for sav in self.savs):
+            raise ConsistencyError(f"a vehicle is idle at t={self.now} with {counts[UNASSIGNED]} requests unassigned")
         aboard = sum(len(sav.onboard) for sav in self.savs)
         m = self.metrics
         if (sum(counts.values()) != m.requests_seen or counts[ONBOARD] != aboard
@@ -759,7 +754,11 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 
 
 def _party_weights(doc: object) -> dict[int, float]:
-    return {int(k): json_value(float, v) for k, v in json_value(dict, doc).items()}
+    """Party size -> weight; a key must be its size's decimal, so no two keys name one size."""
+    for key in json_value(dict, doc):
+        if str(int(key)) != key:
+            raise ValueError(f"key {key!r} is not written as the decimal {int(key)}")
+    return {int(k): json_value(float, v) for k, v in doc.items()}
 
 
 _SCENARIO_FIELDS = {

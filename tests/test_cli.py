@@ -217,6 +217,17 @@ class TestRun:
         assert "party_size_weights" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("key", ["01", " 1", "+1"])
+    def test_party_size_written_twice_names_the_key(self, tmp_path, capsys, key):
+        # read as int, the key would name size 1 again and replace its weight
+        out = generate_small(tmp_path)
+        weights = json.dumps({"1": 0.5, key: 0.5, "2": 0.5})
+        code = main(run_args(tmp_path / "x", out / "scenario.json",
+                             extra=["--set", f"demand.party_size_weights={weights}"]))
+        assert code == 1
+        assert f"demand.party_size_weights: key {key!r} is not written as the decimal 1" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("item, message", [
         ("demand.party_size_weights=[1]", "demand.party_size_weights: expected an object, got list"),
         ('demand=[["outbound_rate",1],["inbound_rate",2]]', "scenario.demand: expected an object, got list"),

@@ -184,6 +184,24 @@ class TestConservation:
                 rep.run()
             assert f"at t={corrupted_at[0]}:" in str(caught.value)
 
+    def test_unassigned_request_while_a_vehicle_is_idle_is_caught(self):
+        # one vehicle: the first request that arrives while it is busy waits
+        # unassigned; marking the vehicle idle then breaks the invariant
+        rep = new_replication(busy_scenario(fleet_size=1))
+        handler = rep._on_request_arrival
+        broken = []
+
+        def idling(request):
+            handler(request)
+            if not broken and rep.counts["unassigned"]:
+                broken.append(f"at t={rep.now} with {rep.counts['unassigned']} requests unassigned")
+                rep.savs[0].status = "idle"
+
+        rep._on_request_arrival = idling
+        with pytest.raises(ConsistencyError, match="a vehicle is idle") as caught:
+            rep.run()
+        assert broken and broken[0] in str(caught.value)
+
     def test_state_written_without_advance_is_caught_at_the_end(self):
         # the counts kept by ``advance`` still agree with the fleet and the
         # metrics, so only the end-of-replication walk over every request sees it
@@ -853,8 +871,10 @@ class TestTryShare:
         def checked(rep, pr, now):
             best = best_sav = None
             brute = brute_sav = None
+            # by the idle-vehicle invariant, only a busy fleet shares
+            assert all(sav.status != "idle" for sav in rep.savs)
             for sav in rep.savs:
-                if sav.status == "idle" or not sav.route:
+                if not sav.route:
                     continue
                 if sav.status == "en_route":
                     sav.position = rep.plans[sav.id].progress(now)[0]

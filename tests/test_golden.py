@@ -40,18 +40,22 @@ CITY_RUN_SHA256 = {
     "replications.csv": "20a82703595998aa0ed63eaf312a4e423d5d52785a298db70877dc9a4721555f",
 }
 
-# the default scenario at other demand, one replication with the event log:
-# (outbound_rate, inbound_rate, fleet size) -> SHA-256 of (records_to_csv, events_to_csv)
-DEMAND_SHA256 = {
-    # x4: routes of hundreds of legs
-    (36.0, 24.0, 2): ("369303f7985392ac9052b3f668fe5cfefc5b569b9313b98ee52d35ac3808ddd0",
-                      "9f2a1d4159febac3aa2ecd25ac8ee900a795c0a0fbbc31f4159962c7b21a2d3b"),
-    (36.0, 24.0, 8): ("1e0cc54040fed4e3b6d8166181a831a381967747cdca51260fbc4c3037a3ab25",
-                      "0990d5e1286f3500e0596c1e04edf4d7bab6ca9f38f7fdb7c97b22622b6ba07a"),
-    # x1/2 with fleet 16: most requests arrive while a vehicle is idle
-    (4.5, 3.0, 16): ("78dc7d2f047bc09ff8a447b669b48d8d03adf89b11e9505ab29bc7b15d97ef4a",
-                     "1fcf6c9725ab296ba034c15956904537e42f08f58316bb74232fdd5db3c8515f"),
+# the default scenario at demand x4, and at demand x1/2, where most requests
+# arrive while a vehicle is idle, one replication with the event log:
+# fleet size -> SHA-256 of (records_to_csv, events_to_csv)
+HIGH_DEMAND = {"outbound_rate": 36.0, "inbound_rate": 24.0}
+HIGH_DEMAND_SHA256 = {
+    2: ("369303f7985392ac9052b3f668fe5cfefc5b569b9313b98ee52d35ac3808ddd0",
+        "9f2a1d4159febac3aa2ecd25ac8ee900a795c0a0fbbc31f4159962c7b21a2d3b"),
+    8: ("1e0cc54040fed4e3b6d8166181a831a381967747cdca51260fbc4c3037a3ab25",
+        "0990d5e1286f3500e0596c1e04edf4d7bab6ca9f38f7fdb7c97b22622b6ba07a"),
 }
+HALF_DEMAND = {"outbound_rate": 4.5, "inbound_rate": 3.0}
+HALF_DEMAND_SHA256 = {
+    16: ("78dc7d2f047bc09ff8a447b669b48d8d03adf89b11e9505ab29bc7b15d97ef4a",
+         "1fcf6c9725ab296ba034c15956904537e42f08f58316bb74232fdd5db3c8515f"),
+}
+
 
 def golden_sweep_csv() -> str:
     scenario = dataclasses.replace(default_scenario(), replications=REPLICATIONS)
@@ -83,16 +87,17 @@ def test_city_run_matches_its_digests(tmp_path):
 
 def test_high_demand_runs_match_their_digests():
     base = default_scenario()
-    got = {}
-    for outbound, inbound, fleet_size in DEMAND_SHA256:
-        demand = dataclasses.replace(base.demand, outbound_rate=outbound, inbound_rate=inbound)
-        scenario = dataclasses.replace(base, demand=demand, fleet_size=fleet_size, replications=1)
-        result = run_scenario(scenario, collect_log=True)
-        logs = [(rep.record.replication, rep.log) for rep in result.replications]
-        got[outbound, inbound, fleet_size] = tuple(
-            hashlib.sha256(text.encode()).hexdigest()
-            for text in (records_to_csv(result.records), events_to_csv(logs)))
-    assert got == DEMAND_SHA256
+    for rates, want in ((HIGH_DEMAND, HIGH_DEMAND_SHA256), (HALF_DEMAND, HALF_DEMAND_SHA256)):
+        demand = dataclasses.replace(base.demand, **rates)
+        got = {}
+        for fleet_size in want:
+            scenario = dataclasses.replace(base, demand=demand, fleet_size=fleet_size, replications=1)
+            result = run_scenario(scenario, collect_log=True)
+            logs = [(rep.record.replication, rep.log) for rep in result.replications]
+            got[fleet_size] = tuple(hashlib.sha256(text.encode()).hexdigest()
+                                    for text in (records_to_csv(result.records), events_to_csv(logs)))
+        assert got == want
+
 
 if __name__ == "__main__":
     with open(GOLDEN, "w", encoding="utf-8", newline="") as fh:

@@ -8,8 +8,8 @@ strictly sequential and depends only on (scenario, index), so ``_run_cells``,
 behind ``run_scenario`` and ``run_sweep``, fans them out by dealing
 replication indices to its workers.  Its cells are variants of one base
 scenario that differ only in fleet size and profile; the cells of one task
-share, read-only, one stop table per graph, which never changes once built,
-and each index's draw (request stream and background field).
+share the base's stops, flow routes and stop table, which never change once
+built, and each index's draw (request stream and background field).
 
 Model notes:
   * ``traffic.BackgroundTraffic`` owns the background vehicles and the edge
@@ -24,10 +24,10 @@ Model notes:
     instant counts).
   * ``traffic`` owns the speed rule: ``edge_speed`` is the one speed-density
     formula, and ``attainable_speed`` and ``drive`` the fleet's speed and an
-    edge's time and delay.  ``_run_chunk`` owns the drive tables, one per
-    (graph, profile), shared by its cells like the stop table: each maps
-    (edge id, occupancy) to what those two functions return for the whole
-    edge, filled by calling them the first time ``_build_plan`` needs it.
+    edge's time and delay.  A chunk's first ``_Runtime`` owns the drive
+    tables, one per profile, shared by its cells like the stop table: each
+    maps (edge id, occupancy) to what those two functions return for the
+    whole edge, filled by calling them the first time ``_build_plan`` needs it.
     A partial first or last piece calls them directly and never enters a
     table.
   * A leg's driven pieces, including the direct same-edge hop, come from
@@ -91,7 +91,6 @@ from .metrics import LogEntry, MetricsRecord, MetricsState, aggregate, finalize
 from .netgraph import (
     DirectedEdge,
     RoadGraph,
-    StopDistanceTable,
     build_stop_distance_table,
     load_network,
     read_json,
@@ -156,38 +155,38 @@ DriveTable = dict[tuple[int, int], tuple[float, float, float]]
 class _Runtime:
     """Per-scenario precomputation shared by the replications of a chunk.
 
-    ``tables`` maps a graph to its stop table and ``drives`` a (graph,
-    profile) pair to its drive table; runtimes built with the same dicts
-    share them.  A drive table depends on neither the time nor the draw, so
-    it serves every index.  The event estimate spans ``scenario.horizon``,
-    the one window of demand, background traffic and the fleet clock.
+    Built ``like`` a runtime whose scenario differs at most in ``fleet_size``
+    and ``profile``, it shares that one's stops, flow routes, stop table and
+    drive tables (one per profile), and makes only ``validate_graph`` and the
+    checks those two fields can fail.  A drive table depends on neither the
+    time nor the draw, so it serves every index.  The event estimate spans
+    ``scenario.horizon``, the window of demand, traffic and the fleet clock.
     """
 
-    def __init__(self, scenario: Scenario,
-                 tables: dict[RoadGraph, StopDistanceTable | None] | None = None,
-                 drives: dict[tuple[RoadGraph, BehaviorProfile], DriveTable] | None = None) -> None:
+    def __init__(self, scenario: Scenario, like: _Runtime | None = None) -> None:
         graph = scenario.graph
         report = validate_graph(graph)
         if not report.ok:
             raise ConfigurationError(f"network failed validation:\n{report}")
-        self.graph = graph
-        self.stops = list(graph.stops())
+        self.stops = like.stops if like else list(graph.stops())
         self.profile = get_profile(scenario.profile,
                                    scenario.behavior_profiles or traffic_mod.DEFAULT_PROFILES)
         if scenario.fleet_size > 0 and not self.stops:
             raise ConfigurationError("a nonzero fleet needs stops to park at")
-        zones = {s.zone for s in self.stops}
-        if scenario.demand.outbound_rate > 0 or scenario.demand.inbound_rate > 0:
-            missing = {"peripheral_housing", "central_opportunity"} - zones
-            if missing:
-                raise ConfigurationError(f"demand requires stops in zones: {sorted(missing)}")
-        self.flow_routes: list[tuple[DirectedEdge, ...]] = []
-        for flow in scenario.background_flows:
-            try:
-                edges, _ = shortest_path(graph, flow.origin_vertex, flow.destination_vertex)
-            except SimulationError as exc:
-                raise ConfigurationError(f"background flow {flow}: {exc}") from exc
-            self.flow_routes.append(tuple(graph.edge(eid) for eid in edges))
+        if like:
+            self.flow_routes, self.table, self.drive_tables = like.flow_routes, like.table, like.drive_tables
+        else:
+            if scenario.demand.outbound_rate > 0 or scenario.demand.inbound_rate > 0:
+                missing = {"peripheral_housing", "central_opportunity"} - {s.zone for s in self.stops}
+                if missing:
+                    raise ConfigurationError(f"demand requires stops in zones: {sorted(missing)}")
+            self.flow_routes: list[tuple[DirectedEdge, ...]] = []
+            for flow in scenario.background_flows:
+                try:
+                    edges, _ = shortest_path(graph, flow.origin_vertex, flow.destination_vertex)
+                except SimulationError as exc:
+                    raise ConfigurationError(f"background flow {flow}: {exc}") from exc
+                self.flow_routes.append(tuple(graph.edge(eid) for eid in edges))
         # Each replication takes one horizon cut, one vehicle per fleet slot,
         # one arrival per expected request, and per expected background vehicle
         # one injection plus one exit per route edge.  The integer fields are
@@ -203,11 +202,10 @@ class _Runtime:
                 f"{scenario.replications} x (1 + fleet_size {scenario.fleet_size} + {requests:.3g} demand"
                 f" requests + {background:.3g} background_flows events over horizon {scenario.horizon:g})"
             )
-        tables = {} if tables is None else tables
-        if graph not in tables:
-            tables[graph] = build_stop_distance_table(graph, self.stops) if len(self.stops) >= 2 else None
-        self.table = tables[graph]
-        self.drives = ({} if drives is None else drives).setdefault((graph, self.profile), {})
+        if not like:   # built last, so an estimate over the limit never waits for it
+            self.table = build_stop_distance_table(graph, self.stops) if len(self.stops) >= 2 else None
+            self.drive_tables: dict[BehaviorProfile, DriveTable] = {}
+        self.drives = self.drive_tables.setdefault(self.profile, {})
 
 
 class Draw(NamedTuple):
@@ -323,7 +321,7 @@ class _Replication:
         collect_log: bool = False,
     ) -> None:
         self.scenario = scenario
-        self.graph = runtime.graph
+        self.graph = scenario.graph
         self.table = runtime.table
         self.policy = scenario.policy
         self.profile = runtime.profile
@@ -630,19 +628,18 @@ def _run_chunk(
 
     Each ``(fleet_size, profile)`` variant of ``base`` is one cell.  Every
     cell's runtime is built first, so a cell that fails its checks stops the
-    task before any replication runs, and the runtimes share one stop table
-    per graph and one drive table per (graph, profile).  An index's draw does not depend on what the cells vary, so
-    it is made once, from ``base``, read by every cell and dropped before
-    the next index.
+    task before any replication runs; every other cell's is built like the
+    first's (see ``_Runtime``).  An index's draw does not depend on what the
+    cells vary, so it is made once, from ``base``, read by every cell and
+    dropped before the next index.
     """
     cells = [replace(base, fleet_size=fleet, profile=profile) for fleet, profile in variants]
-    tables: dict[RoadGraph, StopDistanceTable | None] = {}
-    drives: dict[tuple[RoadGraph, BehaviorProfile], DriveTable] = {}
-    runtimes = [_Runtime(cell, tables, drives) for cell in cells]
+    first = _Runtime(cells[0])
+    runtimes = [first] + [_Runtime(cell, first) for cell in cells[1:]]
     results: list[list[ReplicationResult]] = [[] for _ in cells]
     for i in indices:
         try:
-            draw = draw_index(base, runtimes[0], i, collect_occupancy)
+            draw = draw_index(base, first, i, collect_occupancy)
             for cell, runtime, out in zip(cells, runtimes, results):
                 out.append(simulate(cell, i, runtime, collect_log, draw=draw))
         except Exception as exc:
@@ -667,8 +664,8 @@ def _run_cells(
     replication indices are dealt round-robin into one chunk per worker, of
     which there are at most ``jobs``, ``usable_cpus()`` and the replications,
     and each chunk's task runs every cell at each of its indices (see
-    ``_run_chunk``), so the cells of a task share one stop table per graph
-    and each index is drawn once.  All chunks share one pool; forked workers
+    ``_run_chunk``), so the cells of a task share one stop table and one
+    route per flow, and each index is drawn once.  All chunks share one pool; forked workers
     inherit any wrapper around ``simulate``.  Results are merged per cell
     and equal a serial run.
     """

@@ -33,10 +33,11 @@ def check_finite(owner: str, **values: float) -> None:
 
     Range checks such as ``rate < 0`` let NaN through, and a NaN or infinite
     rate or horizon makes event generation loop forever, so every numeric
-    dataclass field is checked here before its range is.
+    dataclass field is checked here before its range is.  An int of any size
+    is finite; ``math.isfinite`` overflows on one too large for a float.
     """
     for name, value in values.items():
-        if not math.isfinite(value):
+        if not isinstance(value, int) and not math.isfinite(value):
             raise InvalidInputError(f"{owner} {name} must be a finite number, got {value!r}")
 
 

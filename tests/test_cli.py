@@ -209,6 +209,14 @@ class TestRun:
         assert "policy.capacity 2 is below the largest party size 3" in err
         assert "replication" not in err
 
+    def test_capacity_too_large_for_a_float_runs_as_an_ample_one(self, tmp_path):
+        out = generate_small(tmp_path)
+        for name, capacity in (("huge", "1" + "0" * 400), ("ample", "1000")):
+            assert main(run_args(tmp_path / name, out / "scenario.json",
+                                 extra=["--set", f"policy.capacity={capacity}"])) == 0
+        assert (tmp_path / "huge" / "replications.csv").read_bytes() \
+            == (tmp_path / "ample" / "replications.csv").read_bytes()
+
     def test_party_size_below_one_names_the_field(self, tmp_path, capsys):
         out = generate_small(tmp_path)
         code = main(run_args(tmp_path / "x", out / "scenario.json",

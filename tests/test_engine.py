@@ -28,7 +28,7 @@ from savsim.engine import (
 )
 from savsim.errors import ConfigurationError, ConsistencyError, SimulationError, record_kinds
 from savsim.metrics import aggregate
-from savsim.netgraph import RoadGraph, build_stop_distance_table, save_network
+from savsim.netgraph import RoadGraph, build_stop_distance_table, save_network, shortest_path, validate_graph
 from savsim.scenario_gen import default_scenario
 from savsim.traffic import (
     DEFAULT_PROFILES,
@@ -604,7 +604,8 @@ class TestDriveTable:
     @staticmethod
     def chunk(seed: int):
         """Cells of one chunk on a ``randnets`` graph with one stop inside every edge and
-        busy background flows; returns the replications at index 0 and the shared dicts."""
+        busy background flows, built as ``_run_chunk`` builds them; returns the
+        replications at index 0 and the first runtime's drive tables."""
         rng = random.Random(seed)
         graph = random_connected_graph(rng, max_vertices=12, max_edges=30)
         edges = list(graph.edges())
@@ -616,18 +617,19 @@ class TestDriveTable:
                         fleet_size=1, horizon=1200.0, replications=1, base_seed=seed)
         cells = [dataclasses.replace(base, fleet_size=fleet, profile=profile)
                  for fleet, profile in ((1, "cautious"), (2, "cautious"), (1, "aggressive"))]
-        tables, drives = {}, {}
-        runtimes = [_Runtime(cell, tables, drives) for cell in cells]
-        draw = draw_index(base, runtimes[0], 0)
+        first = _Runtime(cells[0])
+        runtimes = [first] + [_Runtime(cell, first) for cell in cells[1:]]
+        draw = draw_index(base, first, 0)
         reps = [_Replication(rt, cell, 0, draw) for rt, cell in zip(runtimes, cells)]
-        return rng, graph, edges, reps, drives
+        return rng, graph, edges, reps, first.drive_tables
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_plans_match_the_per_piece_loop_and_the_table_holds_only_whole_edges(self, seed):
         rng, graph, edges, reps, drives = self.chunk(seed)
         # two profiles in one chunk: one table each, shared by the cells of a profile
-        assert set(drives) == {(graph, rep.profile) for rep in reps} and len(drives) == 2
+        assert set(drives) == {rep.profile for rep in reps} and len(drives) == 2
+        assert all(drives[rep.profile] is rep.drives for rep in reps)
         assert reps[0].drives is reps[1].drives is not reps[2].drives
         stop_on = {stop.edge: stop.id for stop in graph.stops()}
         # an edge seen at two occupancies: a flow's first edge is empty at
@@ -789,15 +791,21 @@ class TestRunSweep:
         assert pooled.all_records() == serial.all_records()
 
     def test_cells_sharing_a_field_and_table_match_lone_replications(self, monkeypatch):
-        # a task runs every cell on one draw per index and one stop table;
-        # each cell must still get what it gets alone
+        # a task runs every cell on one draw per index, one stop table and
+        # one route per flow; each cell must still get what it gets alone
         scenario = busy_scenario(replications=2,
                                  background_flows=[BackgroundFlow(0, 2, 120.0), BackgroundFlow(3, 1, 90.0)])
-        draws = []
+        draws, routed, validated = [], [], []
         monkeypatch.setattr(engine, "draw_index",
                             lambda *args: draws.append(args[2]) or draw_index(*args))
+        monkeypatch.setattr(engine, "shortest_path",
+                            lambda *args: routed.append(args[1:]) or shortest_path(*args))
+        monkeypatch.setattr(engine, "validate_graph",
+                            lambda graph: validated.append(graph) or validate_graph(graph))
         serial = run_sweep(scenario, [1, 2], ["cautious", "aggressive"])
         assert draws == [0, 1]   # one draw per index, read by all four cells
+        assert routed == [(0, 2), (3, 1)]   # each flow routed once for all four cells
+        assert validated == [scenario.graph] * 4   # and every cell still checked
         monkeypatch.undo()
         assert all(r.total_distance_m > r.sav_distance_m for r in serial.all_records())
         for (fleet, profile), result in serial.cells.items():

@@ -4,11 +4,12 @@ Criterion 9 proves determinism within one build; this file proves that a
 change to the code left the simulation's outputs unchanged.  The sweep runs
 on the 90-vertex default grid; the digests of a one-replication run on the
 400 m city also lock the driven pieces of every leg where many grid paths
-tie.  The digests of one-replication runs at four times the default
-demand lock shared-ride insertion into routes of hundreds of legs, which
-the sweep never builds; those of one at half the default demand, with 16
-vehicles, lock dispatch to idle vehicles.  Regenerate the golden file only
-on purpose (and say why in CHANGES.md):
+tie, and the digest of a four-cell sweep there locks the flow routes and
+stop table that a chunk's cells share.  The digests of one-replication
+runs at four times the default demand lock shared-ride insertion into
+routes of hundreds of legs, which the sweep never builds; those of one at
+half the default demand, with 16 vehicles, lock dispatch to idle vehicles.
+Regenerate the golden file only on purpose (and say why in CHANGES.md):
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -20,7 +21,7 @@ import os
 from savsim.cli import main
 from savsim.engine import run_scenario, run_sweep
 from savsim.metrics import events_to_csv, records_to_csv
-from savsim.scenario_gen import default_scenario
+from savsim.scenario_gen import SyntheticSpec, default_scenario
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "sweep.csv")
 FLEET_SIZES = [2, 4, 6, 8, 10]
@@ -39,6 +40,11 @@ CITY_RUN_SHA256 = {
     "events.csv": "7e50f4822a52505f52d010cda376004c85de4a21ace6411e63d013a67f85ad96",
     "replications.csv": "20a82703595998aa0ed63eaf312a4e423d5d52785a298db70877dc9a4721555f",
 }
+
+# the stock scenario on the 400 m city, with its corner flows: SHA-256 of
+# records_to_csv of a two-replication sweep of these fleets and profiles
+CITY_SWEEP = ([4, 8], ["cautious", "aggressive"])
+CITY_SWEEP_SHA256 = "06fb89589a32c100a0b161aa1f40876028f31f5aa0a0900d5854b65519bb0ab5"
 
 # the default scenario at demand x4, and at demand x1/2, where most requests
 # arrive while a vehicle is idle, one replication with the event log:
@@ -83,6 +89,13 @@ def test_city_run_matches_its_digests(tmp_path):
                  "--verbose", "--out", str(tmp_path / "run")]) == 0
     got = {name: hashlib.sha256((tmp_path / "run" / name).read_bytes()).hexdigest() for name in CITY_RUN_SHA256}
     assert got == CITY_RUN_SHA256
+
+
+def test_city_sweep_matches_its_digest():
+    spec = SyntheticSpec(grid_spacing=400, peripheral_stop_count=56, central_stop_count=56)
+    scenario = dataclasses.replace(default_scenario(spec), replications=2)
+    records = run_sweep(scenario, *CITY_SWEEP).all_records()
+    assert hashlib.sha256(records_to_csv(records).encode()).hexdigest() == CITY_SWEEP_SHA256
 
 
 def test_high_demand_runs_match_their_digests():

@@ -105,7 +105,7 @@ class PendingRequest:
 
 @dataclass
 class Sav:
-    """A fleet vehicle; mutated only by the engine within one replication."""
+    """A fleet vehicle, its leg and its tallies; mutated only by the engine within one replication."""
 
     id: int
     capacity: int
@@ -114,6 +114,9 @@ class Sav:
     route: list[RouteLeg] = field(default_factory=list)
     onboard: dict[int, int] = field(default_factory=dict)  # request id -> party size
     status: str = IDLE
+    plan: object = None   # the engine's leg plan being driven, else None
+    delay: float = 0.0    # delay and stop events of the legs it has ended
+    stops: int = 0
 
     @property
     def onboard_total(self) -> int:

@@ -13,11 +13,12 @@ built, and each index's draw (request stream and background field).
 
 Model notes:
   * ``traffic.BackgroundTraffic`` owns the background vehicles and the edge
-    occupancy they make; the engine keeps only their clock.  Neither demand
-    nor background traffic depends on the fleet, so ``draw_index`` makes
-    each index's draw once, from the base scenario, before any fleet event,
-    and every cell reads it.  Fleet vehicles are few enough at this scale
-    that their density contribution is ignored.
+    occupancy they make, an edge's count being its timeline's last value;
+    the engine keeps only their clock.  Neither demand nor background
+    traffic depends on the fleet, so ``draw_index`` makes each index's draw
+    once, from the base scenario, before any fleet event, and every cell
+    reads it.  Fleet vehicles are few enough at this scale that their
+    density contribution is ignored.
     A fleet vehicle drives each edge of a leg at ``traffic.attainable_speed``,
     sampled once, at leg start, from the occupancy at that instant
     (``BackgroundTraffic.occupancy_at``: a background change at the same
@@ -38,13 +39,14 @@ Model notes:
   * A fleet vehicle's boarding/alighting events each take one dwell period;
     a request's pickup/completion timestamps fall at the end of its own
     dwell slot.
-  * Each arrival event carries the leg plan it was scheduled for; a plan
-    that a reroute replaced is no longer the vehicle's plan, so its arrival
-    is stale and is ignored.
+  * A fleet vehicle, ``dispatch.Sav``, carries its leg plan and tallies.
+    An arrival event carries the plan it was scheduled for; once a reroute
+    has replaced ``Sav.plan``, the arrival is stale and is ignored.
   * Dispatch rests on one invariant, checked by ``_check_counts``: while a
     vehicle is idle, no request is unassigned.  An arriving request goes to
     the first idle vehicle in id order, or is offered for sharing when none
-    is; only a vehicle turning idle applies ``select_next_request``.
+    is; only a vehicle turning idle while a request is unassigned applies
+    ``select_next_request``.
   * Invariants are checked where they can break, and violations raise
     ConsistencyError.  Capacity is asserted in ``dispatch.on_arrival``, the
     one place a vehicle's load grows.  ``PendingRequest.advance`` keeps the
@@ -353,9 +355,6 @@ class _Replication:
                     position=(stop.edge, stop.slack),
                 )
             )
-        self.plans: dict[int, _LegPlan | None] = {s.id: None for s in self.savs}
-        self.sav_delay: dict[int, float] = {s.id: 0.0 for s in self.savs}
-        self.sav_stops: dict[int, int] = {s.id: 0 for s in self.savs}
 
     # event plumbing -----------------------------------------------------
 
@@ -412,8 +411,7 @@ class _Replication:
 
     def _start_leg(self, sav: Sav, now: float) -> None:
         leg = sav.route[0]
-        plan = self._build_plan(sav, leg.stop, now)
-        self.plans[sav.id] = plan
+        sav.plan = plan = self._build_plan(sav, leg.stop, now)
         sav.status = EN_ROUTE
         if self.collect_log:
             self._log("depart", sav.id, leg.request, leg.stop, plan.progress(plan.arrive)[1])
@@ -426,13 +424,13 @@ class _Replication:
         ``kind`` is ``arrive``; or, for a leg cut short, ``reroute``, after
         which the next leg starts, or ``horizon``, after which the run ends.
         """
-        sav.position, distance, delay, stops = self.plans[sav.id].progress(now)
-        self.plans[sav.id] = None
+        sav.position, distance, delay, stops = sav.plan.progress(now)
+        sav.plan = None
         self.metrics.sav_distance += distance
         if len(sav.onboard) >= 2:
             self.metrics.shared_miles += distance
-        self.sav_delay[sav.id] += delay
-        self.sav_stops[sav.id] += stops
+        sav.delay += delay
+        sav.stops += stops
         self._log(kind, sav.id, request, stop, distance)
 
     # dispatch ------------------------------------------------------------
@@ -456,7 +454,7 @@ class _Replication:
             if not sav.route:   # dwelling with nothing left
                 continue
             if sav.status == EN_ROUTE:
-                sav.position = self.plans[sav.id].progress(now)[0]
+                sav.position = sav.plan.progress(now)[0]
             res = try_insert_shared(self.policy, sav, pr.request, self.table)
             if res is not None and (best is None or res.shared_miles > best.shared_miles):
                 best, best_sav = res, sav
@@ -482,10 +480,9 @@ class _Replication:
         self._try_share(pr, self.now)
 
     def _on_sav_arrival(self, plan: _LegPlan) -> None:
-        sav_id = plan.sav
-        if self.plans[sav_id] is not plan:
+        sav = self.savs[plan.sav]
+        if sav.plan is not plan:
             return
-        sav = self.savs[sav_id]
         here = sav.route[0].stop
         self._end_leg(sav, self.now, "arrive", sav.route[0].request, here)
         sav.status = DWELLING
@@ -500,20 +497,20 @@ class _Replication:
                 self.metrics.record_wait(event_time - pr.request.request_time)
             else:
                 self.metrics.record_completion(pr.request.party_size)
-            self._log(leg.action, sav_id, leg.request, here)
-        self._schedule(self.now + dwell_slots * self.profile.dwell_time, DWELL_END, sav_id)
+            self._log(leg.action, sav.id, leg.request, here)
+        self._schedule(self.now + dwell_slots * self.profile.dwell_time, DWELL_END, sav.id)
 
     def _on_dwell_end(self, sav_id: int) -> None:
-        """The vehicle drives its next leg, or turns idle, the one idle vehicle that can find work."""
+        """The vehicle drives its next leg, or turns idle and, if a request is unassigned, selects one."""
         sav = self.savs[sav_id]
         if not sav.route:
             sav.status = IDLE
+            if not self.counts[UNASSIGNED]:
+                return
             rid = select_next_request(
                 self.policy, self.pending.values(), sav, self.now,
                 lambda pr: self.table.distance_from_position(*sav.position, pr.request.origin),
             )
-            if rid is None:
-                return
             pr = self.pending[rid]
             self._assign(sav, pr, request_legs(pr.request))
         self._start_leg(sav, self.now)
@@ -585,7 +582,7 @@ class _Replication:
         for delay, stops in self.traffic.finished:
             self.metrics.record_vehicle(delay, stops)
         for sav in self.savs:
-            self.metrics.record_vehicle(self.sav_delay[sav.id], self.sav_stops[sav.id])
+            self.metrics.record_vehicle(sav.delay, sav.stops)
         record = finalize(self.metrics)
         return ReplicationResult(record, self.log, self.traffic.samples)
 
@@ -672,7 +669,7 @@ def _run_cells(
     if jobs < 1:
         raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
     indices = range(base.replications)
-    workers = min(jobs, usable_cpus(), len(indices))
+    workers = min(jobs, usable_cpus(), base.replications)
     args = (repeat(base), repeat(variants), [indices[k::workers] for k in range(workers)],
             repeat(collect_log), repeat(collect_occupancy))
     if workers > 1:

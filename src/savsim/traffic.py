@@ -6,8 +6,9 @@ attainable speed (capped at free flow) and set per-boarding dwell times.
 ``drive`` is the one rule for driving an edge and ``count_stop_event`` the
 one rule for a stop, both used by fleet legs and background vehicles alike.
 ``BackgroundTraffic`` owns the background vehicles of one replication index:
-their injection draws, the per-edge occupancy timelines the fleet reads, and
-their delay, stop and distance tallies.
+their injection draws, the per-edge occupancy timelines the fleet reads (the
+last value of each is the edge's count now), and their delay, stop and
+distance tallies.
 """
 
 from __future__ import annotations
@@ -131,13 +132,13 @@ class BackgroundTraffic:
         self, flows: list[BackgroundFlow], routes: list[tuple[DirectedEdge, ...]],
         horizon: float, seed: int, sample: bool,
     ) -> None:
-        self.occupancy: dict[int, int] = {}   # edge id -> background vehicles on it now
         self.samples: list[tuple[float, int, int]] = []   # (time, edge id, occupancy) if ``sample``
         self.distance = 0.0
         self.finished: list[tuple[float, int]] = []   # (delay, stops) per vehicle, in exit order
         self._sample = sample
         self._entered = 0
-        # edge id -> (times, occupancies): each change to the edge's occupancy, in time order
+        # edge id -> (times, occupancies): each change to the edge's occupancy, in
+        # time order, from its first, so the last value is its count now
         self._timelines: dict[int, tuple[list[float], list[int]]] = {}
         rng = random.Random(f"{seed}:background")
         self.injections: list[tuple[float, BackgroundVehicle]] = [
@@ -148,10 +149,11 @@ class BackgroundTraffic:
         ]
 
     def _set(self, edge_id: int, now: float, occupancy: int) -> None:
-        self.occupancy[edge_id] = occupancy
-        times, values = self._timelines.setdefault(edge_id, ([], []))
-        times.append(now)
-        values.append(occupancy)
+        timeline = self._timelines.get(edge_id)
+        if timeline is None:
+            timeline = self._timelines[edge_id] = ([], [])
+        timeline[0].append(now)
+        timeline[1].append(occupancy)
         if self._sample:
             self.samples.append((now, edge_id, occupancy))
 
@@ -159,7 +161,7 @@ class BackgroundTraffic:
         """Move ``vehicle`` onto its next edge at ``now``; when it will leave it, or None at the end."""
         if vehicle.index >= 0:
             edge = vehicle.route[vehicle.index]
-            self._set(edge.id, now, self.occupancy[edge.id] - 1)
+            self._set(edge.id, now, self._timelines[edge.id][1][-1] - 1)
             self.distance += edge.length
         else:
             self._entered += 1
@@ -168,7 +170,8 @@ class BackgroundTraffic:
             self.finished.append((vehicle.delay, vehicle.stops))
             return None
         edge = vehicle.route[vehicle.index]
-        occupancy = self.occupancy.get(edge.id, 0)
+        timeline = self._timelines.get(edge.id)
+        occupancy = timeline[1][-1] if timeline else 0
         speed = edge_speed(edge, occupancy)
         seconds, delay = drive(edge, edge.length, speed)
         vehicle.stops += count_stop_event(vehicle.speed, speed)
@@ -184,14 +187,11 @@ class BackgroundTraffic:
         vehicle starting a leg at the instant a background vehicle enters or
         leaves an edge sees the edge after that change.
         """
-        timeline = self._timelines.get(edge_id)
-        if timeline is None:
-            return 0
-        times, values = timeline
+        times, values = self._timelines.get(edge_id, ((), ()))
         i = bisect_right(times, t)
         return values[i - 1] if i else 0
 
     def check(self) -> None:
         """Every vehicle injected and not finished occupies exactly one edge."""
-        if self._entered - len(self.finished) != sum(self.occupancy.values()):
+        if self._entered - len(self.finished) != sum(values[-1] for _, values in self._timelines.values()):
             raise ConsistencyError("background vehicle conservation broken")

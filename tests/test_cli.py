@@ -296,7 +296,9 @@ class TestRun:
     def test_huge_scenario_rejected_before_it_runs(self, tmp_path, capsys, monkeypatch):
         out = generate_small(tmp_path)
         monkeypatch.setattr(engine, "_Replication", None)   # a replication that starts fails the test
-        for item, field in (("fleet_size=1000000000000000000", "fleet_size"), ("horizon=1e300", "horizon")):
+        # replications past a C ssize_t: the chunks are dealt without len() of its range
+        for item, field in (("fleet_size=1000000000000000000", "fleet_size"), ("horizon=1e300", "horizon"),
+                            ("replications=1" + "0" * 400, "replications")):
             code = main(["run", "--scenario", str(out / "scenario.json"), "--out", str(tmp_path / "x"),
                          "--set", item])
             assert code == 1

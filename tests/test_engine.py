@@ -202,6 +202,21 @@ class TestConservation:
             rep.run()
         assert broken and broken[0] in str(caught.value)
 
+    def test_a_vehicle_turning_idle_selects_only_while_a_request_is_unassigned(self, monkeypatch):
+        # the state counts own "a request waits": with none unassigned, a
+        # vehicle turning idle does not scan the requests seen
+        waiting = []
+
+        def select(policy, pending, sav, now, pickup_distance):
+            pending = list(pending)
+            waiting.append(any(p.state == "unassigned" for p in pending))
+            return dispatch.select_next_request(policy, pending, sav, now, pickup_distance)
+
+        monkeypatch.setattr(engine, "select_next_request", select)
+        run_sweep(dataclasses.replace(default_scenario(), replications=2), [2, 6, 10],
+                  ["cautious", "aggressive"], jobs=1)
+        assert waiting and all(waiting)
+
     def test_state_written_without_advance_is_caught_at_the_end(self):
         # the counts kept by ``advance`` still agree with the fleet and the
         # metrics, so only the end-of-replication walk over every request sees it
@@ -247,12 +262,13 @@ class TestConservation:
         rep = new_replication(scenario)
         rep.run()
         profile = DEFAULT_PROFILES[scenario.profile]
-        assert rep.traffic.occupancy
-        for eid, occupancy in rep.traffic.occupancy.items():
+        assert rep.traffic._timelines
+        for eid, (_, occupancies) in rep.traffic._timelines.items():
             edge = scenario.graph.edge(eid)
-            assert occupancy >= 0
-            assert 0.05 * edge.free_flow_speed <= edge_speed(edge, occupancy) <= edge.free_flow_speed
-            assert 0.0 < attainable_speed(edge, occupancy, profile) <= edge.free_flow_speed
+            for occupancy in occupancies:   # every count the edge had, its final one last
+                assert occupancy >= 0
+                assert 0.05 * edge.free_flow_speed <= edge_speed(edge, occupancy) <= edge.free_flow_speed
+                assert 0.0 < attainable_speed(edge, occupancy, profile) <= edge.free_flow_speed
 
     def test_background_traffic_is_independent_of_the_fleet(self):
         flows = [BackgroundFlow(0, 2, 120.0), BackgroundFlow(2, 0, 90.0)]
@@ -274,10 +290,26 @@ class TestConservation:
         rep = new_replication(scenario)
         rep.run()
         rep.traffic.check()
-        edge = next(iter(rep.traffic.occupancy))
-        rep.traffic.occupancy[edge] += 1
+        _, occupancies = next(iter(rep.traffic._timelines.values()))
+        occupancies[-1] += 1   # the edge's count now
         with pytest.raises(ConsistencyError, match="background vehicle conservation"):
             rep.traffic.check()
+
+    def test_each_edge_count_is_the_unfinished_vehicles_on_it(self):
+        # check() compares totals; here each edge's last count must be the
+        # background vehicles injected, not finished, whose current edge it is
+        scenario = busy_scenario(background_flows=[BackgroundFlow(0, 2, 120.0), BackgroundFlow(2, 0, 90.0),
+                                                   BackgroundFlow(1, 3, 60.0)])
+        traffic = new_replication(scenario).traffic
+        on_edge = {}
+        for _, vehicle in traffic.injections:
+            if 0 <= vehicle.index < len(vehicle.route):
+                eid = vehicle.route[vehicle.index].id
+                on_edge[eid] = on_edge.get(eid, 0) + 1
+        counts = {eid: occupancies[-1] for eid, (_, occupancies) in traffic._timelines.items()}
+        assert on_edge and traffic.finished   # some vehicles are still driving at the horizon
+        assert {eid: n for eid, n in counts.items() if n} == on_edge
+        assert all(n >= 0 for n in counts.values())
 
     def test_no_starvation_with_generous_horizon(self):
         # demand stops at 3600 s, long before the horizon, so every request is served
@@ -325,17 +357,18 @@ class TestCutShortLegs:
         reroutes = [e for e in rep.log if e.kind == "reroute"]
         assert [(e.time, e.distance) for e in reroutes] == [(120.0, pytest.approx(170.0))]
         assert all(p.state == "completed" for p in rep.pending.values())
-        assert rep.sav_delay[0] == pytest.approx(rep.metrics.sav_distance * self.DELAY_PER_METRE)
+        assert rep.savs[0].delay == pytest.approx(rep.metrics.sav_distance * self.DELAY_PER_METRE)
         # no edge is driven at a crawl, so the only stops are coming to rest on arrival
-        assert rep.sav_stops[0] == sum(e.kind == "arrive" for e in rep.log) == 3
+        assert rep.savs[0].stops == sum(e.kind == "arrive" for e in rep.log) == 3
 
     def test_horizon_mid_edge_counts_delay_times_fraction(self):
         # the pickup leg of 600 m takes 600 / 8.5 s from t=100; the horizon cuts it at 30 s
         rep = self.run([TripRequest(0, 1, 0, 100.0, 1)], 130.0)
         assert [(e.kind, e.time) for e in rep.log] == [("assign", 100.0), ("depart", 100.0), ("horizon", 130.0)]
         leg_delay = 600.0 / 8.5 - 600.0 / 10.0
-        assert rep.sav_delay[0] == pytest.approx(leg_delay * 30.0 / (600.0 / 8.5))
-        assert rep.sav_delay[0] == pytest.approx(rep.metrics.sav_distance * self.DELAY_PER_METRE)
+        assert rep.savs[0].delay == pytest.approx(leg_delay * 30.0 / (600.0 / 8.5))
+        assert rep.savs[0].delay == pytest.approx(rep.metrics.sav_distance * self.DELAY_PER_METRE)
+        assert rep.savs[0].plan is None   # the horizon ended the leg
 
     def test_request_at_the_horizon_is_never_seen(self):
         at = self.run([TripRequest(0, 1, 0, 130.0, 1)], 130.0)
@@ -885,7 +918,7 @@ class TestTryShare:
                 if not sav.route:
                     continue
                 if sav.status == "en_route":
-                    sav.position = rep.plans[sav.id].progress(now)[0]
+                    sav.position = sav.plan.progress(now)[0]
                 res = dispatch.try_insert_shared(rep.policy, sav, pr.request, rep.table)
                 if res is not None and (best is None or res.shared_miles > best.shared_miles):
                     best, best_sav = res, sav

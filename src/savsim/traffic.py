@@ -6,9 +6,8 @@ attainable speed (capped at free flow) and set per-boarding dwell times.
 ``drive`` is the one rule for driving an edge and ``count_stop_event`` the
 one rule for a stop, both used by fleet legs and background vehicles alike.
 ``BackgroundTraffic`` owns the background vehicles of one replication index:
-their injection draws, the per-edge occupancy timelines the fleet reads (the
-last value of each is the edge's count now), and their delay, stop and
-distance tallies.
+their injection draws, the per-edge occupancy timelines the fleet reads, and
+their delay, stop and distance tallies.
 """
 
 from __future__ import annotations
@@ -125,7 +124,8 @@ class BackgroundTraffic:
     ``advance`` at each time in ``injections`` and at each exit time
     ``advance`` returns, in time order.  Once the clock has run to the
     horizon the field is read-only, and ``occupancy_at`` answers for any
-    time.
+    time.  An edge's count now is the last value of its timeline, made at
+    its first change; ``advance`` reads it and ``check`` sums it.
     """
 
     def __init__(
@@ -137,8 +137,7 @@ class BackgroundTraffic:
         self.finished: list[tuple[float, int]] = []   # (delay, stops) per vehicle, in exit order
         self._sample = sample
         self._entered = 0
-        # edge id -> (times, occupancies): each change to the edge's occupancy, in
-        # time order, from its first, so the last value is its count now
+        # edge id -> (times, occupancies): each change to the edge's occupancy, in time order
         self._timelines: dict[int, tuple[list[float], list[int]]] = {}
         rng = random.Random(f"{seed}:background")
         self.injections: list[tuple[float, BackgroundVehicle]] = [

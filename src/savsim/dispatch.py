@@ -67,18 +67,14 @@ class RouteLeg:
     party_size: int
 
 
-def state_counts() -> dict[str, int]:
-    """A zero count per request state, for ``PendingRequest.counts``."""
-    return dict.fromkeys(_STATE_ORDER, 0)
-
-
 @dataclass
 class PendingRequest:
     """Lifecycle wrapper around a trip request.
 
-    ``counts``, if given, is the requests per state of one replication:
-    creating the request counts it, and ``advance``, the one transition
-    point, moves it from its old state to its new one.
+    ``by_state``, if given, is one replication's requests per state, each a
+    ``{request id: request}`` map in the order the requests entered it:
+    creating the request puts it in its state's map, and ``advance``, the
+    one transition point, moves it from its old state's map to its new one's.
     """
 
     request: TripRequest
@@ -86,20 +82,20 @@ class PendingRequest:
     assigned_sav: int | None = None
     pickup_time: float | None = None
     completion_time: float | None = None
-    counts: dict[str, int] | None = field(default=None, repr=False, compare=False)
+    by_state: dict[str, dict[int, PendingRequest]] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.counts is not None:
-            self.counts[self.state] += 1
+        if self.by_state is not None:
+            self.by_state[self.state][self.request.id] = self
 
     def advance(self, new_state: str) -> None:
         if _STATE_ORDER.index(new_state) != _STATE_ORDER.index(self.state) + 1:
             raise ConsistencyError(
                 f"request {self.request.id}: illegal transition {self.state} -> {new_state}"
             )
-        if self.counts is not None:
-            self.counts[self.state] -= 1
-            self.counts[new_state] += 1
+        if self.by_state is not None:
+            del self.by_state[self.state][self.request.id]
+            self.by_state[new_state][self.request.id] = self
         self.state = new_state
 
 
@@ -138,21 +134,20 @@ def select_next_request(
 ) -> int | None:
     """Pick the next unassigned request for a vehicle, or None.
 
-    Tier 1: overdue requests (waited strictly longer than the threshold)
-    whose pickup stop is within the priority radius; longest wait first,
-    ties by smallest request id.  Tier 2: earliest request time, ties by
-    smallest id.
+    Requests rank by ``(not priority, request time, id)``.  A request has
+    priority when it is overdue (waited strictly longer than the threshold)
+    and its pickup stop is within the priority radius, so an overdue one
+    nearby goes first, longest wait first; otherwise first come, first
+    served.  ``pickup_distance`` is called only for overdue requests.
     """
-    unassigned = [p for p in pending if p.state == UNASSIGNED]
-    if not unassigned:
-        return None
-    overdue = [
-        p for p in unassigned
-        if (now - p.request.request_time) > policy.overdue_threshold
-        and pickup_distance(p) <= policy.priority_radius
-    ]
-    best = min(overdue or unassigned, key=lambda p: (p.request.request_time, p.request.id))
-    return best.request.id
+
+    def rank(p: PendingRequest) -> tuple[bool, float, int]:
+        r = p.request
+        priority = (now - r.request_time) > policy.overdue_threshold and pickup_distance(p) <= policy.priority_radius
+        return not priority, r.request_time, r.id
+
+    best = min((p for p in pending if p.state == UNASSIGNED), key=rank, default=None)
+    return None if best is None else best.request.id
 
 
 class RoutePrefix(NamedTuple):

@@ -46,15 +46,19 @@ Model notes:
     vehicle is idle, no request is unassigned.  An arriving request goes to
     the first idle vehicle in id order, or is offered for sharing when none
     is; only a vehicle turning idle while a request is unassigned applies
-    ``select_next_request``.
+    ``select_next_request``, to the unassigned requests alone.
   * Invariants are checked where they can break, and violations raise
     ConsistencyError.  Capacity is asserted in ``dispatch.on_arrival``, the
-    one place a vehicle's load grows.  ``PendingRequest.advance`` keeps the
-    requests per state, and after every fleet event ``_check_counts``
-    compares those counts with the metrics and the vehicles' onboard sets,
-    in O(fleet).  ``_check_conservation`` walks every request once, at the
-    end of the replication, so a state written without ``advance`` is
-    caught too.
+    one place a vehicle's load grows.  ``PendingRequest.advance`` moves each
+    request between the replication's per-state ``{request id: request}``
+    maps, and after every fleet event ``_check_counts`` compares their sizes
+    with the metrics and the vehicles' onboard sets, in O(fleet).
+    ``_check_conservation`` walks every request once, at the end of the
+    replication, checking that it sits in its own state's map, so a state
+    written without ``advance`` is caught too.
+  * The record reads each vehicle's delay and stops from the vehicles, the
+    background ones in exit order and then the fleet in id order, and the
+    background distance from the field; nothing copies them first.
 """
 
 from __future__ import annotations
@@ -84,7 +88,6 @@ from .dispatch import (
     on_arrival,
     request_legs,
     select_next_request,
-    state_counts,
     try_insert_shared,
 )
 from .errors import ConfigurationError, ConsistencyError, SimulationError, json_value, read_section
@@ -332,7 +335,8 @@ class _Replication:
         self._heap: list[tuple[float, int, str, object]] = []
         self._seq = 0
         self.pending: dict[int, PendingRequest] = {}
-        self.counts = state_counts()   # kept by ``PendingRequest.advance``
+        # {request id: request} per state, kept by ``PendingRequest.advance``
+        self.by_state = {state: {} for state in (UNASSIGNED, ASSIGNED, ONBOARD, COMPLETED)}
         self.collect_log = collect_log
         self.log: list[LogEntry] = []
         self.metrics = MetricsState(
@@ -469,7 +473,7 @@ class _Replication:
 
     def _on_request_arrival(self, request: TripRequest) -> None:
         """The first idle vehicle takes the request, the one unassigned; or it is offered for sharing."""
-        pr = PendingRequest(request, counts=self.counts)
+        pr = PendingRequest(request, by_state=self.by_state)
         self.pending[request.id] = pr
         self.metrics.requests_seen += 1
         for sav in self.savs:
@@ -505,10 +509,11 @@ class _Replication:
         sav = self.savs[sav_id]
         if not sav.route:
             sav.status = IDLE
-            if not self.counts[UNASSIGNED]:
+            waiting = self.by_state[UNASSIGNED]
+            if not waiting:
                 return
             rid = select_next_request(
-                self.policy, self.pending.values(), sav, self.now,
+                self.policy, waiting.values(), sav, self.now,
                 lambda pr: self.table.distance_from_position(*sav.position, pr.request.origin),
             )
             pr = self.pending[rid]
@@ -518,38 +523,38 @@ class _Replication:
     # invariants -----------------------------------------------------------
 
     def _check_counts(self) -> None:
-        """The requests per state, as ``advance`` keeps them, add up to the
-        requests seen; ONBOARD ones ride a vehicle, COMPLETED ones are the
-        trips completed, both picked up, with one wait each; none is
+        """The requests per state, the sizes of the maps ``advance`` keeps, add
+        up to the requests seen; ONBOARD ones ride a vehicle, COMPLETED ones
+        are the trips completed, both picked up, with one wait each; none is
         UNASSIGNED while a vehicle is idle.  O(fleet): run after every fleet event."""
-        counts = self.counts
-        if counts[UNASSIGNED] and any(sav.status == IDLE for sav in self.savs):
-            raise ConsistencyError(f"a vehicle is idle at t={self.now} with {counts[UNASSIGNED]} requests unassigned")
+        by_state = self.by_state
+        waiting = len(by_state[UNASSIGNED])
+        if waiting and any(sav.status == IDLE for sav in self.savs):
+            raise ConsistencyError(f"a vehicle is idle at t={self.now} with {waiting} requests unassigned")
         aboard = sum(len(sav.onboard) for sav in self.savs)
+        onboard, completed = len(by_state[ONBOARD]), len(by_state[COMPLETED])
         m = self.metrics
-        if (sum(counts.values()) != m.requests_seen or counts[ONBOARD] != aboard
-                or counts[COMPLETED] != m.trips_completed
-                or counts[ONBOARD] + counts[COMPLETED] != len(m.wait_seconds)):
+        if (sum(map(len, by_state.values())) != m.requests_seen or onboard != aboard
+                or completed != m.trips_completed or onboard + completed != len(m.wait_seconds)):
+            sizes = {state: len(reqs) for state, reqs in by_state.items()}
             raise ConsistencyError(
-                f"passenger conservation broken at t={self.now}: {counts} vs "
+                f"passenger conservation broken at t={self.now}: {sizes} vs "
                 f"{m.requests_seen} seen, {aboard} aboard, {m.trips_completed} completed, "
                 f"{len(m.wait_seconds)} waits"
             )
 
     def _check_conservation(self) -> None:
-        """Every request seen is in the state the counts say, then ``_check_counts``.
+        """Every request seen sits in its own state's map, then ``_check_counts``.
 
         The walk over every request catches a state written without
         ``advance``; it runs once, at the end of the replication.
         """
-        walked = state_counts()
         for p in self.pending.values():
-            walked[p.state] += 1
-        if walked != self.counts:
-            raise ConsistencyError(
-                f"passenger conservation broken at t={self.now}: request states {walked} "
-                f"vs {self.counts} counted by advance"
-            )
+            if self.by_state[p.state].get(p.request.id) is not p:
+                raise ConsistencyError(
+                    f"passenger conservation broken at t={self.now}: request {p.request.id} "
+                    f"is {p.state}, but not counted by advance in that state"
+                )
         self._check_counts()
 
     # main loop --------------------------------------------------------------
@@ -576,14 +581,13 @@ class _Replication:
             if sav.status == EN_ROUTE:
                 self._end_leg(sav, self.now, "horizon")
         self._check_conservation()
-        # background tallies go in before the fleet's, in exit order, so that
-        # finalize's floating-point sums keep one order
-        self.metrics.background_distance = self.traffic.distance
-        for delay, stops in self.traffic.finished:
-            self.metrics.record_vehicle(delay, stops)
-        for sav in self.savs:
-            self.metrics.record_vehicle(sav.delay, sav.stops)
-        record = finalize(self.metrics)
+        # background vehicles in exit order, then the fleet in id order: finalize sums in this order
+        vehicles = self.traffic.finished + [(sav.delay, sav.stops) for sav in self.savs]
+        record = finalize(self.metrics, vehicles, self.traffic.distance)
+        # a request references the maps that hold it; unlinked, the requests
+        # are freed by reference counting, not left to the cycle collector
+        for pr in self.pending.values():
+            pr.by_state = None
         return ReplicationResult(record, self.log, self.traffic.samples)
 
 

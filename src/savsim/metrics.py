@@ -58,15 +58,13 @@ CSV_FIELDS = (
 
 @dataclass
 class MetricsState:
-    """Accumulators owned by one replication."""
+    """The fleet's accumulators owned by one replication; ``finalize`` reads the
+    vehicle tallies and the background distance where they live."""
 
     scenario: str
     fleet_size: int
     profile: str
     replication: int
-    vehicle_delays: list[float] = field(default_factory=list)   # one per finished vehicle
-    vehicle_stops: list[int] = field(default_factory=list)
-    background_distance: float = 0.0
     sav_distance: float = 0.0
     shared_miles: float = 0.0
     wait_seconds: list[float] = field(default_factory=list)
@@ -81,16 +79,17 @@ class MetricsState:
         self.trips_completed += 1
         self.passengers_served += party_size
 
-    def record_vehicle(self, delay_seconds: float, stops: int) -> None:
-        self.vehicle_delays.append(delay_seconds)
-        self.vehicle_stops.append(stops)
 
+def finalize(state: MetricsState, vehicles: list[tuple[float, int]], field_distance: float) -> MetricsRecord:
+    """Reduce accumulators to one record; the average over an empty population is zero.
 
-def finalize(state: MetricsState) -> MetricsRecord:
-    """Reduce accumulators to one record; the average over an empty population is zero."""
-    delays, stops, waits = state.vehicle_delays, state.vehicle_stops, state.wait_seconds
-    avg_delay = sum(delays) / len(delays) if delays else 0.0
-    avg_stops = sum(stops) / len(stops) if stops else 0.0
+    ``vehicles`` is each vehicle's ``(delay seconds, stop events)``, summed
+    in its order; ``field_distance`` is the background vehicles' distance,
+    to which the fleet's is added.
+    """
+    n, waits = len(vehicles), state.wait_seconds
+    avg_delay = sum(delay for delay, _ in vehicles) / n if n else 0.0
+    avg_stops = sum(stops for _, stops in vehicles) / n if n else 0.0
     avg_wait = sum(waits) / len(waits) if waits else 0.0
     return MetricsRecord(
         scenario=state.scenario,
@@ -99,7 +98,7 @@ def finalize(state: MetricsState) -> MetricsRecord:
         replication=state.replication,
         avg_delay_min=avg_delay / 60.0,
         avg_stops=avg_stops,
-        total_distance_m=state.background_distance + state.sav_distance,
+        total_distance_m=field_distance + state.sav_distance,
         trips_completed=state.trips_completed,
         trips_per_sav=(state.trips_completed / state.fleet_size) if state.fleet_size else 0.0,
         avg_wait_min=avg_wait / 60.0,

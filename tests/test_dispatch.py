@@ -127,11 +127,14 @@ class TestSelectNextRequest:
             pending = random_pending(rng, rng.randint(0, 20))
             now = rng.uniform(0.0, 4000.0)
             dist = {p.request.id: rng.uniform(0.0, 9000.0) for p in pending}
-            fn = lambda p: dist[p.request.id]
+            asked, brute_asked = [], []
             sav = Sav(0, policy.capacity, "normal", (0, 0.0))
-            assert select_next_request(policy, pending, sav, now, fn) == brute_select(
-                policy, pending, now, fn
-            )
+            got = select_next_request(policy, pending, sav, now,
+                                      lambda p: asked.append(p.request.id) or dist[p.request.id])
+            assert got == brute_select(policy, pending, now,
+                                       lambda p: brute_asked.append(p.request.id) or dist[p.request.id])
+            # only an overdue unassigned request can have priority, so only its distance is looked up
+            assert asked == brute_asked
 
 
 class TestInsertion:

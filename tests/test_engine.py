@@ -1,9 +1,11 @@
 import concurrent.futures
 import dataclasses
+import gc
 import json
 import math
 import os
 import random
+import weakref
 from typing import NamedTuple
 
 import pytest
@@ -193,8 +195,9 @@ class TestConservation:
 
         def idling(request):
             handler(request)
-            if not broken and rep.counts["unassigned"]:
-                broken.append(f"at t={rep.now} with {rep.counts['unassigned']} requests unassigned")
+            waiting = len(rep.by_state["unassigned"])
+            if not broken and waiting:
+                broken.append(f"at t={rep.now} with {waiting} requests unassigned")
                 rep.savs[0].status = "idle"
 
         rep._on_request_arrival = idling
@@ -203,19 +206,20 @@ class TestConservation:
         assert broken and broken[0] in str(caught.value)
 
     def test_a_vehicle_turning_idle_selects_only_while_a_request_is_unassigned(self, monkeypatch):
-        # the state counts own "a request waits": with none unassigned, a
-        # vehicle turning idle does not scan the requests seen
-        waiting = []
+        # the map of unassigned requests that ``advance`` keeps owns "a
+        # request waits": with none, a vehicle turning idle does not select,
+        # and otherwise it is offered that map alone, not every request seen
+        offered = []
 
         def select(policy, pending, sav, now, pickup_distance):
             pending = list(pending)
-            waiting.append(any(p.state == "unassigned" for p in pending))
+            offered.append({p.state for p in pending})
             return dispatch.select_next_request(policy, pending, sav, now, pickup_distance)
 
         monkeypatch.setattr(engine, "select_next_request", select)
         run_sweep(dataclasses.replace(default_scenario(), replications=2), [2, 6, 10],
                   ["cautious", "aggressive"], jobs=1)
-        assert waiting and all(waiting)
+        assert offered and all(states == {"unassigned"} for states in offered)
 
     def test_state_written_without_advance_is_caught_at_the_end(self):
         # the counts kept by ``advance`` still agree with the fleet and the
@@ -238,6 +242,19 @@ class TestConservation:
                 rep.run()
             assert written and f"at t={scenario.horizon}:" in str(caught.value)
 
+    def test_a_finished_replication_frees_its_requests_without_the_cycle_collector(self):
+        rep = new_replication(busy_scenario(fleet_size=1))
+        rep.run()
+        rep._check_conservation()   # the state maps still serve the checks
+        freed = [weakref.ref(pr) for pr in rep.pending.values()]
+        assert freed
+        gc.disable()
+        try:
+            del rep
+            assert all(ref() is None for ref in freed)
+        finally:
+            gc.enable()
+
     def test_background_conservation_and_distance(self):
         scenario = Scenario(
             graph=ring_network(),
@@ -254,6 +271,26 @@ class TestConservation:
         assert result.occupancy
         times = [t for t, _, _ in result.occupancy]
         assert times == sorted(times)
+
+    def test_record_reads_the_vehicle_tallies_and_the_field_distance_in_order(self):
+        # the background vehicles in exit order, then the fleet in id order,
+        # then the field's distance before the fleet's: the sums keep one order
+        scenario = busy_scenario(
+            background_flows=[BackgroundFlow(0, 2, 120.0), BackgroundFlow(2, 0, 90.0)], fleet_size=3
+        )
+        rep = new_replication(scenario)
+        record = rep.run().record
+        vehicles = rep.traffic.finished + [(sav.delay, sav.stops) for sav in rep.savs]
+        assert rep.traffic.finished and any(sav.stops for sav in rep.savs)
+        delay = 0.0
+        stops = 0
+        for vehicle_delay, vehicle_stops in vehicles:
+            delay += vehicle_delay
+            stops += vehicle_stops
+        assert record.avg_delay_min.hex() == (delay / len(vehicles) / 60.0).hex()
+        assert record.avg_stops.hex() == (stops / len(vehicles)).hex()
+        assert record.total_distance_m.hex() == (rep.traffic.distance + rep.metrics.sav_distance).hex()
+        assert record.sav_distance_m == rep.metrics.sav_distance > 0.0
 
     def test_edge_state_speed_bounds(self):
         scenario = busy_scenario(

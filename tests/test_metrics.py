@@ -30,18 +30,18 @@ def make_state(**overrides) -> MetricsState:
 
 class TestFinalize:
     def test_zero_vehicles_flagged(self):
-        record = finalize(make_state(fleet_size=0))
+        record = finalize(make_state(fleet_size=0), [], 0.0)
         assert record.avg_delay_min == 0.0
         assert record.avg_stops == 0.0
 
     def test_wait_average(self):
         state = make_state(wait_seconds=[600.0, 1200.0])
-        record = finalize(state)
+        record = finalize(state, [], 0.0)
         assert record.avg_wait_min == pytest.approx(15.0)
 
     def test_unserved_accounting(self):
         state = make_state(requests_seen=5, trips_completed=3, passengers_served=4)
-        record = finalize(state)
+        record = finalize(state, [], 0.0)
         assert record.unserved == 2
         assert record.passengers_served == 4
 
@@ -54,32 +54,32 @@ class TestCsv:
         assert path.read_text().startswith("scenario,fleet_size,profile,replication,")
 
     def test_one_record_two_lines(self, tmp_path):
-        record = finalize(make_state())
+        record = finalize(make_state(), [], 0.0)
         path = tmp_path / "out.csv"
         write_atomic(str(path), records_to_csv([record]))
         assert len(path.read_text().splitlines()) == 2
 
     def test_byte_identical(self, tmp_path):
-        records = [finalize(make_state(replication=i)) for i in range(3)]
+        records = [finalize(make_state(replication=i), [], 0.0) for i in range(3)]
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         write_atomic(str(a), records_to_csv(records))
         write_atomic(str(b), records_to_csv(list(reversed(records))))
         assert a.read_bytes() == b.read_bytes()
 
     def test_unwritable_destination(self, tmp_path):
-        record = finalize(make_state())
+        record = finalize(make_state(), [], 0.0)
         with pytest.raises(OSError):
             write_atomic(str(tmp_path / "missing" / "out.csv"), records_to_csv([record]))
 
     def test_fixed_decimals(self):
-        record = finalize(make_state(wait_seconds=[90.0]))
+        record = finalize(make_state(wait_seconds=[90.0]), [], 0.0)
         line = records_to_csv([record]).splitlines()[1]
         assert ",1.500000," in line
 
     def test_text_field_with_delimiters_reads_back_intact(self):
         # a bare carriage return is quoted too, which csv.writer does not do for it before Python 3.13
         for name in ('a,b "quoted"\nnext line', "a\rb"):
-            records = [finalize(make_state(scenario=name, replication=i)) for i in range(2)]
+            records = [finalize(make_state(scenario=name, replication=i), [], 0.0) for i in range(2)]
             header, *rows = csv.reader(io.StringIO(records_to_csv(records), newline=""))
             assert header == list(CSV_FIELDS) and len(header) == 13
             assert len(rows) == 2
@@ -93,7 +93,7 @@ class TestCsv:
 class TestAggregate:
     def test_mean_std_min_max(self):
         records = [
-            finalize(make_state(replication=i, trips_completed=n))
+            finalize(make_state(replication=i, trips_completed=n), [], 0.0)
             for i, n in enumerate((2, 4, 6))
         ]
         stats = aggregate(records)["trips_completed"]

@@ -35,7 +35,7 @@ ASSIGNED = "assigned"
 ONBOARD = "onboard"
 COMPLETED = "completed"
 
-_STATE_ORDER = (UNASSIGNED, ASSIGNED, ONBOARD, COMPLETED)
+REQUEST_STATES = (UNASSIGNED, ASSIGNED, ONBOARD, COMPLETED)   # the lifecycle, in order
 
 
 @dataclass(frozen=True)
@@ -71,10 +71,10 @@ class RouteLeg:
 class PendingRequest:
     """Lifecycle wrapper around a trip request.
 
-    ``by_state``, if given, is one replication's requests per state, each a
-    ``{request id: request}`` map in the order the requests entered it:
-    creating the request puts it in its state's map, and ``advance``, the
-    one transition point, moves it from its old state's map to its new one's.
+    A replication's per-state ``{request id: request}`` maps, keyed by
+    ``REQUEST_STATES``, are its only registry of requests, each map in the
+    order the requests entered it; ``advance``, the one transition point,
+    moves a request from its old state's map to its new one's.
     """
 
     request: TripRequest
@@ -82,20 +82,16 @@ class PendingRequest:
     assigned_sav: int | None = None
     pickup_time: float | None = None
     completion_time: float | None = None
-    by_state: dict[str, dict[int, PendingRequest]] | None = field(default=None, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        if self.by_state is not None:
-            self.by_state[self.state][self.request.id] = self
-
-    def advance(self, new_state: str) -> None:
-        if _STATE_ORDER.index(new_state) != _STATE_ORDER.index(self.state) + 1:
-            raise ConsistencyError(
-                f"request {self.request.id}: illegal transition {self.state} -> {new_state}"
-            )
-        if self.by_state is not None:
-            del self.by_state[self.state][self.request.id]
-            self.by_state[new_state][self.request.id] = self
+    def advance(self, new_state: str, by_state: dict[str, dict[int, PendingRequest]]) -> None:
+        rid = self.request.id
+        if REQUEST_STATES.index(new_state) != REQUEST_STATES.index(self.state) + 1:
+            raise ConsistencyError(f"request {rid}: illegal transition {self.state} -> {new_state}")
+        held = by_state[self.state]
+        if held.get(rid) is not self:
+            raise ConsistencyError(f"request {rid} is {self.state}, but not in that state's map")
+        del held[rid]
+        by_state[new_state][rid] = self
         self.state = new_state
 
 
@@ -404,30 +400,32 @@ def try_insert_shared(
 def on_arrival(
     sav: Sav,
     leg: RouteLeg,
-    pending: dict[int, PendingRequest],
+    by_state: dict[str, dict[int, PendingRequest]],
     now: float,
-) -> None:
-    """Board or alight one leg's party at the stop the vehicle reached."""
-    pr = pending.get(leg.request)
-    if pr is None:
-        raise ConsistencyError(f"sav {sav.id}: leg references unknown request {leg.request}")
+) -> PendingRequest:
+    """Board or alight one leg's party at the stop the vehicle reached; return its request.
+
+    The request is looked up in the map of the state it must be in: a
+    pickup's in ``ASSIGNED``, not yet aboard, and a dropoff's in
+    ``ONBOARD``, aboard this vehicle.
+    """
+    rid = leg.request
     if leg.action == PICKUP:
-        if pr.state != ASSIGNED or leg.request in sav.onboard:
-            raise ConsistencyError(
-                f"sav {sav.id}: pickup for request {leg.request} in state {pr.state}"
-            )
-        sav.onboard[leg.request] = leg.party_size
+        pr = by_state[ASSIGNED].get(rid)
+        if pr is None or rid in sav.onboard:
+            raise ConsistencyError(f"sav {sav.id}: pickup for request {rid}, which is not assigned or is aboard")
+        sav.onboard[rid] = leg.party_size
         sav.assert_capacity()
-        pr.advance(ONBOARD)
+        pr.advance(ONBOARD, by_state)
         pr.pickup_time = now
-        return
-    if pr.state != ONBOARD or leg.request not in sav.onboard:
-        raise ConsistencyError(
-            f"sav {sav.id}: dropoff for request {leg.request} in state {pr.state}"
-        )
-    del sav.onboard[leg.request]
-    pr.advance(COMPLETED)
+        return pr
+    pr = by_state[ONBOARD].get(rid)
+    if pr is None or rid not in sav.onboard:
+        raise ConsistencyError(f"sav {sav.id}: dropoff for request {rid}, which is not aboard this vehicle")
+    del sav.onboard[rid]
+    pr.advance(COMPLETED, by_state)
     pr.completion_time = now
+    return pr
 
 
 def request_legs(request: TripRequest) -> list[RouteLeg]:

@@ -49,13 +49,15 @@ Model notes:
     ``select_next_request``, to the unassigned requests alone.
   * Invariants are checked where they can break, and violations raise
     ConsistencyError.  Capacity is asserted in ``dispatch.on_arrival``, the
-    one place a vehicle's load grows.  ``PendingRequest.advance`` moves each
-    request between the replication's per-state ``{request id: request}``
-    maps, and after every fleet event ``_check_counts`` compares their sizes
-    with the metrics and the vehicles' onboard sets, in O(fleet).
-    ``_check_conservation`` walks every request once, at the end of the
-    replication, checking that it sits in its own state's map, so a state
-    written without ``advance`` is caught too.
+    one place a vehicle's load grows.  A replication's requests live only in
+    its per-state ``{request id: request}`` maps, keyed by
+    ``dispatch.REQUEST_STATES``: ``PendingRequest.advance`` moves each from
+    map to map, and ``on_arrival`` finds it in the map of the state it must
+    be in.  After every fleet event ``_check_counts`` compares the maps'
+    sizes with ``metrics.requests_seen``, the metrics and the vehicles'
+    onboard sets, in O(fleet).  ``_check_conservation`` walks every map at
+    the end of the replication, checking that each request in it has that
+    state, so a state written without ``advance`` is caught too.
   * The record reads each vehicle's delay and stops from the vehicles, the
     background ones in exit order and then the fleet in id order, and the
     background distance from the field; nothing copies them first.
@@ -82,6 +84,7 @@ from .dispatch import (
     ONBOARD,
     PICKUP,
     PendingRequest,
+    REQUEST_STATES,
     RouteLeg,
     Sav,
     UNASSIGNED,
@@ -334,9 +337,8 @@ class _Replication:
         self.now = 0.0
         self._heap: list[tuple[float, int, str, object]] = []
         self._seq = 0
-        self.pending: dict[int, PendingRequest] = {}
-        # {request id: request} per state, kept by ``PendingRequest.advance``
-        self.by_state = {state: {} for state in (UNASSIGNED, ASSIGNED, ONBOARD, COMPLETED)}
+        # {request id: request} per state, kept by ``advance``: the only registry of requests
+        self.by_state: dict[str, dict[int, PendingRequest]] = {state: {} for state in REQUEST_STATES}
         self.collect_log = collect_log
         self.log: list[LogEntry] = []
         self.metrics = MetricsState(
@@ -440,7 +442,7 @@ class _Replication:
     # dispatch ------------------------------------------------------------
 
     def _assign(self, sav: Sav, pr: PendingRequest, route: list[RouteLeg]) -> None:
-        pr.advance(ASSIGNED)
+        pr.advance(ASSIGNED, self.by_state)
         pr.assigned_sav = sav.id
         sav.route = route
         self._log("assign", sav.id, pr.request.id, pr.request.origin)
@@ -473,8 +475,7 @@ class _Replication:
 
     def _on_request_arrival(self, request: TripRequest) -> None:
         """The first idle vehicle takes the request, the one unassigned; or it is offered for sharing."""
-        pr = PendingRequest(request, by_state=self.by_state)
-        self.pending[request.id] = pr
+        self.by_state[UNASSIGNED][request.id] = pr = PendingRequest(request)
         self.metrics.requests_seen += 1
         for sav in self.savs:
             if sav.status == IDLE:
@@ -495,8 +496,7 @@ class _Replication:
             leg = sav.route.pop(0)
             dwell_slots += 1
             event_time = self.now + dwell_slots * self.profile.dwell_time
-            on_arrival(sav, leg, self.pending, event_time)
-            pr = self.pending[leg.request]
+            pr = on_arrival(sav, leg, self.by_state, event_time)
             if leg.action == PICKUP:
                 self.metrics.record_wait(event_time - pr.request.request_time)
             else:
@@ -516,7 +516,7 @@ class _Replication:
                 self.policy, waiting.values(), sav, self.now,
                 lambda pr: self.table.distance_from_position(*sav.position, pr.request.origin),
             )
-            pr = self.pending[rid]
+            pr = waiting[rid]
             self._assign(sav, pr, request_legs(pr.request))
         self._start_leg(sav, self.now)
 
@@ -544,17 +544,18 @@ class _Replication:
             )
 
     def _check_conservation(self) -> None:
-        """Every request seen sits in its own state's map, then ``_check_counts``.
+        """Every request in a state's map has that state, then ``_check_counts``.
 
         The walk over every request catches a state written without
         ``advance``; it runs once, at the end of the replication.
         """
-        for p in self.pending.values():
-            if self.by_state[p.state].get(p.request.id) is not p:
-                raise ConsistencyError(
-                    f"passenger conservation broken at t={self.now}: request {p.request.id} "
-                    f"is {p.state}, but not counted by advance in that state"
-                )
+        for state, held in self.by_state.items():
+            for rid, p in held.items():
+                if p.state != state:
+                    raise ConsistencyError(
+                        f"passenger conservation broken at t={self.now}: request {rid} "
+                        f"is {p.state}, but counted by advance as {state}"
+                    )
         self._check_counts()
 
     # main loop --------------------------------------------------------------
@@ -584,10 +585,6 @@ class _Replication:
         # background vehicles in exit order, then the fleet in id order: finalize sums in this order
         vehicles = self.traffic.finished + [(sav.delay, sav.stops) for sav in self.savs]
         record = finalize(self.metrics, vehicles, self.traffic.distance)
-        # a request references the maps that hold it; unlinked, the requests
-        # are freed by reference counting, not left to the cycle collector
-        for pr in self.pending.values():
-            pr.by_state = None
         return ReplicationResult(record, self.log, self.traffic.samples)
 
 

@@ -114,8 +114,9 @@ def test_criterion_5_capacity_and_conservation():
         rep = _Replication(runtime, scenario, index, draw_index(scenario, runtime, index))
         rep.run()
         states = {"unassigned": 0, "assigned": 0, "onboard": 0, "completed": 0}
-        for p in rep.pending.values():
-            states[p.state] += 1
+        for held in rep.by_state.values():
+            for p in held.values():
+                states[p.state] += 1
         if sum(states.values()) != rep.metrics.requests_seen:
             balanced = False
         if any(s.onboard_total > s.capacity for s in rep.savs):

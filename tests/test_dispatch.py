@@ -11,8 +11,12 @@ from savsim import dispatch
 from savsim.demand import TripRequest
 from savsim.dispatch import (
     ASSIGNED,
+    COMPLETED,
     DROPOFF,
+    ONBOARD,
     PICKUP,
+    REQUEST_STATES,
+    UNASSIGNED,
     DispatchPolicy,
     PendingRequest,
     RouteLeg,
@@ -426,39 +430,70 @@ class TestOnArrival:
     def make_state(self):
         g, table, (s1, s2, s3) = line_network()
         req = TripRequest(7, s1.id, s3.id, 0.0, 2)
-        pr = PendingRequest(req)
-        pr.state = ASSIGNED
+        pr = PendingRequest(req, state=ASSIGNED)
+        by_state = {state: {} for state in REQUEST_STATES}
+        by_state[ASSIGNED][7] = pr
         sav = Sav(0, 5, "normal", (s1.edge, s1.slack))
         sav.onboard = {99: 1}
         sav.route = request_legs(req)
-        return sav, pr, req
+        return sav, pr, by_state
 
     def test_pickup_boards_party(self):
-        sav, pr, req = self.make_state()
-        on_arrival(sav, sav.route[0], {7: pr}, 100.0)
+        sav, pr, by_state = self.make_state()
+        assert on_arrival(sav, sav.route[0], by_state, 100.0) is pr
         assert sav.onboard_total == 3
         assert pr.state == "onboard"
         assert pr.pickup_time == 100.0
+        assert by_state[ASSIGNED] == {} and by_state[ONBOARD] == {7: pr}
 
     def test_dropoff_completes(self):
-        sav, pr, req = self.make_state()
-        on_arrival(sav, sav.route[0], {7: pr}, 100.0)
-        on_arrival(sav, sav.route[1], {7: pr}, 400.0)
+        sav, pr, by_state = self.make_state()
+        on_arrival(sav, sav.route[0], by_state, 100.0)
+        assert on_arrival(sav, sav.route[1], by_state, 400.0) is pr
         assert sav.onboard_total == 1
         assert pr.state == "completed"
         assert pr.completion_time == 400.0
+        assert by_state[ONBOARD] == {} and by_state[COMPLETED] == {7: pr}
 
     def test_double_pickup_is_consistency_error(self):
-        sav, pr, req = self.make_state()
-        on_arrival(sav, sav.route[0], {7: pr}, 100.0)
+        sav, pr, by_state = self.make_state()
+        on_arrival(sav, sav.route[0], by_state, 100.0)
         with pytest.raises(ConsistencyError):
-            on_arrival(sav, sav.route[0], {7: pr}, 150.0)
+            on_arrival(sav, sav.route[0], by_state, 150.0)
+
+    def test_dropoff_of_a_request_still_assigned_is_consistency_error(self):
+        sav, pr, by_state = self.make_state()
+        with pytest.raises(ConsistencyError, match="dropoff for request 7"):
+            on_arrival(sav, sav.route[1], by_state, 100.0)
+        assert pr.state == "assigned" and sav.onboard == {99: 1}
 
     def test_capacity_violation_detected(self):
-        sav, pr, req = self.make_state()
+        sav, pr, by_state = self.make_state()
         sav.onboard = {99: 4}
         with pytest.raises(ConsistencyError):
-            on_arrival(sav, sav.route[0], {7: pr}, 100.0)
+            on_arrival(sav, sav.route[0], by_state, 100.0)
+
+
+class TestAdvance:
+    def test_moves_the_request_between_the_state_maps(self):
+        by_state = {state: {} for state in REQUEST_STATES}
+        pr = PendingRequest(TripRequest(7, 0, 1, 0.0, 1))
+        by_state[UNASSIGNED][7] = pr
+        pr.advance(ASSIGNED, by_state)
+        assert pr.state == "assigned" and by_state[ASSIGNED] == {7: pr}
+        assert not by_state[UNASSIGNED]
+        with pytest.raises(ConsistencyError, match="illegal transition assigned -> completed"):
+            pr.advance(COMPLETED, by_state)
+
+    def test_a_state_written_without_advance_is_a_named_error(self):
+        # the request sits in the unassigned map, but its state says assigned
+        by_state = {state: {} for state in REQUEST_STATES}
+        pr = PendingRequest(TripRequest(7, 0, 1, 0.0, 1))
+        by_state[UNASSIGNED][7] = pr
+        pr.state = ASSIGNED
+        with pytest.raises(ConsistencyError, match="request 7 is assigned, but not in that state's map"):
+            pr.advance(ONBOARD, by_state)
+        assert by_state[UNASSIGNED] == {7: pr} and not by_state[ONBOARD]
 
 
 class TestPolicyValidation:

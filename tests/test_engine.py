@@ -142,8 +142,9 @@ class TestConservation:
         rep = new_replication(scenario)
         result = rep.run()
         states = {"unassigned": 0, "assigned": 0, "onboard": 0, "completed": 0}
-        for p in rep.pending.values():
-            states[p.state] += 1
+        for held in rep.by_state.values():
+            for p in held.values():
+                states[p.state] += 1
         assert sum(states.values()) == rep.metrics.requests_seen
         assert states["completed"] == result.record.trips_completed
         assert result.record.unserved == rep.metrics.requests_seen - states["completed"]
@@ -232,7 +233,7 @@ class TestConservation:
 
             def bypass(request):
                 handler(request)
-                pr = next((p for p in rep.pending.values() if p.state == old), None)
+                pr = next(iter(rep.by_state[old].values()), None)
                 if not written and pr is not None:
                     pr.state = new   # not through advance
                     written.append(pr.request.id)
@@ -246,12 +247,14 @@ class TestConservation:
         rep = new_replication(busy_scenario(fleet_size=1))
         rep.run()
         rep._check_conservation()   # the state maps still serve the checks
-        freed = [weakref.ref(pr) for pr in rep.pending.values()]
+        freed = [weakref.ref(pr) for held in rep.by_state.values() for pr in held.values()]
         assert freed
+        gc.collect()
         gc.disable()
         try:
             del rep
             assert all(ref() is None for ref in freed)
+            assert gc.collect() == 0   # nothing of the replication is left in a cycle
         finally:
             gc.enable()
 
@@ -361,7 +364,7 @@ class TestConservation:
         result = rep.run()
         assert rep.metrics.requests_seen > 0
         assert result.record.unserved == 0
-        assert all(p.state == "completed" for p in rep.pending.values())
+        assert all(p.state == "completed" for held in rep.by_state.values() for p in held.values())
 
 
 class TestCutShortLegs:
@@ -393,7 +396,7 @@ class TestCutShortLegs:
         rep = self.run([TripRequest(0, 1, 0, 100.0, 1), TripRequest(1, 2, 0, 120.0, 1)], 7200.0, True)
         reroutes = [e for e in rep.log if e.kind == "reroute"]
         assert [(e.time, e.distance) for e in reroutes] == [(120.0, pytest.approx(170.0))]
-        assert all(p.state == "completed" for p in rep.pending.values())
+        assert all(p.state == "completed" for held in rep.by_state.values() for p in held.values())
         assert rep.savs[0].delay == pytest.approx(rep.metrics.sav_distance * self.DELAY_PER_METRE)
         # no edge is driven at a crawl, so the only stops are coming to rest on arrival
         assert rep.savs[0].stops == sum(e.kind == "arrive" for e in rep.log) == 3

@@ -67,32 +67,25 @@ class RouteLeg:
     party_size: int
 
 
-@dataclass
-class PendingRequest:
-    """Lifecycle wrapper around a trip request.
+def advance(by_state: dict[str, dict[int, TripRequest]], rid: int, new_state: str) -> TripRequest:
+    """Move request ``rid`` from the map of the state before ``new_state`` to ``new_state``'s; return it.
 
     A replication's per-state ``{request id: request}`` maps, keyed by
     ``REQUEST_STATES``, are its only registry of requests, each map in the
-    order the requests entered it; ``advance``, the one transition point,
-    moves a request from its old state's map to its new one's.
+    order the requests entered it, and the map that holds a request is its
+    state.  This is the one transition point: only the engine's request
+    arrival enters ``UNASSIGNED``.  A request that is not in the map it must
+    leave is a ConsistencyError, and the maps are left unchanged.
     """
-
-    request: TripRequest
-    state: str = UNASSIGNED
-    assigned_sav: int | None = None
-    pickup_time: float | None = None
-    completion_time: float | None = None
-
-    def advance(self, new_state: str, by_state: dict[str, dict[int, PendingRequest]]) -> None:
-        rid = self.request.id
-        if REQUEST_STATES.index(new_state) != REQUEST_STATES.index(self.state) + 1:
-            raise ConsistencyError(f"request {rid}: illegal transition {self.state} -> {new_state}")
-        held = by_state[self.state]
-        if held.get(rid) is not self:
-            raise ConsistencyError(f"request {rid} is {self.state}, but not in that state's map")
-        del held[rid]
-        by_state[new_state][rid] = self
-        self.state = new_state
+    k = REQUEST_STATES.index(new_state)
+    if k == 0:
+        raise ConsistencyError(f"request {rid}: only its arrival makes a request {UNASSIGNED}")
+    old = REQUEST_STATES[k - 1]
+    request = by_state[old].pop(rid, None)
+    if request is None:
+        raise ConsistencyError(f"request {rid} is not {old}, so it cannot become {new_state}")
+    by_state[new_state][rid] = request
+    return request
 
 
 @dataclass
@@ -123,12 +116,12 @@ class Sav:
 
 def select_next_request(
     policy: DispatchPolicy,
-    pending: Iterable[PendingRequest],
+    pending: Iterable[TripRequest],
     sav: Sav,
     now: float,
-    pickup_distance: Callable[[PendingRequest], float],
+    pickup_distance: Callable[[TripRequest], float],
 ) -> int | None:
-    """Pick the next unassigned request for a vehicle, or None.
+    """Pick the next request for a vehicle, or None; ``pending`` must be the unassigned requests.
 
     Requests rank by ``(not priority, request time, id)``.  A request has
     priority when it is overdue (waited strictly longer than the threshold)
@@ -137,13 +130,12 @@ def select_next_request(
     served.  ``pickup_distance`` is called only for overdue requests.
     """
 
-    def rank(p: PendingRequest) -> tuple[bool, float, int]:
-        r = p.request
-        priority = (now - r.request_time) > policy.overdue_threshold and pickup_distance(p) <= policy.priority_radius
+    def rank(r: TripRequest) -> tuple[bool, float, int]:
+        priority = (now - r.request_time) > policy.overdue_threshold and pickup_distance(r) <= policy.priority_radius
         return not priority, r.request_time, r.id
 
-    best = min((p for p in pending if p.state == UNASSIGNED), key=rank, default=None)
-    return None if best is None else best.request.id
+    best = min(pending, key=rank, default=None)
+    return None if best is None else best.id
 
 
 class RoutePrefix(NamedTuple):
@@ -397,35 +389,24 @@ def try_insert_shared(
     return Insertion(route, best_shared, best_len, i)
 
 
-def on_arrival(
-    sav: Sav,
-    leg: RouteLeg,
-    by_state: dict[str, dict[int, PendingRequest]],
-    now: float,
-) -> PendingRequest:
+def on_arrival(sav: Sav, leg: RouteLeg, by_state: dict[str, dict[int, TripRequest]]) -> TripRequest:
     """Board or alight one leg's party at the stop the vehicle reached; return its request.
 
-    The request is looked up in the map of the state it must be in: a
-    pickup's in ``ASSIGNED``, not yet aboard, and a dropoff's in
-    ``ONBOARD``, aboard this vehicle.
+    A pickup's request must be in the ``ASSIGNED`` map and not aboard, a
+    dropoff's in the ``ONBOARD`` map and aboard this vehicle; ``advance``
+    then moves it on.
     """
     rid = leg.request
     if leg.action == PICKUP:
-        pr = by_state[ASSIGNED].get(rid)
-        if pr is None or rid in sav.onboard:
+        if rid not in by_state[ASSIGNED] or rid in sav.onboard:
             raise ConsistencyError(f"sav {sav.id}: pickup for request {rid}, which is not assigned or is aboard")
         sav.onboard[rid] = leg.party_size
         sav.assert_capacity()
-        pr.advance(ONBOARD, by_state)
-        pr.pickup_time = now
-        return pr
-    pr = by_state[ONBOARD].get(rid)
-    if pr is None or rid not in sav.onboard:
+        return advance(by_state, rid, ONBOARD)
+    if rid not in by_state[ONBOARD] or rid not in sav.onboard:
         raise ConsistencyError(f"sav {sav.id}: dropoff for request {rid}, which is not aboard this vehicle")
     del sav.onboard[rid]
-    pr.advance(COMPLETED, by_state)
-    pr.completion_time = now
-    return pr
+    return advance(by_state, rid, COMPLETED)
 
 
 def request_legs(request: TripRequest) -> list[RouteLeg]:

@@ -36,9 +36,11 @@ Model notes:
     netgraph.  ``_LegPlan.progress`` is the only sum over a leg's pieces, and
     ``_end_leg`` accounts every leg by it, arrived or cut short by a reroute
     or the horizon: a cut-short leg counts pro rata.
-  * A fleet vehicle's boarding/alighting events each take one dwell period;
-    a request's pickup/completion timestamps fall at the end of its own
-    dwell slot.
+  * The pickups and dropoffs a fleet vehicle handles at a stop each take
+    one dwell period, in route order after it arrives, and a rider's wait
+    ends with the party's own slot: if its pickup is the k-th, the wait runs
+    to the arrival time plus k dwell periods.  The log's ``pickup`` and
+    ``dropoff`` rows carry the arrival time.
   * A fleet vehicle, ``dispatch.Sav``, carries its leg plan and tallies.
     An arrival event carries the plan it was scheduled for; once a reroute
     has replaced ``Sav.plan``, the arrival is stale and is ignored.
@@ -51,13 +53,13 @@ Model notes:
     ConsistencyError.  Capacity is asserted in ``dispatch.on_arrival``, the
     one place a vehicle's load grows.  A replication's requests live only in
     its per-state ``{request id: request}`` maps, keyed by
-    ``dispatch.REQUEST_STATES``: ``PendingRequest.advance`` moves each from
-    map to map, and ``on_arrival`` finds it in the map of the state it must
-    be in.  After every fleet event ``_check_counts`` compares the maps'
-    sizes with ``metrics.requests_seen``, the metrics and the vehicles'
-    onboard sets, in O(fleet).  ``_check_conservation`` walks every map at
-    the end of the replication, checking that each request in it has that
-    state, so a state written without ``advance`` is caught too.
+    ``dispatch.REQUEST_STATES``, and the map that holds a request is its
+    state: ``dispatch.advance`` moves each from map to map, and
+    ``on_arrival`` finds it in the map of the state it must be in.  After
+    every fleet event, and at the end of the replication, ``_check_counts``
+    compares the maps' sizes with ``metrics.requests_seen``, the metrics and
+    the vehicles' onboard sets, in O(fleet); there is no walk over every
+    request.
   * The record reads each vehicle's delay and stops from the vehicles, the
     background ones in exit order and then the fleet in id order, and the
     background distance from the field; nothing copies them first.
@@ -83,11 +85,11 @@ from .dispatch import (
     IDLE,
     ONBOARD,
     PICKUP,
-    PendingRequest,
     REQUEST_STATES,
     RouteLeg,
     Sav,
     UNASSIGNED,
+    advance,
     on_arrival,
     request_legs,
     select_next_request,
@@ -338,7 +340,7 @@ class _Replication:
         self._heap: list[tuple[float, int, str, object]] = []
         self._seq = 0
         # {request id: request} per state, kept by ``advance``: the only registry of requests
-        self.by_state: dict[str, dict[int, PendingRequest]] = {state: {} for state in REQUEST_STATES}
+        self.by_state: dict[str, dict[int, TripRequest]] = {state: {} for state in REQUEST_STATES}
         self.collect_log = collect_log
         self.log: list[LogEntry] = []
         self.metrics = MetricsState(
@@ -441,13 +443,12 @@ class _Replication:
 
     # dispatch ------------------------------------------------------------
 
-    def _assign(self, sav: Sav, pr: PendingRequest, route: list[RouteLeg]) -> None:
-        pr.advance(ASSIGNED, self.by_state)
-        pr.assigned_sav = sav.id
+    def _assign(self, sav: Sav, request: TripRequest, route: list[RouteLeg]) -> None:
+        advance(self.by_state, request.id, ASSIGNED)
         sav.route = route
-        self._log("assign", sav.id, pr.request.id, pr.request.origin)
+        self._log("assign", sav.id, request.id, request.origin)
 
-    def _try_share(self, pr: PendingRequest, now: float) -> None:
+    def _try_share(self, request: TripRequest, now: float) -> None:
         """Offer one request to every vehicle with a route once; apply the best insertion.
 
         Called when the request arrives and no vehicle is idle; a request that
@@ -461,12 +462,12 @@ class _Replication:
                 continue
             if sav.status == EN_ROUTE:
                 sav.position = sav.plan.progress(now)[0]
-            res = try_insert_shared(self.policy, sav, pr.request, self.table)
+            res = try_insert_shared(self.policy, sav, request, self.table)
             if res is not None and (best is None or res.shared_miles > best.shared_miles):
                 best, best_sav = res, sav
         if best is None:
             return
-        self._assign(best_sav, pr, list(best.route))
+        self._assign(best_sav, request, list(best.route))
         if best_sav.status == EN_ROUTE and best.pickup_index == 0:
             self._end_leg(best_sav, now, "reroute")
             self._start_leg(best_sav, now)
@@ -475,14 +476,14 @@ class _Replication:
 
     def _on_request_arrival(self, request: TripRequest) -> None:
         """The first idle vehicle takes the request, the one unassigned; or it is offered for sharing."""
-        self.by_state[UNASSIGNED][request.id] = pr = PendingRequest(request)
+        self.by_state[UNASSIGNED][request.id] = request
         self.metrics.requests_seen += 1
         for sav in self.savs:
             if sav.status == IDLE:
-                self._assign(sav, pr, request_legs(request))
+                self._assign(sav, request, request_legs(request))
                 self._start_leg(sav, self.now)
                 return
-        self._try_share(pr, self.now)
+        self._try_share(request, self.now)
 
     def _on_sav_arrival(self, plan: _LegPlan) -> None:
         sav = self.savs[plan.sav]
@@ -496,11 +497,11 @@ class _Replication:
             leg = sav.route.pop(0)
             dwell_slots += 1
             event_time = self.now + dwell_slots * self.profile.dwell_time
-            pr = on_arrival(sav, leg, self.by_state, event_time)
+            request = on_arrival(sav, leg, self.by_state)
             if leg.action == PICKUP:
-                self.metrics.record_wait(event_time - pr.request.request_time)
+                self.metrics.record_wait(event_time - request.request_time)
             else:
-                self.metrics.record_completion(pr.request.party_size)
+                self.metrics.record_completion(request.party_size)
             self._log(leg.action, sav.id, leg.request, here)
         self._schedule(self.now + dwell_slots * self.profile.dwell_time, DWELL_END, sav.id)
 
@@ -514,10 +515,10 @@ class _Replication:
                 return
             rid = select_next_request(
                 self.policy, waiting.values(), sav, self.now,
-                lambda pr: self.table.distance_from_position(*sav.position, pr.request.origin),
+                lambda request: self.table.distance_from_position(*sav.position, request.origin),
             )
-            pr = waiting[rid]
-            self._assign(sav, pr, request_legs(pr.request))
+            request = waiting[rid]
+            self._assign(sav, request, request_legs(request))
         self._start_leg(sav, self.now)
 
     # invariants -----------------------------------------------------------
@@ -543,21 +544,6 @@ class _Replication:
                 f"{len(m.wait_seconds)} waits"
             )
 
-    def _check_conservation(self) -> None:
-        """Every request in a state's map has that state, then ``_check_counts``.
-
-        The walk over every request catches a state written without
-        ``advance``; it runs once, at the end of the replication.
-        """
-        for state, held in self.by_state.items():
-            for rid, p in held.items():
-                if p.state != state:
-                    raise ConsistencyError(
-                        f"passenger conservation broken at t={self.now}: request {rid} "
-                        f"is {p.state}, but counted by advance as {state}"
-                    )
-        self._check_counts()
-
     # main loop --------------------------------------------------------------
 
     def run(self) -> ReplicationResult:
@@ -581,7 +567,7 @@ class _Replication:
         for sav in self.savs:
             if sav.status == EN_ROUTE:
                 self._end_leg(sav, self.now, "horizon")
-        self._check_conservation()
+        self._check_counts()
         # background vehicles in exit order, then the fleet in id order: finalize sums in this order
         vehicles = self.traffic.finished + [(sav.delay, sav.stops) for sav in self.savs]
         record = finalize(self.metrics, vehicles, self.traffic.distance)

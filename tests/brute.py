@@ -14,31 +14,26 @@ from savsim.dispatch import (
     DROPOFF,
     PICKUP,
     DispatchPolicy,
-    PendingRequest,
     RouteLeg,
     Sav,
 )
 
 
 def brute_select(policy, pending, now, pickup_distance):
-    """Literal restatement of the two-tier selection rule."""
-    unassigned = []
-    for p in pending:
-        if p.state == "unassigned":
-            unassigned.append(p)
+    """Literal restatement of the two-tier selection rule over the unassigned requests."""
     tier1 = []
-    for p in unassigned:
-        waited = now - p.request.request_time
+    for r in pending:
+        waited = now - r.request_time
         if waited > policy.overdue_threshold:
-            if pickup_distance(p) <= policy.priority_radius:
-                tier1.append(p)
-    pool = tier1 if tier1 else unassigned
+            if pickup_distance(r) <= policy.priority_radius:
+                tier1.append(r)
+    pool = tier1 if tier1 else pending
     winner = None
-    for p in pool:
-        key = (p.request.request_time, p.request.id)
+    for r in pool:
+        key = (r.request_time, r.id)
         if winner is None or key < winner[0]:
-            winner = (key, p)
-    return None if winner is None else winner[1].request.id
+            winner = (key, r)
+    return None if winner is None else winner[1].id
 
 
 def walk_length(position, legs, table):
@@ -146,16 +141,9 @@ def heap_distances_to(incoming, root):
     return array("d", dist), array("l", nxt)
 
 
-def random_pending(rng: random.Random, count: int) -> list[PendingRequest]:
-    """Pending requests in mixed lifecycle states with random timings."""
-    pending = []
-    for rid in range(count):
-        req = TripRequest(rid, 0, 1, rng.uniform(0.0, 3000.0), rng.randint(1, 3))
-        state = rng.choice(["unassigned", "unassigned", "unassigned", "assigned", "completed"])
-        pr = PendingRequest(req)
-        pr.state = state
-        pending.append(pr)
-    return pending
+def random_pending(rng: random.Random, count: int) -> list[TripRequest]:
+    """Unassigned requests with random timings."""
+    return [TripRequest(rid, 0, 1, rng.uniform(0.0, 3000.0), rng.randint(1, 3)) for rid in range(count)]
 
 
 def random_policy(rng: random.Random) -> DispatchPolicy:

@@ -18,9 +18,9 @@ from savsim.dispatch import (
     REQUEST_STATES,
     UNASSIGNED,
     DispatchPolicy,
-    PendingRequest,
     RouteLeg,
     Sav,
+    advance,
     on_arrival,
     request_legs,
     resume_walk,
@@ -65,10 +65,6 @@ def as_tuple(res):
     return None if res is None else (res.route, res.shared_miles, res.length, res.pickup_index)
 
 
-def pending_of(*reqs: TripRequest) -> list[PendingRequest]:
-    return [PendingRequest(r) for r in reqs]
-
-
 def pair_route(route, cand: TripRequest, i: int, m: int) -> list[RouteLeg]:
     """The route with the candidate's pickup before base leg i and its dropoff before base leg m."""
     pickup = RouteLeg(cand.origin, PICKUP, cand.id, cand.party_size)
@@ -103,7 +99,7 @@ class TestSelectNextRequest:
         dist = {1: 5000.0, 2: 1000.0}
         sav = Sav(0, 5, "normal", (0, 0.0))
         got = select_next_request(
-            policy, pending_of(r1, r2), sav, 1900.0, lambda p: dist[p.request.id]
+            policy, [r1, r2], sav, 1900.0, lambda r: dist[r.id]
         )
         # r1 is overdue but out of radius; r2 overdue (1300 s) and in radius
         assert got == 2
@@ -113,7 +109,7 @@ class TestSelectNextRequest:
         r1 = TripRequest(1, 0, 1, 0.0, 1)
         r2 = TripRequest(2, 0, 1, 10.0, 1)
         sav = Sav(0, 5, "normal", (0, 0.0))
-        got = select_next_request(policy, pending_of(r1, r2), sav, 500.0, lambda p: 0.0)
+        got = select_next_request(policy, [r1, r2], sav, 500.0, lambda r: 0.0)
         assert got == 1
 
     def test_overdue_ties_break_by_id(self):
@@ -121,7 +117,7 @@ class TestSelectNextRequest:
         r1 = TripRequest(5, 0, 1, 50.0, 1)
         r2 = TripRequest(3, 0, 1, 50.0, 1)
         sav = Sav(0, 5, "normal", (0, 0.0))
-        got = select_next_request(policy, pending_of(r1, r2), sav, 500.0, lambda p: 0.0)
+        got = select_next_request(policy, [r1, r2], sav, 500.0, lambda r: 0.0)
         assert got == 3
 
     def test_matches_brute_force(self):
@@ -130,14 +126,14 @@ class TestSelectNextRequest:
             policy = random_policy(rng)
             pending = random_pending(rng, rng.randint(0, 20))
             now = rng.uniform(0.0, 4000.0)
-            dist = {p.request.id: rng.uniform(0.0, 9000.0) for p in pending}
+            dist = {r.id: rng.uniform(0.0, 9000.0) for r in pending}
             asked, brute_asked = [], []
             sav = Sav(0, policy.capacity, "normal", (0, 0.0))
             got = select_next_request(policy, pending, sav, now,
-                                      lambda p: asked.append(p.request.id) or dist[p.request.id])
+                                      lambda r: asked.append(r.id) or dist[r.id])
             assert got == brute_select(policy, pending, now,
-                                       lambda p: brute_asked.append(p.request.id) or dist[p.request.id])
-            # only an overdue unassigned request can have priority, so only its distance is looked up
+                                       lambda r: brute_asked.append(r.id) or dist[r.id])
+            # only an overdue request can have priority, so only its distance is looked up
             assert asked == brute_asked
 
 
@@ -426,74 +422,102 @@ class TestInsertion:
                 assert [x.hex() for x in got] == [x.hex() for x in want], (i, m)
 
 
+def empty_maps() -> dict[str, dict[int, TripRequest]]:
+    return {state: {} for state in REQUEST_STATES}
+
+
 class TestOnArrival:
     def make_state(self):
         g, table, (s1, s2, s3) = line_network()
         req = TripRequest(7, s1.id, s3.id, 0.0, 2)
-        pr = PendingRequest(req, state=ASSIGNED)
-        by_state = {state: {} for state in REQUEST_STATES}
-        by_state[ASSIGNED][7] = pr
+        by_state = empty_maps()
+        by_state[ASSIGNED][7] = req
         sav = Sav(0, 5, "normal", (s1.edge, s1.slack))
         sav.onboard = {99: 1}
         sav.route = request_legs(req)
-        return sav, pr, by_state
+        return sav, req, by_state
 
     def test_pickup_boards_party(self):
-        sav, pr, by_state = self.make_state()
-        assert on_arrival(sav, sav.route[0], by_state, 100.0) is pr
+        sav, req, by_state = self.make_state()
+        assert on_arrival(sav, sav.route[0], by_state) is req
         assert sav.onboard_total == 3
-        assert pr.state == "onboard"
-        assert pr.pickup_time == 100.0
-        assert by_state[ASSIGNED] == {} and by_state[ONBOARD] == {7: pr}
+        assert by_state == {**empty_maps(), ONBOARD: {7: req}}
 
     def test_dropoff_completes(self):
-        sav, pr, by_state = self.make_state()
-        on_arrival(sav, sav.route[0], by_state, 100.0)
-        assert on_arrival(sav, sav.route[1], by_state, 400.0) is pr
+        sav, req, by_state = self.make_state()
+        on_arrival(sav, sav.route[0], by_state)
+        assert on_arrival(sav, sav.route[1], by_state) is req
         assert sav.onboard_total == 1
-        assert pr.state == "completed"
-        assert pr.completion_time == 400.0
-        assert by_state[ONBOARD] == {} and by_state[COMPLETED] == {7: pr}
+        assert by_state == {**empty_maps(), COMPLETED: {7: req}}
 
     def test_double_pickup_is_consistency_error(self):
-        sav, pr, by_state = self.make_state()
-        on_arrival(sav, sav.route[0], by_state, 100.0)
+        sav, req, by_state = self.make_state()
+        on_arrival(sav, sav.route[0], by_state)
         with pytest.raises(ConsistencyError):
-            on_arrival(sav, sav.route[0], by_state, 150.0)
+            on_arrival(sav, sav.route[0], by_state)
 
     def test_dropoff_of_a_request_still_assigned_is_consistency_error(self):
-        sav, pr, by_state = self.make_state()
+        sav, req, by_state = self.make_state()
         with pytest.raises(ConsistencyError, match="dropoff for request 7"):
-            on_arrival(sav, sav.route[1], by_state, 100.0)
-        assert pr.state == "assigned" and sav.onboard == {99: 1}
+            on_arrival(sav, sav.route[1], by_state)
+        assert by_state == {**empty_maps(), ASSIGNED: {7: req}} and sav.onboard == {99: 1}
 
     def test_capacity_violation_detected(self):
-        sav, pr, by_state = self.make_state()
+        sav, req, by_state = self.make_state()
         sav.onboard = {99: 4}
         with pytest.raises(ConsistencyError):
-            on_arrival(sav, sav.route[0], by_state, 100.0)
+            on_arrival(sav, sav.route[0], by_state)
 
 
 class TestAdvance:
     def test_moves_the_request_between_the_state_maps(self):
-        by_state = {state: {} for state in REQUEST_STATES}
-        pr = PendingRequest(TripRequest(7, 0, 1, 0.0, 1))
-        by_state[UNASSIGNED][7] = pr
-        pr.advance(ASSIGNED, by_state)
-        assert pr.state == "assigned" and by_state[ASSIGNED] == {7: pr}
-        assert not by_state[UNASSIGNED]
-        with pytest.raises(ConsistencyError, match="illegal transition assigned -> completed"):
-            pr.advance(COMPLETED, by_state)
+        req = TripRequest(7, 0, 1, 0.0, 1)
+        by_state = empty_maps()
+        by_state[UNASSIGNED][7] = req
+        assert advance(by_state, 7, ASSIGNED) is req
+        assert by_state == {**empty_maps(), ASSIGNED: {7: req}}
+        with pytest.raises(ConsistencyError, match="request 7 is not onboard, so it cannot become completed"):
+            advance(by_state, 7, COMPLETED)
+        assert by_state == {**empty_maps(), ASSIGNED: {7: req}}
 
-    def test_a_state_written_without_advance_is_a_named_error(self):
-        # the request sits in the unassigned map, but its state says assigned
-        by_state = {state: {} for state in REQUEST_STATES}
-        pr = PendingRequest(TripRequest(7, 0, 1, 0.0, 1))
-        by_state[UNASSIGNED][7] = pr
-        pr.state = ASSIGNED
-        with pytest.raises(ConsistencyError, match="request 7 is assigned, but not in that state's map"):
-            pr.advance(ONBOARD, by_state)
-        assert by_state[UNASSIGNED] == {7: pr} and not by_state[ONBOARD]
+    def test_a_skipped_step_is_a_named_error(self):
+        # the request sits in the unassigned map, so it cannot board
+        by_state = empty_maps()
+        by_state[UNASSIGNED][7] = req = TripRequest(7, 0, 1, 0.0, 1)
+        with pytest.raises(ConsistencyError, match="request 7 is not assigned, so it cannot become onboard"):
+            advance(by_state, 7, ONBOARD)
+        assert by_state == {**empty_maps(), UNASSIGNED: {7: req}}
+
+    def test_only_an_arrival_enters_unassigned(self):
+        by_state = empty_maps()
+        by_state[COMPLETED][7] = req = TripRequest(7, 0, 1, 0.0, 1)
+        with pytest.raises(ConsistencyError, match="request 7: only its arrival"):
+            advance(by_state, 7, UNASSIGNED)
+        assert by_state == {**empty_maps(), COMPLETED: {7: req}}
+
+    @settings(max_examples=200, deadline=None)
+    @given(count=st.integers(1, 6),
+           moves=st.lists(st.tuples(st.integers(0, 7), st.sampled_from(REQUEST_STATES)), max_size=40))
+    def test_each_request_stays_in_exactly_one_map(self, count, moves):
+        # ids past ``count`` were never seen: every move of one must fail too
+        by_state = empty_maps()
+        requests = [TripRequest(rid, 0, 1, float(rid), 1) for rid in range(count)]
+        by_state[UNASSIGNED] = {r.id: r for r in requests}
+        state = {r.id: 0 for r in requests}   # index into REQUEST_STATES, kept apart from the maps
+        for rid, new_state in moves:
+            before = {s: dict(held) for s, held in by_state.items()}
+            k = REQUEST_STATES.index(new_state)
+            if rid in state and k == state[rid] + 1:
+                assert advance(by_state, rid, new_state) is requests[rid]
+                state[rid] = k
+            else:
+                with pytest.raises(ConsistencyError, match=f"request {rid}"):
+                    advance(by_state, rid, new_state)
+                assert by_state == before
+            assert sum(map(len, by_state.values())) == count
+            for r in requests:
+                assert [s for s, held in by_state.items() if r.id in held] == [REQUEST_STATES[state[r.id]]]
+                assert by_state[REQUEST_STATES[state[r.id]]][r.id] is r
 
 
 class TestPolicyValidation:

@@ -1,6 +1,8 @@
 import concurrent.futures
+import csv
 import dataclasses
 import gc
+import io
 import json
 import math
 import os
@@ -29,7 +31,7 @@ from savsim.engine import (
     simulate,
 )
 from savsim.errors import ConfigurationError, ConsistencyError, SimulationError, record_kinds
-from savsim.metrics import aggregate
+from savsim.metrics import aggregate, events_to_csv
 from savsim.netgraph import RoadGraph, build_stop_distance_table, save_network, shortest_path, validate_graph
 from savsim.scenario_gen import default_scenario
 from savsim.traffic import (
@@ -96,6 +98,66 @@ class TestEmptySimulation:
         assert record.shared_miles_m == 0.0
         assert record.unserved == 0
 
+    def test_demand_with_no_fleet_stays_unassigned(self, monkeypatch):
+        # with no vehicle no request is ever offered or selected, and each
+        # one seen is still waiting, unserved, at the horizon
+        monkeypatch.setattr(engine, "select_next_request", None)   # a selection fails the test
+        scenario = dataclasses.replace(default_scenario(), fleet_size=0, replications=2)
+        for index in range(scenario.replications):
+            rep = new_replication(scenario, index)
+            record = rep.run().record
+            seen = rep.metrics.requests_seen
+            assert seen > 0 and list(rep.by_state["unassigned"]) == [r.id for r in rep.requests][:seen]
+            assert {state: len(held) for state, held in rep.by_state.items()} == {
+                "unassigned": seen, "assigned": 0, "onboard": 0, "completed": 0}
+            assert record.unserved == seen
+            assert record.trips_completed == 0
+            assert record.avg_wait_min == 0.0
+
+
+def waits_from_log(rows, request_times: dict[int, float], dwell: float) -> list[tuple[int, float]]:
+    """Each pickup's dwell slot k and wait, in log order, from the event log alone.
+
+    A ``pickup`` or ``dropoff`` row carries its vehicle's arrival time, and
+    the k-th such row after that vehicle's ``arrive`` row ends k dwell
+    periods later: the wait is row time + k x dwell - request time.
+    """
+    slot: dict[int, int] = {}
+    out = []
+    for time, sav, kind, request in rows:
+        if kind == "arrive":
+            slot[sav] = 0
+        elif kind in ("pickup", "dropoff"):
+            slot[sav] += 1
+            if kind == "pickup":
+                out.append((slot[sav], time + slot[sav] * dwell - request_times[request]))
+    return out
+
+
+class TestWaitsFromTheLog:
+    @pytest.mark.parametrize("demand_factor", [1, 4])
+    def test_each_wait_is_rederived_from_the_event_log(self, demand_factor):
+        base = default_scenario()
+        demand = dataclasses.replace(base.demand, outbound_rate=base.demand.outbound_rate * demand_factor,
+                                     inbound_rate=base.demand.inbound_rate * demand_factor)
+        scenario = dataclasses.replace(base, demand=demand, fleet_size=2, replications=4)
+        slots = []
+        for index in range(scenario.replications):
+            rep = new_replication(scenario, index, collect_log=True)
+            rep.run()
+            times = {r.id: r.request_time for r in rep.requests}
+            dwell = rep.profile.dwell_time
+            derived = waits_from_log([(e.time, e.sav, e.kind, e.request) for e in rep.log], times, dwell)
+            assert [wait for _, wait in derived] == rep.metrics.wait_seconds   # exactly
+            slots += [k for k, _ in derived]
+            # the same rule on events.csv, whose times are written to the microsecond
+            rows = [(float(row["time_s"]), int(row["sav"]), row["event"],
+                     int(row["request"]) if row["request"] else None)
+                    for row in csv.DictReader(io.StringIO(events_to_csv([(index, rep.log)])))]
+            from_file = [wait for _, wait in waits_from_log(rows, times, dwell)]
+            assert from_file == pytest.approx(rep.metrics.wait_seconds, abs=1e-5)
+        assert max(slots) >= 2   # some party boards after another's slot, so k is not always 1
+
 
 class TestSingleRequestClosedForm:
     def test_wait_is_travel_plus_dwell(self):
@@ -141,13 +203,10 @@ class TestConservation:
         scenario = busy_scenario(fleet_size=1)
         rep = new_replication(scenario)
         result = rep.run()
-        states = {"unassigned": 0, "assigned": 0, "onboard": 0, "completed": 0}
-        for held in rep.by_state.values():
-            for p in held.values():
-                states[p.state] += 1
-        assert sum(states.values()) == rep.metrics.requests_seen
-        assert states["completed"] == result.record.trips_completed
-        assert result.record.unserved == rep.metrics.requests_seen - states["completed"]
+        sizes = {state: len(held) for state, held in rep.by_state.items()}
+        assert sum(sizes.values()) == rep.metrics.requests_seen
+        assert sizes["completed"] == result.record.trips_completed
+        assert result.record.unserved == rep.metrics.requests_seen - sizes["completed"]
 
     def test_fleet_or_metrics_disagreeing_with_request_states_is_caught(self):
         scenario = busy_scenario(fleet_size=1)
@@ -159,10 +218,10 @@ class TestConservation:
         for corrupt in corruptions:
             rep = new_replication(scenario)
             rep.run()
-            rep._check_conservation()
+            rep._check_counts()
             corrupt(rep)
             with pytest.raises(ConsistencyError, match="passenger conservation broken"):
-                rep._check_conservation()
+                rep._check_counts()
 
     def test_corruption_mid_run_is_caught_at_that_event(self):
         scenario = busy_scenario(fleet_size=1)
@@ -211,42 +270,40 @@ class TestConservation:
         # request waits": with none, a vehicle turning idle does not select,
         # and otherwise it is offered that map alone, not every request seen
         offered = []
+        current = [None]   # the replication whose vehicle is turning idle
+        dwell_end = _Replication._on_dwell_end
+
+        def ending(rep, sav_id):
+            current[0] = rep
+            dwell_end(rep, sav_id)
 
         def select(policy, pending, sav, now, pickup_distance):
             pending = list(pending)
-            offered.append({p.state for p in pending})
+            assert pending and pending == list(current[0].by_state["unassigned"].values())
+            offered.append(len(pending))
             return dispatch.select_next_request(policy, pending, sav, now, pickup_distance)
 
+        monkeypatch.setattr(_Replication, "_on_dwell_end", ending)
         monkeypatch.setattr(engine, "select_next_request", select)
         run_sweep(dataclasses.replace(default_scenario(), replications=2), [2, 6, 10],
                   ["cautious", "aggressive"], jobs=1)
-        assert offered and all(states == {"unassigned"} for states in offered)
+        assert offered
 
-    def test_state_written_without_advance_is_caught_at_the_end(self):
-        # the counts kept by ``advance`` still agree with the fleet and the
-        # metrics, so only the end-of-replication walk over every request sees it
-        scenario = busy_scenario(fleet_size=1)
-        for old, new in (("unassigned", "assigned"), ("completed", "onboard")):
-            rep = new_replication(scenario)
-            handler = rep._on_request_arrival
-            written = []
-
-            def bypass(request):
-                handler(request)
-                pr = next(iter(rep.by_state[old].values()), None)
-                if not written and pr is not None:
-                    pr.state = new   # not through advance
-                    written.append(pr.request.id)
-
-            rep._on_request_arrival = bypass
-            with pytest.raises(ConsistencyError, match="counted by advance") as caught:
-                rep.run()
-            assert written and f"at t={scenario.horizon}:" in str(caught.value)
+    def test_assigning_a_request_twice_is_caught(self):
+        # a request leaves the unassigned map once, so one vehicle's route
+        # holds its pickup; that is why no request names its vehicle
+        rep = new_replication(busy_scenario(fleet_size=2))
+        request = rep.requests[0]
+        rep.by_state["unassigned"][request.id] = request
+        rep._assign(rep.savs[0], request, dispatch.request_legs(request))
+        with pytest.raises(ConsistencyError, match=f"request {request.id} is not unassigned"):
+            rep._assign(rep.savs[1], request, dispatch.request_legs(request))
+        assert rep.by_state["assigned"] == {request.id: request} and not rep.savs[1].route
 
     def test_a_finished_replication_frees_its_requests_without_the_cycle_collector(self):
         rep = new_replication(busy_scenario(fleet_size=1))
         rep.run()
-        rep._check_conservation()   # the state maps still serve the checks
+        rep._check_counts()   # the state maps still serve the checks
         freed = [weakref.ref(pr) for held in rep.by_state.values() for pr in held.values()]
         assert freed
         gc.collect()
@@ -364,7 +421,7 @@ class TestConservation:
         result = rep.run()
         assert rep.metrics.requests_seen > 0
         assert result.record.unserved == 0
-        assert all(p.state == "completed" for held in rep.by_state.values() for p in held.values())
+        assert len(rep.by_state["completed"]) == rep.metrics.requests_seen
 
 
 class TestCutShortLegs:
@@ -396,7 +453,7 @@ class TestCutShortLegs:
         rep = self.run([TripRequest(0, 1, 0, 100.0, 1), TripRequest(1, 2, 0, 120.0, 1)], 7200.0, True)
         reroutes = [e for e in rep.log if e.kind == "reroute"]
         assert [(e.time, e.distance) for e in reroutes] == [(120.0, pytest.approx(170.0))]
-        assert all(p.state == "completed" for held in rep.by_state.values() for p in held.values())
+        assert len(rep.by_state["completed"]) == rep.metrics.requests_seen == 2
         assert rep.savs[0].delay == pytest.approx(rep.metrics.sav_distance * self.DELAY_PER_METRE)
         # no edge is driven at a crawl, so the only stops are coming to rest on arrival
         assert rep.savs[0].stops == sum(e.kind == "arrive" for e in rep.log) == 3
@@ -949,7 +1006,7 @@ class TestTryShare:
         share = _Replication._try_share
         exhaustive = []
 
-        def checked(rep, pr, now):
+        def checked(rep, request, now):
             best = best_sav = None
             brute = brute_sav = None
             # by the idle-vehicle invariant, only a busy fleet shares
@@ -959,16 +1016,19 @@ class TestTryShare:
                     continue
                 if sav.status == "en_route":
                     sav.position = sav.plan.progress(now)[0]
-                res = dispatch.try_insert_shared(rep.policy, sav, pr.request, rep.table)
+                res = dispatch.try_insert_shared(rep.policy, sav, request, rep.table)
                 if res is not None and (best is None or res.shared_miles > best.shared_miles):
                     best, best_sav = res, sav
-                shared = brute_best_shared(rep.policy, sav, pr.request, rep.table)
+                shared = brute_best_shared(rep.policy, sav, request, rep.table)
                 if shared is not None and (brute is None or shared > brute):
                     brute, brute_sav = shared, sav
                 exhaustive.append(1)
-            share(rep, pr, now)
-            assert pr.assigned_sav == (None if best is None else best_sav.id)
-            assert pr.assigned_sav == (None if brute is None else brute_sav.id)
+            share(rep, request, now)
+            # the vehicle whose route holds the request's pickup is the one it is assigned to
+            holders = [sav.id for sav in rep.savs if any(leg.request == request.id for leg in sav.route)]
+            assert holders == ([] if best is None else [best_sav.id])
+            assert holders == ([] if brute is None else [brute_sav.id])
+            assert (request.id in rep.by_state["assigned"]) == (best is not None)
             if best is not None:
                 assert tuple(best_sav.route) == best.route
 

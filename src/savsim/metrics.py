@@ -156,7 +156,8 @@ def aggregates_to_csv(cells: list[tuple[str, int, str, dict]]) -> str:
 
 
 def occupancy_to_csv(samples: list[tuple[float, int, int]]) -> str:
-    return _table(["time_s", "edge_id", "occupancy"], ((f"{t:.6f}", edge, occ) for t, edge, occ in samples))
+    """The ``(time, edge id, occupancy)`` rows; times in round-trip ``repr`` form."""
+    return _table(["time_s", "edge_id", "occupancy"], ((repr(t), edge, occ) for t, edge, occ in samples))
 
 
 # event-log replay ----------------------------------------------------------
@@ -174,8 +175,8 @@ class LogEntry:
 
 
 def events_to_csv(logs: list[tuple[int, list[LogEntry]]]) -> str:
-    """The event log of each (replication, entries) pair; distances in round-trip ``repr`` form, None empty."""
-    rows = ((replication, f"{e.time:.6f}", e.sav, e.kind, e.request, e.stop, repr(e.distance))
+    """The event log of each (replication, entries) pair; times and distances in round-trip ``repr`` form, None empty."""
+    rows = ((replication, repr(e.time), e.sav, e.kind, e.request, e.stop, repr(e.distance))
             for replication, entries in logs for e in entries)
     return _table(["replication", "time_s", "sav", "event", "request", "stop", "distance"], rows)
 

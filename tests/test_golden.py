@@ -37,7 +37,7 @@ GENERATED_SHA256 = {
 # savsim run --replications 1 --verbose on its scenario
 CITY_SETTINGS = ["grid_spacing=400", "peripheral_stop_count=56", "central_stop_count=56"]
 CITY_RUN_SHA256 = {
-    "events.csv": "7e50f4822a52505f52d010cda376004c85de4a21ace6411e63d013a67f85ad96",
+    "events.csv": "5328c35061c64a1234c11e9bef3c458cc3deb1b5f4bc3452bf570692d376e8da",
     "replications.csv": "20a82703595998aa0ed63eaf312a4e423d5d52785a298db70877dc9a4721555f",
 }
 
@@ -52,14 +52,14 @@ CITY_SWEEP_SHA256 = "06fb89589a32c100a0b161aa1f40876028f31f5aa0a0900d5854b65519b
 HIGH_DEMAND = {"outbound_rate": 36.0, "inbound_rate": 24.0}
 HIGH_DEMAND_SHA256 = {
     2: ("369303f7985392ac9052b3f668fe5cfefc5b569b9313b98ee52d35ac3808ddd0",
-        "9f2a1d4159febac3aa2ecd25ac8ee900a795c0a0fbbc31f4159962c7b21a2d3b"),
+        "b0797b8e5fed0e345309337c7a801dd3f854d8264c4fe8bcd3e839a7f31f2bc4"),
     8: ("1e0cc54040fed4e3b6d8166181a831a381967747cdca51260fbc4c3037a3ab25",
-        "0990d5e1286f3500e0596c1e04edf4d7bab6ca9f38f7fdb7c97b22622b6ba07a"),
+        "f1a6afbc86e5feb473298b1b1867218ee21e431f3ed3045258d1856981ad6267"),
 }
 HALF_DEMAND = {"outbound_rate": 4.5, "inbound_rate": 3.0}
 HALF_DEMAND_SHA256 = {
     16: ("78dc7d2f047bc09ff8a447b669b48d8d03adf89b11e9505ab29bc7b15d97ef4a",
-         "1fcf6c9725ab296ba034c15956904537e42f08f58316bb74232fdd5db3c8515f"),
+         "6ffd1d27f32b1396b62992b0b966b26a2a69d02cc772784abe1f6dd34ae5e02d"),
 }
 
 

@@ -136,8 +136,8 @@ def _cmd_run(args) -> int:
         logs = [(rep.record.replication, rep.log) for rep in result.replications]
         write_atomic(os.path.join(out, "events.csv"), metrics.events_to_csv(logs))
     if args.occupancy:
-        samples = [s for rep in result.replications for s in rep.occupancy]
-        write_atomic(os.path.join(out, "occupancy.csv"), metrics.occupancy_to_csv(samples))
+        rows = [row for rep in result.replications for row in rep.occupancy]
+        write_atomic(os.path.join(out, "occupancy.csv"), metrics.occupancy_to_csv(rows))
     print(f"wrote {out}/replications.csv and {out}/aggregate.csv")
     return EXIT_OK
 

@@ -225,20 +225,18 @@ class Draw(NamedTuple):
     traffic: traffic_mod.BackgroundTraffic
 
 
-def draw_index(scenario: Scenario, runtime: _Runtime, index: int, sample: bool = False) -> Draw:
+def draw_index(scenario: Scenario, runtime: _Runtime, index: int) -> Draw:
     """Draw replication ``index``'s requests and run its background clock to the horizon.
 
     Both are seeded from ``base_seed + index``.  The injections, then each
     edge exit, are processed in (time, scheduling sequence) order up to the
     first event at or after the horizon, the test that stops a replication's
-    fleet events.  The field then holds every occupancy change before the
-    horizon and the finished vehicles' tallies, and samples if ``sample``.
+    fleet events.  The field's timelines then hold every occupancy change
+    before the horizon, and its vehicles their tallies.
     """
     seed = scenario.base_seed + index
     requests = generate_requests(scenario.demand, runtime.stops, seed, scenario.horizon)
-    traffic = traffic_mod.BackgroundTraffic(
-        scenario.background_flows, runtime.flow_routes, scenario.horizon, seed, sample,
-    )
+    traffic = traffic_mod.BackgroundTraffic(scenario.background_flows, runtime.flow_routes, scenario.horizon, seed)
     # events carry their kind, like a replication's, so that wrappers of
     # ``heappush`` (the benchmark's tracer) count them by kind
     heap: list[tuple[float, int, str, traffic_mod.BackgroundVehicle]] = []
@@ -316,20 +314,14 @@ class _LegPlan:
 class ReplicationResult:
     record: MetricsRecord
     log: list[LogEntry]
-    occupancy: list[tuple[float, int, int]]
+    occupancy: list[tuple[float, int, int]]   # the field's ``occupancy_rows`` if collected
 
 
 class _Replication:
     """One replication's fleet, run against its index's draw."""
 
-    def __init__(
-        self,
-        runtime: _Runtime,
-        scenario: Scenario,
-        index: int,
-        draw: Draw,
-        collect_log: bool = False,
-    ) -> None:
+    def __init__(self, runtime: _Runtime, scenario: Scenario, index: int, draw: Draw,
+                 collect_log: bool = False, collect_occupancy: bool = False) -> None:
         self.scenario = scenario
         self.graph = scenario.graph
         self.table = runtime.table
@@ -342,6 +334,7 @@ class _Replication:
         # {request id: request} per state, kept by ``advance``: the only registry of requests
         self.by_state: dict[str, dict[int, TripRequest]] = {state: {} for state in REQUEST_STATES}
         self.collect_log = collect_log
+        self.collect_occupancy = collect_occupancy
         self.log: list[LogEntry] = []
         self.metrics = MetricsState(
             scenario=scenario.name,
@@ -569,9 +562,9 @@ class _Replication:
                 self._end_leg(sav, self.now, "horizon")
         self._check_counts()
         # background vehicles in exit order, then the fleet in id order: finalize sums in this order
-        vehicles = self.traffic.finished + [(sav.delay, sav.stops) for sav in self.savs]
-        record = finalize(self.metrics, vehicles, self.traffic.distance)
-        return ReplicationResult(record, self.log, self.traffic.samples)
+        record = finalize(self.metrics, [*self.traffic.finished, *self.savs], self.traffic.distance)
+        occupancy = self.traffic.occupancy_rows() if self.collect_occupancy else []
+        return ReplicationResult(record, self.log, occupancy)
 
 
 def simulate(
@@ -584,14 +577,15 @@ def simulate(
 ) -> ReplicationResult:
     """Run one seeded replication; equal inputs give identical results.
 
-    ``draw`` is the index's draw; when none is given it is drawn here, with
-    occupancy samples if ``collect_occupancy``.
+    ``draw`` is the index's draw; when none is given it is drawn here.  The
+    result holds the event log if ``collect_log`` and the field's occupancy
+    rows if ``collect_occupancy``.
     """
     if runtime is None:
         runtime = _Runtime(scenario)
     if draw is None:
-        draw = draw_index(scenario, runtime, index, collect_occupancy)
-    return _Replication(runtime, scenario, index, draw, collect_log).run()
+        draw = draw_index(scenario, runtime, index)
+    return _Replication(runtime, scenario, index, draw, collect_log, collect_occupancy).run()
 
 
 @dataclass
@@ -623,9 +617,9 @@ def _run_chunk(
     results: list[list[ReplicationResult]] = [[] for _ in cells]
     for i in indices:
         try:
-            draw = draw_index(base, first, i, collect_occupancy)
+            draw = draw_index(base, first, i)
             for cell, runtime, out in zip(cells, runtimes, results):
-                out.append(simulate(cell, i, runtime, collect_log, draw=draw))
+                out.append(simulate(cell, i, runtime, collect_log, collect_occupancy, draw=draw))
         except Exception as exc:
             raise SimulationError(f"replication {i} failed: {exc}") from exc
     return results
@@ -676,7 +670,7 @@ def _run_cells(
 
 def run_scenario(scenario: Scenario, jobs: int = 1, collect_log: bool = False,
                  collect_occupancy: bool = False) -> ScenarioResult:
-    """Run all replications, keeping logs and occupancy samples if asked, and aggregate."""
+    """Run all replications, keeping logs and occupancy rows if asked, and aggregate."""
     return _run_cells(scenario, [(scenario.fleet_size, scenario.profile)], jobs,
                       collect_log, collect_occupancy)[0]
 

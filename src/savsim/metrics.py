@@ -80,16 +80,16 @@ class MetricsState:
         self.passengers_served += party_size
 
 
-def finalize(state: MetricsState, vehicles: list[tuple[float, int]], field_distance: float) -> MetricsRecord:
+def finalize(state: MetricsState, vehicles: list, field_distance: float) -> MetricsRecord:
     """Reduce accumulators to one record; the average over an empty population is zero.
 
-    ``vehicles`` is each vehicle's ``(delay seconds, stop events)``, summed
-    in its order; ``field_distance`` is the background vehicles' distance,
-    to which the fleet's is added.
+    ``vehicles`` are the vehicles themselves, whose ``delay`` (seconds) and
+    ``stops`` (stop events) are summed in their order; ``field_distance`` is
+    the background vehicles' distance, to which the fleet's is added.
     """
     n, waits = len(vehicles), state.wait_seconds
-    avg_delay = sum(delay for delay, _ in vehicles) / n if n else 0.0
-    avg_stops = sum(stops for _, stops in vehicles) / n if n else 0.0
+    avg_delay = sum(v.delay for v in vehicles) / n if n else 0.0
+    avg_stops = sum(v.stops for v in vehicles) / n if n else 0.0
     avg_wait = sum(waits) / len(waits) if waits else 0.0
     return MetricsRecord(
         scenario=state.scenario,
@@ -155,9 +155,9 @@ def aggregates_to_csv(cells: list[tuple[str, int, str, dict]]) -> str:
     return _table(["scenario", "fleet_size", "profile", "metric", "mean", "std", "min", "max"], rows)
 
 
-def occupancy_to_csv(samples: list[tuple[float, int, int]]) -> str:
+def occupancy_to_csv(rows: list[tuple[float, int, int]]) -> str:
     """The ``(time, edge id, occupancy)`` rows; times in round-trip ``repr`` form."""
-    return _table(["time_s", "edge_id", "occupancy"], ((repr(t), edge, occ) for t, edge, occ in samples))
+    return _table(["time_s", "edge_id", "occupancy"], ((repr(t), edge, occ) for t, edge, occ in rows))
 
 
 # event-log replay ----------------------------------------------------------

@@ -7,7 +7,7 @@ attainable speed (capped at free flow) and set per-boarding dwell times.
 one rule for a stop, both used by fleet legs and background vehicles alike.
 ``BackgroundTraffic`` owns the background vehicles of one replication index:
 their injection draws, the per-edge occupancy timelines the fleet reads, and
-their delay, stop and distance tallies.
+the distance they drove; each vehicle carries its own delay and stop tallies.
 """
 
 from __future__ import annotations
@@ -108,7 +108,7 @@ class BackgroundVehicle:
     """One vehicle of a background flow and its running delay and stop tallies."""
 
     route: tuple[DirectedEdge, ...]
-    index: int = -1   # the edge of ``route`` it is on; -1 until injected
+    index: int = -1   # the edge of ``route`` it is on; -1 until it enters
     speed: float = 0.0
     delay: float = 0.0
     stops: int = 0
@@ -123,20 +123,19 @@ class BackgroundTraffic:
     (graph, flows, horizon, seed).  The caller keeps the clock: it calls
     ``advance`` at each time in ``injections`` and at each exit time
     ``advance`` returns, in time order.  Once the clock has run to the
-    horizon the field is read-only, and ``occupancy_at`` answers for any
-    time.  An edge's count now is the last value of its timeline, made at
-    its first change; ``advance`` reads it and ``check`` sums it.
+    horizon the field is read-only.  Its records are the timelines, which
+    hold every occupancy change (an edge's count now is its timeline's last
+    value, made at its first change), and the vehicles, each with its edge
+    ``index`` (>= 0 once entered) and its delay and stop tallies;
+    ``finished`` lists the vehicles that left their route, in exit order.
     """
 
     def __init__(
         self, flows: list[BackgroundFlow], routes: list[tuple[DirectedEdge, ...]],
-        horizon: float, seed: int, sample: bool,
+        horizon: float, seed: int,
     ) -> None:
-        self.samples: list[tuple[float, int, int]] = []   # (time, edge id, occupancy) if ``sample``
         self.distance = 0.0
-        self.finished: list[tuple[float, int]] = []   # (delay, stops) per vehicle, in exit order
-        self._sample = sample
-        self._entered = 0
+        self.finished: list[BackgroundVehicle] = []   # in exit order
         # edge id -> (times, occupancies): each change to the edge's occupancy, in time order
         self._timelines: dict[int, tuple[list[float], list[int]]] = {}
         rng = random.Random(f"{seed}:background")
@@ -153,8 +152,6 @@ class BackgroundTraffic:
             timeline = self._timelines[edge_id] = ([], [])
         timeline[0].append(now)
         timeline[1].append(occupancy)
-        if self._sample:
-            self.samples.append((now, edge_id, occupancy))
 
     def advance(self, vehicle: BackgroundVehicle, now: float) -> float | None:
         """Move ``vehicle`` onto its next edge at ``now``; when it will leave it, or None at the end."""
@@ -162,11 +159,9 @@ class BackgroundTraffic:
             edge = vehicle.route[vehicle.index]
             self._set(edge.id, now, self._timelines[edge.id][1][-1] - 1)
             self.distance += edge.length
-        else:
-            self._entered += 1
         vehicle.index += 1
         if vehicle.index == len(vehicle.route):
-            self.finished.append((vehicle.delay, vehicle.stops))
+            self.finished.append(vehicle)
             return None
         edge = vehicle.route[vehicle.index]
         timeline = self._timelines.get(edge.id)
@@ -190,7 +185,13 @@ class BackgroundTraffic:
         i = bisect_right(times, t)
         return values[i - 1] if i else 0
 
+    def occupancy_rows(self) -> list[tuple[float, int, int]]:
+        """Every ``(time, edge id, occupancy)`` change by time, then edge id, then timeline order."""
+        rows = [(t, eid, n) for eid, (times, values) in self._timelines.items() for t, n in zip(times, values)]
+        return sorted(rows, key=lambda row: row[:2])   # stable, so ties keep timeline order
+
     def check(self) -> None:
-        """Every vehicle injected and not finished occupies exactly one edge."""
-        if self._entered - len(self.finished) != sum(values[-1] for _, values in self._timelines.values()):
+        """Every vehicle entered and not finished occupies exactly one edge."""
+        entered = sum(vehicle.index >= 0 for _, vehicle in self.injections)
+        if entered - len(self.finished) != sum(values[-1] for _, values in self._timelines.values()):
             raise ConsistencyError("background vehicle conservation broken")

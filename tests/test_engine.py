@@ -66,11 +66,10 @@ def busy_scenario(**overrides) -> Scenario:
     return Scenario(**base)
 
 
-def new_replication(scenario: Scenario, index: int = 0, collect_log: bool = False,
-                    sample: bool = False) -> _Replication:
+def new_replication(scenario: Scenario, index: int = 0, collect_log: bool = False) -> _Replication:
     """A replication set up the way ``simulate`` sets one up, for the test to run."""
     runtime = _Runtime(scenario)
-    draw = draw_index(scenario, runtime, index, sample)
+    draw = draw_index(scenario, runtime, index)
     return _Replication(runtime, scenario, index, draw, collect_log)
 
 
@@ -340,13 +339,13 @@ class TestConservation:
         )
         rep = new_replication(scenario)
         record = rep.run().record
-        vehicles = rep.traffic.finished + [(sav.delay, sav.stops) for sav in rep.savs]
+        vehicles = rep.traffic.finished + rep.savs
         assert rep.traffic.finished and any(sav.stops for sav in rep.savs)
         delay = 0.0
         stops = 0
-        for vehicle_delay, vehicle_stops in vehicles:
-            delay += vehicle_delay
-            stops += vehicle_stops
+        for vehicle in vehicles:
+            delay += vehicle.delay
+            stops += vehicle.stops
         assert record.avg_delay_min.hex() == (delay / len(vehicles) / 60.0).hex()
         assert record.avg_stops.hex() == (stops / len(vehicles)).hex()
         assert record.total_distance_m.hex() == (rep.traffic.distance + rep.metrics.sav_distance).hex()
@@ -372,15 +371,15 @@ class TestConservation:
         traffic = []
         for fleet_size in (0, 10):
             scenario = busy_scenario(background_flows=flows, fleet_size=fleet_size)
-            rep = new_replication(scenario, 1, sample=True)
+            rep = new_replication(scenario, 1)
             result = rep.run()
             traffic.append(rep.traffic)
         assert result.record.sav_distance_m > 0   # the fleet of 10 did drive
         idle, busy = traffic
-        assert idle.samples and idle.finished
-        assert busy.samples == idle.samples
+        assert idle._timelines and idle.finished
+        assert busy._timelines == idle._timelines   # every occupancy change, edge by edge
         assert busy.distance == idle.distance
-        assert busy.finished == idle.finished
+        assert [(v.delay, v.stops) for v in busy.finished] == [(v.delay, v.stops) for v in idle.finished]
 
     def test_background_occupancy_leak_is_caught(self):
         scenario = busy_scenario(background_flows=[BackgroundFlow(0, 2, 120.0)])

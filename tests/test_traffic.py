@@ -19,7 +19,7 @@ from savsim.traffic import (
     get_profile,
     profiles_from_dict,
 )
-from savsim.errors import InvalidInputError
+from savsim.errors import ConsistencyError, InvalidInputError
 
 from randnets import ring_network
 
@@ -121,7 +121,7 @@ def test_behavior_profile_validation():
 
 
 def test_occupancy_change_at_t_is_seen_at_t():
-    traffic = BackgroundTraffic([], [], 3600.0, 0, sample=True)
+    traffic = BackgroundTraffic([], [], 3600.0, 0)
     t = 100.0
     first, second = BackgroundVehicle((EDGE,)), BackgroundVehicle((EDGE,))
     exit_time = traffic.advance(first, t)
@@ -132,6 +132,16 @@ def test_occupancy_change_at_t_is_seen_at_t():
     assert traffic.occupancy_at(EDGE.id, exit_time) == 1
     assert traffic.occupancy_at(EDGE.id, math.nextafter(exit_time, 0)) == 2
     assert traffic.occupancy_at(EDGE.id + 1, t) == 0   # an edge nobody entered
+
+
+def test_a_vehicle_entered_but_never_counted_is_caught():
+    traffic = BackgroundTraffic([BackgroundFlow(1, 2, 600.0)], [(EDGE,)], 3600.0, 0)
+    (t, first), (_, second), *_ = traffic.injections
+    traffic.advance(first, t)
+    traffic.check()   # one vehicle entered, and its edge counts it
+    second.index = 0   # marked as on EDGE, which never counted it
+    with pytest.raises(ConsistencyError, match="background vehicle conservation"):
+        traffic.check()
 
 
 RING_VERTICES = st.integers(0, 3)
@@ -153,14 +163,24 @@ def test_occupancy_at_is_the_last_sample_at_or_before_t(flows, seed, horizon, da
         background_flows=[BackgroundFlow(*f) for f in flows], fleet_size=0, horizon=horizon,
         replications=1, base_seed=seed,
     )
-    traffic = draw_index(scenario, _Runtime(scenario), 0, sample=True).traffic
-    sample_times = [t for t, _, _ in traffic.samples]
-    assert all(t < horizon for t in sample_times)
+    traffic = draw_index(scenario, _Runtime(scenario), 0).traffic
+    rows = traffic.occupancy_rows()
+    assert len(rows) == sum(len(times) for times, _ in traffic._timelines.values())
+    assert [(t, eid) for t, eid, _ in rows] == sorted((t, eid) for t, eid, _ in rows)
+    per_edge = {}
+    for _, eid, occ in rows:
+        per_edge.setdefault(eid, []).append(occ)
+    for counts in per_edge.values():   # each row one vehicle entering or leaving, from an empty edge
+        assert counts[0] == 1
+        assert all(abs(b - a) == 1 for a, b in zip(counts, counts[1:]))
+    assert per_edge == {eid: values for eid, (_, values) in traffic._timelines.items()}   # timeline order
+    row_times = [t for t, _, _ in rows]
+    assert all(t < horizon for t in row_times)
     times = st.floats(0.0, horizon)
-    if sample_times:
-        times = st.one_of(times, st.sampled_from(sample_times),
-                          st.sampled_from(sample_times).map(lambda t: math.nextafter(t, 0)))
+    if row_times:
+        times = st.one_of(times, st.sampled_from(row_times),
+                          st.sampled_from(row_times).map(lambda t: math.nextafter(t, 0)))
     for t in data.draw(st.lists(times, min_size=1, max_size=20)):
         for edge in scenario.graph.edges():
-            seen = [occ for when, eid, occ in traffic.samples if eid == edge.id and when <= t]
+            seen = [occ for when, eid, occ in rows if eid == edge.id and when <= t]
             assert traffic.occupancy_at(edge.id, t) == (seen[-1] if seen else 0)

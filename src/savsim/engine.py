@@ -609,7 +609,8 @@ def _run_chunk(
     task before any replication runs; every other cell's is built like the
     first's (see ``_Runtime``).  An index's draw does not depend on what the
     cells vary, so it is made once, from ``base``, read by every cell and
-    dropped before the next index.
+    dropped before the next index is drawn: a chunk holds one background
+    field at a time.
     """
     cells = [replace(base, fleet_size=fleet, profile=profile) for fleet, profile in variants]
     first = _Runtime(cells[0])
@@ -620,6 +621,7 @@ def _run_chunk(
             draw = draw_index(base, first, i)
             for cell, runtime, out in zip(cells, runtimes, results):
                 out.append(simulate(cell, i, runtime, collect_log, collect_occupancy, draw=draw))
+            del draw
         except Exception as exc:
             raise SimulationError(f"replication {i} failed: {exc}") from exc
     return results

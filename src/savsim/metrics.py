@@ -155,9 +155,10 @@ def aggregates_to_csv(cells: list[tuple[str, int, str, dict]]) -> str:
     return _table(["scenario", "fleet_size", "profile", "metric", "mean", "std", "min", "max"], rows)
 
 
-def occupancy_to_csv(rows: list[tuple[float, int, int]]) -> str:
-    """The ``(time, edge id, occupancy)`` rows; times in round-trip ``repr`` form."""
-    return _table(["time_s", "edge_id", "occupancy"], ((repr(t), edge, occ) for t, edge, occ in rows))
+def occupancy_to_csv(occupancy: list[tuple[int, list[tuple[float, int, int]]]]) -> str:
+    """The ``(time, edge id, occupancy)`` rows of each (replication, rows) pair; times in round-trip ``repr`` form."""
+    rows = ((replication, repr(t), edge, occ) for replication, changes in occupancy for t, edge, occ in changes)
+    return _table(["replication", "time_s", "edge_id", "occupancy"], rows)
 
 
 # event-log replay ----------------------------------------------------------

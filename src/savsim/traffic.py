@@ -13,6 +13,7 @@ the distance they drove; each vehicle carries its own delay and stop tallies.
 from __future__ import annotations
 
 import random
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 
@@ -128,6 +129,9 @@ class BackgroundTraffic:
     value, made at its first change), and the vehicles, each with its edge
     ``index`` (>= 0 once entered) and its delay and stop tallies;
     ``finished`` lists the vehicles that left their route, in exit order.
+    A timeline is flat: an ``array('d')`` of change times beside an
+    ``array('i')`` of counts, 12 bytes per change (a count is at most the
+    vehicles injected, which ``engine.MAX_EVENTS`` keeps far below 2**31).
     """
 
     def __init__(
@@ -137,7 +141,7 @@ class BackgroundTraffic:
         self.distance = 0.0
         self.finished: list[BackgroundVehicle] = []   # in exit order
         # edge id -> (times, occupancies): each change to the edge's occupancy, in time order
-        self._timelines: dict[int, tuple[list[float], list[int]]] = {}
+        self._timelines: dict[int, tuple[array, array]] = {}
         rng = random.Random(f"{seed}:background")
         self.injections: list[tuple[float, BackgroundVehicle]] = [
             (t, BackgroundVehicle(route))
@@ -149,7 +153,7 @@ class BackgroundTraffic:
     def _set(self, edge_id: int, now: float, occupancy: int) -> None:
         timeline = self._timelines.get(edge_id)
         if timeline is None:
-            timeline = self._timelines[edge_id] = ([], [])
+            timeline = self._timelines[edge_id] = (array("d"), array("i"))
         timeline[0].append(now)
         timeline[1].append(occupancy)
 

@@ -142,7 +142,7 @@ class TestRun:
         events = (run_out / "events.csv").read_text().splitlines()
         assert events[0] == "replication,time_s,sav,event,request,stop,distance"
         assert len(events) > 1
-        assert (run_out / "occupancy.csv").read_text().startswith("time_s,edge_id,occupancy")
+        assert (run_out / "occupancy.csv").read_text().startswith("replication,time_s,edge_id,occupancy\n")
 
     def test_verbose_run_is_one_pass(self, tmp_path, monkeypatch):
         out = generate_small(tmp_path)
@@ -184,6 +184,26 @@ class TestRun:
         assert any(r.shared_miles_m > 0 for r in result.records)
         for record in result.records:
             assert replay_shared_miles(logs[record.replication]) == record.shared_miles_m
+
+    def test_occupancy_file_holds_each_replications_field_rows(self, tmp_path):
+        out = generate_small(tmp_path)
+        run_out = tmp_path / "run"
+        assert main(run_args(run_out, out / "scenario.json", extra=["--occupancy", "--replications", "3"])) == 0
+        blocks: dict[int, list[tuple[float, int, int]]] = {}
+        with open(run_out / "occupancy.csv", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == ["replication", "time_s", "edge_id", "occupancy"]
+        for replication, t, edge, occupancy in rows:
+            assert repr(float(t)) == t
+            blocks.setdefault(int(replication), []).append((float(t), int(edge), int(occupancy)))
+        assert list(blocks) == [0, 1, 2]   # one block per replication, in order
+        scenario = engine.load_scenario(str(out / "scenario.json"), {
+            "replications": 3, "fleet_size": 2, "horizon": 3600,
+        })
+        runtime = engine._Runtime(scenario)
+        for index, block in blocks.items():
+            rows = engine.draw_index(scenario, runtime, index).traffic.occupancy_rows()
+            assert rows and block == rows
 
     def test_jobs_below_one_is_usage_error(self, tmp_path):
         out = generate_small(tmp_path)

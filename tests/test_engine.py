@@ -944,6 +944,28 @@ class TestRunSweep:
         pooled = run_sweep(scenario, [1, 2], ["cautious", "aggressive"], jobs=2)
         assert pooled.all_records() == serial.all_records()
 
+    def test_a_chunk_holds_one_draw_at_a_time(self, monkeypatch):
+        # index i's field is released before index i + 1 is drawn, by
+        # reference counts alone: the collector is off for the sweep
+        scenario = busy_scenario(replications=4, background_flows=[BackgroundFlow(0, 2, 120.0)])
+        fields, alive_at_draw = [], []
+
+        def tracked(*args):
+            alive_at_draw.append([ref() is not None for ref in fields])
+            draw = draw_index(*args)
+            fields.append(weakref.ref(draw.traffic))
+            return draw
+
+        monkeypatch.setattr(engine, "draw_index", tracked)
+        gc.collect()
+        gc.disable()
+        try:
+            run_sweep(scenario, [1, 2], ["cautious", "aggressive"])
+        finally:
+            gc.enable()
+        assert alive_at_draw == [[], [False], [False] * 2, [False] * 3]
+        assert fields[-1]() is None
+
     def test_pool_has_no_more_workers_than_indices(self, monkeypatch):
         # only indices are dealt, so each worker gets at least one index and
         # runs every cell at it; (replications, cpus, jobs) -> pools made

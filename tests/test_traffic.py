@@ -173,7 +173,7 @@ def test_occupancy_at_is_the_last_sample_at_or_before_t(flows, seed, horizon, da
     for counts in per_edge.values():   # each row one vehicle entering or leaving, from an empty edge
         assert counts[0] == 1
         assert all(abs(b - a) == 1 for a, b in zip(counts, counts[1:]))
-    assert per_edge == {eid: values for eid, (_, values) in traffic._timelines.items()}   # timeline order
+    assert per_edge == {eid: list(values) for eid, (_, values) in traffic._timelines.items()}   # timeline order
     row_times = [t for t, _, _ in rows]
     assert all(t < horizon for t in row_times)
     times = st.floats(0.0, horizon)

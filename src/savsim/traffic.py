@@ -130,8 +130,9 @@ class BackgroundTraffic:
     ``index`` (>= 0 once entered) and its delay and stop tallies;
     ``finished`` lists the vehicles that left their route, in exit order.
     A timeline is flat: an ``array('d')`` of change times beside an
-    ``array('i')`` of counts, 12 bytes per change (a count is at most the
-    vehicles injected, which ``engine.MAX_EVENTS`` keeps far below 2**31).
+    ``array('i')`` of counts, 12 bytes per change.  A count is at most the
+    vehicles injected, which the engine's ``MAX_EVENTS`` preflight keeps far
+    below 2**31; a count past it would raise OverflowError, not wrap.
     """
 
     def __init__(
@@ -150,18 +151,13 @@ class BackgroundTraffic:
             for t in poisson_arrivals(rng, flow.rate, horizon)
         ]
 
-    def _set(self, edge_id: int, now: float, occupancy: int) -> None:
-        timeline = self._timelines.get(edge_id)
-        if timeline is None:
-            timeline = self._timelines[edge_id] = (array("d"), array("i"))
-        timeline[0].append(now)
-        timeline[1].append(occupancy)
-
     def advance(self, vehicle: BackgroundVehicle, now: float) -> float | None:
         """Move ``vehicle`` onto its next edge at ``now``; when it will leave it, or None at the end."""
         if vehicle.index >= 0:
             edge = vehicle.route[vehicle.index]
-            self._set(edge.id, now, self._timelines[edge.id][1][-1] - 1)
+            times, counts = self._timelines[edge.id]
+            times.append(now)
+            counts.append(counts[-1] - 1)
             self.distance += edge.length
         vehicle.index += 1
         if vehicle.index == len(vehicle.route):
@@ -169,13 +165,17 @@ class BackgroundTraffic:
             return None
         edge = vehicle.route[vehicle.index]
         timeline = self._timelines.get(edge.id)
-        occupancy = timeline[1][-1] if timeline else 0
+        if timeline is None:   # the edge's first change
+            timeline = self._timelines[edge.id] = (array("d"), array("i"))
+        times, counts = timeline
+        occupancy = counts[-1] if counts else 0
         speed = edge_speed(edge, occupancy)
         seconds, delay = drive(edge, edge.length, speed)
         vehicle.stops += count_stop_event(vehicle.speed, speed)
         vehicle.speed = speed
         vehicle.delay += delay
-        self._set(edge.id, now, occupancy + 1)
+        times.append(now)
+        counts.append(occupancy + 1)
         return now + seconds
 
     def occupancy_at(self, edge_id: int, t: float) -> int:

@@ -202,8 +202,8 @@ class TestRun:
         })
         runtime = engine._Runtime(scenario)
         for index, block in blocks.items():
-            rows = engine.draw_index(scenario, runtime, index).traffic.occupancy_rows()
-            assert rows and block == rows
+            field = engine.draw_index(scenario, runtime, index).traffic.occupancy_rows()
+            assert field and block == field
 
     def test_jobs_below_one_is_usage_error(self, tmp_path):
         out = generate_small(tmp_path)

@@ -5,11 +5,11 @@ order with no simultaneity ambiguity.  Both clocks, the background one and a
 replication's fleet one, follow one cut-off rule: they stop at the first
 event at or after the horizon, which is never processed.  One replication is
 strictly sequential and depends only on (scenario, index), so ``_run_cells``,
-behind ``run_scenario`` and ``run_sweep``, fans them out by dealing
-replication indices to its workers.  Its cells are variants of one base
-scenario that differ only in fleet size and profile; the cells of one task
-share the base's stops, flow routes and stop table, which never change once
-built, and each index's draw (request stream and background field).
+behind ``run_scenario`` and ``run_sweep``, fans them out one replication
+index per task.  Its cells are variants of one base scenario that differ
+only in fleet size and profile; they share the base's stops, flow routes and
+stop table, built once per run and never changed after, and each index's
+draw (request stream and background field).
 
 Model notes:
   * ``traffic.BackgroundTraffic`` owns the background vehicles and the edge
@@ -25,7 +25,7 @@ Model notes:
     instant counts).
   * ``traffic`` owns the speed rule: ``edge_speed`` is the one speed-density
     formula, and ``attainable_speed`` and ``drive`` the fleet's speed and an
-    edge's time and delay.  A chunk's first ``_Runtime`` owns the drive
+    edge's time and delay.  A run's first ``_Runtime`` owns the drive
     tables, one per profile, shared by its cells like the stop table: each
     maps (edge id, occupancy) to what those two functions return for the
     whole edge, filled by calling them the first time ``_build_plan`` needs it.
@@ -71,7 +71,6 @@ import math
 import os
 from dataclasses import dataclass, field, replace
 from heapq import heappop, heappush
-from itertools import repeat
 from typing import NamedTuple
 
 from . import traffic as traffic_mod
@@ -163,7 +162,7 @@ DriveTable = dict[tuple[int, int], tuple[float, float, float]]
 
 
 class _Runtime:
-    """Per-scenario precomputation shared by the replications of a chunk.
+    """Per-scenario precomputation shared by the replications of a run.
 
     Built ``like`` a runtime whose scenario differs at most in ``fleet_size``
     and ``profile``, it shares that one's stops, flow routes, stop table and
@@ -314,7 +313,7 @@ class _LegPlan:
 class ReplicationResult:
     record: MetricsRecord
     log: list[LogEntry]
-    occupancy: list[tuple[float, int, int]]   # the field's ``occupancy_rows`` if collected
+    occupancy: traffic_mod.Timelines   # the field's, if collected
 
 
 class _Replication:
@@ -563,8 +562,7 @@ class _Replication:
         self._check_counts()
         # background vehicles in exit order, then the fleet in id order: finalize sums in this order
         record = finalize(self.metrics, [*self.traffic.finished, *self.savs], self.traffic.distance)
-        occupancy = self.traffic.occupancy_rows() if self.collect_occupancy else []
-        return ReplicationResult(record, self.log, occupancy)
+        return ReplicationResult(record, self.log, self.traffic.timelines if self.collect_occupancy else {})
 
 
 def simulate(
@@ -578,8 +576,8 @@ def simulate(
     """Run one seeded replication; equal inputs give identical results.
 
     ``draw`` is the index's draw; when none is given it is drawn here.  The
-    result holds the event log if ``collect_log`` and the field's occupancy
-    rows if ``collect_occupancy``.
+    result holds the event log if ``collect_log`` and the field's per-edge
+    occupancy timelines if ``collect_occupancy``.
     """
     if runtime is None:
         runtime = _Runtime(scenario)
@@ -598,33 +596,28 @@ class ScenarioResult:
         return [rep.record for rep in self.replications]
 
 
-def _run_chunk(
-    base: Scenario, variants: list[tuple[int, str]], indices: range,
-    collect_log: bool, collect_occupancy: bool,
-) -> list[list[ReplicationResult]]:
-    """Run replications ``indices`` of every cell, index by index; one result list per cell.
+# (cells, runtimes, collect_log, collect_occupancy): set in each pool worker, or here for a serial run
+_served: tuple | None = None
 
-    Each ``(fleet_size, profile)`` variant of ``base`` is one cell.  Every
-    cell's runtime is built first, so a cell that fails its checks stops the
-    task before any replication runs; every other cell's is built like the
-    first's (see ``_Runtime``).  An index's draw does not depend on what the
-    cells vary, so it is made once, from ``base``, read by every cell and
-    dropped before the next index is drawn: a chunk holds one background
-    field at a time.
+
+def _serve(run: tuple | None) -> None:
+    global _served
+    _served = run
+
+
+def _run_index(i: int) -> list[ReplicationResult]:
+    """Run every cell of the served run at index ``i`` on one draw; one result per cell.
+
+    The draw is made from the first cell, as it does not depend on what the
+    cells vary, and freed on return: a process holds one field at a time.
     """
-    cells = [replace(base, fleet_size=fleet, profile=profile) for fleet, profile in variants]
-    first = _Runtime(cells[0])
-    runtimes = [first] + [_Runtime(cell, first) for cell in cells[1:]]
-    results: list[list[ReplicationResult]] = [[] for _ in cells]
-    for i in indices:
-        try:
-            draw = draw_index(base, first, i)
-            for cell, runtime, out in zip(cells, runtimes, results):
-                out.append(simulate(cell, i, runtime, collect_log, collect_occupancy, draw=draw))
-            del draw
-        except Exception as exc:
-            raise SimulationError(f"replication {i} failed: {exc}") from exc
-    return results
+    cells, runtimes, collect_log, collect_occupancy = _served
+    try:
+        draw = draw_index(cells[0], runtimes[0], i)
+        return [simulate(cell, i, runtime, collect_log, collect_occupancy, draw=draw)
+                for cell, runtime in zip(cells, runtimes)]
+    except Exception as exc:
+        raise SimulationError(f"replication {i} failed: {exc}") from exc
 
 
 def usable_cpus() -> int:
@@ -640,34 +633,32 @@ def _run_cells(
 ) -> list[ScenarioResult]:
     """Run every replication of every ``(fleet_size, profile)`` variant of ``base``.
 
-    This is the one place replications fan out.  The run is index-major:
-    replication indices are dealt round-robin into one chunk per worker, of
-    which there are at most ``jobs``, ``usable_cpus()`` and the replications,
-    and each chunk's task runs every cell at each of its indices (see
-    ``_run_chunk``), so the cells of a task share one stop table and one
-    route per flow, and each index is drawn once.  All chunks share one pool; forked workers
-    inherit any wrapper around ``simulate``.  Results are merged per cell
-    and equal a serial run.
+    This is the one place replications fan out.  Each variant is one cell.
+    Every cell's runtime is built here, before any worker exists, so a failed
+    check stops the run once; the others are built like the first's (see
+    ``_Runtime``).  Each task is one index over every cell (``_run_index``),
+    on at most ``jobs``, ``usable_cpus()`` and the replications workers.  The
+    pool's initializer serves them the run: forked, they inherit it and any
+    wrapper around ``simulate``; otherwise it is pickled once per worker.
     """
     if jobs < 1:
         raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
-    indices = range(base.replications)
+    cells = [replace(base, fleet_size=fleet, profile=profile) for fleet, profile in variants]
+    first = _Runtime(cells[0])
+    runtimes = [first] + [_Runtime(cell, first) for cell in cells[1:]]
+    run = (cells, runtimes, collect_log, collect_occupancy)
     workers = min(jobs, usable_cpus(), base.replications)
-    args = (repeat(base), repeat(variants), [indices[k::workers] for k in range(workers)],
-            repeat(collect_log), repeat(collect_occupancy))
-    if workers > 1:
-        from concurrent import futures  # loaded here so serial runs skip the pool machinery
-        with futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_run_chunk, *args))
-    else:
-        parts = map(_run_chunk, *args)
-    per_cell: list[list[ReplicationResult]] = [[] for _ in variants]
-    for part in parts:
-        for reps, more in zip(per_cell, part):
-            reps.extend(more)
-    return [ScenarioResult(sorted(reps, key=lambda rep: rep.record.replication),
-                           aggregate([rep.record for rep in reps]))
-            for reps in per_cell]
+    try:
+        if workers > 1:
+            from concurrent import futures  # loaded here so serial runs skip the pool machinery
+            with futures.ProcessPoolExecutor(max_workers=workers, initializer=_serve, initargs=(run,)) as pool:
+                rows = list(pool.map(_run_index, range(base.replications)))
+        else:
+            _serve(run)
+            rows = [_run_index(i) for i in range(base.replications)]
+    finally:
+        _serve(None)
+    return [ScenarioResult(list(reps), aggregate([rep.record for rep in reps])) for reps in zip(*rows)]
 
 
 def run_scenario(scenario: Scenario, jobs: int = 1, collect_log: bool = False,

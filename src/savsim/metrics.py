@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 from .dispatch import DROPOFF, PICKUP
+from .traffic import Timelines, occupancy_rows
 
 
 @dataclass(frozen=True)
@@ -155,9 +156,9 @@ def aggregates_to_csv(cells: list[tuple[str, int, str, dict]]) -> str:
     return _table(["scenario", "fleet_size", "profile", "metric", "mean", "std", "min", "max"], rows)
 
 
-def occupancy_to_csv(occupancy: list[tuple[int, list[tuple[float, int, int]]]]) -> str:
-    """The ``(time, edge id, occupancy)`` rows of each (replication, rows) pair; times in round-trip ``repr`` form."""
-    rows = ((replication, repr(t), edge, occ) for replication, changes in occupancy for t, edge, occ in changes)
+def occupancy_to_csv(occupancy: list[tuple[int, Timelines]]) -> str:
+    """Each (replication, per-edge timelines) pair's ``occupancy_rows``; times in round-trip ``repr`` form."""
+    rows = ((replication, repr(t), edge, n) for replication, lines in occupancy for t, edge, n in occupancy_rows(lines))
     return _table(["replication", "time_s", "edge_id", "occupancy"], rows)
 
 

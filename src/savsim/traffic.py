@@ -15,7 +15,10 @@ from __future__ import annotations
 import random
 from array import array
 from bisect import bisect_right
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
+from heapq import merge
+from itertools import repeat
 
 from .demand import poisson_arrivals
 from .errors import ConsistencyError, InvalidInputError, check_finite, read_section, record_kinds
@@ -23,6 +26,8 @@ from .netgraph import DirectedEdge
 
 CRAWL_FRACTION = 0.05
 STOP_SPEED_THRESHOLD = 1.0  # m/s; below this a vehicle counts as stopped
+# edge id -> (times, occupancies): each change to the edge's occupancy, in time order
+Timelines = dict[int, tuple[array, array]]
 
 
 @dataclass(frozen=True)
@@ -124,7 +129,7 @@ class BackgroundTraffic:
     (graph, flows, horizon, seed).  The caller keeps the clock: it calls
     ``advance`` at each time in ``injections`` and at each exit time
     ``advance`` returns, in time order.  Once the clock has run to the
-    horizon the field is read-only.  Its records are the timelines, which
+    horizon the field is read-only.  Its records are ``timelines``, which
     hold every occupancy change (an edge's count now is its timeline's last
     value, made at its first change), and the vehicles, each with its edge
     ``index`` (>= 0 once entered) and its delay and stop tallies;
@@ -141,8 +146,7 @@ class BackgroundTraffic:
     ) -> None:
         self.distance = 0.0
         self.finished: list[BackgroundVehicle] = []   # in exit order
-        # edge id -> (times, occupancies): each change to the edge's occupancy, in time order
-        self._timelines: dict[int, tuple[array, array]] = {}
+        self.timelines: Timelines = {}
         rng = random.Random(f"{seed}:background")
         self.injections: list[tuple[float, BackgroundVehicle]] = [
             (t, BackgroundVehicle(route))
@@ -155,7 +159,7 @@ class BackgroundTraffic:
         """Move ``vehicle`` onto its next edge at ``now``; when it will leave it, or None at the end."""
         if vehicle.index >= 0:
             edge = vehicle.route[vehicle.index]
-            times, counts = self._timelines[edge.id]
+            times, counts = self.timelines[edge.id]
             times.append(now)
             counts.append(counts[-1] - 1)
             self.distance += edge.length
@@ -164,9 +168,9 @@ class BackgroundTraffic:
             self.finished.append(vehicle)
             return None
         edge = vehicle.route[vehicle.index]
-        timeline = self._timelines.get(edge.id)
+        timeline = self.timelines.get(edge.id)
         if timeline is None:   # the edge's first change
-            timeline = self._timelines[edge.id] = (array("d"), array("i"))
+            timeline = self.timelines[edge.id] = (array("d"), array("i"))
         times, counts = timeline
         occupancy = counts[-1] if counts else 0
         speed = edge_speed(edge, occupancy)
@@ -185,17 +189,20 @@ class BackgroundTraffic:
         vehicle starting a leg at the instant a background vehicle enters or
         leaves an edge sees the edge after that change.
         """
-        times, values = self._timelines.get(edge_id, ((), ()))
+        times, values = self.timelines.get(edge_id, ((), ()))
         i = bisect_right(times, t)
         return values[i - 1] if i else 0
-
-    def occupancy_rows(self) -> list[tuple[float, int, int]]:
-        """Every ``(time, edge id, occupancy)`` change by time, then edge id, then timeline order."""
-        rows = [(t, eid, n) for eid, (times, values) in self._timelines.items() for t, n in zip(times, values)]
-        return sorted(rows, key=lambda row: row[:2])   # stable, so ties keep timeline order
 
     def check(self) -> None:
         """Every vehicle entered and not finished occupies exactly one edge."""
         entered = sum(vehicle.index >= 0 for _, vehicle in self.injections)
-        if entered - len(self.finished) != sum(values[-1] for _, values in self._timelines.values()):
+        if entered - len(self.finished) != sum(values[-1] for _, values in self.timelines.values()):
             raise ConsistencyError("background vehicle conservation broken")
+
+
+def occupancy_rows(timelines: Timelines) -> Iterator[tuple[float, int, int]]:
+    """Every ``(time, edge id, occupancy)`` change by time, then edge id, then timeline order, made as read.
+
+    Each timeline is in time order, and no two edges tie on (time, edge id).
+    """
+    return merge(*(zip(times, repeat(eid), counts) for eid, (times, counts) in timelines.items()))

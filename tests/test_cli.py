@@ -10,6 +10,7 @@ from savsim.cli import main
 from savsim.errors import InvalidInputError
 from savsim.metrics import LogEntry, replay_shared_miles
 from savsim.netgraph import load_network, save_network
+from savsim.traffic import occupancy_rows
 
 from randnets import star_network
 
@@ -202,7 +203,7 @@ class TestRun:
         })
         runtime = engine._Runtime(scenario)
         for index, block in blocks.items():
-            field = engine.draw_index(scenario, runtime, index).traffic.occupancy_rows()
+            field = list(occupancy_rows(engine.draw_index(scenario, runtime, index).traffic.timelines))
             assert field and block == field
 
     def test_jobs_below_one_is_usage_error(self, tmp_path):
@@ -316,7 +317,7 @@ class TestRun:
     def test_huge_scenario_rejected_before_it_runs(self, tmp_path, capsys, monkeypatch):
         out = generate_small(tmp_path)
         monkeypatch.setattr(engine, "_Replication", None)   # a replication that starts fails the test
-        # replications past a C ssize_t: the chunks are dealt without len() of its range
+        # replications past a C ssize_t: the runtimes are checked before any index runs
         for item, field in (("fleet_size=1000000000000000000", "fleet_size"), ("horizon=1e300", "horizon"),
                             ("replications=1" + "0" * 400, "replications")):
             code = main(["run", "--scenario", str(out / "scenario.json"), "--out", str(tmp_path / "x"),
@@ -324,8 +325,8 @@ class TestRun:
             assert code == 1
             err = capsys.readouterr().err
             assert "events" in err and field in err
-        # every cell's runtime is built before any replication runs, so the
-        # huge cell is rejected wherever it is listed
+        # every cell's runtime is built before any replication runs and before
+        # any pool, so the huge cell is rejected wherever it is listed
         for sizes in ("1000000000000000000,2", "2,1000000000000000000"):
             code = main(["sweep", "--scenario", str(out / "scenario.json"), "--out", str(tmp_path / "x"),
                          "--fleet-sizes", sizes])

@@ -5,8 +5,11 @@ import gc
 import io
 import json
 import math
+import multiprocessing
 import os
 import random
+import subprocess
+import sys
 import weakref
 from typing import NamedTuple
 
@@ -31,7 +34,7 @@ from savsim.engine import (
     simulate,
 )
 from savsim.errors import ConfigurationError, ConsistencyError, SimulationError, record_kinds
-from savsim.metrics import aggregate, events_to_csv
+from savsim.metrics import aggregate, events_to_csv, records_to_csv
 from savsim.netgraph import RoadGraph, build_stop_distance_table, save_network, shortest_path, validate_graph
 from savsim.scenario_gen import default_scenario
 from savsim.traffic import (
@@ -42,6 +45,7 @@ from savsim.traffic import (
     count_stop_event,
     drive,
     edge_speed,
+    occupancy_rows,
 )
 
 from brute import brute_best_shared
@@ -328,7 +332,7 @@ class TestConservation:
         assert result.record.sav_distance_m == 0.0
         assert result.record.avg_delay_min > 0   # background vehicles fill the delay population
         assert result.occupancy
-        times = [t for t, _, _ in result.occupancy]
+        times = [t for t, _, _ in occupancy_rows(result.occupancy)]
         assert times == sorted(times)
 
     def test_record_reads_the_vehicle_tallies_and_the_field_distance_in_order(self):
@@ -358,8 +362,8 @@ class TestConservation:
         rep = new_replication(scenario)
         rep.run()
         profile = DEFAULT_PROFILES[scenario.profile]
-        assert rep.traffic._timelines
-        for eid, (_, occupancies) in rep.traffic._timelines.items():
+        assert rep.traffic.timelines
+        for eid, (_, occupancies) in rep.traffic.timelines.items():
             edge = scenario.graph.edge(eid)
             for occupancy in occupancies:   # every count the edge had, its final one last
                 assert occupancy >= 0
@@ -376,8 +380,8 @@ class TestConservation:
             traffic.append(rep.traffic)
         assert result.record.sav_distance_m > 0   # the fleet of 10 did drive
         idle, busy = traffic
-        assert idle._timelines and idle.finished
-        assert busy._timelines == idle._timelines   # every occupancy change, edge by edge
+        assert idle.timelines and idle.finished
+        assert busy.timelines == idle.timelines   # every occupancy change, edge by edge
         assert busy.distance == idle.distance
         assert [(v.delay, v.stops) for v in busy.finished] == [(v.delay, v.stops) for v in idle.finished]
 
@@ -386,7 +390,7 @@ class TestConservation:
         rep = new_replication(scenario)
         rep.run()
         rep.traffic.check()
-        _, occupancies = next(iter(rep.traffic._timelines.values()))
+        _, occupancies = next(iter(rep.traffic.timelines.values()))
         occupancies[-1] += 1   # the edge's count now
         with pytest.raises(ConsistencyError, match="background vehicle conservation"):
             rep.traffic.check()
@@ -402,7 +406,7 @@ class TestConservation:
             if 0 <= vehicle.index < len(vehicle.route):
                 eid = vehicle.route[vehicle.index].id
                 on_edge[eid] = on_edge.get(eid, 0) + 1
-        counts = {eid: occupancies[-1] for eid, (_, occupancies) in traffic._timelines.items()}
+        counts = {eid: occupancies[-1] for eid, (_, occupancies) in traffic.timelines.items()}
         assert on_edge and traffic.finished   # some vehicles are still driving at the horizon
         assert {eid: n for eid, n in counts.items() if n} == on_edge
         assert all(n >= 0 for n in counts.values())
@@ -732,8 +736,8 @@ def as_hex(plan: tuple) -> tuple:
 class TestDriveTable:
     @staticmethod
     def chunk(seed: int):
-        """Cells of one chunk on a ``randnets`` graph with one stop inside every edge and
-        busy background flows, built as ``_run_chunk`` builds them; returns the
+        """Cells of one run on a ``randnets`` graph with one stop inside every edge and
+        busy background flows, built as ``_run_cells`` builds them; returns the
         replications at index 0 and the first runtime's drive tables."""
         rng = random.Random(seed)
         graph = random_connected_graph(rng, max_vertices=12, max_edges=30)
@@ -756,7 +760,7 @@ class TestDriveTable:
     @given(st.integers(0, 2**32 - 1))
     def test_plans_match_the_per_piece_loop_and_the_table_holds_only_whole_edges(self, seed):
         rng, graph, edges, reps, drives = self.chunk(seed)
-        # two profiles in one chunk: one table each, shared by the cells of a profile
+        # two profiles in one run: one table each, shared by the cells of a profile
         assert set(drives) == {rep.profile for rep in reps} and len(drives) == 2
         assert all(drives[rep.profile] is rep.drives for rep in reps)
         assert reps[0].drives is reps[1].drives is not reps[2].drives
@@ -809,10 +813,13 @@ class TestDriveTable:
 
 
 class _InlinePool:
-    """Stands in for the process pool: records its size and runs tasks in this process."""
+    """Stands in for the process pool: records its size, calls its initializer
+    as a worker would, and runs tasks in this process."""
 
-    def __init__(self, made: list, max_workers: int) -> None:
+    def __init__(self, made: list, max_workers: int, initializer=None, initargs=()) -> None:
         made.append(max_workers)
+        if initializer is not None:
+            initializer(*initargs)
 
     def __enter__(self):
         return self
@@ -828,7 +835,7 @@ def record_executor(monkeypatch) -> list:
     """Replace the engine's executor; returns the sizes of the pools made."""
     made: list = []
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                        lambda max_workers: _InlinePool(made, max_workers))
+                        lambda max_workers, **kwargs: _InlinePool(made, max_workers, **kwargs))
     return made
 
 
@@ -888,6 +895,33 @@ class TestRunScenario:
         with pytest.raises(ConfigurationError, match="jobs"):
             run_scenario(busy_scenario(), jobs=0)
 
+    def test_a_failed_check_stops_a_pooled_run_before_any_pool_is_made(self, monkeypatch):
+        # every runtime is built in this process before the pool, so each
+        # check fails once, with the text a serial run gives
+        made = record_pools(monkeypatch, cpus=2)
+        monkeypatch.setattr(engine, "simulate", None)   # a replication that starts fails the test
+        one_way, no_stops = RoadGraph(), RoadGraph()
+        for g in (one_way, no_stops):
+            g.add_vertex(0, 0.0, 0.0)
+            g.add_vertex(1, 100.0, 0.0)
+            g.add_edge(0, 0, 1, 10.0, 50)
+        no_stops.add_edge(1, 1, 0, 10.0, 50)
+        runs = (
+            lambda jobs: run_scenario(busy_scenario(graph=one_way), jobs=jobs),
+            lambda jobs: run_scenario(busy_scenario(graph=no_stops), jobs=jobs),
+            lambda jobs: run_scenario(busy_scenario(replications=10**400), jobs=jobs),
+            lambda jobs: run_sweep(busy_scenario(), [2, 10**18], ["normal"], jobs=jobs),
+        )
+        for run, expected in zip(runs, ("network failed validation", "a nonzero fleet needs stops",
+                                        "estimated to need more", "fleet_size 1000000000000000000")):
+            texts = []
+            for jobs in (1, 2):
+                with pytest.raises(ConfigurationError, match=expected) as exc:
+                    run(jobs)
+                texts.append(str(exc.value))
+            assert texts[0] == texts[1]
+        assert made == []
+
     def test_replication_error_names_index(self):
         scenario = busy_scenario()
         bad = dataclasses.replace(scenario, profile="warp")
@@ -920,28 +954,39 @@ class TestRunSweep:
         assert pooled.all_records() == serial.all_records()
 
     def test_cells_sharing_a_field_and_table_match_lone_replications(self, monkeypatch):
-        # a task runs every cell on one draw per index, one stop table and
-        # one route per flow; each cell must still get what it gets alone
+        # a run builds one stop table and one route per flow for every cell,
+        # and each task runs every cell on one draw per index; each cell must
+        # still get what it gets alone
         scenario = busy_scenario(replications=2,
                                  background_flows=[BackgroundFlow(0, 2, 120.0), BackgroundFlow(3, 1, 90.0)])
-        draws, routed, validated = [], [], []
-        monkeypatch.setattr(engine, "draw_index",
-                            lambda *args: draws.append(args[2]) or draw_index(*args))
-        monkeypatch.setattr(engine, "shortest_path",
-                            lambda *args: routed.append(args[1:]) or shortest_path(*args))
-        monkeypatch.setattr(engine, "validate_graph",
-                            lambda graph: validated.append(graph) or validate_graph(graph))
-        serial = run_sweep(scenario, [1, 2], ["cautious", "aggressive"])
-        assert draws == [0, 1]   # one draw per index, read by all four cells
-        assert routed == [(0, 2), (3, 1)]   # each flow routed once for all four cells
-        assert validated == [scenario.graph] * 4   # and every cell still checked
+        cells = ([1, 2], ["cautious", "aggressive"])
+
+        def counted_sweep(jobs: int):
+            draws, routed, validated = [], [], []
+            monkeypatch.setattr(engine, "draw_index",
+                                lambda *args: draws.append(args[2]) or draw_index(*args))
+            monkeypatch.setattr(engine, "shortest_path",
+                                lambda *args: routed.append(args[1:]) or shortest_path(*args))
+            monkeypatch.setattr(engine, "validate_graph",
+                                lambda graph: validated.append(graph) or validate_graph(graph))
+            sweep = run_sweep(scenario, *cells, jobs=jobs)
+            assert draws == [0, 1]   # one draw per index, read by all four cells
+            assert routed == [(0, 2), (3, 1)]   # each flow routed once for all four cells
+            assert validated == [scenario.graph] * 4   # and every cell still checked
+            return sweep
+
+        serial = counted_sweep(jobs=1)
+        # pooled, the runtimes are still built once, before the pool, not once per worker
+        made = record_pools(monkeypatch, cpus=2)
+        assert counted_sweep(jobs=2).all_records() == serial.all_records()
+        assert made == [2]
         monkeypatch.undo()
         assert all(r.total_distance_m > r.sav_distance_m for r in serial.all_records())
         for (fleet, profile), result in serial.cells.items():
             cell = dataclasses.replace(scenario, fleet_size=fleet, profile=profile)
             assert result.records == [simulate(cell, i).record for i in range(2)]
         monkeypatch.setattr(engine, "usable_cpus", lambda: 2)
-        pooled = run_sweep(scenario, [1, 2], ["cautious", "aggressive"], jobs=2)
+        pooled = run_sweep(scenario, *cells, jobs=2)
         assert pooled.all_records() == serial.all_records()
 
     def test_a_chunk_holds_one_draw_at_a_time(self, monkeypatch):
@@ -980,8 +1025,8 @@ class TestRunSweep:
             monkeypatch.undo()
 
     def test_each_index_draws_its_requests_once_for_every_cell(self, monkeypatch):
-        # serially, one index per chunk on two workers, and on three workers
-        # for four indices, where one chunk draws two of them
+        # serially, and one index per task on two workers and on three
+        # workers for four indices, where one worker runs two tasks
         generate, run = engine.generate_requests, engine.simulate
         for jobs, replications in ((1, 2), (2, 2), (3, 4)):
             scenario = busy_scenario(replications=replications)
@@ -1003,6 +1048,42 @@ class TestRunSweep:
             assert len(drawn) == len(by_seed) == replications
             assert len(read) == 4 * replications
             assert all(requests is by_seed[seed] for seed, requests in read)
+
+    @pytest.mark.skipif("forkserver" not in multiprocessing.get_all_start_methods(),
+                        reason="no forkserver start method on this platform")
+    def test_a_forkserver_pool_gives_the_serial_records(self):
+        # workers that are not forked get the run pickled through the pool's
+        # initializer; a subprocess keeps the start method from the other tests
+        script = """if True:
+            import concurrent.futures, dataclasses, multiprocessing
+            from savsim import engine
+            from savsim.metrics import records_to_csv
+            from savsim.scenario_gen import default_scenario
+            multiprocessing.set_start_method("forkserver")
+            engine.usable_cpus = lambda: 2
+            made = []
+
+            class Pool(concurrent.futures.ProcessPoolExecutor):
+                def __init__(self, **kwargs):
+                    super().__init__(**kwargs)
+                    made.append(self._mp_context.get_start_method())
+
+            concurrent.futures.ProcessPoolExecutor = Pool
+            scenario = dataclasses.replace(default_scenario(), replications=2)
+            sweep = engine.run_sweep(scenario, [2, 4], ["cautious", "aggressive"], jobs=2)
+            print(made)
+            print(records_to_csv(sweep.all_records()), end="")
+        """
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        done = subprocess.run([sys.executable, *(f"-W{w}" for w in sys.warnoptions), "-c", script],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        made, records = done.stdout.split("\n", 1)
+        assert made == "['forkserver']"
+        scenario = dataclasses.replace(default_scenario(), replications=2)
+        serial = run_sweep(scenario, [2, 4], ["cautious", "aggressive"])
+        assert records == records_to_csv(serial.all_records())
 
     def test_empty_sweep_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -5,7 +5,7 @@ change to the code left the simulation's outputs unchanged.  The sweep runs
 on the 90-vertex default grid; the digests of a one-replication run on the
 400 m city also lock the driven pieces of every leg where many grid paths
 tie, and the digest of a four-cell sweep there locks the flow routes and
-stop table that a chunk's cells share.  The digests of one-replication
+stop table that a run's cells share.  The digests of one-replication
 runs at four times the default demand lock shared-ride insertion into
 routes of hundreds of legs, which the sweep never builds; those of one at
 half the default demand, with 16 vehicles, lock dispatch to idle vehicles.

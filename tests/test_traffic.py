@@ -17,6 +17,7 @@ from savsim.traffic import (
     count_stop_event,
     edge_speed,
     get_profile,
+    occupancy_rows,
     profiles_from_dict,
 )
 from savsim.errors import ConsistencyError, InvalidInputError
@@ -164,8 +165,8 @@ def test_occupancy_at_is_the_last_sample_at_or_before_t(flows, seed, horizon, da
         replications=1, base_seed=seed,
     )
     traffic = draw_index(scenario, _Runtime(scenario), 0).traffic
-    rows = traffic.occupancy_rows()
-    assert len(rows) == sum(len(times) for times, _ in traffic._timelines.values())
+    rows = list(occupancy_rows(traffic.timelines))
+    assert len(rows) == sum(len(times) for times, _ in traffic.timelines.values())
     assert [(t, eid) for t, eid, _ in rows] == sorted((t, eid) for t, eid, _ in rows)
     per_edge = {}
     for _, eid, occ in rows:
@@ -173,7 +174,7 @@ def test_occupancy_at_is_the_last_sample_at_or_before_t(flows, seed, horizon, da
     for counts in per_edge.values():   # each row one vehicle entering or leaving, from an empty edge
         assert counts[0] == 1
         assert all(abs(b - a) == 1 for a, b in zip(counts, counts[1:]))
-    assert per_edge == {eid: list(values) for eid, (_, values) in traffic._timelines.items()}   # timeline order
+    assert per_edge == {eid: list(values) for eid, (_, values) in traffic.timelines.items()}   # timeline order
     row_times = [t for t, _, _ in rows]
     assert all(t < horizon for t in row_times)
     times = st.floats(0.0, horizon)

@@ -596,7 +596,8 @@ class ScenarioResult:
         return [rep.record for rep in self.replications]
 
 
-# (cells, runtimes, collect_log, collect_occupancy): set in each pool worker, or here for a serial run
+# (cells, runtimes, collect_log, collect_occupancy): set in each pool worker, or here during a
+# serial run, so a process runs one serial run at a time
 _served: tuple | None = None
 
 
@@ -648,16 +649,16 @@ def _run_cells(
     runtimes = [first] + [_Runtime(cell, first) for cell in cells[1:]]
     run = (cells, runtimes, collect_log, collect_occupancy)
     workers = min(jobs, usable_cpus(), base.replications)
-    try:
-        if workers > 1:
-            from concurrent import futures  # loaded here so serial runs skip the pool machinery
-            with futures.ProcessPoolExecutor(max_workers=workers, initializer=_serve, initargs=(run,)) as pool:
-                rows = list(pool.map(_run_index, range(base.replications)))
-        else:
-            _serve(run)
+    if workers > 1:
+        from concurrent import futures  # loaded here so serial runs skip the pool machinery
+        with futures.ProcessPoolExecutor(max_workers=workers, initializer=_serve, initargs=(run,)) as pool:
+            rows = list(pool.map(_run_index, range(base.replications)))
+    else:
+        _serve(run)
+        try:
             rows = [_run_index(i) for i in range(base.replications)]
-    finally:
-        _serve(None)
+        finally:
+            _serve(None)
     return [ScenarioResult(list(reps), aggregate([rep.record for rep in reps])) for reps in zip(*rows)]
 
 

@@ -158,7 +158,7 @@ def aggregates_to_csv(cells: list[tuple[str, int, str, dict]]) -> str:
 
 def occupancy_to_csv(occupancy: list[tuple[int, Timelines]]) -> str:
     """Each (replication, per-edge timelines) pair's ``occupancy_rows``; times in round-trip ``repr`` form."""
-    rows = ((replication, repr(t), edge, n) for replication, lines in occupancy for t, edge, n in occupancy_rows(lines))
+    rows = ((rep, repr(t), edge, n) for rep, timelines in occupancy for t, edge, n in occupancy_rows(timelines))
     return _table(["replication", "time_s", "edge_id", "occupancy"], rows)
 
 

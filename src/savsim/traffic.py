@@ -201,8 +201,6 @@ class BackgroundTraffic:
 
 
 def occupancy_rows(timelines: Timelines) -> Iterator[tuple[float, int, int]]:
-    """Every ``(time, edge id, occupancy)`` change by time, then edge id, then timeline order, made as read.
-
-    Each timeline is in time order, and no two edges tie on (time, edge id).
-    """
+    """Every ``(time, edge id, occupancy)`` change by time, then edge id, then timeline order, made as read:
+    a merge of the timelines, each in time order, where no two edges tie on (time, edge id)."""
     return merge(*(zip(times, repeat(eid), counts) for eid, (times, counts) in timelines.items()))

@@ -1012,8 +1012,8 @@ class TestRunSweep:
         assert fields[-1]() is None
 
     def test_pool_has_no_more_workers_than_indices(self, monkeypatch):
-        # only indices are dealt, so each worker gets at least one index and
-        # runs every cell at it; (replications, cpus, jobs) -> pools made
+        # each task is one index, run over every cell, so no worker waits
+        # without one; (replications, cpus, jobs) -> pools made
         cells = ([1, 2], ["cautious", "aggressive"])
         for replications, cpus, jobs, pools in ((1, 4, 4, []), (2, 4, 4, [2]), (3, 2, 4, [2])):
             scenario = busy_scenario(replications=replications,
